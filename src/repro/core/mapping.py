@@ -9,6 +9,12 @@ mirror coincide with the RX beam's origin, and vice versa -- so the
 error function sums ``d(p_t, tau_r) + d(p_r, tau_t)`` over all samples,
 evaluated under the *candidate* mapping parameters, and non-linear
 least squares drives it toward zero.
+
+The residual is batched: the samples are stacked once, and each
+candidate parameter vector is evaluated for all of them in one pass
+through :func:`repro.core.gma.trace_rows` (the RX GMA gets one
+placement per reported pose).  The per-sample helpers below are 1-row
+and N-row calls into the same kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ import numpy as np
 import numpy.typing as npt
 from scipy.optimize import least_squares
 
-from ..geometry import NoIntersectionError
+from ..geometry import NoIntersectionError, euler_to_matrix
 from ..vrh import Pose
-from .gma import GmaModel
+from .gma import GmaModel, intersect_rows, layout, placed, trace_rows
 from .system import LearnedSystem
 
 #: Residual assigned when a candidate geometry misses a mirror plane.
@@ -40,6 +46,68 @@ class AlignedSample:
     reported_pose: Pose
 
 
+@dataclass(frozen=True)
+class _SampleStack:
+    """N aligned samples as arrays: voltages (n, 4), poses (n, 3, 3)
+    and (n, 3)."""
+
+    voltages: np.ndarray
+    rotations: np.ndarray
+    positions: np.ndarray
+
+
+def _stack(samples: List[AlignedSample]) -> _SampleStack:
+    return _SampleStack(
+        voltages=np.array([[s.v_tx1, s.v_tx2, s.v_rx1, s.v_rx2]
+                           for s in samples], dtype=float),
+        rotations=np.array([s.reported_pose.orientation for s in samples]),
+        positions=np.array([s.reported_pose.position for s in samples]))
+
+
+def _residual_rows(tx_layout: np.ndarray, tx_theta1: float,
+                   rx_layout: np.ndarray, rx_theta1: float,
+                   rx_rotation: np.ndarray, rx_translation: np.ndarray,
+                   stack: _SampleStack) -> np.ndarray:
+    """The (n, 6) rows ``(p_t - tau_r, p_r - tau_t)``, one per sample.
+
+    ``tx_layout`` is the TX model in VR-space; ``rx_layout`` the RX
+    model in its K-space, placed per row by the reported pose after
+    the RX mapping ``(rx_rotation, rx_translation)``.  A row whose
+    beam misses the other side's second-mirror plane reads
+    :data:`MISS_PENALTY_M` throughout.  A beam parallel to one of its
+    own GMA's mirrors raises :class:`NoIntersectionError`, as the
+    scalar ``G`` does.
+    """
+    rotations = stack.rotations @ rx_rotation
+    translations = (np.einsum("nij,j->ni", stack.rotations, rx_translation)
+                    + stack.positions)
+    volts = stack.voltages
+    tx_origins, tx_dirs, tx_pivots, tx_normals = trace_rows(
+        tx_layout, tx_theta1 * volts[:, 0], tx_theta1 * volts[:, 1])
+    rx_origins, rx_dirs, rx_pivots, rx_normals = trace_rows(
+        placed(rx_layout, rotations, translations),
+        rx_theta1 * volts[:, 2], rx_theta1 * volts[:, 3])
+    if not (np.isfinite(tx_origins).all() and np.isfinite(rx_origins).all()):
+        raise NoIntersectionError("a beam is parallel to a GMA mirror")
+    tau_t, t_hit = intersect_rows(tx_origins, tx_dirs, rx_pivots,
+                                  rx_normals, forward_only=True)
+    tau_r, r_hit = intersect_rows(rx_origins, rx_dirs, tx_pivots,
+                                  tx_normals)
+    rows = np.concatenate([tx_origins - tau_r, rx_origins - tau_t], axis=1)
+    rows[~(t_hit & r_hit)] = MISS_PENALTY_M
+    return rows
+
+
+def _system_rows(system: LearnedSystem,
+                 samples: List[AlignedSample]) -> np.ndarray:
+    tx = system.tx_model_vr.params
+    rx = system.rx_model_kspace.params
+    return _residual_rows(layout(tx.to_vector()), tx.theta1,
+                          layout(rx.to_vector()), rx.theta1,
+                          system.rx_mapping.rotation,
+                          system.rx_mapping.translation, _stack(samples))
+
+
 def coincidence_residuals(system: LearnedSystem,
                           sample: AlignedSample) -> np.ndarray:
     """The 6-vector ``(p_t - tau_r, p_r - tau_t)`` for one sample.
@@ -48,19 +116,7 @@ def coincidence_residuals(system: LearnedSystem,
     VR-space -- nothing physical is consulted; the physics already
     spoke through the aligned voltages.
     """
-    tx = system.tx_model_vr
-    rx = system.rx_model_vr(sample.reported_pose)
-    tx_beam = tx.beam(sample.v_tx1, sample.v_tx2)
-    rx_beam = rx.beam(sample.v_rx1, sample.v_rx2)
-    try:
-        tau_t = rx.second_mirror_plane(
-            sample.v_rx1, sample.v_rx2).intersect_ray(tx_beam)
-        tau_r = tx.second_mirror_plane(
-            sample.v_tx1, sample.v_tx2).intersect_ray(
-                rx_beam, forward_only=False)
-    except NoIntersectionError:
-        return np.full(6, MISS_PENALTY_M)
-    return np.concatenate([tx_beam.origin - tau_r, rx_beam.origin - tau_t])
+    return _system_rows(system, [sample])[0]
 
 
 def coincidence_error_m(system: LearnedSystem,
@@ -85,12 +141,17 @@ def fit_mapping(tx_kspace: GmaModel, rx_kspace: GmaModel,
     initial = np.asarray(initial_mapping_params, dtype=float)
     if initial.shape != (12,):
         raise ValueError("expected 12 initial mapping parameters")
+    stack = _stack(samples)
+    tx_layout = layout(tx_kspace.params.to_vector())
+    rx_layout = layout(rx_kspace.params.to_vector())
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        system = LearnedSystem.from_mapping_params(
-            tx_kspace, rx_kspace, params)
-        return np.concatenate([
-            coincidence_residuals(system, sample) for sample in samples])
+        tx_vr = placed(tx_layout, euler_to_matrix(*params[3:6]),
+                       params[:3])
+        return _residual_rows(
+            tx_vr, tx_kspace.params.theta1, rx_layout,
+            rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
+            params[6:9], stack).ravel()
 
     solution = least_squares(residuals, initial, method="lm",
                              xtol=1e-15, ftol=1e-15)
@@ -103,4 +164,7 @@ def mean_coincidence_error_m(system: LearnedSystem,
     """Average Section 4.2 error over a sample set (fit diagnostics)."""
     if not samples:
         raise ValueError("no samples to evaluate")
-    return float(np.mean([coincidence_error_m(system, s) for s in samples]))
+    rows = _system_rows(system, samples)
+    errors = (np.linalg.norm(rows[:, :3], axis=1)
+              + np.linalg.norm(rows[:, 3:], axis=1))
+    return float(np.mean(errors))

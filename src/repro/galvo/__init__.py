@@ -2,7 +2,13 @@
 
 from .daq import Daq
 from .galvo import CoverageError, GalvoHardware
-from .mirror import GmaParams, canonical_gma, mirror_planes, trace
+from .mirror import (
+    GmaParams,
+    canonical_gma,
+    mirror_planes,
+    second_mirror_plane,
+    trace,
+)
 from .servo import ServoModel
 from .specs import GVS102, GalvoSpec
 
@@ -16,5 +22,6 @@ __all__ = [
     "GmaParams",
     "canonical_gma",
     "mirror_planes",
+    "second_mirror_plane",
     "trace",
 ]

@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import Ray
+from ..geometry import Plane, Ray
 from .daq import Daq
-from .mirror import GmaParams, mirror_planes, trace
+from .mirror import GmaParams, second_mirror_plane, trace
 from .specs import GVS102, GalvoSpec
 
 
@@ -110,13 +110,13 @@ class GalvoHardware:
         return trace(self.params, self._v1, self._v2,
                      angle1_rad=self._angle1, angle2_rad=self._angle2)
 
-    def second_mirror_plane(self):
+    def second_mirror_plane(self) -> Plane:
         """The second mirror's current plane (in the params' frame).
 
         The channel needs this to locate where an arriving beam strikes
         the steering mirror -- the paper's target point ``tau``.
         """
-        return mirror_planes(self.params, self._angle1, self._angle2)[1]
+        return second_mirror_plane(self.params, self._angle2)
 
     def beam_for(self, v1: float, v2: float) -> Ray:
         """Apply voltages and return the resulting beam in one call."""

@@ -15,23 +15,31 @@ and chain two reflections.  Both the simulated "real" hardware
 (:mod:`repro.galvo.galvo`) and the learned model
 (:mod:`repro.core.gma`) evaluate this same function -- the hardware adds
 hidden imperfections on top.
+
+The trace runs on plain Python floats: numpy's per-call overhead on
+3-vectors is most of the cost of ``G``, and ``G`` runs inside every
+calibration and pointing loop.  Only the returned :class:`Ray` (and
+:class:`Plane`) are numpy-backed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..geometry import (
+    NoIntersectionError,
     Plane,
     Ray,
     RigidTransform,
     as_vec3,
     normalize,
-    reflect_ray,
-    rotation_matrix,
 )
+
+Vec3 = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,10 @@ class GmaParams:
     q2: np.ndarray
     r2: np.ndarray
     theta1: float
+    #: The 8 vectors as float triples, in ``to_vector`` order, for the
+    #: float trace (the arrays are never mutated in place).
+    _floats: Tuple[Vec3, ...] = field(init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p0", as_vec3(self.p0))
@@ -59,6 +71,10 @@ class GmaParams:
         object.__setattr__(self, "r2", normalize(self.r2))
         if self.theta1 <= 0:
             raise ValueError("theta1 must be positive")
+        object.__setattr__(self, "_floats", tuple(
+            tuple(vector.tolist()) for vector in (
+                self.p0, self.x0, self.n1, self.q1, self.r1,
+                self.n2, self.q2, self.r2)))
 
     # -- flat encodings for the least-squares fits --------------------------
 
@@ -99,20 +115,66 @@ class GmaParams:
         )
 
 
+def _rotate(axis: Vec3, angle_rad: float, vector: Vec3) -> Vec3:
+    """Rodrigues ``R(axis, angle) @ vector`` for a unit ``axis``."""
+    ux, uy, uz = axis
+    vx, vy, vz = vector
+    cos = math.cos(angle_rad)
+    sin = math.sin(angle_rad)
+    along = (1.0 - cos) * (ux * vx + uy * vy + uz * vz)
+    return (cos * vx + sin * (uy * vz - uz * vy) + along * ux,
+            cos * vy + sin * (uz * vx - ux * vz) + along * uy,
+            cos * vz + sin * (ux * vy - uy * vx) + along * uz)
+
+
+def _reflect(origin: Vec3, direction: Vec3, pivot: Vec3,
+             normal: Vec3) -> Tuple[Vec3, Vec3]:
+    """Strike point and reflected direction of a beam off a mirror.
+
+    Strike points behind the origin are allowed: fitted parameter sets
+    may legally describe the same output beams with "behind" strike
+    points (gauge freedom); only the resulting beam line matters.
+    Raises :class:`NoIntersectionError` for a beam parallel to the
+    mirror, like :meth:`repro.geometry.Plane.intersect_ray`.
+    """
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    nx, ny, nz = normal
+    denom = dx * nx + dy * ny + dz * nz
+    if abs(denom) < 1e-12:
+        raise NoIntersectionError("ray is parallel to the plane")
+    t = ((pivot[0] - ox) * nx + (pivot[1] - oy) * ny
+         + (pivot[2] - oz) * nz) / denom
+    twice = 2.0 * denom
+    return ((ox + t * dx, oy + t * dy, oz + t * dz),
+            (dx - twice * nx, dy - twice * ny, dz - twice * nz))
+
+
+def _plane(point: Vec3, normal: Vec3) -> Plane:
+    return Plane(np.array(point), np.array(normal))
+
+
 def mirror_planes(params: GmaParams, angle1_rad: float,
-                  angle2_rad: float) -> tuple:
+                  angle2_rad: float) -> Tuple[Plane, Plane]:
     """Both mirror planes for given *mechanical* rotation angles.
 
     The pivots ``q1``/``q2`` sit on the rotation axes and therefore do
     not move; only the normals rotate.
     """
-    n1 = rotation_matrix(params.r1, angle1_rad) @ params.n1
-    n2 = rotation_matrix(params.r2, angle2_rad) @ params.n2
-    return Plane(params.q1, n1), Plane(params.q2, n2)
+    floats = params._floats
+    return (_plane(floats[3], _rotate(floats[4], angle1_rad, floats[2])),
+            second_mirror_plane(params, angle2_rad))
+
+
+def second_mirror_plane(params: GmaParams, angle2_rad: float) -> Plane:
+    """The second mirror's plane alone (the Lemma 1 target plane)."""
+    floats = params._floats
+    return _plane(floats[6], _rotate(floats[7], angle2_rad, floats[5]))
 
 
 def trace(params: GmaParams, v1: float, v2: float,
-          angle1_rad=None, angle2_rad=None) -> Ray:
+          angle1_rad: Optional[float] = None,
+          angle2_rad: Optional[float] = None) -> Ray:
     """Evaluate ``G(v1, v2) -> (p, x)`` as an output :class:`Ray`.
 
     By default the mirror angles are the paper's linear model
@@ -123,17 +185,16 @@ def trace(params: GmaParams, v1: float, v2: float,
         angle1_rad = params.theta1 * v1
     if angle2_rad is None:
         angle2_rad = params.theta1 * v2
-    first, second = mirror_planes(params, angle1_rad, angle2_rad)
-    beam = Ray(params.p0, params.x0)
-    # forward_only=False: fitted parameter sets may legally describe
-    # the same output beams with "behind" strike points (gauge
-    # freedom); only the resulting beam line matters.
-    mid = reflect_ray(beam, first, forward_only=False)
-    return reflect_ray(mid, second, forward_only=False)
+    p0, x0, n1, q1, r1, n2, q2, r2 = params._floats
+    mid, mid_direction = _reflect(p0, x0, q1, _rotate(r1, angle1_rad, n1))
+    out, out_direction = _reflect(mid, mid_direction, q2,
+                                  _rotate(r2, angle2_rad, n2))
+    return Ray(np.array(out), np.array(out_direction))
 
 
 def canonical_gma(theta1: float,
-                  placement: RigidTransform = None) -> GmaParams:
+                  placement: Optional[RigidTransform] = None
+                 ) -> GmaParams:
     """A physically sensible GVS102-like layout, optionally re-placed.
 
     In the device frame the input beam travels +x, hits the first

@@ -131,9 +131,24 @@ def matrix_to_axis_angle(matrix: np.ndarray) -> tuple:
 
 
 def is_rotation_matrix(matrix: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when ``matrix`` is orthonormal with determinant +1."""
+    """True when ``matrix`` is orthonormal with determinant +1.
+
+    Every entry of ``M @ M.T - I`` and ``det(M) - 1`` must lie within
+    ``tol`` (absolute, no relative slack on the diagonal).  Runs on
+    plain floats: every :class:`RigidTransform` and ``Pose`` checks its
+    rotation on construction.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         return False
-    orthonormal = np.allclose(m @ m.T, np.eye(3), atol=tol)
-    return orthonormal and abs(float(np.linalg.det(m)) - 1.0) <= tol
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    deviations = (a * a + b * b + c * c - 1.0,
+                  d * d + e * e + f * f - 1.0,
+                  g * g + h * h + i * i - 1.0,
+                  a * d + b * e + c * f,
+                  a * g + b * h + c * i,
+                  d * g + e * h + f * i,
+                  a * (e * i - f * h) - b * (d * i - f * g)
+                  + c * (d * h - e * g) - 1.0)
+    # ``<=`` is False for NaN, so a NaN entry fails the check.
+    return all(abs(x) <= tol for x in deviations)

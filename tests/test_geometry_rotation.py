@@ -144,3 +144,34 @@ class TestIsRotationMatrix:
 
     def test_rejects_non_square(self):
         assert not is_rotation_matrix(np.ones((2, 3)))
+
+    def test_no_relative_slack_on_the_diagonal(self):
+        # det = 1 exactly, but M @ M.T is off by ~8e-6 on the diagonal:
+        # inside np.allclose's default rtol, outside tol=1e-6.
+        m = np.diag([1.0 + 4e-6, 1.0, 1.0 / (1.0 + 4e-6)])
+        assert not is_rotation_matrix(m, tol=1e-6)
+        assert is_rotation_matrix(m, tol=1e-5)
+
+    def test_transform_and_pose_reject_the_near_rotation(self):
+        from repro.geometry import RigidTransform
+        from repro.vrh import Pose
+        m = np.diag([1.0 + 4e-6, 1.0, 1.0 / (1.0 + 4e-6)])
+        with pytest.raises(ValueError):
+            RigidTransform(m, np.zeros(3))
+        with pytest.raises(ValueError):
+            Pose(np.zeros(3), m)
+
+    def test_rejects_nan(self):
+        m = np.eye(3)
+        m[0, 1] = np.nan
+        assert not is_rotation_matrix(m)
+
+    def test_rejects_sheared_rows(self):
+        # Unit rows and det within 1e-14 of 1, but rows 0 and 1 are
+        # 1e-7 from orthogonal: only the off-diagonal check sees it.
+        eps = 1e-7
+        sheared = np.array([[1.0, 0.0, 0.0],
+                            [np.sin(eps), np.cos(eps), 0.0],
+                            [0.0, 0.0, 1.0]])
+        assert not is_rotation_matrix(sheared, tol=1e-8)
+        assert is_rotation_matrix(sheared, tol=1e-6)
