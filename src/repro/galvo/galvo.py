@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import Plane, Ray
+from ..geometry import Plane, Ray, Vec3
 from .daq import Daq
-from .mirror import GmaParams, second_mirror_plane, trace
+from .mirror import GmaParams, second_mirror_plane, trace, trace_floats
 from .specs import GVS102, GalvoSpec
 
 
@@ -109,6 +109,10 @@ class GalvoHardware:
         """The beam currently leaving the GMA (in the params' frame)."""
         return trace(self.params, self._v1, self._v2,
                      angle1_rad=self._angle1, angle2_rad=self._angle2)
+
+    def output_beam_floats(self) -> Tuple[Vec3, Vec3]:
+        """:meth:`output_beam` as float ``(origin, direction)`` triples."""
+        return trace_floats(self.params, self._angle1, self._angle2)
 
     def second_mirror_plane(self) -> Plane:
         """The second mirror's current plane (in the params' frame).

@@ -19,7 +19,8 @@ hidden imperfections on top.
 The trace runs on plain Python floats: numpy's per-call overhead on
 3-vectors is most of the cost of ``G``, and ``G`` runs inside every
 calibration and pointing loop.  Only the returned :class:`Ray` (and
-:class:`Plane`) are numpy-backed.
+:class:`Plane`) are numpy-backed; :func:`trace_floats` hands the float
+beam itself to callers that stay on floats (the channel).
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from ..geometry import (
     Plane,
     Ray,
     RigidTransform,
+    Vec3,
     as_vec3,
     normalize,
 )
-
-Vec3 = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,14 @@ def second_mirror_plane(params: GmaParams, angle2_rad: float) -> Plane:
     return _plane(floats[6], _rotate(floats[7], angle2_rad, floats[5]))
 
 
+def trace_floats(params: GmaParams, angle1_rad: float,
+                 angle2_rad: float) -> Tuple[Vec3, Vec3]:
+    """``G`` at given mechanical mirror angles, as float ``(p, x)``."""
+    p0, x0, n1, q1, r1, n2, q2, r2 = params._floats
+    mid, mid_direction = _reflect(p0, x0, q1, _rotate(r1, angle1_rad, n1))
+    return _reflect(mid, mid_direction, q2, _rotate(r2, angle2_rad, n2))
+
+
 def trace(params: GmaParams, v1: float, v2: float,
           angle1_rad: Optional[float] = None,
           angle2_rad: Optional[float] = None) -> Ray:
@@ -185,10 +193,7 @@ def trace(params: GmaParams, v1: float, v2: float,
         angle1_rad = params.theta1 * v1
     if angle2_rad is None:
         angle2_rad = params.theta1 * v2
-    p0, x0, n1, q1, r1, n2, q2, r2 = params._floats
-    mid, mid_direction = _reflect(p0, x0, q1, _rotate(r1, angle1_rad, n1))
-    out, out_direction = _reflect(mid, mid_direction, q2,
-                                  _rotate(r2, angle2_rad, n2))
+    out, out_direction = trace_floats(params, angle1_rad, angle2_rad)
     return Ray(np.array(out), np.array(out_direction))
 
 

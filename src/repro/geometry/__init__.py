@@ -17,8 +17,9 @@ from .rotation import (
     rotation_between,
     rotation_matrix,
 )
-from .transform import RigidTransform
+from .transform import RigidTransform, apply_ray_floats
 from .vec import (
+    Vec3,
     angle_between,
     as_vec3,
     cross,
@@ -35,7 +36,9 @@ __all__ = [
     "Plane",
     "Ray",
     "RigidTransform",
+    "Vec3",
     "angle_between",
+    "apply_ray_floats",
     "as_vec3",
     "closest_approach",
     "cross",

@@ -10,12 +10,13 @@ vectors, directly optimizable by ``scipy.optimize.least_squares``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .ray import Ray
 from .rotation import euler_to_matrix, is_rotation_matrix, matrix_to_euler
-from .vec import as_vec3
+from .vec import Vec3, as_vec3
 
 
 @dataclass(frozen=True)
@@ -88,3 +89,23 @@ class RigidTransform:
         return (np.allclose(self.rotation, other.rotation, atol=tol)
                 and np.allclose(self.translation, other.translation,
                                 atol=tol))
+
+
+def apply_ray_floats(rotation: np.ndarray, translation: np.ndarray,
+                     origin: Vec3, direction: Vec3) -> Tuple[Vec3, Vec3]:
+    """``x -> R x + t`` on a float ray: move the origin, rotate the direction.
+
+    :meth:`RigidTransform.apply_ray` on plain float triples, with no
+    :class:`Ray` built.  ``rotation`` and ``translation`` are taken as
+    already validated: pass a :class:`RigidTransform`'s or a pose's.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
+    tx, ty, tz = translation.tolist()
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    return ((r00 * ox + r01 * oy + r02 * oz + tx,
+             r10 * ox + r11 * oy + r12 * oz + ty,
+             r20 * ox + r21 * oy + r22 * oz + tz),
+            (r00 * dx + r01 * dy + r02 * dz,
+             r10 * dx + r11 * dy + r12 * dz,
+             r20 * dx + r21 * dy + r22 * dz))

@@ -7,7 +7,13 @@ validation and the handful of operations numpy does not spell nicely.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+
+#: A point or direction as a plain float triple, for the hot paths
+#: (``G``, the channel) that skip numpy's per-call overhead.
+Vec3 = Tuple[float, float, float]
 
 #: Tolerance under which a vector is considered degenerate (zero length).
 DEGENERATE_NORM = 1e-12

@@ -18,11 +18,12 @@ mismatch to the two coupling scalars:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import NoIntersectionError, angle_between, normalize
+from ..geometry import NoIntersectionError
 from ..vrh import Pose, RxAssembly, TxAssembly
 from .design import NOISE_FLOOR_DBM, LinkDesign
 
@@ -66,32 +67,41 @@ class FsoChannel:
     rx: RxAssembly
 
     def evaluate(self, body_pose: Pose) -> AlignmentState:
-        """Received power and misalignment for the current GM voltages."""
-        tx_beam = self.tx.world_beam()
-        rx_beam = self.rx.world_beam(body_pose)
-        p_r = rx_beam.origin
+        """Received power and misalignment for the current GM voltages.
 
-        # Where along the TX beam the receiver sits, and how far off axis.
-        closest = tx_beam.closest_point_to(p_r)
-        range_m = max(float(np.linalg.norm(closest - tx_beam.origin)),
-                      MIN_RANGE_M)
-        axis_offset = float(np.linalg.norm(p_r - closest))
+        Runs on plain floats, like ``G``: it is the alignment search's
+        power probe and the session's per-slot channel, where numpy's
+        per-call overhead on 3-vectors would dominate.
+        """
+        (ox, oy, oz), (dx, dy, dz) = self.tx.world_beam_floats()
+        (px, py, pz), (ux, uy, uz) = self.rx.world_beam_floats(body_pose)
+
+        # Where along the TX beam the receiver sits, and how far off axis
+        # (the TX direction is a unit vector, so ``along`` is metric).
+        along = (px - ox) * dx + (py - oy) * dy + (pz - oz) * dz
+        range_m = max(abs(along), MIN_RANGE_M)
+        ex = px - (ox + along * dx)
+        ey = py - (oy + along * dy)
+        ez = pz - (oz + along * dz)
+        axis_offset = math.sqrt(ex * ex + ey * ey + ez * ez)
 
         # The arriving wavefront direction at the receiver.
         curvature = self.design.beam.curvature_radius_m(range_m)
-        if np.isinf(curvature):
-            wavefront = tx_beam.direction
+        if math.isinf(curvature):
+            wx, wy, wz = dx, dy, dz
         else:
-            wavefront = normalize(
-                tx_beam.direction + (p_r - closest) / curvature)
-        # Behind the transmitter there is no light at all.
-        behind = float(np.dot(p_r - tx_beam.origin, tx_beam.direction)) <= 0
+            wx, wy, wz = (dx + ex / curvature, dy + ey / curvature,
+                          dz + ez / curvature)
+        # Its angle to the direction the RX optics expect light from.
+        cosine = -(wx * ux + wy * uy + wz * uz) / math.sqrt(
+            (wx * wx + wy * wy + wz * wz) * (ux * ux + uy * uy + uz * uz))
+        incidence = math.acos(min(max(cosine, -1.0), 1.0))
 
-        incidence = angle_between(wavefront, -rx_beam.direction)
         coupling = self.design.coupling(range_m)
         power = coupling.received_power_dbm(axis_offset, incidence)
         power = max(power, NOISE_FLOOR_DBM)
-        if behind:
+        # Behind the transmitter there is no light at all.
+        if along <= 0:
             power = NOISE_FLOOR_DBM
         connected = self.design.sfp.signal_detected(power)
         return AlignmentState(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from ..determinism import derive, kernel
 from ..parallel import parallel_map_arrays
 from ..store import ColumnGroup, ColumnStore
 from .traces import VIDEO_360, HeadTrace, TraceProfile, _lfilter
+
+#: ``scipy.signal.lfilter``'s call shape, as :func:`_ou_filter` uses it.
+Filter = Callable[..., np.ndarray]
 
 
 @dataclass
@@ -227,7 +230,7 @@ def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
 
 @kernel
 def _ou_filter(z: np.ndarray, sigma: np.ndarray, dt_s: float,
-               tau: float) -> np.ndarray:
+               tau: float, lfilter: Filter) -> np.ndarray:
     """Batched stationary-start OU: AR(1) over the last axis.
 
     Scales ``z`` in place (it is scratch) and runs one ``lfilter``
@@ -238,31 +241,38 @@ def _ou_filter(z: np.ndarray, sigma: np.ndarray, dt_s: float,
     first = sigma * z[..., 0]
     np.multiply(z, innovation[..., None], out=z)
     z[..., 0] = first
-    if _lfilter is None:  # pragma: no cover - exercised only w/o scipy
-        out = np.empty_like(z)
-        out[..., 0] = z[..., 0]
-        for i in range(1, z.shape[-1]):
-            out[..., i] = decay * out[..., i - 1] + z[..., i]
-        return out
-    return _lfilter([1.0], [1.0, -decay], z, axis=-1)
+    return lfilter([1.0], [1.0, -decay], z, axis=-1)
 
 
 def _deposit_saccades(shape: Tuple[int, int],
                       bursts: List[Tuple[int, int, int, float]]
                       ) -> Optional[np.ndarray]:
-    """All burst kernels scattered into one (T, n) tensor."""
+    """All burst kernels scattered into one (T, n) tensor.
+
+    Every burst support is laid out in one flat index range, so the
+    kernels cost a handful of array operations per chunk rather than
+    two small arrays per burst.  Those per-burst arrays came in dozens
+    of sizes, and the allocator's small-block caches kept some of them
+    inside the space the chunk tensors had just freed, which held the
+    heap from shrinking between passes.  Per element the arithmetic is
+    unchanged: ``m * exp(-0.5 * ((k - c) / (w / 2.5)) ** 2)``.
+    """
     if not bursts:
         return None
     t_count, n = shape
     series = np.zeros(shape, dtype=np.float64)
     flat = series.reshape(-1)
-    spans = [(t * n + max(c - w, 0), t * n + min(c + w, n))
-             for t, c, w, _ in bursts]
-    indices = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-    deposits = np.concatenate([
-        m * np.exp(-0.5 * ((np.arange(max(c - w, 0), min(c + w, n)) - c)
-                           / (w / 2.5)) ** 2)
-        for (_, c, w, m) in bursts])
+    rows, centers, widths, magnitudes = (np.array(column)
+                                         for column in zip(*bursts))
+    lo = np.maximum(centers - widths, 0)
+    lengths = np.minimum(centers + widths, n) - lo
+    ends = np.cumsum(lengths)
+    # k: the sample index inside its own trace, burst after burst.
+    k = np.arange(ends[-1]) + np.repeat(lo - (ends - lengths), lengths)
+    indices = np.repeat(rows * n, lengths) + k
+    deposits = np.repeat(magnitudes, lengths) * np.exp(
+        -0.5 * ((k - np.repeat(centers, lengths))
+                / np.repeat(widths / 2.5, lengths)) ** 2)
     np.add.at(flat, indices, deposits)
     return series
 
@@ -282,20 +292,21 @@ def _norm3_steps(x: np.ndarray) -> np.ndarray:
 
 def _generate_columns(ids: Sequence[Tuple[int, int]],
                       profile: TraceProfile, duration_s: float,
-                      dt_s: float, seed: int,
-                      with_pose: bool) -> Dict[str, np.ndarray]:
+                      dt_s: float, seed: int, with_pose: bool,
+                      lfilter: Filter) -> Dict[str, np.ndarray]:
     """The tensor pass: every column for a chunk of (viewer, video)."""
     n = int(round(duration_s / dt_s)) + 1
     z_ang, z_vel, sigma_ang, sigma_vel, bursts = _draw_streams(
         ids, profile, n, dt_s, seed)
 
-    omega = _ou_filter(z_ang, sigma_ang, dt_s, 0.8)  # rows: yaw,pitch,roll
+    # omega rows: yaw, pitch, roll
+    omega = _ou_filter(z_ang, sigma_ang, dt_s, 0.8, lfilter)
     saccades = _deposit_saccades((len(ids), n), bursts)
     if saccades is not None:
         omega[:, 0, :] += saccades
     velocity = _ou_filter(
         z_vel, np.broadcast_to(sigma_vel[:, None], (len(ids), 3)).copy(),
-        dt_s, 1.2)
+        dt_s, 1.2, lfilter)
     velocity[:, 2, :] *= 0.4  # vertical sway is smaller
 
     # step_angular reduces (roll^2 + pitch^2) + yaw^2 — the column
@@ -330,11 +341,11 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
 
 def _generate_columns_chunk(ids: Sequence[Tuple[int, int]],
                             profile: TraceProfile, duration_s: float,
-                            dt_s: float, seed: int,
-                            with_pose: bool) -> Dict[str, np.ndarray]:
+                            dt_s: float, seed: int, with_pose: bool,
+                            lfilter: Filter) -> Dict[str, np.ndarray]:
     """Worker-side chunk body (module-level: picklable)."""
     return _generate_columns(ids, profile, duration_s, dt_s, seed,
-                             with_pose)
+                             with_pose, lfilter)
 
 
 #: Traces per tensor pass.  Modest chunks beat one monolithic pass:
@@ -369,6 +380,9 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     """
     if columns not in ("full", "steps"):
         raise ValueError("columns must be 'full' or 'steps'")
+    # Resolved before any corpus tensor is allocated, so importing
+    # scipy.signal does not land in the middle of the batch's heap.
+    lfilter = _lfilter()
     with_pose = columns == "full"
     ids = [(viewer, video) for viewer in range(viewers)
            for video in range(videos)]
@@ -383,7 +397,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     cols = parallel_map_arrays(
         partial(_generate_columns_chunk, profile=profile,
                 duration_s=duration_s, dt_s=dt_s, seed=seed,
-                with_pose=with_pose),
+                with_pose=with_pose, lfilter=lfilter),
         ids, specs=specs, workers=workers, chunk_size=chunk_size,
         batched=True)
 

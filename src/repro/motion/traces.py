@@ -24,21 +24,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional
+from functools import lru_cache, partial
+from typing import Callable, List, Optional
 
 import numpy as np
-
-try:  # scipy is a declared dependency, but degrade gracefully without
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _lfilter = None
 
 from .. import constants
 from ..determinism import derive
 from ..geometry import euler_to_matrix
 from ..parallel import parallel_map
 from ..vrh import Pose
+
+
+@lru_cache(maxsize=None)
+def _lfilter() -> Callable[..., np.ndarray]:
+    """``scipy.signal.lfilter``, imported on first trace generation.
+
+    ``scipy.signal`` drags in ``scipy.stats``, ``scipy.special`` and
+    ``scipy.fft`` (about a second of import) for this one function,
+    which only OU trace generation calls, so it stays off the
+    ``import repro`` path.
+    """
+    from scipy.signal import lfilter
+    return lfilter
 
 
 @dataclass(frozen=True)
@@ -130,8 +138,7 @@ def _ou_series_reference(n: int, dt: float, tau: float, sigma: float,
                          rng: np.random.Generator) -> np.ndarray:
     """The original per-sample OU recursion, kept as the oracle.
 
-    ``_ou_series`` must reproduce it bit-for-bit; it is also the
-    fallback when scipy is unavailable.
+    ``_ou_series`` must reproduce it bit-for-bit.
     """
     series = np.empty(n)
     series[0] = rng.normal(0.0, sigma)
@@ -156,14 +163,12 @@ def _ou_series(n: int, dt: float, tau: float, sigma: float,
     """
     if n <= 0:
         return np.empty(0)
-    if _lfilter is None:  # pragma: no cover - exercised only w/o scipy
-        return _ou_series_reference(n, dt, tau, sigma, rng)
     decay = math.exp(-dt / tau)
     innovation = sigma * math.sqrt(max(1.0 - decay * decay, 1e-12))
     z = rng.standard_normal(n)
     x = innovation * z
     x[0] = sigma * z[0]
-    return _lfilter([1.0], [1.0, -decay], x)
+    return _lfilter()([1.0], [1.0, -decay], x)
 
 
 def _saccade_series(n: int, dt: float, rate_hz: float, peak: float,
@@ -211,6 +216,7 @@ def generate_trace(viewer: int, video: int,
     activity multipliers, giving each viewer a temperament and each
     video a pace.
     """
+    _lfilter()  # import scipy.signal before the trace arrays exist
     rng = derive(seed, viewer, video)
     n = int(round(duration_s / dt_s)) + 1
     viewer_activity = rng.lognormal(0.0, profile.activity_sigma)

@@ -11,9 +11,10 @@ transform, and answers world-frame geometry queries for any body pose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..galvo import GalvoHardware
-from ..geometry import Plane, Ray, RigidTransform
+from ..geometry import Plane, Ray, RigidTransform, Vec3, apply_ray_floats
 from .pose import Pose
 
 
@@ -47,6 +48,18 @@ class RxAssembly:
         return self.kspace_to_world(body_pose).apply_ray(
             self.hardware.output_beam())
 
+    def world_beam_floats(self, body_pose: Pose) -> Tuple[Vec3, Vec3]:
+        """:meth:`world_beam` as float ``(origin, direction)`` triples.
+
+        Applies ``kspace_to_body`` and then the pose -- the map
+        :meth:`kspace_to_world` composes -- one after the other.
+        """
+        in_body = apply_ray_floats(
+            self.kspace_to_body.rotation, self.kspace_to_body.translation,
+            *self.hardware.output_beam_floats())
+        return apply_ray_floats(body_pose.orientation, body_pose.position,
+                                *in_body)
+
     def world_second_mirror_plane(self, body_pose: Pose) -> Plane:
         """The RX GM's second-mirror plane, in world coordinates."""
         plane = self.hardware.second_mirror_plane()
@@ -65,6 +78,12 @@ class TxAssembly:
     def world_beam(self) -> Ray:
         """The beam currently launched by TX, in world coordinates."""
         return self.kspace_to_world.apply_ray(self.hardware.output_beam())
+
+    def world_beam_floats(self) -> Tuple[Vec3, Vec3]:
+        """:meth:`world_beam` as float ``(origin, direction)`` triples."""
+        return apply_ray_floats(
+            self.kspace_to_world.rotation, self.kspace_to_world.translation,
+            *self.hardware.output_beam_floats())
 
     def world_second_mirror_plane(self) -> Plane:
         """The TX GM's second-mirror plane, in world coordinates."""

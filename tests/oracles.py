@@ -6,7 +6,10 @@
   :mod:`repro.galvo.mirror` must agree with it);
 * :func:`scalar_coincidence_residuals` -- the Section 4.2 residual one
   sample at a time, built from ``LearnedSystem`` objects and planes
-  (the batched kernel in :mod:`repro.core.mapping` must agree with it).
+  (the batched kernel in :mod:`repro.core.mapping` must agree with it);
+* :func:`reference_evaluate` -- the channel on :class:`Ray` objects and
+  numpy 3-vectors (the float :meth:`repro.link.FsoChannel.evaluate`
+  must agree with it).
 """
 
 import numpy as np
@@ -16,9 +19,13 @@ from repro.geometry import (
     NoIntersectionError,
     Plane,
     Ray,
+    angle_between,
+    normalize,
     reflect_ray,
     rotation_matrix,
 )
+from repro.link.channel import MIN_RANGE_M, AlignmentState
+from repro.link.design import NOISE_FLOOR_DBM
 
 
 def reference_mirror_planes(params, angle1_rad, angle2_rad):
@@ -59,3 +66,41 @@ def scalar_coincidence_residuals(system, sample):
     except NoIntersectionError:
         return np.full(6, MISS_PENALTY_M)
     return np.concatenate([tx_beam.origin - tau_r, rx_beam.origin - tau_t])
+
+
+def reference_evaluate(channel, body_pose):
+    """``FsoChannel.evaluate`` through world-frame :class:`Ray` objects."""
+    tx_beam = channel.tx.world_beam()
+    rx_beam = channel.rx.world_beam(body_pose)
+    p_r = rx_beam.origin
+
+    # Where along the TX beam the receiver sits, and how far off axis.
+    closest = tx_beam.closest_point_to(p_r)
+    range_m = max(float(np.linalg.norm(closest - tx_beam.origin)),
+                  MIN_RANGE_M)
+    axis_offset = float(np.linalg.norm(p_r - closest))
+
+    # The arriving wavefront direction at the receiver.
+    curvature = channel.design.beam.curvature_radius_m(range_m)
+    if np.isinf(curvature):
+        wavefront = tx_beam.direction
+    else:
+        wavefront = normalize(
+            tx_beam.direction + (p_r - closest) / curvature)
+    # Behind the transmitter there is no light at all.
+    behind = float(np.dot(p_r - tx_beam.origin, tx_beam.direction)) <= 0
+
+    incidence = angle_between(wavefront, -rx_beam.direction)
+    coupling = channel.design.coupling(range_m)
+    power = coupling.received_power_dbm(axis_offset, incidence)
+    power = max(power, NOISE_FLOOR_DBM)
+    if behind:
+        power = NOISE_FLOOR_DBM
+    connected = channel.design.sfp.signal_detected(power)
+    return AlignmentState(
+        received_power_dbm=power,
+        axis_offset_m=axis_offset,
+        incidence_angle_rad=incidence,
+        range_m=range_m,
+        connected=connected,
+    )

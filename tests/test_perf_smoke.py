@@ -3,8 +3,8 @@
 Small enough to ride in tier-1: they assert the vectorized slot model
 agrees with the reference loop on a real (tiny) dataset, that the
 ``python -m repro bench`` artifact round-trips through ``json.load``,
-and that the Section 4.2 mapping fit stays batched (counted calls, not
-timed ones).  Absolute speed assertions live in ``python -m repro
+that the Section 4.2 mapping fit stays batched, and that the channel
+stays on floats (counted calls, not timed ones).  Absolute speed assertions live in ``python -m repro
 bench`` itself, not here, so CI timing noise cannot break the suite.
 """
 
@@ -14,13 +14,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro import geometry
 from repro.cli import main
 from repro.core import mapping
+from repro.geometry import Ray, vec
 from repro.motion import generate_dataset
 from repro.simulate import simulate_dataset
 from repro.simulate.timeslot import _simulate_trace_reference
 
+from .oracles import reference_evaluate
+
 pytestmark = pytest.mark.perf
+
+
+def counter(calls):
+    """``counted(name, fn)``: ``fn`` that also tallies into ``calls``."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
 
 
 class TestVectorizedSmoke:
@@ -66,13 +80,7 @@ class TestMappingFitIsBatched:
     def test_one_batched_residual_per_evaluation(self, testbed, calibration,
                                                  monkeypatch):
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+        counted = counter(calls)
         monkeypatch.setattr(mapping, "coincidence_residuals",
                             counted("scalar", mapping.coincidence_residuals))
         monkeypatch.setattr(mapping, "_residual_rows",
@@ -92,3 +100,28 @@ class TestMappingFitIsBatched:
                             calibration.mapping_samples, initial)
         assert calls["scalar"] == 0
         assert 0 < calls["batched"] <= calls["evaluations"]
+
+
+class TestChannelStaysOnFloats:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+        counted = counter(calls)
+        monkeypatch.setattr(Ray, "__post_init__",
+                            counted("Ray", Ray.__post_init__))
+        monkeypatch.setattr(np.linalg, "norm",
+                            counted("norm", np.linalg.norm))
+        for module in (geometry, vec):
+            monkeypatch.setattr(module, "angle_between", counted(
+                "angle_between", vec.angle_between))
+        return calls
+
+    def test_evaluate_builds_no_ray_and_takes_no_norm(self, testbed,
+                                                      calls):
+        testbed.channel.evaluate(testbed.home_pose)
+        assert calls == Counter()
+
+    def test_counters_see_the_object_path(self, testbed, calls):
+        reference_evaluate(testbed.channel, testbed.home_pose)
+        assert calls["Ray"] > 0
+        assert calls["norm"] > 0
