@@ -10,17 +10,16 @@ can poke the system without writing code::
     python -m repro safety            # eye-safety reports
     python -m repro plan --width 4 --depth 3   # ceiling TX plan
     python -m repro formats           # the VR-format bandwidth ladder
-    python -m repro bench             # time the trace pipeline
     python -m repro chaos             # fault-injection robustness sweep
     python -m repro sweep --checkpoint ck   # crash-safe resumable sweep
     python -m repro lint              # determinism/units static analysis
     python -m repro analyze           # whole-program layering/unit/RNG flow
 
-``bench``, ``chaos``, and ``sweep`` publish their JSON records
-atomically (tmp + rename) and defer SIGINT/SIGTERM to checkpoint
-boundaries, exiting ``128 + signum`` with no torn artifacts; ``sweep``
-additionally checkpoints per work unit and resumes byte-identically
-with ``--resume``.
+``chaos`` and ``sweep`` publish their JSON records atomically (tmp +
+rename) and defer SIGINT/SIGTERM to checkpoint boundaries, exiting
+``128 + signum`` with no torn artifacts; ``sweep`` additionally
+checkpoints per work unit and resumes byte-identically with
+``--resume``.
 """
 
 from __future__ import annotations
@@ -139,279 +138,6 @@ def _cmd_formats(args):
                       "yes" if fmt.fits_raw(9.4) else "no",
                       "yes" if fmt.fits_raw(23.5) else "no")
     print(table.render())
-    return 0
-
-
-def _bench_machine() -> dict:
-    """Machine metadata stamped into every bench record."""
-    import os
-    import platform
-
-    import scipy
-    affinity = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else None)
-    return {
-        "cpu_count": os.cpu_count(),
-        "cpu_affinity": affinity,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
-def _bench_row(engine: str, workers: int, args, repeats: int) -> dict:
-    """Time one (engine, transport, workers) pipeline configuration.
-
-    Each row runs generate -> simulate -> aggregate end to end,
-    ``repeats`` times, keeping the best wall clock per stage (best-of
-    smooths allocator and scheduler noise; the stages are pure, so
-    repetition cannot change the result).  Any
-    :class:`~repro.parallel.ParallelFallbackWarning` raised while the
-    row runs is recorded in the ``serial_fallback`` field instead of
-    hiding in the warning stream.
-    """
-    import time
-    import warnings
-
-    from .parallel import ParallelFallbackWarning
-
-    def loop_pass():
-        from .motion import generate_dataset
-        from .simulate import report, simulate_dataset
-        t0 = time.perf_counter()
-        traces = generate_dataset(
-            viewers=args.viewers, videos=args.videos,
-            duration_s=args.duration, workers=workers, engine="loop")
-        t_gen = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        results = simulate_dataset(traces, workers=workers,
-                                   engine="loop")
-        t_sim = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        availability = report(results)
-        t_rep = time.perf_counter() - t0
-        slots = sum(r.slots for r in results)
-        return (t_gen, t_sim, t_rep, len(traces), slots,
-                availability.overall_availability)
-
-    def batch_pass():
-        from .motion import generate_batch
-        from .simulate import simulate_batch
-        t0 = time.perf_counter()
-        batch = generate_batch(
-            viewers=args.viewers, videos=args.videos,
-            duration_s=args.duration, workers=workers, columns="steps")
-        t_gen = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        result = simulate_batch(batch, workers=workers)
-        t_sim = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        connected = result.connected
-        overall = (int(np.count_nonzero(connected)) / connected.size
-                   if connected.size else 0.0)
-        t_rep = time.perf_counter() - t0
-        return (t_gen, t_sim, t_rep, len(result), connected.size,
-                overall)
-
-    one_pass = loop_pass if engine == "loop" else batch_pass
-    fallbacks = 0
-    best = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ParallelFallbackWarning)
-        for _ in range(max(1, repeats)):
-            sample = one_pass()
-            if best is None or sum(sample[:3]) < sum(best[:3]):
-                best = sample
-        fallbacks = sum(
-            1 for w in caught
-            if issubclass(w.category, ParallelFallbackWarning))
-    t_gen, t_sim, t_rep, traces, slots, overall = best
-    wall_s = t_gen + t_sim + t_rep
-    transport = "none" if workers <= 1 else \
-        ("pickle" if engine == "loop" else "shm")
-    return {
-        "engine": engine,
-        "transport": transport,
-        "workers": workers,
-        "traces": traces,
-        "slots": slots,
-        # The declared computation dtype of the step columns both
-        # engines run over (every engine allocation passes dtype=
-        # explicitly; rule Y002 keeps it that way).
-        "dtype": np.dtype(np.float64).name,
-        "wall_s": wall_s,
-        "generate_s": t_gen,
-        "simulate_s": t_sim,
-        "report_s": t_rep,
-        "traces_per_s": traces / wall_s if wall_s > 0 else 0.0,
-        "slots_per_s": slots / wall_s if wall_s > 0 else 0.0,
-        "serial_fallback": fallbacks > 0,
-        "overall_availability": overall,
-    }
-
-
-def _cmd_bench(args):
-    """Bench the trace pipeline per (engine, transport, workers) row.
-
-    Four rows cover the throughput matrix: the per-trace loop engine
-    and the batched tensor engine, each single-worker and across a
-    process pool (pickle transport for the loop's object results, the
-    shared-memory array transport for the batch's tensors).  Every row
-    must report the identical overall availability — the bench doubles
-    as an end-to-end determinism check.  ``--require-batch-speedup X``
-    turns the record into a gate: exit nonzero when the batch stack's
-    slots/s falls below ``X`` times the loop stack's at the same
-    worker count.
-    """
-    from .orchestrator.signals import SignalGuard, SweepInterrupted
-    try:
-        with SignalGuard() as guard:
-            return _bench_run(args, guard)
-    except SweepInterrupted as exc:
-        print(f"interrupted by signal {exc.signum}; partial bench rows "
-              "discarded (the record publishes atomically at the end)")
-        return exc.exit_code
-
-
-def _bench_run(args, guard):
-    """The bench body; ``guard.check()`` between rows keeps Ctrl-C clean."""
-    import time
-
-    from .parallel import default_workers
-    from .store import write_json_atomic
-
-    if args.quick:
-        # The pinned CI preset: the paper's 500-trace corpus with
-        # best-of-3 rows and a tiny reference subset.  The transport
-        # comparison needs the full corpus — on a small one the pool
-        # spawn cost dominates and the pickle/shm difference drowns.
-        args.viewers, args.videos = 50, 10
-        args.duration = 60.0
-        args.ref_traces = min(args.ref_traces, 2)
-        repeats = 3
-    else:
-        repeats = args.repeats
-
-    pool_workers = args.workers if args.workers else \
-        max(2, default_workers())
-
-    row_plan = [("loop", 1), ("batch", 1)]
-    if pool_workers > 1:
-        row_plan += [("loop", pool_workers), ("batch", pool_workers)]
-    rows = []
-    for engine, row_workers in row_plan:
-        guard.check()
-        rows.append(_bench_row(engine, row_workers, args, repeats))
-
-    # Bitwise contract: every engine/transport/worker combination must
-    # agree on the availability number exactly.
-    availabilities = {row["overall_availability"] for row in rows}
-    if len(availabilities) != 1:
-        print("ERROR: engines disagree on overall availability: "
-              + ", ".join(f"{row['engine']}/{row['workers']}w="
-                          f"{row['overall_availability']!r}"
-                          for row in rows))
-        return 1
-
-    # Speedup of the vectorized slot model over the retained reference
-    # loop, measured on a subset (the loop is the slow part).  Both
-    # sides take the best of several passes after a warmup so GC and
-    # scheduler noise cannot skew the ratio.
-    from .motion import generate_dataset
-    from .simulate import simulate_trace
-    from .simulate.timeslot import _simulate_trace_reference
-
-    def best_of(body, n):
-        body()  # warmup
-        best = float("inf")
-        for _ in range(n):
-            t0 = time.perf_counter()
-            body()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    guard.check()
-    subset = generate_dataset(
-        viewers=1, videos=max(1, min(args.ref_traces, args.videos)),
-        duration_s=args.duration)
-    t_loop = best_of(
-        lambda: [_simulate_trace_reference(t) for t in subset], 3)
-    t_vec = best_of(lambda: [simulate_trace(t) for t in subset], 15)
-    speedup = t_loop / t_vec if t_vec > 0 else float("inf")
-
-    by_key = {(row["engine"], row["workers"]): row for row in rows}
-    loop1 = by_key[("loop", 1)]
-    batch1 = by_key[("batch", 1)]
-    engine_speedup = (batch1["slots_per_s"] / loop1["slots_per_s"]
-                      if loop1["slots_per_s"] > 0 else float("inf"))
-    stack_speedup = None
-    pool_fallback = False
-    if pool_workers > 1:
-        loop_n = by_key[("loop", pool_workers)]
-        batch_n = by_key[("batch", pool_workers)]
-        pool_fallback = (loop_n["serial_fallback"]
-                         or batch_n["serial_fallback"])
-        if loop_n["slots_per_s"] > 0:
-            stack_speedup = (batch_n["slots_per_s"]
-                             / loop_n["slots_per_s"])
-
-    payload = {
-        "pipeline": "generate->simulate->report",
-        "viewers": args.viewers,
-        "videos": args.videos,
-        "duration_s": args.duration,
-        "workers": pool_workers,
-        "quick": bool(args.quick),
-        "repeats": repeats,
-        "machine": _bench_machine(),
-        "rows": rows,
-        # Headline (legacy) fields describe the pre-existing pipeline:
-        # the single-worker loop engine, as every earlier record did.
-        "traces": loop1["traces"],
-        "slots": loop1["slots"],
-        "wall_s": loop1["wall_s"],
-        "generate_s": loop1["generate_s"],
-        "simulate_s": loop1["simulate_s"],
-        "report_s": loop1["report_s"],
-        "traces_per_s": loop1["traces_per_s"],
-        "slots_per_s": loop1["slots_per_s"],
-        "speedup_vs_reference": speedup,
-        "reference_subset_traces": len(subset),
-        "overall_availability": loop1["overall_availability"],
-        "batch_engine_speedup_single_worker": engine_speedup,
-        "batch_stack_speedup_parallel": stack_speedup,
-    }
-    write_json_atomic(args.output, payload)
-
-    for row in rows:
-        flag = " (serial fallback!)" if row["serial_fallback"] else ""
-        print(f"{row['engine']:>5s} x{row['workers']} "
-              f"[{row['transport']:>6s}]: {row['wall_s']:.2f} s "
-              f"(gen {row['generate_s']:.2f}, sim "
-              f"{row['simulate_s']:.2f}), "
-              f"{row['slots_per_s'] / 1e6:.1f}M slots/s{flag}")
-    print(f"slot model speedup vs reference loop: {speedup:.1f}x")
-    print(f"batch engine vs loop engine (1 worker): "
-          f"{engine_speedup:.2f}x")
-    if stack_speedup is not None:
-        print(f"batch+shm vs loop+pickle ({pool_workers} workers): "
-              f"{stack_speedup:.2f}x")
-    print(f"wrote {args.output}")
-
-    if args.require_batch_speedup is not None:
-        if pool_workers <= 1 or stack_speedup is None:
-            print("speedup gate skipped: no pooled rows to compare")
-        elif pool_fallback:
-            print("speedup gate skipped: process pool unavailable "
-                  "(serial fallback recorded in rows)")
-        elif stack_speedup < args.require_batch_speedup:
-            print(f"FAIL: batch stack speedup {stack_speedup:.2f}x < "
-                  f"required {args.require_batch_speedup:.2f}x")
-            return 1
-        else:
-            print(f"speedup gate passed: {stack_speedup:.2f}x >= "
-                  f"{args.require_batch_speedup:.2f}x")
     return 0
 
 
@@ -635,29 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("formats", help="VR format bandwidth ladder"
                    ).set_defaults(func=_cmd_formats)
-
-    bench = sub.add_parser(
-        "bench", help="time the trace pipeline, write a JSON record")
-    bench.add_argument("--viewers", type=int, default=10)
-    bench.add_argument("--videos", type=int, default=10)
-    bench.add_argument("--duration", type=float, default=60.0)
-    bench.add_argument("--workers", type=int, default=0,
-                       help="pooled-row worker count (0 = auto: "
-                            "max(2, default_workers()))")
-    bench.add_argument("--quick", action="store_true",
-                       help="pinned CI preset: canonical 500-trace "
-                            "corpus, best-of-3 rows, 2-trace "
-                            "reference subset")
-    bench.add_argument("--repeats", type=int, default=2,
-                       help="best-of repeats per row")
-    bench.add_argument("--require-batch-speedup", type=float,
-                       default=None, metavar="X",
-                       help="exit nonzero unless batch+shm beats "
-                            "loop+pickle by X at matched workers")
-    bench.add_argument("--ref-traces", type=int, default=5,
-                       help="traces timed through the reference loop")
-    bench.add_argument("--output", default="BENCH_trace_pipeline.json")
-    bench.set_defaults(func=_cmd_bench)
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection sweep, write BENCH_chaos.json")

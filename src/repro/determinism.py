@@ -14,13 +14,9 @@ of it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Optional
 
 import numpy as np
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-_KERNEL_REGISTRY: Dict[str, Callable[..., Any]] = {}
 
 
 def resolve_rng(rng: Optional[np.random.Generator] = None,
@@ -66,24 +62,3 @@ def derive(*keys: int) -> np.random.Generator:
     regenerating any single item needs no global draw order.
     """
     return np.random.default_rng(np.random.SeedSequence(list(keys)))
-
-
-def kernel(fn: _F) -> _F:
-    """Register a function as a compiled-kernel candidate.
-
-    Registration is a *contract*, not a transformation: the function
-    is returned unchanged (so it stays picklable for the shm workers)
-    but is recorded in the kernel registry, and ``python -m repro
-    analyze`` proves it — and everything it transitively calls — stays
-    inside the nopython-safe subset (rules K001-K003: no dict/set/
-    object dtypes, no mutable module state, no ``*args``/``**kwargs``,
-    no concatenation-grown outputs).  A future numba/CuPy backend can
-    then compile every registered kernel without a semantics audit.
-    """
-    _KERNEL_REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = fn
-    return fn
-
-
-def registered_kernels() -> Dict[str, Callable[..., Any]]:
-    """A snapshot of every kernel registered so far, by dotted name."""
-    return dict(_KERNEL_REGISTRY)

@@ -37,13 +37,8 @@ families over it:
   promotions of declared-dtype arrays, allocations without an
   explicit ``dtype=``, and bool-array arithmetic that silently
   upcasts;
-* **P/K-series** — hot-path and kernel discipline: per-iteration
-  allocation and vectorizable Python loops in the batch engines, and
-  the nopython-safe subset check over every
-  ``@repro.determinism.kernel``-registered function and its
-  transitive call closure (no object containers, no mutable module
-  state, static signatures) — a static proof the kernel is ready for
-  a compiled (numba/CuPy) backend;
+* **P-series** — hot-path discipline: per-iteration allocation and
+  vectorizable Python loops in the batch engines;
 * **E/B/R-series** — error contracts over the interprocedural
   exception-escape inference of :mod:`.exceptions`: escape-set
   violations (unclassifiable worker exceptions, CLI subcommands with
@@ -75,9 +70,6 @@ from .arrays import (
     ArrayValue,
     array_table,
     arrays_key,
-    hot_modules,
-    kernel_closure,
-    kernel_functions,
 )
 from .effects import (
     EffectSummary,
@@ -148,9 +140,6 @@ __all__ = [
     "exception_table",
     "exceptions_key",
     "extract_module",
-    "hot_modules",
-    "kernel_closure",
-    "kernel_functions",
     "load_baseline",
     "module_name_for",
     "register_program_rule",

@@ -21,11 +21,7 @@ axis-order violations, and unit-suffix return-shape breaks — which the
 S / Y / P rule families turn into findings.  The finished table is
 persisted in the analyzer's content-hash cache behind
 ``ARRAYS_SCHEMA_VERSION`` so a warm run skips the whole pass.
-
-The K-series helpers also live here: kernel detection (functions
-decorated ``@repro.determinism.kernel``), the transitive project-call
-closure of each kernel, and the hot-module set (the named batch
-engines plus any module defining a kernel) that scopes the Y/P rules.
+:data:`HOT_MODULES` names the modules the Y/P rules police.
 """
 
 from __future__ import annotations
@@ -62,9 +58,6 @@ DTYPE_REQUIRED_LEAVES = frozenset({"empty", "zeros", "ones", "full"})
 HOT_MODULES = frozenset({
     "repro.motion.batch", "repro.simulate.batch",
     "repro.store.columnar"})
-
-#: Decorator leaf marking a function as a registered kernel.
-KERNEL_DECORATOR_LEAF = "kernel"
 
 #: Arithmetic operators / ufunc leaves (promote dtypes, Y001/Y003).
 _ARITH_FUNCS = frozenset({
@@ -221,40 +214,6 @@ def arrays_key(index: ProjectIndex) -> str:
                           shas)))
 
 
-# -- kernels and hot modules -------------------------------------------------
-
-
-def is_kernel_function(function: FunctionInfo) -> bool:
-    """Was the function decorated ``@repro.determinism.kernel``?"""
-    return any(_leaf(name) == KERNEL_DECORATOR_LEAF
-               for name in function.decorators)
-
-
-def kernel_functions(index: ProjectIndex
-                     ) -> List[Tuple[str, str, FunctionInfo]]:
-    """Every registered kernel as ``(module, qualname, info)``."""
-    found = []
-    for module in sorted(index.modules):
-        info = index.modules[module]
-        for qualname in sorted(info.functions):
-            function = info.functions[qualname]
-            if is_kernel_function(function):
-                found.append((module, qualname, function))
-    return found
-
-
-def hot_modules(index: ProjectIndex) -> Set[str]:
-    """Modules whose hot path the Y/P rules police.
-
-    The named batch engines plus any module that defines a registered
-    kernel — registering a kernel opts the whole module in.
-    """
-    hot = set(HOT_MODULES)
-    for module, _, _ in kernel_functions(index):
-        hot.add(module)
-    return hot
-
-
 def project_callee(index: ProjectIndex, module: str, info: ModuleInfo,
                    call: CallSite) -> Optional[ResolvedCallee]:
     """Resolve a call to a project definition, nested defs included."""
@@ -270,36 +229,6 @@ def project_callee(index: ProjectIndex, module: str, info: ModuleInfo,
                     function=info.functions[qualname])
             parts.pop()
     return index.resolve_call(module, call)
-
-
-def kernel_closure(index: ProjectIndex, module: str, qualname: str
-                   ) -> List[Tuple[str, str, FunctionInfo]]:
-    """The kernel plus every project function it transitively calls."""
-    start = (module, qualname)
-    seen: Set[Tuple[str, str]] = {start}
-    queue = [start]
-    closure: List[Tuple[str, str, FunctionInfo]] = []
-    while queue:
-        current_module, current_qualname = queue.pop(0)
-        info = index.modules.get(current_module)
-        if info is None or current_qualname not in info.functions:
-            continue
-        function = info.functions[current_qualname]
-        closure.append((current_module, current_qualname, function))
-        prefix = current_qualname + "."
-        for call in info.calls:
-            owner = owner_of(info, call.in_function)
-            if owner != current_qualname and \
-                    not owner.startswith(prefix):
-                continue
-            callee = project_callee(index, current_module, info, call)
-            if callee is None or callee.kind != "function":
-                continue
-            key = (callee.module, callee.name)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return closure
 
 
 # -- the lattice -------------------------------------------------------------

@@ -988,19 +988,6 @@ def _exception_facts(node: ast.AST) -> Tuple[
             tuple(sorted(collector.returned)))
 
 
-def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
-    """Dotted decorator names (the callee for decorator factories)."""
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func \
-            if isinstance(decorator, ast.Call) else decorator
-        dotted = dotted_name(target)
-        if dotted is not None:
-            names.append(dotted)
-    return tuple(names)
-
-
 def _is_type_checking_test(test: ast.expr) -> bool:
     name = dotted_name(test)
     return name in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
@@ -1162,9 +1149,6 @@ class _ModuleExtractor:
             global_writes=global_writes, reads=reads,
             index_writes=index_writes,
             array_ops=_array_facts(node),
-            decorators=_decorator_names(node),
-            has_varargs=node.args.vararg is not None,
-            has_kwargs=node.args.kwarg is not None,
             try_facts=try_facts, raise_facts=raise_facts,
             call_guards=call_guards, resource_facts=resource_facts,
             returned_names=returned_names)
@@ -1202,8 +1186,7 @@ class _ModuleExtractor:
             rng_sources=tuple(sorted(sources)),
             global_writes=info.global_writes, reads=info.reads,
             index_writes=info.index_writes,
-            array_ops=info.array_ops, decorators=info.decorators,
-            has_varargs=info.has_varargs, has_kwargs=info.has_kwargs,
+            array_ops=info.array_ops,
             try_facts=info.try_facts, raise_facts=info.raise_facts,
             call_guards=info.call_guards,
             resource_facts=info.resource_facts,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 #: Bump when the extracted shape changes; stale caches are discarded.
-INDEX_SCHEMA_VERSION = 4
+INDEX_SCHEMA_VERSION = 5
 
 #: Callee leaves that hand back a fork-unsafe resource when bound.
 #: Shared by the effect inference (fork safety) and the exception
@@ -185,8 +185,8 @@ class ArrayOp:
     comparisons, np ufunc calls — ``func`` is the operator symbol or
     callee), ``axis`` (axis-consuming reductions and scans), ``iter``
     (a Python ``for`` loop — ``detail`` marks ``elementwise`` /
-    ``scan`` / ``name`` / ``plain``), ``object`` (dict/set construction,
-    what the kernel subset forbids), ``name`` (plain aliasing) and
+    ``scan`` / ``name`` / ``plain``), ``object`` (dict/set
+    construction), ``name`` (plain aliasing) and
     ``kill`` (the bound name was reassigned to something opaque).
 
     ``operands`` holds plain-name operands (shape and dtype flow),
@@ -442,10 +442,7 @@ class FunctionInfo:
     scopes, and ``index_writes`` every subscript store — the raw facts
     the effect-inference pass summarizes.  ``array_ops`` are the raw
     array-semantics facts (:class:`ArrayOp`, nested defs excluded) the
-    array-inference pass consumes, ``decorators`` the dotted decorator
-    names (how ``@repro.determinism.kernel`` registration is seen
-    statically), and ``has_varargs`` / ``has_kwargs`` record ``*args``
-    / ``**kwargs`` in the signature (forbidden in the kernel subset).
+    array-inference pass consumes.
 
     ``try_facts`` / ``raise_facts`` / ``call_guards`` /
     ``resource_facts`` are the raw exception-flow facts (nested defs
@@ -464,9 +461,6 @@ class FunctionInfo:
     reads: Tuple[str, ...] = ()
     index_writes: Tuple[IndexWrite, ...] = ()
     array_ops: Tuple[ArrayOp, ...] = ()
-    decorators: Tuple[str, ...] = ()
-    has_varargs: bool = False
-    has_kwargs: bool = False
     try_facts: Tuple[TryFact, ...] = ()
     raise_facts: Tuple[RaiseFact, ...] = ()
     call_guards: Tuple[CallGuard, ...] = ()
@@ -490,9 +484,6 @@ class FunctionInfo:
             "reads": list(self.reads),
             "index_writes": [w.to_dict() for w in self.index_writes],
             "array_ops": [op.to_dict() for op in self.array_ops],
-            "decorators": list(self.decorators),
-            "has_varargs": self.has_varargs,
-            "has_kwargs": self.has_kwargs,
             "try_facts": [t.to_dict() for t in self.try_facts],
             "raise_facts": [r.to_dict() for r in self.raise_facts],
             "call_guards": [c.to_dict() for c in self.call_guards],
@@ -516,9 +507,6 @@ class FunctionInfo:
                                for w in payload["index_writes"]),
             array_ops=tuple(ArrayOp.from_dict(op)
                             for op in payload["array_ops"]),
-            decorators=tuple(payload["decorators"]),
-            has_varargs=payload["has_varargs"],
-            has_kwargs=payload["has_kwargs"],
             try_facts=tuple(TryFact.from_dict(t)
                             for t in payload["try_facts"]),
             raise_facts=tuple(RaiseFact.from_dict(r)

@@ -57,9 +57,8 @@ def _load_program_rules() -> None:
     from . import (  # noqa: F401
         rules_concurrency,
         rules_crashsafety,
-        rules_dtypes,
         rules_exceptions,
-        rules_kernels,
+        rules_hotpath,
         rules_layering,
         rules_rngflow,
         rules_shapes,

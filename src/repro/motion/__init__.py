@@ -11,16 +11,8 @@ from .rail import LinearRail
 from .rotation_stage import RotationStage
 from .vibration import VibrationOverlay
 from .speeds import SpeedSeries, cdf, measure_profile, measure_trace, percentile
-from .traces import (
-    NORMAL_USE,
-    VIDEO_360,
-    HeadTrace,
-    TraceProfile,
-    generate_dataset,
-    generate_trace,
-    resample_trace,
-)
-from .batch import TraceBatch, generate_batch
+from .traces import NORMAL_USE, VIDEO_360, HeadTrace, TraceProfile, resample_trace
+from .batch import TraceBatch, generate_batch, generate_dataset, generate_trace
 
 __all__ = [
     "AngularStrokeProfile",

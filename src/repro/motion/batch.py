@@ -1,41 +1,50 @@
-"""Batched trace generation: the whole corpus as one tensor.
+"""Trace generation: the whole corpus as one tensor.
 
-``generate_trace`` builds one trace at a time; at dataset scale the
-per-trace Python and small-array overhead dominates.  This module
-generates the *entire corpus in one pass*: every per-trace random
-stream is drawn exactly as ``generate_trace`` draws it (same
-``derive(seed, viewer, video)`` generator, same call order, so the
-output is byte-identical per seed), but the filtering, integration
-and norm stages run once over ``(traces, 3, samples)`` tensors instead
-of thousands of times over ``(samples,)`` vectors.
+Every per-trace random stream is drawn from its own ``derive(seed,
+viewer, video)`` generator in a fixed call order, so the corpus is
+byte-identical per seed; the filtering, integration and norm stages
+then run once over ``(traces, 3, samples)`` tensors instead of once
+per trace.  :func:`generate_trace` is the same pass over one trace and
+:func:`generate_dataset` the corpus as per-trace views.
 
 Layout: tensors are *axis-major* — ``(T, 3, n)`` with time contiguous
 — because every heavy stage (``lfilter``, ``cumsum``, ``diff``) walks
 the time axis.  :meth:`TraceBatch.trace` exposes the familiar
 ``(n, 3)`` per-trace view by transposition (a zero-copy view).
 
-The equality oracle is the per-trace path: the property tests assert
-``generate_batch(...)`` reproduces ``generate_trace(...)`` element
-for element, bit for bit, for every (viewer, video).
+The equality oracle is ``reference_generate_trace`` in
+``tests/oracles.py`` (the per-sample OU recursion and the per-burst
+saccade generator): the property tests assert every column matches it
+element for element, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import constants
-from ..determinism import derive, kernel
+from ..determinism import derive
 from ..parallel import parallel_map_arrays
 from ..store import ColumnGroup, ColumnStore
-from .traces import VIDEO_360, HeadTrace, TraceProfile, _lfilter
+from .traces import VIDEO_360, HeadTrace, TraceProfile
 
-#: ``scipy.signal.lfilter``'s call shape, as :func:`_ou_filter` uses it.
-Filter = Callable[..., np.ndarray]
+
+@lru_cache(maxsize=None)
+def _lfilter() -> Callable[..., np.ndarray]:
+    """``scipy.signal.lfilter``, imported on first trace generation.
+
+    ``scipy.signal`` drags in ``scipy.stats``, ``scipy.special`` and
+    ``scipy.fft`` (about a second of import) for this one function,
+    which only OU trace generation calls, so it stays off the
+    ``import repro`` path.
+    """
+    from scipy.signal import lfilter
+    return lfilter
 
 
 @dataclass
@@ -187,7 +196,7 @@ def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray, List[Tuple[int, int, int,
                                                     float]]]:
-    """Consume every per-trace random stream, in generate_trace order.
+    """Consume every per-trace random stream, in the oracle's order.
 
     Returns the raw normal tensors plus per-trace sigmas and the
     saccade burst list.  This is the only per-trace loop left in the
@@ -228,20 +237,20 @@ def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
     return z_ang, z_vel, sigma_ang, sigma_vel, bursts
 
 
-@kernel
 def _ou_filter(z: np.ndarray, sigma: np.ndarray, dt_s: float,
-               tau: float, lfilter: Filter) -> np.ndarray:
+               tau: float) -> np.ndarray:
     """Batched stationary-start OU: AR(1) over the last axis.
 
     Scales ``z`` in place (it is scratch) and runs one ``lfilter``
-    pass; per-row arithmetic matches ``_ou_series`` exactly.
+    pass, which evaluates ``y[i] = decay * y[i-1] + x[i]`` in the same
+    floating-point order as the per-sample recursion.
     """
     decay = math.exp(-dt_s / tau)
     innovation = sigma * math.sqrt(max(1.0 - decay * decay, 1e-12))
     first = sigma * z[..., 0]
     np.multiply(z, innovation[..., None], out=z)
     z[..., 0] = first
-    return lfilter([1.0], [1.0, -decay], z, axis=-1)
+    return _lfilter()([1.0], [1.0, -decay], z, axis=-1)
 
 
 def _deposit_saccades(shape: Tuple[int, int],
@@ -292,21 +301,21 @@ def _norm3_steps(x: np.ndarray) -> np.ndarray:
 
 def _generate_columns(ids: Sequence[Tuple[int, int]],
                       profile: TraceProfile, duration_s: float,
-                      dt_s: float, seed: int, with_pose: bool,
-                      lfilter: Filter) -> Dict[str, np.ndarray]:
+                      dt_s: float, seed: int,
+                      with_pose: bool) -> Dict[str, np.ndarray]:
     """The tensor pass: every column for a chunk of (viewer, video)."""
     n = int(round(duration_s / dt_s)) + 1
     z_ang, z_vel, sigma_ang, sigma_vel, bursts = _draw_streams(
         ids, profile, n, dt_s, seed)
 
     # omega rows: yaw, pitch, roll
-    omega = _ou_filter(z_ang, sigma_ang, dt_s, 0.8, lfilter)
+    omega = _ou_filter(z_ang, sigma_ang, dt_s, 0.8)
     saccades = _deposit_saccades((len(ids), n), bursts)
     if saccades is not None:
         omega[:, 0, :] += saccades
     velocity = _ou_filter(
         z_vel, np.broadcast_to(sigma_vel[:, None], (len(ids), 3)).copy(),
-        dt_s, 1.2, lfilter)
+        dt_s, 1.2)
     velocity[:, 2, :] *= 0.4  # vertical sway is smaller
 
     # step_angular reduces (roll^2 + pitch^2) + yaw^2 — the column
@@ -339,13 +348,23 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
     return columns
 
 
-def _generate_columns_chunk(ids: Sequence[Tuple[int, int]],
-                            profile: TraceProfile, duration_s: float,
-                            dt_s: float, seed: int, with_pose: bool,
-                            lfilter: Filter) -> Dict[str, np.ndarray]:
-    """Worker-side chunk body (module-level: picklable)."""
-    return _generate_columns(ids, profile, duration_s, dt_s, seed,
-                             with_pose, lfilter)
+def generate_trace(viewer: int, video: int,
+                   profile: TraceProfile = VIDEO_360,
+                   duration_s: float = constants.TRACE_DURATION_S,
+                   dt_s: float = constants.TRACE_REPORT_PERIOD_S,
+                   seed: int = 0) -> HeadTrace:
+    """Synthesize one viewing trace (a one-row tensor pass).
+
+    The random stream is derived from (seed, viewer, video), so a
+    dataset regenerates identically; viewer and video also set the
+    activity multipliers, giving each viewer a temperament and each
+    video a pace.
+    """
+    columns = _generate_columns([(viewer, video)], profile, duration_s,
+                                dt_s, seed, with_pose=True)
+    return TraceBatch(viewer_ids=np.array([viewer], dtype=np.int64),
+                      video_ids=np.array([video], dtype=np.int64),
+                      dt_s=dt_s, **columns).trace(0)
 
 
 #: Traces per tensor pass.  Modest chunks beat one monolithic pass:
@@ -367,12 +386,11 @@ def generate_batch(viewers: int = 50, videos: int = 10,
                    group: str = "traces") -> TraceBatch:
     """The full dataset as one batch, byte-identical per seed.
 
-    Per-trace streams derive from ``(seed, viewer, video)`` exactly as
-    :func:`repro.motion.traces.generate_trace` derives them, so every
-    column matches the per-trace path bit for bit — for any
-    ``workers`` setting (each worker chunk re-derives its own
-    streams; outputs land at absolute row indices via
-    :func:`repro.parallel.parallel_map_arrays`).
+    Per-trace streams derive from ``(seed, viewer, video)``, so every
+    row is the trace :func:`generate_trace` returns for that pair, bit
+    for bit — for any ``workers`` setting (each worker chunk
+    re-derives its own streams; outputs land at absolute row indices
+    via :func:`repro.parallel.parallel_map_arrays`).
 
     ``columns="steps"`` skips the pose tensors (the slot pipeline only
     consumes step magnitudes).  Passing ``store=`` persists the batch
@@ -382,7 +400,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         raise ValueError("columns must be 'full' or 'steps'")
     # Resolved before any corpus tensor is allocated, so importing
     # scipy.signal does not land in the middle of the batch's heap.
-    lfilter = _lfilter()
+    _lfilter()
     with_pose = columns == "full"
     ids = [(viewer, video) for viewer in range(viewers)
            for video in range(videos)]
@@ -395,9 +413,9 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         specs["positions"] = ((3, n), np.float64)
         specs["eulers"] = ((3, n), np.float64)
     cols = parallel_map_arrays(
-        partial(_generate_columns_chunk, profile=profile,
+        partial(_generate_columns, profile=profile,
                 duration_s=duration_s, dt_s=dt_s, seed=seed,
-                with_pose=with_pose, lfilter=lfilter),
+                with_pose=with_pose),
         ids, specs=specs, workers=workers, chunk_size=chunk_size,
         batched=True)
 
@@ -418,3 +436,23 @@ def generate_batch(viewers: int = 50, videos: int = 10,
             "duration_s": duration_s, "profile": profile.name,
         })
     return batch
+
+
+def generate_dataset(viewers: int = 50, videos: int = 10,
+                     profile: TraceProfile = VIDEO_360,
+                     duration_s: float = constants.TRACE_DURATION_S,
+                     seed: int = 2022,
+                     workers: Optional[int] = 1,
+                     store: Optional[ColumnStore] = None,
+                     group: str = "traces") -> List[HeadTrace]:
+    """The full 500-trace dataset (viewers x videos), deterministic.
+
+    :func:`generate_batch` as per-trace zero-copy views, in (viewer,
+    video) order, byte-identical for any ``workers`` setting.  Passing
+    ``store=`` (a :class:`repro.store.ColumnStore`) persists the corpus
+    as column group ``group``.
+    """
+    return generate_batch(viewers=viewers, videos=videos,
+                          profile=profile, duration_s=duration_s,
+                          seed=seed, workers=workers, store=store,
+                          group=group).traces()

@@ -1,7 +1,7 @@
 """Evaluation harnesses: the testbed, live sessions, and trace replay."""
 
 from .availability import AvailabilityReport, report, simulate_dataset
-from .batch import BatchTimeslotResult, simulate_batch
+from .batch import BatchTimeslotResult, simulate_batch, simulate_trace
 from .clustering import ClusteringReport, analyze
 from .handover import (
     HandoverController,
@@ -14,7 +14,7 @@ from .rig import CalibrationOutcome, Testbed
 from .scenarios import SCENARIOS, Scenario, get_scenario, list_scenarios
 from .session import PrototypeSession, SessionResult, surviving_speed_threshold
 from .supervisor import Supervisor
-from .timeslot import TimeslotParams, TimeslotResult, simulate_trace
+from .timeslot import TimeslotParams, TimeslotResult
 
 __all__ = [
     "AvailabilityReport",

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..motion import HeadTrace
-from ..parallel import parallel_map
-from .timeslot import TimeslotParams, TimeslotResult, simulate_trace
+from ..store import ColumnStore
+from .batch import simulate_batch
+from .timeslot import TimeslotParams, TimeslotResult
 
 
 @dataclass(frozen=True)
@@ -41,44 +41,22 @@ class AvailabilityReport:
         return self.overall_availability * optimal_gbps
 
 
-def _uniform(traces: Sequence[HeadTrace]) -> bool:
-    first = traces[0]
-    return all(t.dt_s == first.dt_s and t.samples == first.samples
-               for t in traces)
-
-
 def simulate_dataset(traces: Sequence[HeadTrace],
                      params: TimeslotParams = TimeslotParams(),
                      workers: Optional[int] = 1,
-                     engine: str = "auto",
-                     store=None, group: str = "slots"
-                     ) -> List[TimeslotResult]:
+                     store: Optional[ColumnStore] = None,
+                     group: str = "slots") -> List[TimeslotResult]:
     """Replay every trace through the Section 5.4 model.
 
-    Results come back in trace order for any ``workers`` setting (see
-    ``repro.parallel``), so downstream aggregation is deterministic.
-
-    ``engine="auto"`` uses the batched tensor kernel
-    (:func:`repro.simulate.batch.simulate_batch`) whenever the corpus
-    is rectangular (uniform ``dt_s`` / length — the generated datasets
-    always are), falling back to the per-trace loop otherwise; the two
-    produce element-wise identical ``connected`` arrays.  Passing
-    ``store=`` persists the slot tensor as column group ``group``
-    (batch engine only).
+    :func:`repro.simulate.batch.simulate_batch` as per-trace views, in
+    trace order for any ``workers`` setting, so downstream aggregation
+    is deterministic.  The corpus must be rectangular (one ``dt_s``
+    and length, as the generated datasets always are); a ragged one
+    raises ``ValueError``.  Passing ``store=`` persists the slot
+    tensor as column group ``group``.
     """
-    if not traces:
-        raise ValueError("no traces to simulate")
-    if engine not in ("auto", "batch", "loop"):
-        raise ValueError("engine must be 'auto', 'batch' or 'loop'")
-    if engine == "batch" or (engine == "auto" and _uniform(traces)):
-        from .batch import simulate_batch  # local: avoids module cycle
-        return simulate_batch(traces, params=params, workers=workers,
-                              store=store, group=group).results()
-    if store is not None:
-        raise ValueError("store= requires the batch engine "
-                         "(rectangular corpus)")
-    return parallel_map(partial(simulate_trace, params=params),
-                        traces, workers=workers)
+    return simulate_batch(traces, params=params, workers=workers,
+                          store=store, group=group).results()
 
 
 def report(results: Sequence[TimeslotResult]) -> AvailabilityReport:

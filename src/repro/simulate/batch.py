@@ -1,19 +1,21 @@
-"""Batched Section 5.4 slot simulation: the whole corpus at once.
+"""Section 5.4 slot simulation: the whole corpus at once.
 
-``simulate_trace`` vectorizes one trace; at dataset scale the per-trace
-Python overhead (a dozen NumPy dispatches per trace) still dominates.
-This module runs the identical drift/realign/compare arithmetic with a
-leading *trace* axis: the short sub-slot dimension (``slots_per_report``,
-typically 10) is walked sequentially exactly as the loop walks it, but
-each step is one vector operation across *every report of every trace*.
+The drift/realign/compare arithmetic runs with a leading *trace* axis:
+the short sub-slot dimension (``slots_per_report``, typically 10) is
+walked sequentially, exactly as the slot-by-slot loop walks it, but
+each step is one vector operation across *every report of every
+trace*.  :func:`simulate_trace` is the same pass over one trace and
+:func:`simulate_batch` the corpus, chunked over an optional process
+pool.
 
-Bit-compatibility is a hard contract, not an aspiration: the per-trace
-engine is the oracle, and the property tests assert the batched
-``connected`` tensor matches it element for element.  The batched
-kernel keeps only running accumulator rows (``(traces, reports)``)
-instead of materializing the full per-channel error tensor, writing
-each sub-slot's comparison result straight into the boolean output —
-same floats, same comparisons, a fraction of the memory traffic.
+Bit-compatibility is a hard contract, not an aspiration: the oracle is
+``reference_simulate_trace`` in ``tests/oracles.py`` (the slot loop),
+and the property tests assert the ``connected`` tensor matches it
+element for element.  The kernel keeps only running accumulator rows
+(``(traces, reports)``) instead of materializing the full per-channel
+error tensor, writing each sub-slot's comparison result straight into
+the boolean output — same floats, same comparisons, a fraction of the
+memory traffic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..determinism import kernel
 from ..motion import HeadTrace
 from ..motion.batch import TraceBatch
 from ..parallel import parallel_map_arrays
@@ -104,19 +105,20 @@ def _drift_no_realign(rates: np.ndarray, residual: float,
     return np.cumsum(inc, axis=1, out=inc)
 
 
-@kernel
 def _connected_rows(step_linear: np.ndarray, step_angular: np.ndarray,
                     params: TimeslotParams,
                     slots_per_report: int) -> np.ndarray:
     """The (T, N * S) connected tensor for stacked step columns.
 
-    The batched twin of ``timeslot._drift_errors``: identical running
-    sums in the identical left-to-right order, with the trace axis in
-    front.  Both channels advance together through the short sub-slot
-    loop; only the current accumulator rows ``(T, reports)`` are kept
-    in floats, and each sub-slot's fused comparison ``(lat <= tol) &
-    (ang <= tol)`` lands directly in the boolean output — same floats,
-    same comparisons, a fraction of the memory traffic.
+    The error is a running sum per channel (the TP residual at the
+    start of the replay, ``+= rate`` once per slot) that snaps back to
+    the residual at slot ``latency`` of every report interval after
+    the first; the additions happen in the slot loop's left-to-right
+    order, with the trace axis in front.  Both channels advance
+    together through the short sub-slot loop; only the current
+    accumulator rows ``(T, reports)`` are kept in floats, and each
+    sub-slot's fused comparison ``(lat <= tol) & (ang <= tol)`` lands
+    directly in the boolean output.
     """
     t_count, n = step_linear.shape
     slots = slots_per_report
@@ -200,11 +202,27 @@ def _connected_chunk(items: Sequence[tuple], params: TimeslotParams,
                                          params, slots_per_report)}
 
 
-def _batch_slots_per_report(dt_s: float, params: TimeslotParams) -> int:
+def _slots_per_report(dt_s: float, params: TimeslotParams) -> int:
     slots_per_report = int(round(dt_s / params.slot_s))
     if slots_per_report < 1:
         raise ValueError("slots must be finer than the report period")
     return slots_per_report
+
+
+def simulate_trace(trace: HeadTrace,
+                   params: TimeslotParams = TimeslotParams()
+                   ) -> TimeslotResult:
+    """Replay one trace through the 1 ms-slot model (a one-row pass).
+
+    Includes the ``tp_latency_slots >= slots_per_report`` regime, where
+    the realignment never lands and the error drifts monotonically for
+    the rest of the trace.
+    """
+    connected = _connected_rows(
+        trace.step_linear_m[None], trace.step_angular_rad[None], params,
+        _slots_per_report(trace.dt_s, params))
+    return TimeslotResult(connected=connected[0], viewer=trace.viewer,
+                          video=trace.video)
 
 
 #: Traces per kernel pass: keeps the accumulator rows cache-resident
@@ -221,9 +239,10 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
     """Replay a whole corpus through the 1 ms-slot model in one pass.
 
     Accepts a :class:`~repro.motion.batch.TraceBatch` (preferred; a
-    steps-only batch suffices) or any uniform sequence of
-    :class:`HeadTrace`.  Element-wise identical to running
-    ``simulate_trace`` per trace — the property tests enforce it.
+    steps-only batch suffices) or a uniform sequence of
+    :class:`HeadTrace`; a ragged sequence (mixed ``dt_s`` or length)
+    is rejected with ``ValueError``.  Element-wise identical to
+    running :func:`simulate_trace` per trace.
 
     With ``workers > 1`` the trace axis is chunked over a process pool
     and workers write their ``connected`` rows into shared memory (no
@@ -237,7 +256,7 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
         # Steps-only: the slot kernel never reads the pose tensors, so
         # skip copying them.
         batch = TraceBatch.from_traces(traces, columns="steps")
-    slots_per_report = _batch_slots_per_report(batch.dt_s, params)
+    slots_per_report = _slots_per_report(batch.dt_s, params)
     t_count, n = batch.step_linear_m.shape
 
     items = [(batch.step_linear_m[i], batch.step_angular_rad[i])

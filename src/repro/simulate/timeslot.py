@@ -9,25 +9,21 @@ drifts at the trace's inter-report rate, and a slot is marked
 disconnected when the accumulated lateral or angular error exceeds the
 25G link's tolerances (6 mm, 8.73 mrad).
 
-Two implementations coexist: ``simulate_trace`` is a fully vectorized
-NumPy formulation (per-report drift ramps via broadcasting, realignment
-resets via per-segment ``cumsum``), and ``_simulate_trace_reference``
-retains the original slot-by-slot Python loop.  The vectorized model is
-bit-compatible with the loop — every floating-point addition happens in
-the same order (``np.cumsum`` accumulates sequentially) — and the
-property tests in ``tests/test_simulate_timeslot.py`` assert the two
-produce element-wise identical ``connected`` arrays across randomized
-parameters and traces.
+This module holds the model's parameters and per-trace result.  The
+slot arithmetic runs in :mod:`repro.simulate.batch` (``simulate_trace``
+is its one-row pass); the equality oracle is
+``reference_simulate_trace`` in ``tests/oracles.py``, the slot-by-slot
+loop, which the property tests compare element for element.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import constants
-from ..motion import HeadTrace
 
 
 @dataclass(frozen=True)
@@ -39,9 +35,10 @@ class TimeslotParams:
     (``slots_per_report``, i.e. ``trace.dt_s / slot_s``) the
     realignment never lands inside any report interval — the next
     report supersedes it first — so the error drifts without bound.
-    That is a deliberately modelled "TP too slow" regime (see
-    ``simulate_trace``), not a configuration error, so it is allowed
-    and covered by regression tests rather than rejected here.
+    That is a deliberately modelled "TP too slow" regime, not a
+    configuration error, so it is allowed and covered by regression
+    tests rather than rejected here.  A latency that is not a whole
+    number of slots is rejected: slots are the model's time step.
     """
 
     slot_s: float = constants.TRACE_SLOT_S
@@ -55,7 +52,12 @@ class TimeslotParams:
     def __post_init__(self):
         if self.slot_s <= 0:
             raise ValueError("slot length must be positive")
-        if self.tp_latency_slots < 0:
+        try:
+            latency = operator.index(self.tp_latency_slots)
+        except TypeError:
+            raise ValueError(
+                "TP latency must be a whole number of slots") from None
+        if latency < 0:
             raise ValueError("TP latency cannot be negative")
         if (self.lateral_tolerance_m <= self.residual_lateral_m
                 or self.angular_tolerance_rad <= self.residual_angular_rad):
@@ -85,140 +87,3 @@ class TimeslotResult:
         if self.connected.size == 0:
             return 0.0
         return float(np.mean(self.connected))
-
-
-def _slots_per_report(trace: HeadTrace, params: TimeslotParams) -> int:
-    slots_per_report = int(round(trace.dt_s / params.slot_s))
-    if slots_per_report < 1:
-        raise ValueError("slots must be finer than the report period")
-    return slots_per_report
-
-
-def _drift_errors(rates: np.ndarray, residual: float,
-                  slots_per_report: int, latency: int) -> np.ndarray:
-    """Per-slot accumulated error for one channel, shape (S, n_steps).
-
-    Replicates the reference loop's arithmetic exactly: the error is a
-    running sum (``residual`` at the start of the replay, ``+= rate``
-    once per slot) that snaps back to ``residual`` at slot ``latency``
-    of every report interval after the first.  The additions happen in
-    the same left-to-right order the loop performs them — the short
-    slot dimension (``slots_per_report``, typically 10) is walked
-    sequentially while each position is one vector add across all
-    reports — so the result is bit-identical, not merely close.  The
-    array is slot-major (one contiguous row per slot position); callers
-    transpose to recover the replay's chronological order.
-    """
-    n = rates.size
-    slots = slots_per_report
-    if n == 0:
-        return np.empty((slots, 0))
-    if latency >= slots:
-        # The realignment never lands: one uninterrupted running sum
-        # across the whole replay, carried over every report boundary
-        # (np.cumsum accumulates sequentially, matching the loop).
-        inc = np.repeat(rates, slots)
-        inc[0] += residual
-        return np.cumsum(inc).reshape(n, slots).T
-
-    err = np.empty((slots, n))
-    # Report 0 has no realignment (the link starts aligned): a single
-    # ramp from the residual across the full interval.
-    acc0 = residual
-    rate0 = rates[0]
-    for sub in range(slots):
-        acc0 = acc0 + rate0
-        err[sub, 0] = acc0
-    if n == 1:
-        return err
-
-    # Reports >= 1, slots [latency, S): each interval restarts from the
-    # residual, so every report ramps independently.
-    sub_rates = rates[1:]
-    acc = residual + sub_rates
-    err[latency, 1:] = acc
-    for sub in range(latency + 1, slots):
-        acc = acc + sub_rates
-        err[sub, 1:] = acc
-
-    if latency > 0:
-        # Reports >= 1, slots [0, latency): the previous interval's
-        # final error carries across the report boundary until the
-        # realignment lands.
-        carry = np.empty(n - 1)
-        carry[0] = err[slots - 1, 0]
-        carry[1:] = acc[:-1]
-        acc = carry + sub_rates
-        err[0, 1:] = acc
-        for sub in range(1, latency):
-            acc = acc + sub_rates
-            err[sub, 1:] = acc
-    return err
-
-
-def simulate_trace(trace: HeadTrace,
-                   params: TimeslotParams = TimeslotParams()
-                   ) -> TimeslotResult:
-    """Replay one trace through the 1 ms-slot model (vectorized).
-
-    Element-wise identical to ``_simulate_trace_reference`` (the
-    retained loop), including the ``tp_latency_slots >=
-    slots_per_report`` edge case where the realignment never lands and
-    the error drifts monotonically for the rest of the trace.
-    """
-    slots_per_report = _slots_per_report(trace, params)
-    rates_lat = np.asarray(trace.step_linear_m, dtype=float) \
-        / slots_per_report
-    rates_ang = np.asarray(trace.step_angular_rad, dtype=float) \
-        / slots_per_report
-    lateral = _drift_errors(rates_lat, params.residual_lateral_m,
-                            slots_per_report, params.tp_latency_slots)
-    angular = _drift_errors(rates_ang, params.residual_angular_rad,
-                            slots_per_report, params.tp_latency_slots)
-    # The drift matrices are slot-major; transpose back to the replay's
-    # chronological (report, slot) order before flattening.
-    connected = ((lateral <= params.lateral_tolerance_m)
-                 & (angular <= params.angular_tolerance_rad)).T.reshape(-1)
-    return TimeslotResult(connected=connected, viewer=trace.viewer,
-                          video=trace.video)
-
-
-def _simulate_trace_reference(trace: HeadTrace,
-                              params: TimeslotParams = TimeslotParams()
-                              ) -> TimeslotResult:
-    """The original slot-by-slot loop, kept as the correctness oracle.
-
-    ``simulate_trace`` must produce an identical ``connected`` array;
-    the bench (``python -m repro bench``) also times this loop to
-    report the vectorized model's speedup.
-    """
-    slots_per_report = _slots_per_report(trace, params)
-    n_steps = len(trace.step_linear_m)
-    connected = np.empty(n_steps * slots_per_report, dtype=bool)
-
-    # Errors at the start of the replay: the link begins aligned, so
-    # only the TP residual is present.
-    lateral_err = params.residual_lateral_m
-    angular_err = params.residual_angular_rad
-    slot_index = 0
-    for step in range(n_steps):
-        lateral_rate = trace.step_linear_m[step] / slots_per_report
-        angular_rate = trace.step_angular_rad[step] / slots_per_report
-        for sub in range(slots_per_report):
-            # A new report arrived at the start of this interval; the
-            # realignment lands tp_latency_slots later, snapping the
-            # accumulated error back to the TP residual.  When
-            # tp_latency_slots >= slots_per_report this branch never
-            # fires and the link drifts forever (the modelled "TP too
-            # slow" regime).
-            if sub == params.tp_latency_slots and step > 0:
-                lateral_err = params.residual_lateral_m
-                angular_err = params.residual_angular_rad
-            lateral_err += lateral_rate
-            angular_err += angular_rate
-            connected[slot_index] = (
-                lateral_err <= params.lateral_tolerance_m
-                and angular_err <= params.angular_tolerance_rad)
-            slot_index += 1
-    return TimeslotResult(connected=connected, viewer=trace.viewer,
-                          video=trace.video)

@@ -9,12 +9,23 @@
   (the batched kernel in :mod:`repro.core.mapping` must agree with it);
 * :func:`reference_evaluate` -- the channel on :class:`Ray` objects and
   numpy 3-vectors (the float :meth:`repro.link.FsoChannel.evaluate`
-  must agree with it).
+  must agree with it);
+* :func:`reference_generate_trace` -- one head trace from the
+  per-sample OU recursion (:func:`reference_ou_series`) and the
+  per-burst saccade generator (the tensor pass in
+  :mod:`repro.motion.batch` must agree with it bit for bit);
+* :func:`reference_simulate_trace` -- the Section 5.4 slot-by-slot
+  loop (the slot kernel in :mod:`repro.simulate.batch` must agree with
+  it bit for bit).
 """
+
+import math
 
 import numpy as np
 
+from repro import constants
 from repro.core.mapping import MISS_PENALTY_M
+from repro.determinism import derive
 from repro.geometry import (
     NoIntersectionError,
     Plane,
@@ -26,6 +37,8 @@ from repro.geometry import (
 )
 from repro.link.channel import MIN_RANGE_M, AlignmentState
 from repro.link.design import NOISE_FLOOR_DBM
+from repro.motion import VIDEO_360, HeadTrace
+from repro.simulate import TimeslotParams, TimeslotResult
 
 
 def reference_mirror_planes(params, angle1_rad, angle2_rad):
@@ -104,3 +117,98 @@ def reference_evaluate(channel, body_pose):
         range_m=range_m,
         connected=connected,
     )
+
+
+def reference_ou_series(n, dt, tau, sigma, rng):
+    """A stationary-start Ornstein-Uhlenbeck path, one sample at a time."""
+    series = np.empty(n)
+    series[0] = rng.normal(0.0, sigma)
+    decay = math.exp(-dt / tau)
+    innovation = sigma * math.sqrt(max(1.0 - decay * decay, 1e-12))
+    for i in range(1, n):
+        series[i] = decay * series[i - 1] + innovation * rng.normal()
+    return series
+
+
+def reference_saccade_series(n, dt, rate_hz, peak, rng):
+    """Angular-velocity bursts: bell-shaped, Poisson arrivals, one at a time."""
+    series = np.zeros(n)
+    if rate_hz <= 0 or peak <= 0:
+        return series
+    for _ in range(rng.poisson(rate_hz * n * dt)):
+        center = int(rng.integers(0, n))
+        duration_s = rng.uniform(0.15, 0.45)
+        width = max(int(duration_s / dt), 2)
+        magnitude = peak * rng.lognormal(0.0, 0.4) * rng.choice([-1.0, 1.0])
+        support = np.arange(max(center - width, 0), min(center + width, n))
+        series[support] += magnitude * np.exp(
+            -0.5 * ((support - center) / (width / 2.5)) ** 2)
+    return series
+
+
+def reference_generate_trace(viewer, video, profile=VIDEO_360,
+                             duration_s=constants.TRACE_DURATION_S,
+                             dt_s=constants.TRACE_REPORT_PERIOD_S, seed=0):
+    """One viewing trace, drawn and integrated sample by sample."""
+    rng = derive(seed, viewer, video)
+    n = int(round(duration_s / dt_s)) + 1
+    viewer_activity = rng.lognormal(0.0, profile.activity_sigma)
+    video_activity = rng.lognormal(0.0, profile.activity_sigma)
+    activity = min(viewer_activity * video_activity, profile.activity_cap)
+
+    wander = math.radians(profile.wander_speed_deg_s) * activity
+    omega = np.zeros((n, 3))
+    omega[:, 2] = reference_ou_series(n, dt_s, 0.8, wander, rng)  # yaw
+    omega[:, 1] = reference_ou_series(n, dt_s, 0.8, wander * 0.45, rng)
+    omega[:, 0] = reference_ou_series(n, dt_s, 0.8, wander * 0.2, rng)
+    omega[:, 2] += reference_saccade_series(
+        n, dt_s, profile.saccade_rate_hz,
+        math.radians(profile.saccade_peak_deg_s) * activity, rng)
+
+    velocity = np.column_stack([
+        reference_ou_series(n, dt_s, 1.2, profile.sway_speed_m_s * activity,
+                            rng)
+        for _ in range(3)])
+    velocity[:, 2] *= 0.4  # vertical sway is smaller
+
+    eulers = np.cumsum(omega * dt_s, axis=0)
+    positions = np.cumsum(velocity * dt_s, axis=0)
+    positions -= positions[0]
+    return HeadTrace(
+        viewer=viewer, video=video, dt_s=dt_s, positions=positions,
+        eulers=eulers,
+        step_linear_m=np.linalg.norm(np.diff(positions, axis=0), axis=1),
+        step_angular_rad=np.linalg.norm(omega[1:], axis=1) * dt_s)
+
+
+def reference_simulate_trace(trace, params=TimeslotParams()):
+    """The Section 5.4 replay, slot by slot."""
+    slots_per_report = int(round(trace.dt_s / params.slot_s))
+    if slots_per_report < 1:
+        raise ValueError("slots must be finer than the report period")
+    n_steps = len(trace.step_linear_m)
+    connected = np.empty(n_steps * slots_per_report, dtype=bool)
+
+    # The link begins aligned: only the TP residual is present.
+    lateral_err = params.residual_lateral_m
+    angular_err = params.residual_angular_rad
+    slot_index = 0
+    for step in range(n_steps):
+        lateral_rate = trace.step_linear_m[step] / slots_per_report
+        angular_rate = trace.step_angular_rad[step] / slots_per_report
+        for sub in range(slots_per_report):
+            # A report arrived at the start of this interval; the
+            # realignment lands tp_latency_slots later.  When that is
+            # at or past the report period it never lands and the
+            # link drifts for the rest of the trace.
+            if sub == params.tp_latency_slots and step > 0:
+                lateral_err = params.residual_lateral_m
+                angular_err = params.residual_angular_rad
+            lateral_err += lateral_rate
+            angular_err += angular_rate
+            connected[slot_index] = (
+                lateral_err <= params.lateral_tolerance_m
+                and angular_err <= params.angular_tolerance_rad)
+            slot_index += 1
+    return TimeslotResult(connected=connected, viewer=trace.viewer,
+                          video=trace.video)

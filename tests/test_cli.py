@@ -25,22 +25,6 @@ class TestParser:
         assert args.seed == 11
         assert args.trials == 5
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.viewers == 10
-        assert args.workers == 0  # 0 = auto (max(2, default_workers()))
-        assert not args.quick
-        assert args.require_batch_speedup is None
-        assert args.output == "BENCH_trace_pipeline.json"
-
-    def test_bench_options(self):
-        args = build_parser().parse_args(
-            ["bench", "--workers", "4", "--duration", "5.0",
-             "--output", "/tmp/b.json"])
-        assert args.workers == 4
-        assert args.duration == 5.0
-        assert args.output == "/tmp/b.json"
-
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.scenarios is None
@@ -95,15 +79,6 @@ class TestCommands:
         assert main(["calibrate", "--seed", "3", "--trials", "3"]) == 0
         out = capsys.readouterr().out
         assert "realign trials at optimal: 3/3" in out
-
-    def test_bench_small(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_trace_pipeline.json"
-        assert main(["bench", "--viewers", "1", "--videos", "1",
-                     "--duration", "2.0", "--ref-traces", "1",
-                     "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert out_path.exists()
 
 
 class TestScenarioCommands:
@@ -246,7 +221,6 @@ class TestExitCodeContract:
         ("_cmd_safety", ["safety"]),
         ("_cmd_plan", ["plan"]),
         ("_cmd_formats", ["formats"]),
-        ("_cmd_bench", ["bench"]),
         ("_cmd_chaos", ["chaos"]),
         ("_cmd_sweep", ["sweep", "--checkpoint", "ck"]),
         ("_cmd_lint", ["lint"]),

@@ -1,18 +1,16 @@
-"""Tests for the array-semantics analyzer (S/Y/P/K rule families).
+"""Tests for the array-semantics analyzer (S/Y/P rule families).
 
 Covers the seeded true-positive/true-negative fixture trees for shape
-contracts, dtype stability, hot-path discipline and the kernel subset
-checker; ``--select``/``--ignore`` prefix resolution over the grown
-rule namespace; the arrays cache tier (round trip, stale-key
-rejection, v2→v3 schema invalidation); the ``--profile`` counters;
-and the runtime kernel registry.
+contracts, dtype stability and hot-path discipline; ``--select``/
+``--ignore`` prefix resolution over the grown rule namespace; the
+arrays cache tier (round trip, stale-key rejection, schema
+invalidation); and the ``--profile`` counters.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -21,20 +19,18 @@ from pathlib import Path
 from repro.devtools.program import analyze_paths, build_index
 from repro.devtools.program.arrays import (
     ARRAYS_SCHEMA_VERSION,
+    HOT_MODULES,
     array_table,
     attach_cached_array_table,
     broadcast_conflict,
-    hot_modules,
-    kernel_closure,
-    kernel_functions,
 )
 from repro.devtools.program.index import load_cache, save_cache
+from repro.devtools.program.model import INDEX_SCHEMA_VERSION
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 SRC_REPRO = ROOT / "src" / "repro"
 ARRAYS = FIXTURES / "arrays"
-KERNELS = FIXTURES / "kernels"
 
 
 def run_analyze_cli(*args: str,
@@ -66,14 +62,6 @@ def test_arrays_fixture_trips_every_syp_rule():
                      "Y001", "Y002", "Y002", "Y003"]
 
 
-def test_kernels_fixture_trips_every_k_rule():
-    proc = run_analyze_cli(str(KERNELS), "--no-cache",
-                           "--select", "K", "--format", "json")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, _ = rules_found(proc)
-    assert rules == ["K001", "K001", "K002", "K002", "K003"]
-
-
 def test_s_messages_name_the_shapes_and_boundary():
     proc = run_analyze_cli(str(ARRAYS), "--no-cache", "--select", "S")
     assert proc.returncode == 1
@@ -81,15 +69,6 @@ def test_s_messages_name_the_shapes_and_boundary():
     assert "positions" in proc.stdout  # S002
     assert "sample-major" in proc.stdout
     assert "doubled_m" in proc.stdout  # S003
-
-
-def test_k_messages_name_the_reaching_kernel():
-    proc = run_analyze_cli(str(KERNELS), "--no-cache", "--select", "K")
-    assert proc.returncode == 1
-    assert "reached from kernel repro.kern.indirect_kernel" \
-        in proc.stdout
-    assert "_WEIGHTS" in proc.stdout  # K002 names the state
-    assert "**kwargs" in proc.stdout  # K003 names the star form
 
 
 def test_cold_y_p_habits_are_exempt_off_the_hot_path():
@@ -182,10 +161,10 @@ def test_array_table_cache_rejects_stale_key(tmp_path):
 
 
 def test_v2_cache_payload_is_invalidated_by_v3_loader(tmp_path):
-    # A v2 cache (pre array-semantics) must be discarded wholesale by
-    # the v3 loader, never mis-read: the file entries lack the
-    # array-op fields and deserializing them would crash or silently
-    # drop facts.
+    # A stale cache (here v2, pre array-semantics) must be discarded
+    # wholesale by the current loader, never mis-read: the file
+    # entries lack the array-op fields and deserializing them would
+    # crash or silently drop facts.
     cache = tmp_path / "cache"
     cache.mkdir()
     stale = {
@@ -195,18 +174,23 @@ def test_v2_cache_payload_is_invalidated_by_v3_loader(tmp_path):
     }
     (cache / "program-index.json").write_text(json.dumps(stale))
     assert load_cache(str(cache)) == {}
+    # v4 entries still carry the decorator and *args/**kwargs facts
+    # of the retired kernel rules; they are discarded as well.
+    (cache / "program-index.json").write_text(
+        json.dumps(dict(stale, version=4)))
+    assert load_cache(str(cache)) == {}
     result = analyze_paths([str(ARRAYS)], select=["S"],
                            cache_dir=str(cache))
     assert result.extracted > 0  # nothing was trusted from the v2 file
     rewritten = json.loads((cache / "program-index.json").read_text())
-    assert rewritten["version"] == 4
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 5
 
 
 def test_save_cache_stamps_current_schema_version(tmp_path):
     save_cache(str(tmp_path), {"files": {}})
     payload = json.loads(
         (tmp_path / "program-index.json").read_text())
-    assert payload["version"] == 4
+    assert payload["version"] == INDEX_SCHEMA_VERSION == 5
     assert ARRAYS_SCHEMA_VERSION == 1
 
 
@@ -255,54 +239,13 @@ def test_profile_absent_from_json_without_flag():
 
 
 # ---------------------------------------------------------------------------
-# Kernel registry: static view and runtime contract agree.
+# Hot-module scope.
 # ---------------------------------------------------------------------------
 
-def test_registered_kernels_are_k_clean_on_src_repro():
-    proc = run_analyze_cli(str(SRC_REPRO), "--no-cache",
-                           "--select", "K", "--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert json.loads(proc.stdout)["findings"] == []
-
-
-def test_static_kernel_inventory_matches_runtime_registry():
-    import repro.motion.batch   # noqa: F401 - registers _ou_filter
-    import repro.simulate.batch  # noqa: F401 - registers _connected_rows
-    from repro.determinism import registered_kernels
-
-    index = build_index([str(SRC_REPRO)], cache_dir=None)
-    static = {f"{module}.{qualname}"
-              for module, qualname, _ in kernel_functions(index)}
-    assert static == {"repro.motion.batch._ou_filter",
-                      "repro.simulate.batch._connected_rows"}
-    assert static <= set(registered_kernels())
-
-
-def test_kernel_decorator_returns_function_unchanged():
-    from repro.determinism import kernel, registered_kernels
-
-    def probe(x: float) -> float:
-        return x * 2.0
-
-    assert kernel(probe) is probe  # no wrapper: stays picklable
-    assert pickle.loads(pickle.dumps(
-        registered_kernels, protocol=2)) is not None
-
-
-def test_kernel_registration_makes_the_module_hot():
-    index = build_index([str(KERNELS)], cache_dir=None)
-    assert "repro.kern" in hot_modules(index)
-    closure = kernel_closure(index, "repro.kern", "indirect_kernel")
-    names = {qualname for _, qualname, _ in closure}
-    assert names == {"indirect_kernel", "_lookup"}
-
-
 def test_batch_engine_modules_are_always_hot():
-    index = build_index([str(ARRAYS)], cache_dir=None)
-    hot = hot_modules(index)
-    assert "repro.motion.batch" in hot
-    assert "repro.simulate.batch" in hot
-    assert "repro.plumbing" not in hot
+    assert "repro.motion.batch" in HOT_MODULES
+    assert "repro.simulate.batch" in HOT_MODULES
+    assert "repro.plumbing" not in HOT_MODULES
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.devtools.program.exceptions import (
     type_lattice,
 )
 from repro.devtools.program.index import load_cache
+from repro.devtools.program.model import INDEX_SCHEMA_VERSION
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
@@ -249,7 +250,7 @@ def test_exception_table_cache_rejects_stale_key(tmp_path):
 
 def test_v3_cache_payload_is_invalidated_by_v4_loader(tmp_path):
     # A v3 cache (pre exception-flow) must be discarded wholesale by
-    # the v4 loader, never mis-read: its file entries lack the
+    # the current loader, never mis-read: its file entries lack the
     # try/raise/resource facts and deserializing them would crash or
     # silently drop escape sets.
     cache = tmp_path / "cache"
@@ -267,7 +268,7 @@ def test_v3_cache_payload_is_invalidated_by_v4_loader(tmp_path):
                            cache_dir=str(cache))
     assert result.extracted > 0  # nothing was trusted from the v3 file
     rewritten = json.loads((cache / "program-index.json").read_text())
-    assert rewritten["version"] == 4
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 5
     assert EXCEPTIONS_SCHEMA_VERSION == 1
 
 

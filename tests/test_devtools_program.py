@@ -355,8 +355,9 @@ def test_list_rules_covers_all_families():
                     "T001", "T002", "T003", "C001", "C002", "C003",
                     "C004", "W001", "W002", "W003",
                     "S001", "S002", "S003", "Y001", "Y002", "Y003",
-                    "P001", "P002", "K001", "K002", "K003"):
+                    "P001", "P002"):
         assert rule_id in proc.stdout
+    assert "K00" not in proc.stdout
 
 
 def test_github_format_emits_annotations():

@@ -1,10 +1,12 @@
 """The batched trace engine against its per-trace equality oracle.
 
-``generate_trace`` is the reference implementation; ``generate_batch``
-must reproduce it *bit for bit* for every (viewer, video) — same
-derived streams, same draw order, same float arithmetic.  These tests
-assert exact array equality (``np.array_equal``, never ``allclose``)
-across engines, worker counts and chunk sizes.
+``reference_generate_trace`` (``tests/oracles.py``: the per-sample OU
+recursion and the per-burst saccade generator) is the reference;
+``generate_batch`` and its one-trace pass ``generate_trace`` must
+reproduce it *bit for bit* for every (viewer, video) — same derived
+streams, same draw order, same float arithmetic.  These tests assert
+exact array equality (``np.array_equal``, never ``allclose``) across
+worker counts, chunk sizes, durations and report periods.
 """
 
 import warnings
@@ -12,19 +14,37 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.motion import NORMAL_USE, TraceBatch, generate_batch, generate_dataset
-from repro.motion.traces import generate_trace
+from repro.motion import (
+    NORMAL_USE,
+    VIDEO_360,
+    TraceBatch,
+    generate_batch,
+    generate_dataset,
+    generate_trace,
+)
 from repro.parallel import ParallelFallbackWarning
 from repro.store import ColumnStore
+
+from .oracles import reference_generate_trace
 
 SEED = 2022
 DUR = 5.0
 
 
 def _reference(viewers, videos, duration_s):
-    return [generate_trace(viewer, video, duration_s=duration_s,
-                           seed=SEED)
+    return [reference_generate_trace(viewer, video, duration_s=duration_s,
+                                     seed=SEED)
             for viewer in range(viewers) for video in range(videos)]
+
+
+def _assert_same_trace(got, want):
+    assert got.viewer == want.viewer
+    assert got.video == want.video
+    assert got.dt_s == want.dt_s
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.eulers, want.eulers)
+    assert np.array_equal(got.step_linear_m, want.step_linear_m)
+    assert np.array_equal(got.step_angular_rad, want.step_angular_rad)
 
 
 class TestBitIdentity:
@@ -34,14 +54,21 @@ class TestBitIdentity:
         oracle = _reference(3, 2, DUR)
         assert len(batch) == len(oracle)
         for got, want in zip(batch.traces(), oracle):
-            assert got.viewer == want.viewer
-            assert got.video == want.video
-            assert got.dt_s == want.dt_s
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
-            assert np.array_equal(got.step_linear_m, want.step_linear_m)
-            assert np.array_equal(got.step_angular_rad,
-                                  want.step_angular_rad)
+            _assert_same_trace(got, want)
+            _assert_same_trace(
+                generate_trace(want.viewer, want.video, duration_s=DUR,
+                               seed=SEED), want)
+        # Edge grid for the one-trace pass: a single sample (duration
+        # 0), a single report, and report periods from 1 ms to 40 ms.
+        for profile in (VIDEO_360, NORMAL_USE):
+            for duration_s in (0.0, 0.01, 1.0, 60.0):
+                for dt_s in (0.001, 0.01, 0.04):
+                    _assert_same_trace(
+                        generate_trace(1, 2, profile, duration_s, dt_s,
+                                       seed=SEED),
+                        reference_generate_trace(1, 2, profile,
+                                                 duration_s, dt_s,
+                                                 seed=SEED))
 
     def test_normal_use_profile_bitwise(self):
         # NORMAL_USE has a different saccade/activity mix; the stream
@@ -50,11 +77,10 @@ class TestBitIdentity:
                                duration_s=DUR, seed=SEED)
         for got, want in zip(
                 batch.traces(),
-                [generate_trace(v, w, NORMAL_USE, duration_s=DUR,
-                                seed=SEED)
+                [reference_generate_trace(v, w, NORMAL_USE,
+                                          duration_s=DUR, seed=SEED)
                  for v in range(2) for w in range(2)]):
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
+            _assert_same_trace(got, want)
 
     def test_chunk_size_does_not_change_bytes(self):
         whole = generate_batch(viewers=3, videos=3, duration_s=DUR,
@@ -84,19 +110,6 @@ class TestBitIdentity:
                               pooled.step_linear_m)
         assert np.array_equal(serial.step_angular_rad,
                               pooled.step_angular_rad)
-
-    def test_dataset_engine_parity(self):
-        loop = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                engine="loop")
-        batch = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                 engine="batch")
-        for got, want in zip(batch, loop):
-            assert (got.viewer, got.video) == (want.viewer, want.video)
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
-            assert np.array_equal(got.step_linear_m, want.step_linear_m)
-            assert np.array_equal(got.step_angular_rad,
-                                  want.step_angular_rad)
 
 
 class TestShapesAndModes:
@@ -132,8 +145,9 @@ class TestShapesAndModes:
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR,
                                seed=SEED)
         assert len(batch) == 1
-        want = generate_trace(0, 0, duration_s=DUR, seed=SEED)
-        assert np.array_equal(batch.trace(0).positions, want.positions)
+        _assert_same_trace(batch.trace(0),
+                           reference_generate_trace(0, 0, duration_s=DUR,
+                                                    seed=SEED))
 
     def test_trace_views_are_zero_copy(self):
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR)
@@ -144,8 +158,7 @@ class TestShapesAndModes:
 
 class TestFromTraces:
     def test_roundtrip(self):
-        traces = generate_dataset(viewers=2, videos=2, duration_s=DUR,
-                                  engine="loop")
+        traces = generate_dataset(viewers=2, videos=2, duration_s=DUR)
         batch = TraceBatch.from_traces(traces)
         for got, want in zip(batch.traces(), traces):
             assert np.array_equal(got.positions, want.positions)
@@ -153,8 +166,7 @@ class TestFromTraces:
             assert np.array_equal(got.step_linear_m, want.step_linear_m)
 
     def test_steps_mode(self):
-        traces = generate_dataset(viewers=1, videos=2, duration_s=DUR,
-                                  engine="loop")
+        traces = generate_dataset(viewers=1, videos=2, duration_s=DUR)
         batch = TraceBatch.from_traces(traces, columns="steps")
         assert not batch.has_pose
 

@@ -12,7 +12,9 @@ from repro.motion import (
     measure_trace,
     resample_trace,
 )
-from repro.motion.traces import _ou_series, _ou_series_reference
+from repro.motion.batch import _ou_filter
+
+from .oracles import reference_generate_trace, reference_ou_series
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +202,7 @@ class TestResample:
 
 
 class TestOuVectorization:
-    """The vectorized AR(1) path is bit-identical to the recursion."""
+    """The batched AR(1) filter is bit-identical to the recursion."""
 
     @pytest.mark.parametrize("n,tau,sigma", [
         (1, 0.8, 0.1),
@@ -211,24 +213,31 @@ class TestOuVectorization:
         (50, 1e6, 0.5),      # decay ~ 1, tiny innovation
     ])
     def test_bitwise_equal_to_reference(self, n, tau, sigma):
-        fast = _ou_series(n, 0.01, tau, sigma,
-                          np.random.default_rng(99))
-        slow = _ou_series_reference(n, 0.01, tau, sigma,
-                                    np.random.default_rng(99))
+        z = np.random.default_rng(99).standard_normal((1, 1, n))
+        fast = _ou_filter(z, np.array([[sigma]]), 0.01, tau)[0, 0]
+        slow = reference_ou_series(n, 0.01, tau, sigma,
+                                   np.random.default_rng(99))
         np.testing.assert_array_equal(fast, slow)
 
     def test_consumes_identical_rng_stream(self):
-        # After generating, both leave the generator in the same state
-        # so downstream draws (saccades, sway) are unchanged.
+        # One n-sample fill (what the tensor pass draws per OU path)
+        # leaves the generator where the per-sample recursion does, so
+        # downstream draws (saccades, sway) are unchanged.
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        _ou_series(500, 0.01, 0.8, 0.2, rng_a)
-        _ou_series_reference(500, 0.01, 0.8, 0.2, rng_b)
+        rng_a.standard_normal(500)
+        reference_ou_series(500, 0.01, 0.8, 0.2, rng_b)
         assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
 
     def test_empty_series(self):
-        assert _ou_series(0, 0.01, 0.8, 0.1,
-                          np.random.default_rng(0)).size == 0
+        # A zero-duration trace is one sample with empty step series.
+        trace = generate_trace(0, 0, duration_s=0.0)
+        want = reference_generate_trace(0, 0, duration_s=0.0)
+        assert trace.samples == 1
+        assert trace.step_linear_m.size == 0
+        assert trace.step_angular_rad.size == 0
+        np.testing.assert_array_equal(trace.positions, want.positions)
+        np.testing.assert_array_equal(trace.eulers, want.eulers)
 
 
 class TestDatasetWorkers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.motion import generate_dataset
+from repro.motion import generate_dataset, generate_trace
 from repro.simulate import (
     TimeslotResult,
     analyze,
@@ -23,6 +23,15 @@ class TestReport:
             report([])
         with pytest.raises(ValueError):
             simulate_dataset([])
+
+    def test_simulate_dataset_rejects_ragged_corpus(self):
+        # The slot engine needs one length and report period per corpus.
+        longer = generate_trace(0, 1, duration_s=2.0)
+        coarser = generate_trace(0, 2, duration_s=1.0, dt_s=0.02)
+        for odd in (longer, coarser):
+            with pytest.raises(ValueError, match="not uniform"):
+                simulate_dataset([generate_trace(0, 0, duration_s=1.0),
+                                  odd])
 
     def test_aggregates(self):
         results = [result_from([True] * 90 + [False] * 10),

@@ -1,9 +1,10 @@
-"""The batched slot kernel against the per-trace oracle.
+"""The batched slot kernel against the slot-loop oracle.
 
-``simulate_trace`` is the reference; ``simulate_batch`` must produce
-the element-for-element identical ``connected`` tensor across every
-TP-latency regime (carry, no-carry, never-realigns), worker count and
-corpus shape.
+``reference_simulate_trace`` (``tests/oracles.py``) is the reference;
+``simulate_batch`` and its one-trace pass ``simulate_trace`` must
+produce the element-for-element identical ``connected`` tensor across
+every TP-latency regime (carry, no-carry, never-realigns), worker
+count and corpus shape.
 """
 
 import warnings
@@ -11,16 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.motion import TraceBatch, generate_batch, generate_dataset
+from repro.motion import generate_batch
 from repro.parallel import ParallelFallbackWarning
 from repro.simulate import (
     BatchTimeslotResult,
     TimeslotParams,
     simulate_batch,
-    simulate_dataset,
     simulate_trace,
 )
 from repro.store import ColumnStore
+
+from .oracles import reference_simulate_trace
 
 SEED = 2022
 DUR = 5.0
@@ -33,21 +35,25 @@ def corpus():
 
 
 def _oracle(batch, params):
-    return [simulate_trace(trace, params) for trace in batch.traces()]
+    return [reference_simulate_trace(trace, params)
+            for trace in batch.traces()]
 
 
 class TestBitIdentity:
-    # Latencies straddle every kernel regime: 0 (no carry), 1/2
-    # (carry), 9 (carry nearly the whole interval), 10/15 (realignment
-    # never lands within the default 10-slot report).
-    @pytest.mark.parametrize("latency", [0, 1, 2, 9, 10, 15])
+    # Latencies straddle every kernel regime: 0 (no carry), 1..9
+    # (carry), 10..15 (realignment never lands within the default
+    # 10-slot report).
+    @pytest.mark.parametrize("latency", range(16))
     def test_matches_simulate_trace(self, corpus, latency):
         params = TimeslotParams(tp_latency_slots=latency)
         got = simulate_batch(corpus, params)
-        for row, want in zip(got.results(), _oracle(corpus, params)):
+        for row, trace, want in zip(got.results(), corpus.traces(),
+                                    _oracle(corpus, params)):
             assert np.array_equal(row.connected, want.connected)
             assert row.viewer == want.viewer
             assert row.video == want.video
+            one = simulate_trace(trace, params)
+            assert np.array_equal(one.connected, want.connected)
 
     def test_accepts_plain_trace_sequences(self, corpus):
         got = simulate_batch(corpus.traces())
@@ -69,14 +75,6 @@ class TestBitIdentity:
                                     chunk_size=2)
         assert np.array_equal(serial.connected, pooled.connected)
 
-    def test_dataset_engine_parity(self):
-        traces = generate_dataset(viewers=2, videos=2, duration_s=DUR)
-        loop = simulate_dataset(traces, engine="loop")
-        batch = simulate_dataset(traces, engine="batch")
-        for got, want in zip(batch, loop):
-            assert np.array_equal(got.connected, want.connected)
-            assert (got.viewer, got.video) == (want.viewer, want.video)
-
 
 class TestEdgeShapes:
     def test_empty_batch_of_traces(self):
@@ -94,7 +92,7 @@ class TestEdgeShapes:
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR,
                                seed=SEED)
         got = simulate_batch(batch)
-        want = simulate_trace(batch.trace(0))
+        want = reference_simulate_trace(batch.trace(0))
         assert np.array_equal(got.result(0).connected, want.connected)
 
     def test_trace_shorter_than_one_report(self):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.motion import HeadTrace, generate_trace
 from repro.simulate import TimeslotParams, simulate_trace
-from repro.simulate.timeslot import _simulate_trace_reference
+
+from .oracles import reference_simulate_trace
 
 
 def synthetic_trace(step_linear_m, step_angular_rad, dt_s=0.010):
@@ -40,6 +41,16 @@ class TestParams:
     def test_rejects_bad_slot(self):
         with pytest.raises(ValueError):
             TimeslotParams(slot_s=0.0)
+
+    def test_rejects_fractional_latency(self):
+        # A fractional latency never equals a slot index, so the
+        # realignment would silently never land.
+        with pytest.raises(ValueError, match="whole number"):
+            TimeslotParams(tp_latency_slots=2.5)
+        with pytest.raises(ValueError, match="negative"):
+            TimeslotParams(tp_latency_slots=-1)
+        params = TimeslotParams(tp_latency_slots=np.int64(3))
+        assert params.tp_latency_slots == 3
 
 
 class TestSimulateTrace:
@@ -106,7 +117,7 @@ class TestSimulateTrace:
 
 def _assert_matches_reference(trace, params):
     vectorized = simulate_trace(trace, params)
-    reference = _simulate_trace_reference(trace, params)
+    reference = reference_simulate_trace(trace, params)
     np.testing.assert_array_equal(vectorized.connected,
                                   reference.connected)
     assert vectorized.viewer == reference.viewer
@@ -157,12 +168,18 @@ class TestVectorizedMatchesReference:
         trace, params = pair
         _assert_matches_reference(trace, params)
 
-    @pytest.mark.parametrize("latency", [0, 1, 2, 9, 10, 11, 99])
+    @pytest.mark.parametrize("latency", [*range(16), 99])
     def test_latency_extremes_on_real_trace(self, latency):
         trace = generate_trace(viewer=2, video=3, seed=11,
                                duration_s=5.0)
-        _assert_matches_reference(
-            trace, TimeslotParams(tp_latency_slots=latency))
+        params = TimeslotParams(tp_latency_slots=latency)
+        _assert_matches_reference(trace, params)
+        # Short prefixes: no report, one (report 0 only), two (the
+        # first realignment), and a few.
+        for steps in (0, 1, 2, 7, 50):
+            _assert_matches_reference(
+                synthetic_trace(trace.step_linear_m[:steps],
+                                trace.step_angular_rad[:steps]), params)
 
     def test_real_trace_default_params(self):
         trace = generate_trace(viewer=0, video=0, seed=2022,
