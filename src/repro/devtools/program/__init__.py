@@ -4,7 +4,7 @@ Where ``repro lint`` checks one file at a time, this package parses
 all of ``src/repro`` once into a **project index** — module table,
 import graph, and a resolved call graph with per-function parameter /
 return unit signatures inferred from the repo's ``*_dbm`` / ``*_mw`` /
-``*_mrad`` suffix convention — then runs three interprocedural rule
+``*_mrad`` suffix convention — then runs its interprocedural rule
 families over it:
 
 * **L-series** — the import-layering contract (the explicit layer DAG
@@ -19,26 +19,11 @@ families over it:
   ``repro.determinism``, no RNG object crossing the ``parallel_map``
   process boundary, and every stochastic sink threaded a traceable
   ``rng=`` / ``seed=``;
-* **C-series** — static race detection over the per-function effect
-  summaries of :mod:`.effects`: workers mutating module globals,
-  absolute-index writes that can overlap across chunks, fork-unsafe
-  resources reaching a worker, and unordered item enumerations;
-* **W-series** — crash safety: truncating writes to published paths
+* **W-series** — crash safety over the effect inference of
+  :mod:`.effects`: truncating writes to published paths
   (tmp→rename scopes are proven safe interprocedurally), publish
   renames without a preceding fsync, and journal/manifest mutation
   outside the orchestrator's checksummed append path;
-* **S-series** — shape/axis contracts over the array-semantics
-  inference of :mod:`.arrays`: statically incompatible broadcasts at
-  call sites, sample-major ``(T, n, 3)`` trace tensors crossing the
-  ``motion``→``simulate`` boundary (the engines are axis-major
-  ``(T, 3, n)``), and unit-suffixed functions returning a freshly
-  constructed shape;
-* **Y-series** — dtype stability on the hot path: implicit
-  promotions of declared-dtype arrays, allocations without an
-  explicit ``dtype=``, and bool-array arithmetic that silently
-  upcasts;
-* **P-series** — hot-path discipline: per-iteration allocation and
-  vectorizable Python loops in the batch engines;
 * **E/B/R-series** — error contracts over the interprocedural
   exception-escape inference of :mod:`.exceptions`: escape-set
   violations (unclassifiable worker exceptions, CLI subcommands with
@@ -51,7 +36,7 @@ families over it:
 
 Run it as ``python -m repro analyze``.  The index is cached on disk
 keyed by content hash (warm re-runs skip parsing entirely), the
-effect, array, and exception fixpoints are cached as separate tiers,
+effect and exception fixpoints are cached as separate tiers,
 and findings ratchet against a committed baseline file — new findings
 fail, pre-existing ones are frozen until burned down.
 """
@@ -63,13 +48,6 @@ from .analyzer import (
     load_baseline,
     run_program_rules,
     write_baseline,
-)
-from .arrays import (
-    ArraySummary,
-    ArrayTable,
-    ArrayValue,
-    array_table,
-    arrays_key,
 )
 from .effects import (
     EffectSummary,
@@ -110,9 +88,6 @@ from .registry import (
 
 __all__ = [
     "AnalyzeResult",
-    "ArraySummary",
-    "ArrayTable",
-    "ArrayValue",
     "CallSite",
     "ClassInfo",
     "DEFAULT_BASELINE",
@@ -132,8 +107,6 @@ __all__ = [
     "ValueDesc",
     "all_program_rules",
     "analyze_paths",
-    "array_table",
-    "arrays_key",
     "build_index",
     "effect_table",
     "effects_key",

@@ -18,11 +18,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ...store.atomic import write_json_atomic
 from ..engine import LintResult, iter_python_files
 from ..findings import Finding
-from .arrays import (
-    ARRAYS_SCHEMA_VERSION,
-    attach_cached_array_table,
-    serialized_array_table,
-)
 from .effects import (
     EFFECTS_SCHEMA_VERSION,
     attach_cached_table,
@@ -57,8 +52,8 @@ class AnalyzeResult(LintResult):
 
     ``profile`` holds per-rule-family wall time ("families": letter →
     seconds, empty when the results tier short-circuited the run) and
-    cache hit/miss counters ("cache": results/effects/arrays/
-    exceptions tier state plus files reused vs. re-extracted) — what
+    cache hit/miss counters ("cache": results/effects/exceptions tier
+    state plus files reused vs. re-extracted) — what
     ``analyze --profile`` renders.
     """
 
@@ -147,7 +142,7 @@ def _run_key(shas: Dict[str, str],
                                                    ignore=ignore)]
     payload = json.dumps(
         [INDEX_SCHEMA_VERSION, EFFECTS_SCHEMA_VERSION,
-         ARRAYS_SCHEMA_VERSION, EXCEPTIONS_SCHEMA_VERSION,
+         EXCEPTIONS_SCHEMA_VERSION,
          sorted(shas.items()), sorted(rules)],
         sort_keys=True)
     return file_sha(payload)
@@ -178,7 +173,7 @@ def analyze_paths(paths: Sequence[str],
     payload: Dict[str, Any] = {}
     run_key = None
     cache_state = {"results": "miss", "effects": "miss",
-                   "arrays": "miss", "exceptions": "miss"}
+                   "exceptions": "miss"}
     if cache_dir is not None:
         payload = load_cache(cache_dir)
         shas = {}
@@ -193,7 +188,7 @@ def analyze_paths(paths: Sequence[str],
                            message=f["message"])
                    for f in results.get("findings", [])]
             cache_state = {"results": "hit", "effects": "hit",
-                           "arrays": "hit", "exceptions": "hit"}
+                           "exceptions": "hit"}
             return _finish(raw, baseline_path,
                            files_checked=int(results["files_checked"]),
                            suppressed=int(results["suppressed"]),
@@ -205,15 +200,12 @@ def analyze_paths(paths: Sequence[str],
                         cached_payload=payload if cache_dir else None,
                         save=False)
     if cache_dir is not None:
-        # Third through fifth cache tiers: reuse the effect-inference,
-        # array-semantics, and exception-escape fixpoints when every
-        # input file is unchanged (e.g. a warm run with a different
-        # --select missed the results tier but can still skip
-        # re-deriving the summaries).
+        # Third and fourth cache tiers: reuse the effect-inference and
+        # exception-escape fixpoints when every input file is unchanged
+        # (e.g. a warm run with a different --select missed the results
+        # tier but can still skip re-deriving the summaries).
         if attach_cached_table(index, payload.get("effects", {})):
             cache_state["effects"] = "hit"
-        if attach_cached_array_table(index, payload.get("arrays", {})):
-            cache_state["arrays"] = "hit"
         if attach_cached_exception_table(index,
                                          payload.get("exceptions", {})):
             cache_state["exceptions"] = "hit"
@@ -231,7 +223,6 @@ def analyze_paths(paths: Sequence[str],
         files: Dict[str, Any] = dict(payload.get("files", {}))
         files.update(index.cache_entries)
         effects = serialized_table(index) or payload.get("effects")
-        arrays = serialized_array_table(index) or payload.get("arrays")
         exceptions = serialized_exception_table(index) \
             or payload.get("exceptions")
         next_payload: Dict[str, Any] = {
@@ -245,8 +236,6 @@ def analyze_paths(paths: Sequence[str],
         }
         if effects is not None:
             next_payload["effects"] = effects
-        if arrays is not None:
-            next_payload["arrays"] = arrays
         if exceptions is not None:
             next_payload["exceptions"] = exceptions
         save_cache(cache_dir, next_payload)
@@ -267,7 +256,6 @@ def _profile(timings: Dict[str, float], cache_state: Dict[str, str],
         "cache": {
             "results": cache_state["results"],
             "effects": cache_state["effects"],
-            "arrays": cache_state["arrays"],
             "exceptions": cache_state["exceptions"],
             "files_cached": files_cached,
             "files_extracted": files_extracted,

@@ -161,8 +161,7 @@ def _print_profile(profile: dict, elapsed: float) -> None:
         print("profile: rule families not run "
               "(results cache hit)")
     tiers = ", ".join(f"{tier} {cache.get(tier, 'miss')}"
-                      for tier in ("results", "effects", "arrays",
-                                   "exceptions"))
+                      for tier in ("results", "effects", "exceptions"))
     print(f"profile: cache {tiers}; files "
           f"{cache.get('files_cached', 0)} cached / "
           f"{cache.get('files_extracted', 0)} extracted; total "

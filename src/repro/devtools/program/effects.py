@@ -1,8 +1,7 @@
 """Interprocedural effect inference over the resolved call graph.
 
 Every function in the index gets a conservative :class:`EffectSummary`
-— does it mutate module globals, write files (and to what kind of
-path), rename, fsync, spawn workers, hold fork-unsafe resources — and
+— does it write files (and to what kind of path), rename, fsync — and
 the summaries are propagated to a fixpoint along two edge kinds:
 
 * **call edges** (caller → resolved callee): a caller inherits its
@@ -14,13 +13,11 @@ the summaries are propagated to a fixpoint along two edge kinds:
   ``_write_meta(path, ...)`` — a raw ``open(path, "w")`` — is proven
   harmless: every caller hands it a hidden ``.tmp`` directory.
 * **containment edges** (enclosing function → nested def): defining a
-  closure is treated as potentially executing it, matching the
-  conservative per-function fact walk in :mod:`.extract`.
+  closure is treated as potentially executing it.
 
-The race rules (:mod:`.rules_concurrency`) consume ``mutates_globals``
-/ ``reads_globals`` / ``resources`` / ``index_writes``; the
-crash-safety rules (:mod:`.rules_crashsafety`) consume the write /
-rename / fsync events.  The finished table is persisted in the
+The crash-safety rules (:mod:`.rules_crashsafety`) consume the write /
+rename / fsync events, and E001 reuses :func:`resolve_worker` to find
+the callable a pool call runs.  The finished table is persisted in the
 analyzer's content-hash cache (keyed by every input file's SHA plus
 the schema versions), so a warm run that re-runs the rules — e.g.
 with a different ``--select`` — skips the fixpoint entirely.
@@ -43,7 +40,6 @@ from typing import (
 from .index import ProjectIndex, file_sha
 from .model import (
     INDEX_SCHEMA_VERSION,
-    RESOURCE_PRODUCERS,
     CallSite,
     FunctionInfo,
     ModuleInfo,
@@ -51,12 +47,7 @@ from .model import (
 )
 
 #: Bump when the summary shape or inference semantics change.
-EFFECTS_SCHEMA_VERSION = 1
-
-#: Callee leaves that push work onto worker processes.
-SPAWN_LEAVES = frozenset({
-    "parallel_map", "parallel_map_arrays", "PendingCall", "Process",
-    "ProcessPoolExecutor", "Pool"})
+EFFECTS_SCHEMA_VERSION = 2
 
 #: ``np.save``-family leaves: a whole-file write to their path arg.
 _NP_WRITE_LEAVES = frozenset({
@@ -129,44 +120,30 @@ class EffectSummary:
     """Conservative effects of one function (direct + propagated)."""
 
     key: str                          # "module.qualname"
-    mutates_globals: Set[str] = field(default_factory=set)
-    reads_globals: Set[str] = field(default_factory=set)
     writes_any: bool = False
     fsyncs: bool = False
-    spawns_worker: bool = False
     renames: Tuple[RenameEvent, ...] = ()
     param_writes: Set[Tuple[str, str]] = field(default_factory=set)
-    resources: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "key": self.key,
-            "mutates_globals": sorted(self.mutates_globals),
-            "reads_globals": sorted(self.reads_globals),
             "writes_any": self.writes_any,
             "fsyncs": self.fsyncs,
-            "spawns_worker": self.spawns_worker,
             "renames": [r.to_dict() for r in self.renames],
             "param_writes": sorted(list(pair)
                                    for pair in self.param_writes),
-            "resources": {name: list(value) for name, value
-                          in sorted(self.resources.items())},
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EffectSummary":
         return cls(
             key=payload["key"],
-            mutates_globals=set(payload["mutates_globals"]),
-            reads_globals=set(payload["reads_globals"]),
             writes_any=payload["writes_any"],
             fsyncs=payload["fsyncs"],
-            spawns_worker=payload["spawns_worker"],
             renames=tuple(RenameEvent.from_dict(r)
                           for r in payload["renames"]),
-            param_writes={(p, v) for p, v in payload["param_writes"]},
-            resources={name: (value[0], value[1]) for name, value
-                       in payload["resources"].items()})
+            param_writes={(p, v) for p, v in payload["param_writes"]})
 
 
 @dataclass
@@ -176,13 +153,9 @@ class EffectTable:
     ``published_writes`` holds every write whose destination is a path
     a reader could observe: direct anchors plus the ones derived by
     resolving a callee's parameter-scoped write at a call site.
-    ``module_resources`` maps each module to its module-level resource
-    bindings (``HANDLE = open(...)`` at import time).
     """
 
     summaries: Dict[str, EffectSummary] = field(default_factory=dict)
-    module_resources: Dict[str, Dict[str, Tuple[str, int]]] = \
-        field(default_factory=dict)
     published_writes: Tuple[WriteEvent, ...] = ()
     journal_events: Tuple[WriteEvent, ...] = ()
     from_cache: bool = False
@@ -195,11 +168,6 @@ class EffectTable:
         return {
             "summaries": {key: summary.to_dict() for key, summary
                           in sorted(self.summaries.items())},
-            "module_resources": {
-                module: {name: list(value) for name, value
-                         in sorted(bindings.items())}
-                for module, bindings
-                in sorted(self.module_resources.items())},
             "published_writes": [w.to_dict()
                                  for w in self.published_writes],
             "journal_events": [w.to_dict()
@@ -211,11 +179,6 @@ class EffectTable:
         return cls(
             summaries={key: EffectSummary.from_dict(s)
                        for key, s in payload["summaries"].items()},
-            module_resources={
-                module: {name: (value[0], value[1])
-                         for name, value in bindings.items()}
-                for module, bindings
-                in payload["module_resources"].items()},
             published_writes=tuple(
                 WriteEvent.from_dict(w)
                 for w in payload["published_writes"]),
@@ -433,44 +396,20 @@ class _CallEdge:
     call: Optional[CallSite]         # None for containment edges
 
 
-def _interesting_names(info: ModuleInfo,
-                       resources: Mapping[str, Tuple[str, int]]
-                       ) -> Set[str]:
-    return set(info.mutable_globals) | set(resources)
-
-
 def _build_table(index: ProjectIndex) -> EffectTable:
     table = EffectTable()
     edges: List[_CallEdge] = []
     published: Dict[Tuple[str, int, int, str], WriteEvent] = {}
     journalish: List[WriteEvent] = []
 
-    # Pass 1: module-level resources, then per-function direct facts.
+    # Pass 1: per-function direct facts.
     for module in sorted(index.modules):
         info = index.modules[module]
-        bindings: Dict[str, Tuple[str, int]] = {}
-        for call in info.calls:
-            if call.in_function == "" and call.bound_to and call.func \
-                    and _leaf(call.func) in RESOURCE_PRODUCERS:
-                bindings[call.bound_to] = (
-                    RESOURCE_PRODUCERS[_leaf(call.func)], call.lineno)
-        table.module_resources[module] = bindings
-
-    for module in sorted(index.modules):
-        info = index.modules[module]
-        interesting = _interesting_names(
-            info, table.module_resources[module])
-        for qualname, function in info.functions.items():
+        for qualname in info.functions:
             key = f"{module}.{qualname}"
-            summary = EffectSummary(key=key)
-            summary.mutates_globals = {
-                f"{module}.{name}" for name in function.global_writes}
-            summary.reads_globals = {
-                f"{module}.{name}" for name in function.reads
-                if name in interesting}
-            table.summaries[key] = summary
+            table.summaries[key] = EffectSummary(key=key)
         # Containment: defining a nested function is conservatively
-        # treated as executing it (matches extract._function_facts).
+        # treated as executing it.
         for qualname in info.functions:
             if "." not in qualname:
                 continue
@@ -520,15 +459,8 @@ def _build_table(index: ProjectIndex) -> EffectTable:
                     via=call.func, scope="published",
                     detail=rename.detail, mode="w"))
 
-            if summary is not None:
-                if leaf == "fsync":
-                    summary.fsyncs = True
-                if leaf in SPAWN_LEAVES:
-                    summary.spawns_worker = True
-                if call.bound_to and leaf in RESOURCE_PRODUCERS:
-                    summary.resources.setdefault(
-                        call.bound_to,
-                        (RESOURCE_PRODUCERS[leaf], call.lineno))
+            if summary is not None and leaf == "fsync":
+                summary.fsyncs = True
 
             # Call edge to a resolvable project function: imported /
             # module-level names via the index, local nested defs via
@@ -551,12 +483,6 @@ def _build_table(index: ProjectIndex) -> EffectTable:
             if caller is None or callee is None or caller is callee:
                 continue
             changed |= _merge_booleans(caller, callee)
-            if not callee.mutates_globals <= caller.mutates_globals:
-                caller.mutates_globals |= callee.mutates_globals
-                changed = True
-            if not callee.reads_globals <= caller.reads_globals:
-                caller.reads_globals |= callee.reads_globals
-                changed = True
             if edge.call is None:
                 # Containment: a nested def's param-scoped writes are
                 # its own; they do not re-parameterize the outer fn.
@@ -576,7 +502,7 @@ def _build_table(index: ProjectIndex) -> EffectTable:
 def _merge_booleans(caller: EffectSummary,
                     callee: EffectSummary) -> bool:
     changed = False
-    for attr in ("writes_any", "fsyncs", "spawns_worker"):
+    for attr in ("writes_any", "fsyncs"):
         if getattr(callee, attr) and not getattr(caller, attr):
             setattr(caller, attr, True)
             changed = True

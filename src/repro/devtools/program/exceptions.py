@@ -26,7 +26,7 @@ known to be raisable — the property the E/B/R rule families
 (:mod:`.rules_exceptions`) fire on.
 
 The finished table is persisted in the analyzer's content-hash cache
-(the fifth tier, keyed by every input file's SHA plus the schema
+(the fourth tier, keyed by every input file's SHA plus the schema
 versions), so a warm run skips the fixpoint entirely.
 """
 

@@ -16,15 +16,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..context import package_parts, parse_noqa
 from ..visitors import dotted_name, parameter_nodes, unit_suffix
 from .model import (
-    RESOURCE_PRODUCERS,
-    ArrayOp,
     CallGuard,
     CallSite,
     ClassInfo,
     FunctionInfo,
     HandlerSpec,
     ImportedName,
-    IndexWrite,
     ModuleInfo,
     ParamInfo,
     RaiseFact,
@@ -37,17 +34,17 @@ from .model import (
 RNG_PRODUCERS = frozenset({
     "resolve_rng", "spawn", "derive", "default_rng", "RandomState"})
 
-#: Constructor leaves yielding a mutable container at module scope.
-MUTABLE_CONSTRUCTORS = frozenset({
-    "dict", "list", "set", "defaultdict", "OrderedDict", "deque",
-    "bytearray", "Counter"})
-
-#: Method leaves that mutate their receiver in place.
-MUTATOR_METHODS = frozenset({
-    "append", "extend", "add", "update", "setdefault", "pop",
-    "popitem", "clear", "insert", "remove", "discard", "appendleft",
-    "sort", "reverse"})
-
+#: Callee leaves that hand back a resource needing cleanup when bound
+#: (the R002 leak shape).
+RESOURCE_PRODUCERS: Dict[str, str] = {
+    "open": "open file handle",
+    "memmap": "memmap",
+    "open_memmap": "memmap",
+    "SharedMemory": "SharedMemory segment",
+    "NamedTemporaryFile": "open file handle",
+    "TemporaryFile": "open file handle",
+    "Pipe": "pipe",
+}
 
 def module_name_for(path: str) -> str:
     """Dotted module name for a file, rooted at the ``repro`` package.
@@ -139,621 +136,6 @@ def describe_value(node: ast.expr) -> ValueDesc:
                          consts=consts_t)
     return ValueDesc(kind="other", names=names_t, calls=calls_t,
                      consts=consts_t)
-
-
-def _is_mutable_initializer(value: Optional[ast.expr]) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                          ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call):
-        callee = dotted_name(value.func)
-        return callee is not None and \
-            _leaf(callee) in MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _module_prepass(
-        stmts: Sequence[ast.stmt]) -> Tuple[Set[str], Set[str]]:
-    """(top-level bound names, mutable-container names) of a module."""
-    names: Set[str] = set()
-    mutable: Set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-                    if _is_mutable_initializer(stmt.value):
-                        mutable.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and \
-                isinstance(stmt.target, ast.Name):
-            names.add(stmt.target.id)
-            if _is_mutable_initializer(stmt.value):
-                mutable.add(stmt.target.id)
-        elif isinstance(stmt, (ast.If, ast.Try)):
-            for block in _nested_bodies(stmt):
-                sub_names, sub_mutable = _module_prepass(block)
-                names |= sub_names
-                mutable |= sub_mutable
-    return names, mutable
-
-
-def _subscript_base(node: ast.Subscript) -> Optional[str]:
-    return dotted_name(node.value)
-
-
-def _index_write(node: ast.Subscript) -> Optional[IndexWrite]:
-    base = _subscript_base(node)
-    if base is None:
-        return None
-    index = node.slice
-    kind = "slice" if isinstance(index, ast.Slice) else "expr"
-    names, _ = _free_names(index) if isinstance(index, ast.expr) \
-        else (set(), set())
-    return IndexWrite(
-        target=base, index_kind=kind, index_text=ast.unparse(index),
-        names=tuple(sorted(names)), lineno=node.lineno,
-        col=node.col_offset)
-
-
-def _function_facts(
-        node: ast.AST, module_names: Set[str],
-) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[IndexWrite, ...]]:
-    """(global_writes, free reads, index writes) for one def body.
-
-    Walks the whole def including nested functions — a nested worker
-    closure mutating a module global makes the enclosing function an
-    effectful one, which is exactly the conservative view the race
-    rules need.  A name is treated as a module global when it is bound
-    at module scope and not rebound anywhere inside the def (params
-    and local assignments shadow), or when declared ``global``.
-    """
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    bound: Set[str] = set()
-    declared_global: Set[str] = set()
-    loaded: Set[str] = set()
-    store_targets: List[ast.expr] = []
-    mutator_calls: List[ast.Call] = []
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            if isinstance(child.ctx, ast.Load):
-                loaded.add(child.id)
-            else:
-                bound.add(child.id)
-        elif isinstance(child, ast.arg):
-            bound.add(child.arg)
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)) and child is not node:
-            bound.add(child.name)
-        elif isinstance(child, ast.Global):
-            declared_global.update(child.names)
-        elif isinstance(child, (ast.Import, ast.ImportFrom)):
-            for alias in child.names:
-                bound.add(alias.asname
-                          or alias.name.split(".")[0])
-        elif isinstance(child, ast.Assign):
-            store_targets.extend(child.targets)
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            store_targets.append(child.target)
-        elif isinstance(child, ast.Call) and \
-                isinstance(child.func, ast.Attribute) and \
-                child.func.attr in MUTATOR_METHODS:
-            mutator_calls.append(child)
-
-    def _refers_to_global(name: str) -> bool:
-        if name in declared_global:
-            return True
-        return name in module_names and name not in bound
-
-    global_writes: Set[str] = set()
-    index_writes: List[IndexWrite] = []
-    for target in store_targets:
-        if isinstance(target, ast.Tuple):
-            elements: List[ast.expr] = list(target.elts)
-        else:
-            elements = [target]
-        for element in elements:
-            if isinstance(element, ast.Name):
-                if element.id in declared_global:
-                    global_writes.add(element.id)
-            elif isinstance(element, ast.Subscript):
-                write = _index_write(element)
-                if write is not None:
-                    index_writes.append(write)
-                    root = write.target.split(".")[0]
-                    if _refers_to_global(root):
-                        global_writes.add(root)
-            elif isinstance(element, ast.Attribute):
-                dotted = dotted_name(element)
-                if dotted is not None:
-                    root = dotted.split(".")[0]
-                    if _refers_to_global(root):
-                        global_writes.add(root)
-    for call in mutator_calls:
-        assert isinstance(call.func, ast.Attribute)
-        receiver = dotted_name(call.func.value)
-        if receiver is not None and \
-                _refers_to_global(receiver.split(".")[0]):
-            global_writes.add(receiver.split(".")[0])
-    reads = loaded - bound
-    index_writes.sort(key=lambda w: (w.lineno, w.col))
-    return (tuple(sorted(global_writes)), tuple(sorted(reads)),
-            tuple(index_writes))
-
-
-# -- array-semantics facts ---------------------------------------------------
-
-#: Allocation leaves whose dtype defaults silently (Y002 candidates).
-DTYPE_REQUIRED_LEAVES = frozenset({"empty", "zeros", "ones", "full"})
-
-#: All allocation leaves (value-derived dtypes included).
-_ALLOC_LEAVES = DTYPE_REQUIRED_LEAVES | frozenset({
-    "array", "arange", "linspace", "eye", "identity", "frombuffer",
-    "fromiter"})
-
-_LIKE_LEAVES = frozenset({
-    "empty_like", "zeros_like", "ones_like", "full_like"})
-
-#: ``np.``-namespace leaves that build a new array by concatenation.
-_CONCAT_LEAVES = frozenset({
-    "concatenate", "append", "stack", "vstack", "hstack", "dstack",
-    "column_stack", "block", "tile", "repeat"})
-
-_CONVERT_LEAVES = frozenset({
-    "asarray", "ascontiguousarray", "asfortranarray"})
-
-_VIEW_LEAVES = frozenset({
-    "reshape", "transpose", "ravel", "swapaxes", "view", "squeeze",
-    "flatten", "broadcast_to"})
-
-_AXIS_LEAVES = frozenset({
-    "sum", "cumsum", "cumprod", "mean", "std", "var", "median",
-    "prod", "max", "min", "amax", "amin", "argmax", "argmin", "all",
-    "any", "count_nonzero", "diff", "norm", "lfilter", "nanmean",
-    "nansum", "percentile", "quantile", "sort", "take"})
-
-_UFUNC_LEAVES = frozenset({
-    "add", "subtract", "multiply", "divide", "true_divide",
-    "floor_divide", "power", "mod", "sqrt", "exp", "log", "log2",
-    "log10", "abs", "absolute", "minimum", "maximum", "where", "clip",
-    "less", "less_equal", "greater", "greater_equal", "equal",
-    "not_equal", "logical_and", "logical_or", "logical_not", "hypot",
-    "arctan2", "sin", "cos", "tan", "radians", "degrees"})
-
-_OBJECT_LEAVES = frozenset({
-    "dict", "set", "defaultdict", "OrderedDict", "Counter"})
-
-_BINOP_SYMBOLS = {
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-    ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**",
-    ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
-    ast.LShift: "<<", ast.RShift: ">>", ast.MatMult: "@",
-}
-
-_COMPARE_SYMBOLS = {
-    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-    ast.Eq: "==", ast.NotEq: "!=",
-}
-
-
-def _normalize_dtype(text: str) -> str:
-    """Canonical dtype token of a ``dtype=`` expression string."""
-    text = text.strip().strip("'\"")
-    for prefix in ("np.", "numpy."):
-        if text.startswith(prefix):
-            text = text[len(prefix):]
-    return {
-        "float": "float64", "bool_": "bool", "bool8": "bool",
-        "int": "int64", "double": "float64",
-    }.get(text, text)
-
-
-def _dtype_argument(node: ast.Call, position: int) -> Optional[str]:
-    """The normalized explicit dtype of an allocation call, if any."""
-    for kw in node.keywords:
-        if kw.arg == "dtype":
-            return _normalize_dtype(ast.unparse(kw.value))
-    if 0 <= position < len(node.args):
-        arg = node.args[position]
-        if not isinstance(arg, ast.Starred):
-            return _normalize_dtype(ast.unparse(arg))
-    return None
-
-
-def _shape_dims(node: Optional[ast.expr]) -> Optional[Tuple[str, ...]]:
-    """Per-dimension shape expressions of a literal shape argument."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Tuple):
-        return tuple(ast.unparse(element) for element in node.elts)
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return (str(node.value),)
-    return None
-
-
-def _operand_names(*nodes: ast.expr) -> Tuple[Tuple[str, ...],
-                                              Tuple[str, ...]]:
-    """(plain-name operands, subscripted base names) of expressions."""
-    plain: List[str] = []
-    subs: List[str] = []
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            plain.append(node.id)
-        elif isinstance(node, ast.Subscript):
-            base = dotted_name(node.value)
-            if base is not None and "." not in base:
-                subs.append(base)
-        elif isinstance(node, ast.UnaryOp):
-            inner_plain, inner_subs = _operand_names(node.operand)
-            plain.extend(inner_plain)
-            subs.extend(inner_subs)
-    return tuple(plain), tuple(subs)
-
-
-def _const_kind(*nodes: ast.expr) -> str:
-    """``float`` / ``int`` / ``bool`` when a literal operand appears."""
-    for node in nodes:
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return "bool"
-            if isinstance(node.value, float):
-                return "float"
-            if isinstance(node.value, int):
-                return "int"
-    return ""
-
-
-class _ArrayFactsCollector:
-    """Collect :class:`ArrayOp` facts for one def body.
-
-    Nested defs and classes are skipped (they collect their own
-    facts).  ``for`` / ``while`` statements raise the loop depth;
-    comprehensions deliberately do not — a comprehension is a single
-    vectorizable expression, not the per-element Python loop the
-    hot-path rules police.
-    """
-
-    def __init__(self) -> None:
-        self.ops: List[ArrayOp] = []
-        self.depth = 0
-
-    # -- statements ----------------------------------------------------------
-
-    def walk(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._statement(stmt)
-
-    def _statement(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._for(stmt)
-            return
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test, None)
-            self.depth += 1
-            self.walk(stmt.body)
-            self.walk(stmt.orelse)
-            self.depth -= 1
-            return
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            bound: Optional[str] = None
-            if isinstance(stmt, ast.Assign):
-                if len(stmt.targets) == 1 and \
-                        isinstance(stmt.targets[0], ast.Name):
-                    bound = stmt.targets[0].id
-            elif isinstance(stmt.target, ast.Name):
-                bound = stmt.target.id
-            if stmt.value is not None:
-                self._binding(stmt.value, bound)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._augassign(stmt)
-            return
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._binding(stmt.value, "<ret>")
-            return
-        for block in _nested_bodies(stmt):
-            self.walk(block)
-        for expr in _own_expressions(stmt):
-            self._expr(expr, None)
-
-    def _binding(self, value: ast.expr, bound: Optional[str]) -> None:
-        """Record the value's ops; kill the target if none bound it."""
-        before = len(self.ops)
-        self._expr(value, bound)
-        if bound is None:
-            return
-        if any(op.bound_to == bound for op in self.ops[before:]):
-            return
-        self._record("kill", "", value, bound_to=bound)
-
-    def _for(self, stmt: ast.stmt) -> None:
-        assert isinstance(stmt, (ast.For, ast.AsyncFor))
-        target = stmt.target.id if isinstance(stmt.target, ast.Name) \
-            else None
-        iter_call = dotted_name(stmt.iter.func) or "" \
-            if isinstance(stmt.iter, ast.Call) else ""
-        if _leaf(iter_call) == "range" and target is not None:
-            detail, operands = self._range_body_facts(stmt.body, target)
-            self._record("iter", "range", stmt, operands=operands,
-                         detail=detail)
-        elif isinstance(stmt.iter, ast.Name):
-            self._record("iter", "", stmt,
-                         operands=(stmt.iter.id,), detail="name")
-        else:
-            plain, subs = _operand_names(stmt.iter)
-            self._record("iter", iter_call, stmt, operands=plain,
-                         subs=subs, detail="plain")
-        self._expr(stmt.iter, None)
-        self.depth += 1
-        self.walk(stmt.body)
-        self.walk(stmt.orelse)
-        self.depth -= 1
-
-    def _range_body_facts(self, body: Sequence[ast.stmt],
-                          loop_var: str) -> Tuple[str, Tuple[str, ...]]:
-        """Classify a ``for i in range(...)`` body for rule P002.
-
-        ``elementwise``: arrays are subscripted only with the bare loop
-        variable and the body does arithmetic — a vectorized op could
-        replace the loop.  ``scan``: some index offsets the loop
-        variable (``out[i - 1]``) or a plain name accumulates via an
-        augmented assignment — a loop-carried recurrence no single
-        ufunc expresses, exempt.  ``plain``: nothing indexed by the
-        loop var.
-        """
-        pure: Set[str] = set()
-        offset = False
-        has_arith = False
-        for stmt in body:
-            for child in ast.walk(stmt):
-                if isinstance(child, ast.AugAssign) and \
-                        isinstance(child.target, ast.Name):
-                    offset = True
-                if isinstance(child, (ast.BinOp, ast.AugAssign)):
-                    has_arith = True
-                if not isinstance(child, ast.Subscript):
-                    continue
-                base = dotted_name(child.value)
-                if base is None or "." in base:
-                    continue
-                index = child.slice
-                names, _ = _free_names(index) \
-                    if isinstance(index, ast.expr) else (set(), set())
-                if loop_var not in names:
-                    continue
-                if self._pure_index(index, loop_var):
-                    pure.add(base)
-                else:
-                    offset = True
-        if offset:
-            return "scan", tuple(sorted(pure))
-        if pure and has_arith:
-            return "elementwise", tuple(sorted(pure))
-        return "plain", tuple(sorted(pure))
-
-    @staticmethod
-    def _pure_index(index: ast.expr, loop_var: str) -> bool:
-        """Is the subscript exactly the loop var (plus full slices)?"""
-        elements = list(index.elts) if isinstance(index, ast.Tuple) \
-            else [index]
-        for element in elements:
-            if isinstance(element, ast.Name):
-                continue
-            if isinstance(element, ast.Constant):
-                continue
-            if isinstance(element, ast.Slice) and \
-                    element.lower is None and element.upper is None \
-                    and element.step is None:
-                continue
-            return False
-        return True
-
-    def _augassign(self, stmt: ast.AugAssign) -> None:
-        symbol = _BINOP_SYMBOLS.get(type(stmt.op), "?")
-        target_plain, target_subs = _operand_names(stmt.target)
-        value_plain, value_subs = _operand_names(stmt.value)
-        bound = stmt.target.id \
-            if isinstance(stmt.target, ast.Name) else None
-        self._record(
-            "ufunc", symbol, stmt,
-            operands=target_plain + value_plain,
-            subs=target_subs + value_subs, bound_to=bound,
-            detail=_const_kind(stmt.value))
-        self._expr(stmt.value, None)
-
-    # -- expressions ---------------------------------------------------------
-
-    def _expr(self, expr: ast.expr, bound: Optional[str]) -> None:
-        if isinstance(expr, ast.Call):
-            self._call(expr, bound)
-            return
-        if isinstance(expr, ast.BinOp):
-            plain, subs = _operand_names(expr.left, expr.right)
-            self._record(
-                "ufunc", _BINOP_SYMBOLS.get(type(expr.op), "?"), expr,
-                operands=plain, subs=subs, bound_to=bound,
-                detail=_const_kind(expr.left, expr.right))
-            self._expr(expr.left, None)
-            self._expr(expr.right, None)
-            return
-        if isinstance(expr, ast.Compare):
-            comparators = [expr.left] + list(expr.comparators)
-            plain, subs = _operand_names(*comparators)
-            symbol = _COMPARE_SYMBOLS.get(type(expr.ops[0]), "?")
-            self._record("ufunc", symbol, expr, operands=plain,
-                         subs=subs, bound_to=bound,
-                         detail=_const_kind(*comparators))
-            for operand in comparators:
-                self._expr(operand, None)
-            return
-        if isinstance(expr, ast.Name):
-            if bound is not None:
-                self._record("name", "", expr, operands=(expr.id,),
-                             bound_to=bound)
-            return
-        if isinstance(expr, ast.Attribute):
-            if expr.attr == "T" and bound is not None:
-                base = dotted_name(expr.value)
-                if base is not None and "." not in base:
-                    self._record("view", ".T", expr, operands=(base,),
-                                 bound_to=bound)
-                    return
-            self._expr(expr.value, None)
-            return
-        if isinstance(expr, ast.Subscript):
-            if bound is not None:
-                base = dotted_name(expr.value)
-                if base is not None and "." not in base:
-                    self._record("view", "[]", expr, subs=(base,),
-                                 bound_to=bound)
-            for child in ast.iter_child_nodes(expr):
-                if isinstance(child, ast.expr):
-                    self._expr(child, None)
-            return
-        if isinstance(expr, (ast.Dict, ast.DictComp)):
-            self._record("object", "dict", expr, bound_to=bound)
-        elif isinstance(expr, (ast.Set, ast.SetComp)):
-            self._record("object", "set", expr, bound_to=bound)
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                self._expr(child, None)
-
-    def _call(self, node: ast.Call, bound: Optional[str]) -> None:
-        dotted = dotted_name(node.func)
-        receiver: Optional[str] = None
-        if dotted is not None:
-            leaf = _leaf(dotted)
-            if "." in dotted:
-                receiver = dotted[:-(len(leaf) + 1)]
-        elif isinstance(node.func, ast.Attribute):
-            leaf = node.func.attr
-        else:
-            leaf = ""
-        self._classify_call(node, bound, leaf, receiver,
-                            dotted or leaf)
-        for operand in _call_operands(node):
-            self._expr(operand, None)
-
-    def _classify_call(self, node: ast.Call, bound: Optional[str],
-                       leaf: str, receiver: Optional[str],
-                       func: str) -> None:
-        np_ns = receiver is None or receiver in ("np", "numpy")
-        first = node.args[0] if node.args and \
-            not isinstance(node.args[0], ast.Starred) else None
-        first_plain, first_subs = _operand_names(first) \
-            if first is not None else ((), ())
-        if leaf in _ALLOC_LEAVES and np_ns:
-            detail = ""
-            dims = None
-            if leaf in DTYPE_REQUIRED_LEAVES:
-                dims = _shape_dims(first)
-                position = 2 if leaf == "full" else 1
-            elif leaf == "array":
-                position = 1
-                if isinstance(first, (ast.List, ast.Tuple,
-                                      ast.ListComp, ast.GeneratorExp)):
-                    detail = "literal"
-            else:
-                position = {"arange": 4, "linspace": 5,
-                            "eye": 2}.get(leaf, 1)
-            self._record("alloc", func, node, dims=dims,
-                         dtype=_dtype_argument(node, position),
-                         bound_to=bound, detail=detail)
-        elif leaf in _LIKE_LEAVES and np_ns:
-            self._record("alloc_like", func, node,
-                         operands=first_plain, subs=first_subs,
-                         dtype=_dtype_argument(node, 1), bound_to=bound)
-        elif leaf == "astype":
-            plain, subs = _operand_names(node.func.value) \
-                if isinstance(node.func, ast.Attribute) else ((), ())
-            self._record("cast", func, node, operands=plain, subs=subs,
-                         dtype=_dtype_argument(node, 0), bound_to=bound)
-        elif leaf in _CONVERT_LEAVES and np_ns:
-            self._record("convert", func, node, operands=first_plain,
-                         subs=first_subs,
-                         dtype=_dtype_argument(node, 1), bound_to=bound)
-        elif leaf == "copy":
-            operands = first_plain
-            subs = first_subs
-            if receiver is not None and \
-                    receiver not in ("np", "numpy") and \
-                    "." not in receiver:
-                operands = (receiver,)
-                subs = ()
-            self._record("copy", func, node, operands=operands,
-                         subs=subs, bound_to=bound)
-        elif leaf in _CONCAT_LEAVES and receiver in ("np", "numpy"):
-            names, _ = _free_names(first) if first is not None \
-                else (set(), set())
-            self._record("concat", func, node,
-                         operands=tuple(sorted(names)), bound_to=bound)
-        elif leaf in _VIEW_LEAVES and \
-                (receiver is None or receiver not in ("np", "numpy")):
-            operands = (receiver,) if receiver is not None and \
-                "." not in receiver else ()
-            self._record("view", func, node, operands=operands,
-                         bound_to=bound)
-        elif leaf in _AXIS_LEAVES:
-            operands = first_plain
-            subs = first_subs
-            if receiver is not None and \
-                    receiver not in ("np", "numpy", "np.linalg",
-                                     "numpy.linalg", "math"):
-                if "." not in receiver:
-                    operands, subs = (receiver,), ()
-                else:
-                    operands, subs = (), ()
-            axis = None
-            for kw in node.keywords:
-                if kw.arg == "axis":
-                    axis = ast.unparse(kw.value)
-            self._record("axis", func, node, operands=operands,
-                         subs=subs, axis=axis, bound_to=bound)
-        elif leaf in _UFUNC_LEAVES and \
-                (receiver in ("np", "numpy") or
-                 (receiver is None and leaf in ("where", "clip"))):
-            plain, subs = _operand_names(*[
-                a for a in node.args if not isinstance(a, ast.Starred)])
-            detail = _const_kind(*[
-                a for a in node.args if not isinstance(a, ast.Starred)])
-            if any(kw.arg == "out" for kw in node.keywords):
-                detail = (detail + ",out").lstrip(",")
-            self._record("ufunc", func, node, operands=plain,
-                         subs=subs, bound_to=bound, detail=detail)
-        elif leaf in _OBJECT_LEAVES and receiver is None:
-            self._record("object", leaf, node, bound_to=bound)
-
-    def _record(self, kind: str, func: str, node: ast.AST,
-                operands: Tuple[str, ...] = (),
-                subs: Tuple[str, ...] = (),
-                dims: Optional[Tuple[str, ...]] = None,
-                dtype: Optional[str] = None,
-                axis: Optional[str] = None,
-                bound_to: Optional[str] = None,
-                detail: str = "") -> None:
-        self.ops.append(ArrayOp(
-            kind=kind, func=func,
-            lineno=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            loop_depth=self.depth, bound_to=bound_to,
-            operands=operands, subs=subs, dims=dims, dtype=dtype,
-            axis=axis, detail=detail))
-
-
-def _array_facts(node: ast.AST) -> Tuple[ArrayOp, ...]:
-    """The :class:`ArrayOp` facts of one def body (nested defs skip)."""
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    collector = _ArrayFactsCollector()
-    collector.walk(node.body)
-    return tuple(collector.ops)
 
 
 # -- exception-flow facts ----------------------------------------------------
@@ -1036,8 +418,6 @@ class _ModuleExtractor:
         self.classes: Dict[str, ClassInfo] = {}
         self.calls: List[CallSite] = []
         self.bindings: Dict[str, str] = {}
-        self.module_names: Set[str] = set()
-        self.mutable_globals: Set[str] = set()
         self._scope: List[str] = []        # enclosing def/class names
         self._function_depth = 0
 
@@ -1138,17 +518,12 @@ class _ModuleExtractor:
         rng_sources = {p.name for p in params
                        if p.name == "rng" or p.name.endswith("_rng")
                        or (p.annotation and "Generator" in p.annotation)}
-        global_writes, reads, index_writes = _function_facts(
-            node, self.module_names)
         try_facts, raise_facts, call_guards, resource_facts, \
             returned_names = _exception_facts(node)
         self.functions[qualname] = FunctionInfo(
             qualname=qualname, lineno=node.lineno,
             params=tuple(params), is_method=in_class,
             rng_sources=tuple(sorted(rng_sources)),
-            global_writes=global_writes, reads=reads,
-            index_writes=index_writes,
-            array_ops=_array_facts(node),
             try_facts=try_facts, raise_facts=raise_facts,
             call_guards=call_guards, resource_facts=resource_facts,
             returned_names=returned_names)
@@ -1184,9 +559,6 @@ class _ModuleExtractor:
             params=info.params, is_method=info.is_method,
             calls_resolve_rng=calls_resolve,
             rng_sources=tuple(sorted(sources)),
-            global_writes=info.global_writes, reads=info.reads,
-            index_writes=info.index_writes,
-            array_ops=info.array_ops,
             try_facts=info.try_facts, raise_facts=info.raise_facts,
             call_guards=info.call_guards,
             resource_facts=info.resource_facts,
@@ -1259,8 +631,8 @@ class _ModuleExtractor:
         """``with open(p) as fh:`` binds ``fh`` like an assignment.
 
         The generic compound-statement walk would record the call but
-        lose the binding; the resource-tracking rules need it to see
-        which local holds the open handle.
+        lose the binding, which the call-site rules read as
+        ``bound_to``.
         """
         assert isinstance(stmt, (ast.With, ast.AsyncWith))
         for item in stmt.items:
@@ -1340,8 +712,6 @@ def extract_module(path: str, source: str, sha: str) -> ModuleInfo:
     if not path.replace("\\", "/").endswith("__init__.py"):
         extractor.package = module.rsplit(".", 1)[0] \
             if "." in module else module
-    extractor.module_names, extractor.mutable_globals = \
-        _module_prepass(tree.body)
     extractor.walk(tree.body)
     return ModuleInfo(
         module=module, path=path, sha=sha,
@@ -1350,5 +720,4 @@ def extract_module(path: str, source: str, sha: str) -> ModuleInfo:
         classes=extractor.classes,
         calls=tuple(extractor.calls),
         bindings=extractor.bindings,
-        suppressions=parse_noqa(source),
-        mutable_globals=tuple(sorted(extractor.mutable_globals)))
+        suppressions=parse_noqa(source))

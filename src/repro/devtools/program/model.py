@@ -14,21 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 #: Bump when the extracted shape changes; stale caches are discarded.
-INDEX_SCHEMA_VERSION = 5
-
-#: Callee leaves that hand back a fork-unsafe resource when bound.
-#: Shared by the effect inference (fork safety) and the exception
-#: extractor (cleanup discipline); lives here because both the
-#: extractor and the inference layers need it without a cycle.
-RESOURCE_PRODUCERS: Mapping[str, str] = {
-    "open": "open file handle",
-    "memmap": "memmap",
-    "open_memmap": "memmap",
-    "SharedMemory": "SharedMemory segment",
-    "NamedTemporaryFile": "open file handle",
-    "TemporaryFile": "open file handle",
-    "Pipe": "pipe",
-}
+INDEX_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -137,103 +123,6 @@ class CallSite:
                            for name, value in payload["keywords"]),
             bound_to=payload["bound_to"],
             in_function=payload["in_function"])
-
-
-@dataclass(frozen=True)
-class IndexWrite:
-    """One subscript store (``target[index] = ...``) inside a function.
-
-    ``target`` is the dotted base being written, ``index_kind`` is
-    ``"slice"`` or ``"expr"``, ``index_text`` the unparsed index, and
-    ``names`` every plain name loaded inside the index expression —
-    what the chunk-overlap rule reasons about symbolically.
-    """
-
-    target: str
-    index_kind: str
-    index_text: str
-    names: Tuple[str, ...] = ()
-    lineno: int = 0
-    col: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": self.target, "index_kind": self.index_kind,
-            "index_text": self.index_text, "names": list(self.names),
-            "lineno": self.lineno, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "IndexWrite":
-        return cls(target=payload["target"],
-                   index_kind=payload["index_kind"],
-                   index_text=payload["index_text"],
-                   names=tuple(payload["names"]),
-                   lineno=payload["lineno"], col=payload["col"])
-
-
-@dataclass(frozen=True)
-class ArrayOp:
-    """One array-semantics fact inside a function body.
-
-    ``kind`` classifies the operation: ``alloc`` (a constructor with a
-    shape expression), ``alloc_like`` (``*_like`` constructors that
-    inherit shape and dtype), ``cast`` (``.astype``), ``convert``
-    (``asarray`` family — a view-or-copy that preserves both), ``copy``
-    / ``view`` (explicit copies and reshapes), ``concat`` (shape-growing
-    ``np.concatenate`` family), ``ufunc`` (elementwise arithmetic,
-    comparisons, np ufunc calls — ``func`` is the operator symbol or
-    callee), ``axis`` (axis-consuming reductions and scans), ``iter``
-    (a Python ``for`` loop — ``detail`` marks ``elementwise`` /
-    ``scan`` / ``name`` / ``plain``), ``object`` (dict/set
-    construction), ``name`` (plain aliasing) and
-    ``kill`` (the bound name was reassigned to something opaque).
-
-    ``operands`` holds plain-name operands (shape and dtype flow),
-    ``subs`` subscripted base names (only dtype flows — a sliced view
-    has a different shape).  ``loop_depth`` counts enclosing ``for`` /
-    ``while`` statements — comprehensions are deliberately *not* loops.
-    ``bound_to`` is the assignment target (``<ret>`` for a returned
-    expression).
-    """
-
-    kind: str
-    func: str
-    lineno: int
-    col: int
-    loop_depth: int = 0
-    bound_to: Optional[str] = None
-    operands: Tuple[str, ...] = ()
-    subs: Tuple[str, ...] = ()
-    dims: Optional[Tuple[str, ...]] = None
-    dtype: Optional[str] = None
-    axis: Optional[str] = None
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "func": self.func,
-            "lineno": self.lineno, "col": self.col,
-            "loop_depth": self.loop_depth, "bound_to": self.bound_to,
-            "operands": list(self.operands), "subs": list(self.subs),
-            "dims": list(self.dims) if self.dims is not None else None,
-            "dtype": self.dtype, "axis": self.axis,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ArrayOp":
-        dims = payload["dims"]
-        return cls(
-            kind=payload["kind"], func=payload["func"],
-            lineno=payload["lineno"], col=payload["col"],
-            loop_depth=payload["loop_depth"],
-            bound_to=payload["bound_to"],
-            operands=tuple(payload["operands"]),
-            subs=tuple(payload["subs"]),
-            dims=tuple(dims) if dims is not None else None,
-            dtype=payload["dtype"], axis=payload["axis"],
-            detail=payload["detail"])
 
 
 @dataclass(frozen=True)
@@ -437,12 +326,6 @@ class FunctionInfo:
     lists local names known to hold an RNG (parameters named ``rng`` /
     ``*_rng`` or annotated ``Generator``, and names assigned from
     ``resolve_rng`` / ``spawn`` / ``derive`` / ``default_rng`` calls).
-    ``global_writes`` names module-level bindings the body rebinds or
-    mutates in place, ``reads`` the free names loaded from enclosing
-    scopes, and ``index_writes`` every subscript store — the raw facts
-    the effect-inference pass summarizes.  ``array_ops`` are the raw
-    array-semantics facts (:class:`ArrayOp`, nested defs excluded) the
-    array-inference pass consumes.
 
     ``try_facts`` / ``raise_facts`` / ``call_guards`` /
     ``resource_facts`` are the raw exception-flow facts (nested defs
@@ -457,10 +340,6 @@ class FunctionInfo:
     is_method: bool = False
     calls_resolve_rng: bool = False
     rng_sources: Tuple[str, ...] = ()
-    global_writes: Tuple[str, ...] = ()
-    reads: Tuple[str, ...] = ()
-    index_writes: Tuple[IndexWrite, ...] = ()
-    array_ops: Tuple[ArrayOp, ...] = ()
     try_facts: Tuple[TryFact, ...] = ()
     raise_facts: Tuple[RaiseFact, ...] = ()
     call_guards: Tuple[CallGuard, ...] = ()
@@ -480,10 +359,6 @@ class FunctionInfo:
             "is_method": self.is_method,
             "calls_resolve_rng": self.calls_resolve_rng,
             "rng_sources": list(self.rng_sources),
-            "global_writes": list(self.global_writes),
-            "reads": list(self.reads),
-            "index_writes": [w.to_dict() for w in self.index_writes],
-            "array_ops": [op.to_dict() for op in self.array_ops],
             "try_facts": [t.to_dict() for t in self.try_facts],
             "raise_facts": [r.to_dict() for r in self.raise_facts],
             "call_guards": [c.to_dict() for c in self.call_guards],
@@ -501,12 +376,6 @@ class FunctionInfo:
             is_method=payload["is_method"],
             calls_resolve_rng=payload["calls_resolve_rng"],
             rng_sources=tuple(payload["rng_sources"]),
-            global_writes=tuple(payload["global_writes"]),
-            reads=tuple(payload["reads"]),
-            index_writes=tuple(IndexWrite.from_dict(w)
-                               for w in payload["index_writes"]),
-            array_ops=tuple(ArrayOp.from_dict(op)
-                            for op in payload["array_ops"]),
             try_facts=tuple(TryFact.from_dict(t)
                             for t in payload["try_facts"]),
             raise_facts=tuple(RaiseFact.from_dict(r)
@@ -558,13 +427,7 @@ class ClassInfo:
 
 @dataclass(frozen=True)
 class ModuleInfo:
-    """Everything the analyzer knows about one source file.
-
-    ``mutable_globals`` names module-level bindings initialized to a
-    mutable container (list/dict/set literal or constructor) — the
-    shared state the race rules treat as hazardous to capture across a
-    worker boundary.
-    """
+    """Everything the analyzer knows about one source file."""
 
     module: str
     path: str
@@ -575,7 +438,6 @@ class ModuleInfo:
     calls: Tuple[CallSite, ...] = ()
     bindings: Dict[str, str] = field(default_factory=dict)
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    mutable_globals: Tuple[str, ...] = ()
 
     def is_suppressed(self, line: int, rule_id: str) -> bool:
         rules = self.suppressions.get(line)
@@ -596,7 +458,6 @@ class ModuleInfo:
             "suppressions": {str(line): sorted(rules)
                              for line, rules
                              in sorted(self.suppressions.items())},
-            "mutable_globals": list(self.mutable_globals),
         }
 
     @classmethod
@@ -614,5 +475,4 @@ class ModuleInfo:
             bindings=dict(payload["bindings"]),
             suppressions={int(line): frozenset(rules)
                           for line, rules
-                          in payload["suppressions"].items()},
-            mutable_globals=tuple(payload["mutable_globals"]))
+                          in payload["suppressions"].items()})

@@ -55,13 +55,10 @@ def register_program_rule(rule_class: Type[ProgramRule]
 def _load_program_rules() -> None:
     # Importing the rule modules populates the registry.
     from . import (  # noqa: F401
-        rules_concurrency,
         rules_crashsafety,
         rules_exceptions,
-        rules_hotpath,
         rules_layering,
         rules_rngflow,
-        rules_shapes,
         rules_unitflow,
     )
 

@@ -67,18 +67,26 @@ class TraceBatch:
     eulers: Optional[np.ndarray] = None      # (T, 3, n)
 
     def __post_init__(self) -> None:
-        t = len(self.viewer_ids)
-        shapes = [len(self.video_ids), self.step_linear_m.shape[0],
-                  self.step_angular_rad.shape[0]]
-        if self.positions is not None:
-            shapes.append(self.positions.shape[0])
-        if self.eulers is not None:
-            shapes.append(self.eulers.shape[0])
-        if any(s != t for s in shapes):
-            raise ValueError("batch columns have inconsistent trace "
-                             "counts")
+        # Shape comparisons only, no array allocation: generate_batch
+        # builds one per corpus pass, and that pass's peak RSS is
+        # sensitive to small heap allocations between tensor passes.
+        if self.step_linear_m.ndim != 2 or \
+                self.step_angular_rad.ndim != 2:
+            raise ValueError("step columns must be 2-D (T, n - 1)")
         if self.step_linear_m.shape != self.step_angular_rad.shape:
             raise ValueError("step columns have inconsistent shapes")
+        t = len(self.viewer_ids)
+        if len(self.video_ids) != t or self.step_linear_m.shape[0] != t:
+            raise ValueError("batch columns have inconsistent trace "
+                             "counts")
+        pose_shape = (t, 3, self.step_linear_m.shape[1] + 1)
+        for name, tensor in (("positions", self.positions),
+                             ("eulers", self.eulers)):
+            if tensor is not None and tensor.shape != pose_shape:
+                raise ValueError(
+                    f"{name} must be axis-major (T, 3, samples) = "
+                    f"{pose_shape} to match the step columns, got "
+                    f"{tensor.shape}")
 
     def __len__(self) -> int:
         return len(self.viewer_ids)

@@ -42,6 +42,9 @@ class BatchTimeslotResult:
     video_ids: np.ndarray   # (T,)
 
     def __post_init__(self) -> None:
+        if self.connected.ndim != 2:
+            raise ValueError("connected must be 2-D (T, slots), got "
+                             f"shape {self.connected.shape}")
         if (self.connected.shape[0] != len(self.viewer_ids)
                 or len(self.viewer_ids) != len(self.video_ids)):
             raise ValueError("batch result rows are inconsistent")

@@ -6,7 +6,7 @@ the seeded true-positive/true-negative fixture tree with finding
 counts pinned exactly; ``--select``/``--ignore`` over the grown
 namespace; the exceptions cache tier (round trip, stale-key
 rejection, v3→v4 schema invalidation); and the ``--profile``
-counters' fifth tier.
+counters' exceptions tier.
 """
 
 from __future__ import annotations
@@ -268,12 +268,12 @@ def test_v3_cache_payload_is_invalidated_by_v4_loader(tmp_path):
                            cache_dir=str(cache))
     assert result.extracted > 0  # nothing was trusted from the v3 file
     rewritten = json.loads((cache / "program-index.json").read_text())
-    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 5
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 6
     assert EXCEPTIONS_SCHEMA_VERSION == 1
 
 
 # ---------------------------------------------------------------------------
-# --profile counters: the fifth tier.
+# --profile counters: the exceptions tier.
 # ---------------------------------------------------------------------------
 
 def test_profile_reports_the_exceptions_tier(tmp_path):

@@ -2,8 +2,9 @@
 
 Covers the project index (extraction, caching, invalidation), each
 interprocedural rule family against seeded true-positive fixture trees,
-the baseline ratchet, noqa suppression, the CLI exit-code contract, and
-the GitHub annotation format.  A marker-gated perf smoke test asserts
+the baseline ratchet, noqa suppression, ``--select``/``--ignore``
+prefix resolution, the ``--profile`` counters, the CLI exit-code
+contract, and the GitHub annotation format.  A marker-gated perf smoke test asserts
 the warm index cache actually pays for itself.
 """
 
@@ -26,10 +27,15 @@ from repro.devtools.program import (
     module_name_for,
     write_baseline,
 )
+from repro.devtools.program.effects import EFFECTS_SCHEMA_VERSION
+from repro.devtools.program.index import load_cache, save_cache
+from repro.devtools.program.model import INDEX_SCHEMA_VERSION
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 SRC_REPRO = ROOT / "src" / "repro"
+#: Trips E, B, R and L: the tree the selection tests slice.
+EXC = FIXTURES / "exceptions"
 
 
 def run_analyze_cli(*args: str,
@@ -55,6 +61,17 @@ def test_src_repro_analyzes_clean():
     proc = run_analyze_cli(str(SRC_REPRO), "--no-cache")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
+
+
+def test_root_analyze_default_selection_is_clean():
+    # The acceptance bar: the full default selection over src/repro
+    # with zero findings and zero waivers.
+    proc = run_analyze_cli(str(SRC_REPRO), "--no-cache",
+                           "--max-waivers", "0", "--format", "json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["findings"] == []
+    assert payload["suppressed"] == 0
 
 
 def test_committed_baseline_is_empty():
@@ -111,35 +128,6 @@ def test_fixture_determinism_module_may_mint():
     _, payload = rules_found(proc)
     paths = {f["path"] for f in payload["findings"]}
     assert all("determinism" not in path for path in paths)
-
-
-def test_concurrency_fixture_trips_every_c_rule():
-    proc = run_analyze_cli(str(FIXTURES / "concurrency"), "--no-cache",
-                           "--select", "C", "--format", "json")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, _ = rules_found(proc)
-    # Exactly one finding per rule: every safe twin in the fixture
-    # (read-only capture, start+i index, worker-opened handle,
-    # sorted(set(...)) items) must pass.
-    assert rules == ["C001", "C002", "C003", "C004"]
-
-
-def test_concurrency_messages_name_the_culprits():
-    proc = run_analyze_cli(str(FIXTURES / "concurrency"), "--no-cache",
-                           "--select", "C")
-    assert "repro.spool.CACHE" in proc.stdout  # C001 mutated global
-    assert "out[i]" in proc.stdout  # C002 unprovable index
-    assert "repro.spool.TRACE" in proc.stdout  # C003 parent handle
-    assert "set()" in proc.stdout  # C004 unordered items
-
-
-def test_c002_accepts_start_offset_form():
-    proc = run_analyze_cli(str(FIXTURES / "concurrency"), "--no-cache",
-                           "--select", "C002", "--format", "json")
-    _, payload = rules_found(proc)
-    assert len(payload["findings"]) == 1
-    assert "fill_rows" in payload["findings"][0]["message"]
-    assert "fill_rows_safe" not in payload["findings"][0]["message"]
 
 
 def test_crashsafety_fixture_trips_every_w_rule():
@@ -321,6 +309,37 @@ def test_effect_table_cache_rejects_stale_key(tmp_path):
     assert not attach_cached_table(index, payload["effects"])
 
 
+def test_stale_cache_payloads_are_invalidated(tmp_path):
+    # A cache written under an older schema must be discarded
+    # wholesale, never mis-read: v2 predates the exception facts, v4
+    # carries the retired kernel facts and v5 the retired array and
+    # global-write facts.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for version in (2, 4, 5):
+        stale = {
+            "version": version,
+            "files": {"x.py": {"sha": "0" * 64, "module": {"bogus": 1}}},
+            "results": {"key": "stale", "findings": []},
+        }
+        (cache / "program-index.json").write_text(json.dumps(stale))
+        assert load_cache(str(cache)) == {}, version
+    result = analyze_paths([str(FIXTURES / "crashsafety")],
+                           select=["W"], cache_dir=str(cache))
+    assert result.extracted > 0  # nothing was trusted from the file
+    rewritten = json.loads((cache / "program-index.json").read_text())
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 6
+    assert set(rewritten) == {"version", "files", "results", "effects"}
+
+
+def test_save_cache_stamps_current_schema_version(tmp_path):
+    save_cache(str(tmp_path), {"files": {}})
+    payload = json.loads(
+        (tmp_path / "program-index.json").read_text())
+    assert payload["version"] == INDEX_SCHEMA_VERSION == 6
+    assert EFFECTS_SCHEMA_VERSION == 2
+
+
 def test_corrupt_cache_is_ignored(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -341,6 +360,48 @@ def test_exit_two_on_unknown_rule():
     assert proc.returncode == 2
 
 
+def test_single_letter_prefix_selects_one_family():
+    # "B" is a single-letter prefix over B001-B003 and must not leak
+    # into E, R or L, which the same tree also trips.
+    proc = run_analyze_cli(str(EXC), "--no-cache",
+                           "--select", "B", "--format", "json")
+    rules, _ = rules_found(proc)
+    assert rules == ["B001", "B002", "B003"]
+
+
+def test_selection_is_case_insensitive():
+    proc = run_analyze_cli(str(EXC), "--no-cache",
+                           "--select", "b,r", "--format", "json")
+    rules, _ = rules_found(proc)
+    assert rules == ["B001", "B002", "B003",
+                     "R001", "R002", "R003", "R003"]
+
+
+def test_ignore_prefix_drops_a_family():
+    proc = run_analyze_cli(str(EXC), "--no-cache", "--ignore", "l",
+                           "--format", "json")
+    rules, _ = rules_found(proc)
+    assert rules == ["B001", "B002", "B003", "E001", "E002", "E003",
+                     "R001", "R002", "R003", "R003"]
+
+
+def test_exact_id_selection_still_works():
+    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
+                           "--select", "W001", "--format", "json")
+    rules, _ = rules_found(proc)
+    assert rules == ["W001", "W001"]
+
+
+def test_retired_family_prefixes_exit_two():
+    # The race (C), shape (S), dtype (Y), hot-path (P) and kernel (K)
+    # families are gone; selecting them is a usage error, not a
+    # silently empty run.
+    for bogus in ("C", "S", "Y", "P", "K", "C001", "S002", "Y002"):
+        proc = run_analyze_cli(str(EXC), "--no-cache",
+                               "--select", bogus)
+        assert proc.returncode == 2, f"{bogus}: {proc.stdout}"
+
+
 def test_warn_only_reports_but_exits_zero():
     proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
                            "--select", "L", "--warn-only")
@@ -352,12 +413,12 @@ def test_list_rules_covers_all_families():
     proc = run_analyze_cli("--list-rules")
     assert proc.returncode == 0
     for rule_id in ("L001", "L002", "L003", "X001", "X002", "X003",
-                    "T001", "T002", "T003", "C001", "C002", "C003",
-                    "C004", "W001", "W002", "W003",
-                    "S001", "S002", "S003", "Y001", "Y002", "Y003",
-                    "P001", "P002"):
+                    "T001", "T002", "T003", "W001", "W002", "W003",
+                    "E001", "E002", "E003", "B001", "B002", "B003",
+                    "R001", "R002", "R003"):
         assert rule_id in proc.stdout
-    assert "K00" not in proc.stdout
+    listed = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert not [rule_id for rule_id in listed if rule_id[0] in "CSYPK"]
 
 
 def test_github_format_emits_annotations():
@@ -375,6 +436,49 @@ def test_syntax_error_is_reported_not_fatal(tmp_path):
     (tree / "broken.py").write_text("def broken(:\n")
     result = analyze_paths([str(tmp_path)], cache_dir=None)
     assert [f.rule_id for f in result.findings] == ["E999"]
+
+
+# ---------------------------------------------------------------------------
+# --profile counters.
+# ---------------------------------------------------------------------------
+
+def test_profile_text_reports_families_and_cache(tmp_path):
+    cache = tmp_path / "cache"
+    args = (str(FIXTURES / "crashsafety"), "--cache-dir", str(cache),
+            "--select", "W,L", "--warn-only", "--profile")
+    proc = run_analyze_cli(*args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "profile: family W" in proc.stdout
+    assert "profile: family L" in proc.stdout
+    assert ("cache results miss, effects miss, exceptions miss;"
+            in proc.stdout)
+
+    warm = run_analyze_cli(*args)
+    assert ("cache results hit, effects hit, exceptions hit;"
+            in warm.stdout)
+
+
+def test_profile_json_payload(tmp_path):
+    cache = tmp_path / "cache"
+    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--cache-dir",
+                           str(cache), "--select", "W,L", "--warn-only",
+                           "--profile", "--format", "json")
+    profile = json.loads(proc.stdout)["profile"]
+    assert set(profile["families"]) == {"W", "L"}
+    assert all(seconds >= 0 for seconds in
+               profile["families"].values())
+    assert set(profile["cache"]) == {"results", "effects", "exceptions",
+                                     "files_cached", "files_extracted"}
+    assert profile["cache"]["results"] == "miss"
+    assert profile["cache"]["effects"] == "miss"
+    assert profile["cache"]["files_extracted"] > 0
+
+
+def test_profile_absent_from_json_without_flag():
+    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
+                           "--select", "W", "--warn-only",
+                           "--format", "json")
+    assert "profile" not in json.loads(proc.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +522,10 @@ def test_index_resolution_follows_reexports():
 
 @pytest.mark.perf
 def test_warm_cache_at_least_5x_faster(tmp_path):
-    # The default selection includes the C/W families, so the cold run
-    # pays for effect inference and the warm runs must reuse the
-    # persisted effect table as well as the per-file extractions.
+    # The default selection includes the W and E/B/R families, so the
+    # cold run pays for effect and escape inference and the warm runs
+    # must reuse both persisted tables as well as the per-file
+    # extractions.
     cache = tmp_path / "cache"
     started = time.perf_counter()
     cold = analyze_paths([str(SRC_REPRO)], cache_dir=str(cache))
@@ -428,7 +533,6 @@ def test_warm_cache_at_least_5x_faster(tmp_path):
     assert cold.extracted > 0
     cached = json.loads((cache / "program-index.json").read_text())
     assert cached.get("effects"), "effect summaries not persisted"
-    assert cached.get("arrays"), "array summaries not persisted"
     assert cached.get("exceptions"), "escape sets not persisted"
 
     warm_s = float("inf")

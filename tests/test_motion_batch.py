@@ -9,6 +9,7 @@ exact array equality (``np.array_equal``, never ``allclose``) across
 worker counts, chunk sizes, durations and report periods.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -53,6 +54,12 @@ class TestBitIdentity:
                                seed=SEED)
         oracle = _reference(3, 2, DUR)
         assert len(batch) == len(oracle)
+        # array_equal ignores dtype: pin the column dtypes as well.
+        for column in (batch.positions, batch.eulers,
+                       batch.step_linear_m, batch.step_angular_rad):
+            assert column.dtype == np.float64
+        assert batch.viewer_ids.dtype == np.int64
+        assert batch.video_ids.dtype == np.int64
         for got, want in zip(batch.traces(), oracle):
             _assert_same_trace(got, want)
             _assert_same_trace(
@@ -154,6 +161,42 @@ class TestShapesAndModes:
         view = batch.trace(0)
         assert np.shares_memory(view.positions, batch.positions)
         assert np.shares_memory(view.step_linear_m, batch.step_linear_m)
+
+
+class TestRejectsMalformedShapes:
+    """Bad tensors fail at construction, not later inside trace(i)."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return generate_batch(viewers=1, videos=2, duration_s=DUR,
+                              seed=SEED)
+
+    @pytest.mark.parametrize("name", ["positions", "eulers"])
+    def test_rejects_sample_major_pose(self, batch, name):
+        sample_major = getattr(batch, name).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="axis-major"):
+            dataclasses.replace(batch, **{name: sample_major})
+
+    def test_rejects_steps_shorter_than_pose(self, batch):
+        with pytest.raises(ValueError, match="axis-major"):
+            dataclasses.replace(
+                batch, step_linear_m=batch.step_linear_m[:, 5:],
+                step_angular_rad=batch.step_angular_rad[:, 5:])
+
+    def test_rejects_1d_step_columns(self, batch):
+        with pytest.raises(ValueError, match="2-D"):
+            dataclasses.replace(
+                batch, step_linear_m=batch.step_linear_m[:, 0],
+                step_angular_rad=batch.step_angular_rad[:, 0],
+                positions=None, eulers=None)
+
+    def test_load_rejects_a_corrupt_store(self, batch, tmp_path):
+        store = ColumnStore(tmp_path)
+        columns = batch.columns()
+        columns["positions"] = batch.positions.transpose(0, 2, 1)
+        store.write_group("traces", columns, attrs={"dt_s": batch.dt_s})
+        with pytest.raises(ValueError, match="positions"):
+            TraceBatch.load(store)
 
 
 class TestFromTraces:

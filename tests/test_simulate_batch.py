@@ -47,6 +47,11 @@ class TestBitIdentity:
     def test_matches_simulate_trace(self, corpus, latency):
         params = TimeslotParams(tp_latency_slots=latency)
         got = simulate_batch(corpus, params)
+        # array_equal ignores dtype: pin the result dtypes as well.
+        assert got.connected.dtype == np.bool_
+        assert got.viewer_ids.dtype == np.int64
+        assert got.video_ids.dtype == np.int64
+        assert got.per_trace_availability().dtype == np.float64
         for row, trace, want in zip(got.results(), corpus.traces(),
                                     _oracle(corpus, params)):
             assert np.array_equal(row.connected, want.connected)
@@ -54,6 +59,7 @@ class TestBitIdentity:
             assert row.video == want.video
             one = simulate_trace(trace, params)
             assert np.array_equal(one.connected, want.connected)
+            assert one.connected.dtype == np.bool_
 
     def test_accepts_plain_trace_sequences(self, corpus):
         got = simulate_batch(corpus.traces())
@@ -115,6 +121,14 @@ class TestEdgeShapes:
         got = simulate_batch(batch)
         assert got.slots == 0
         assert got.per_trace_availability().tolist() == [0.0]
+
+    def test_rejects_1d_connected(self):
+        # A flat connected row used to be accepted and only failed
+        # later, as an IndexError from .slots.
+        with pytest.raises(ValueError, match="2-D"):
+            BatchTimeslotResult(connected=np.ones(3, dtype=np.bool_),
+                                viewer_ids=np.arange(3, dtype=np.int64),
+                                video_ids=np.arange(3, dtype=np.int64))
 
     def test_availability_matches_loop(self, corpus):
         got = simulate_batch(corpus).per_trace_availability()
