@@ -12,8 +12,8 @@ can poke the system without writing code::
     python -m repro formats           # the VR-format bandwidth ladder
     python -m repro chaos             # fault-injection robustness sweep
     python -m repro sweep --checkpoint ck   # crash-safe resumable sweep
-    python -m repro lint              # determinism/units static analysis
-    python -m repro analyze           # whole-program layering/unit/RNG flow
+    python -m repro analyze           # static analysis (layering/RNG/units/
+                                      # crash safety/error contracts)
 
 ``chaos`` and ``sweep`` publish their JSON records atomically (tmp +
 rename) and defer SIGINT/SIGTERM to checkpoint boundaries, exiting
@@ -286,15 +286,9 @@ def _cmd_sweep(args):
     return 0
 
 
-def _cmd_lint(args):
-    """Run the repro.devtools static-analysis engine."""
-    from .devtools.cli import run_lint
-    return run_lint(args)
-
-
 def _cmd_analyze(args):
-    """Run the repro.devtools.program whole-program analyzer."""
-    from .devtools.program.cli import run_analyze
+    """Run the repro.devtools static analyzer."""
+    from .devtools.cli import run_analyze
     return run_analyze(args)
 
 
@@ -407,16 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default SWEEP_<kind>.json)")
     sweep.set_defaults(func=_cmd_sweep)
 
-    lint = sub.add_parser(
-        "lint", help="determinism/units static analysis (repro.devtools)")
-    from .devtools.cli import add_lint_arguments
-    add_lint_arguments(lint)
-    lint.set_defaults(func=_cmd_lint)
-
     analyze = sub.add_parser(
         "analyze",
-        help="whole-program layering/unit-flow/RNG-taint analysis")
-    from .devtools.program.cli import add_analyze_arguments
+        help="static analysis: layering, RNG provenance, units, crash "
+             "safety and error contracts (repro.devtools)")
+    from .devtools.cli import add_analyze_arguments
     add_analyze_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 

@@ -7,9 +7,10 @@ entropy unless the caller *documents* that choice by passing
 ``deterministic=False`` -- the escape hatch for interactive
 exploration, never for pipelines that produce artifacts.
 
-``python -m repro lint`` (rules D001-D004) enforces the contract
-statically; this module is the one sanctioned runtime implementation
-of it.
+``python -m repro analyze`` (rule T001) holds the minting half
+statically: generators may be constructed only in this module.  The
+per-seed byte-identity tests hold the rest.  This module is the one
+sanctioned runtime implementation of the contract.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def resolve_rng(rng: Optional[np.random.Generator] = None,
             f"seed=int; pass deterministic=False to opt into an "
             f"OS-entropy generator (irreproducible runs)")
     # The documented opt-in: the caller asked for fresh entropy.
-    return np.random.default_rng()  # repro: noqa[D001]
+    return np.random.default_rng()
 
 
 def spawn(rng: np.random.Generator) -> np.random.Generator:

@@ -1,4 +1,4 @@
-"""The ``python -m repro lint`` front end.
+"""The ``python -m repro analyze`` front end.
 
 Exit codes follow compiler conventions: 0 clean, 1 findings, 2 usage
 error (unknown rule, missing path).  ``--warn-only`` reports findings
@@ -6,33 +6,40 @@ but exits 0 -- the mode used to survey ``benchmarks/`` and
 ``examples/`` without gating on them.  ``--max-waivers N`` turns the
 suppression count itself into a budget: ``# repro: noqa`` waivers
 beyond N fail the run, so the waiver list can only ratchet down.
+Diagnostics go to stderr, so ``--format json`` stdout always parses.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import sys
+import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from .engine import lint_paths
+from .analyzer import analyze_paths
+from .index import DEFAULT_CACHE_DIR
 from .registry import all_rules
-from .reporters import render_github, render_json, render_text
+from .reporters import render_github, render_text, to_payload
 
 
-def default_lint_target() -> str:
+def default_target() -> str:
     """The installed ``repro`` package directory.
 
-    Makes ``python -m repro lint`` work from any CWD: the contract is
-    "the package is clean", not "whatever happens to be here is clean".
+    Makes ``python -m repro analyze`` work from any CWD: the contract
+    is "the package is clean", not "whatever happens to be here is
+    clean".
     """
     return str(Path(__file__).resolve().parent.parent)
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to a (sub)parser."""
+def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the analyze options to a (sub)parser."""
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files/directories to lint (default: the repro package)")
+        help="files/directories to analyze (default: the repro "
+             "package)")
     parser.add_argument(
         "--format", choices=("text", "json", "github"),
         default="text",
@@ -40,7 +47,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "workflow annotations)")
     parser.add_argument(
         "--select", default=None, metavar="RULES",
-        help="comma-separated rule ids/prefixes to run (e.g. D,U001)")
+        help="comma-separated rule ids/prefixes to run (e.g. L,U001)")
     parser.add_argument(
         "--ignore", default=None, metavar="RULES",
         help="comma-separated rule ids/prefixes to skip")
@@ -53,8 +60,19 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "noqa comments; the repo's waiver budget only ratchets "
              "down")
     parser.add_argument(
+        "--profile", action="store_true",
+        help="print per-rule-family wall time, cache hit/miss and "
+             "file counters, and the total time (included under "
+             "\"profile\" in --format json)")
+    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore and do not write the on-disk cache")
+    parser.add_argument(
+        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
+        help=f"cache directory (default {DEFAULT_CACHE_DIR})")
 
 
 def _split(option: Optional[str]) -> Optional[List[str]]:
@@ -63,31 +81,60 @@ def _split(option: Optional[str]) -> Optional[List[str]]:
     return [entry for entry in option.split(",") if entry.strip()]
 
 
-def run_lint(args: argparse.Namespace) -> int:
-    """Execute the lint command; returns the process exit code."""
+def run_analyze(args: argparse.Namespace) -> int:
+    """Execute the analyze command; returns the process exit code."""
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.rule_id}  {rule.summary}")
         return 0
-    paths = args.paths or [default_lint_target()]
+    paths = args.paths or [default_target()]
+    cache_dir = None if args.no_cache else args.cache_dir
+    started = time.perf_counter()
     try:
-        result = lint_paths(paths, select=_split(args.select),
-                            ignore=_split(args.ignore))
+        result = analyze_paths(paths, select=_split(args.select),
+                               ignore=_split(args.ignore),
+                               cache_dir=cache_dir)
     except (ValueError, FileNotFoundError) as exc:
-        print(f"lint: {exc}")
+        print(f"analyze: {exc}", file=sys.stderr)
         return 2
+    elapsed = time.perf_counter() - started
+
     if args.format == "json":
-        print(render_json(result))
+        payload = to_payload(result)
+        if args.profile:
+            payload["profile"] = result.profile
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "github":
         print(render_github(result))
     else:
         print(render_text(result))
+    if args.profile and args.format != "json":
+        _print_profile(result.profile, elapsed)
     if args.max_waivers is not None and \
             result.suppressed > args.max_waivers:
-        print(f"waiver budget exceeded: {result.suppressed} findings "
-              f"suppressed by noqa, budget is {args.max_waivers}; "
-              "burn a waiver down before adding a new one")
+        print(f"analyze: {result.suppressed} noqa waiver"
+              f"{'s' if result.suppressed != 1 else ''} exceed the "
+              f"budget of {args.max_waivers}; remove suppressions or "
+              "raise --max-waivers deliberately", file=sys.stderr)
         return 1
     if result.findings and not args.warn_only:
         return 1
     return 0
+
+
+def _print_profile(profile: Dict[str, Any], elapsed: float) -> None:
+    """Render the --profile counters (text formats)."""
+    families = profile.get("families", {})
+    cache = profile.get("cache", {})
+    if families:
+        widest = max(len(family) for family in families)
+        for family in sorted(families):
+            print(f"profile: family {family:<{widest}} "
+                  f"{families[family] * 1000.0:9.3f} ms")
+    else:
+        print("profile: rule families not run "
+              "(results cache hit)")
+    print(f"profile: cache results {cache.get('results', 'miss')}; "
+          f"files {cache.get('files_cached', 0)} cached / "
+          f"{cache.get('files_extracted', 0)} extracted; total "
+          f"{elapsed:.3f} s")

@@ -17,37 +17,21 @@ the summaries are propagated to a fixpoint along two edge kinds:
 
 The crash-safety rules (:mod:`.rules_crashsafety`) consume the write /
 rename / fsync events, and E001 reuses :func:`resolve_worker` to find
-the callable a pool call runs.  The finished table is persisted in the
-analyzer's content-hash cache (keyed by every input file's SHA plus
-the schema versions), so a warm run that re-runs the rules — e.g.
-with a different ``--select`` — skips the fixpoint entirely.
+the callable a pool call runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .index import ProjectIndex, file_sha
+from .index import ProjectIndex
 from .model import (
-    INDEX_SCHEMA_VERSION,
     CallSite,
     FunctionInfo,
     ModuleInfo,
     ValueDesc,
 )
-
-#: Bump when the summary shape or inference semantics change.
-EFFECTS_SCHEMA_VERSION = 2
 
 #: ``np.save``-family leaves: a whole-file write to their path arg.
 _NP_WRITE_LEAVES = frozenset({
@@ -83,18 +67,6 @@ class WriteEvent:
     detail: str
     mode: str = "w"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"module": self.module, "lineno": self.lineno,
-                "col": self.col, "via": self.via, "scope": self.scope,
-                "detail": self.detail, "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "WriteEvent":
-        return cls(module=payload["module"], lineno=payload["lineno"],
-                   col=payload["col"], via=payload["via"],
-                   scope=payload["scope"], detail=payload["detail"],
-                   mode=payload["mode"])
-
 
 @dataclass(frozen=True)
 class RenameEvent:
@@ -104,15 +76,6 @@ class RenameEvent:
     lineno: int
     col: int
     detail: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"module": self.module, "lineno": self.lineno,
-                "col": self.col, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RenameEvent":
-        return cls(module=payload["module"], lineno=payload["lineno"],
-                   col=payload["col"], detail=payload["detail"])
 
 
 @dataclass
@@ -124,26 +87,6 @@ class EffectSummary:
     fsyncs: bool = False
     renames: Tuple[RenameEvent, ...] = ()
     param_writes: Set[Tuple[str, str]] = field(default_factory=set)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "writes_any": self.writes_any,
-            "fsyncs": self.fsyncs,
-            "renames": [r.to_dict() for r in self.renames],
-            "param_writes": sorted(list(pair)
-                                   for pair in self.param_writes),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EffectSummary":
-        return cls(
-            key=payload["key"],
-            writes_any=payload["writes_any"],
-            fsyncs=payload["fsyncs"],
-            renames=tuple(RenameEvent.from_dict(r)
-                          for r in payload["renames"]),
-            param_writes={(p, v) for p, v in payload["param_writes"]})
 
 
 @dataclass
@@ -158,42 +101,6 @@ class EffectTable:
     summaries: Dict[str, EffectSummary] = field(default_factory=dict)
     published_writes: Tuple[WriteEvent, ...] = ()
     journal_events: Tuple[WriteEvent, ...] = ()
-    from_cache: bool = False
-
-    def summary(self, module: str,
-                qualname: str) -> Optional[EffectSummary]:
-        return self.summaries.get(f"{module}.{qualname}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "summaries": {key: summary.to_dict() for key, summary
-                          in sorted(self.summaries.items())},
-            "published_writes": [w.to_dict()
-                                 for w in self.published_writes],
-            "journal_events": [w.to_dict()
-                               for w in self.journal_events],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EffectTable":
-        return cls(
-            summaries={key: EffectSummary.from_dict(s)
-                       for key, s in payload["summaries"].items()},
-            published_writes=tuple(
-                WriteEvent.from_dict(w)
-                for w in payload["published_writes"]),
-            journal_events=tuple(
-                WriteEvent.from_dict(w)
-                for w in payload["journal_events"]),
-            from_cache=True)
-
-
-def effects_key(index: ProjectIndex) -> str:
-    """Content hash the cached effect table is valid for."""
-    shas = sorted((info.path, info.sha)
-                  for info in index.modules.values())
-    return file_sha(repr((INDEX_SCHEMA_VERSION, EFFECTS_SCHEMA_VERSION,
-                          shas)))
 
 
 # -- location helpers --------------------------------------------------------
@@ -604,27 +511,3 @@ def effect_table(index: ProjectIndex) -> EffectTable:
     table = _build_table(index)
     setattr(index, "_effect_table", table)
     return table
-
-
-def attach_cached_table(index: ProjectIndex,
-                        payload: Mapping[str, Any]) -> bool:
-    """Adopt a cached effect table if its key matches this index."""
-    if not isinstance(payload, Mapping):
-        return False
-    if payload.get("key") != effects_key(index):
-        return False
-    try:
-        table = EffectTable.from_dict(payload["table"])
-    except (KeyError, TypeError, ValueError):
-        return False
-    setattr(index, "_effect_table", table)
-    return True
-
-
-def serialized_table(index: ProjectIndex
-                     ) -> Optional[Dict[str, Any]]:
-    """The cache payload for this index's table (None if not built)."""
-    table = getattr(index, "_effect_table", None)
-    if not isinstance(table, EffectTable):
-        return None
-    return {"key": effects_key(index), "table": table.to_dict()}

@@ -22,40 +22,23 @@ exception hierarchy with every class the index defines (``StoreError
 catches ``SweepConfigError``.  The inference is deliberately an
 *under*-approximation: unresolvable calls (externals, bound methods)
 contribute nothing, so every type in an escape set is positively
-known to be raisable — the property the E/B/R rule families
+known to be raisable — the property the E/B rule families
 (:mod:`.rules_exceptions`) fire on.
-
-The finished table is persisted in the analyzer's content-hash cache
-(the fourth tier, keyed by every input file's SHA plus the schema
-versions), so a warm run skips the fixpoint entirely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .index import ProjectIndex, file_sha
+from .index import ProjectIndex
 from .model import (
-    INDEX_SCHEMA_VERSION,
     CallGuard,
     CallSite,
     FunctionInfo,
     HandlerSpec,
     ModuleInfo,
 )
-
-#: Bump when the summary shape or inference semantics change.
-EXCEPTIONS_SCHEMA_VERSION = 1
 
 #: The builtin exception hierarchy (child leaf -> parent leaf), enough
 #: for subtype subtraction over the types real handlers name.
@@ -236,43 +219,16 @@ class ExceptionSummary:
     key: str                          # "module.qualname"
     escapes: Set[str] = field(default_factory=set)
 
-    @property
-    def can_exit(self) -> bool:
-        return "SystemExit" in self.escapes
-
-    def to_dict(self) -> List[str]:
-        return sorted(self.escapes)
-
 
 @dataclass
 class ExceptionTable:
-    """Every function's escape set, plus cache provenance."""
+    """Every function's escape set."""
 
     summaries: Dict[str, ExceptionSummary] = field(default_factory=dict)
-    from_cache: bool = False
 
     def escapes(self, module: str, qualname: str) -> Set[str]:
         summary = self.summaries.get(f"{module}.{qualname}")
         return summary.escapes if summary is not None else set()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"summaries": {key: summary.to_dict() for key, summary
-                              in sorted(self.summaries.items())}}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExceptionTable":
-        return cls(
-            summaries={key: ExceptionSummary(key=key, escapes=set(types))
-                       for key, types in payload["summaries"].items()},
-            from_cache=True)
-
-
-def exceptions_key(index: ProjectIndex) -> str:
-    """Content hash the cached exception table is valid for."""
-    shas = sorted((info.path, info.sha)
-                  for info in index.modules.values())
-    return file_sha(repr((INDEX_SCHEMA_VERSION,
-                          EXCEPTIONS_SCHEMA_VERSION, shas)))
 
 
 def _is_sys_exit(func: str) -> bool:
@@ -421,27 +377,3 @@ def exception_table(index: ProjectIndex) -> ExceptionTable:
     table = _build_table(index)
     setattr(index, "_exception_table", table)
     return table
-
-
-def attach_cached_exception_table(index: ProjectIndex,
-                                  payload: Mapping[str, Any]) -> bool:
-    """Adopt a cached exception table if its key matches this index."""
-    if not isinstance(payload, Mapping):
-        return False
-    if payload.get("key") != exceptions_key(index):
-        return False
-    try:
-        table = ExceptionTable.from_dict(payload["table"])
-    except (KeyError, TypeError, ValueError):
-        return False
-    setattr(index, "_exception_table", table)
-    return True
-
-
-def serialized_exception_table(index: ProjectIndex
-                               ) -> Optional[Dict[str, Any]]:
-    """The cache payload for this index's table (None if not built)."""
-    table = getattr(index, "_exception_table", None)
-    if not isinstance(table, ExceptionTable):
-        return None
-    return {"key": exceptions_key(index), "table": table.to_dict()}

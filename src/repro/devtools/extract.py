@@ -1,9 +1,10 @@
 """Per-file extraction: one parsed AST in, one :class:`ModuleInfo` out.
 
 This is the only place the analyzer touches an AST.  Everything the
-interprocedural rules need — imports with their laziness and
-``TYPE_CHECKING`` status, function signatures, class constructor
-shapes, call sites with argument descriptions, RNG-source names — is
+rules need — imports with their laziness and ``TYPE_CHECKING``
+status, function signatures with annotated, positioned parameters,
+class constructor shapes, call sites with positioned argument
+descriptions, RNG-source names, ``# repro: noqa`` waivers — is
 distilled here into the JSON-serializable model, so the rest of the
 package (and the on-disk cache) never re-parses source.
 """
@@ -11,10 +12,10 @@ package (and the on-disk cache) never re-parses source.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import re
+from pathlib import PurePosixPath
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..context import package_parts, parse_noqa
-from ..visitors import dotted_name, parameter_nodes, unit_suffix
 from .model import (
     CallGuard,
     CallSite,
@@ -25,7 +26,6 @@ from .model import (
     ModuleInfo,
     ParamInfo,
     RaiseFact,
-    ResourceFact,
     TryFact,
     ValueDesc,
 )
@@ -34,17 +34,80 @@ from .model import (
 RNG_PRODUCERS = frozenset({
     "resolve_rng", "spawn", "derive", "default_rng", "RandomState"})
 
-#: Callee leaves that hand back a resource needing cleanup when bound
-#: (the R002 leak shape).
-RESOURCE_PRODUCERS: Dict[str, str] = {
-    "open": "open file handle",
-    "memmap": "memmap",
-    "open_memmap": "memmap",
-    "SharedMemory": "SharedMemory segment",
-    "NamedTemporaryFile": "open file handle",
-    "TemporaryFile": "open file handle",
-    "Pipe": "pipe",
-}
+#: Recognized unit suffixes, longest first so ``_mm`` wins over ``_m``
+#: and ``_dbm`` over ``_m``.  These are the unit classes Table 1 and
+#: the link budget juggle: absolute power (dBm), relative power (dB),
+#: linear power (mW), length (m / mm), angle (mrad), voltage (V),
+#: time (s), and rate (Hz).
+UNIT_SUFFIXES: Tuple[str, ...] = (
+    "_dbm", "_mrad", "_mm", "_mw", "_hz", "_db", "_m", "_v", "_s")
+
+#: ``# repro: noqa`` or ``# repro: noqa[U001]`` / ``noqa [U001, T001]``.
+_NOQA_RE = re.compile(
+    r"#\s*repro:\s*noqa(?:\s*\[(?P<rules>[A-Z0-9,\s]+)\])?",
+    re.IGNORECASE)
+
+
+def unit_suffix(name: str) -> Optional[str]:
+    """The unit suffix a name carries, or None.
+
+    Requires the underscore form (``power_dbm``); a bare ``v`` or ``s``
+    is a generic variable, not a unit annotation.
+    """
+    lowered = name.lower()
+    for suffix in UNIT_SUFFIXES:
+        if lowered.endswith(suffix) and len(lowered) > len(suffix):
+            return suffix
+    return None
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain rooted at a Name, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def parse_noqa(source: str) -> Dict[int, FrozenSet[str]]:
+    """Map 1-based line numbers to the rule ids suppressed there.
+
+    An empty frozenset means a bare ``# repro: noqa``: every rule on
+    that line is suppressed.
+    """
+    suppressions: Dict[int, FrozenSet[str]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _NOQA_RE.search(line)
+        if match is None:
+            continue
+        rules = match.group("rules")
+        if rules is None:
+            suppressions[lineno] = frozenset()
+        else:
+            suppressions[lineno] = frozenset(
+                r.strip().upper() for r in rules.split(",") if r.strip())
+    return suppressions
+
+
+def package_parts(path: str) -> Tuple[str, ...]:
+    """Path components used for rule scoping, rooted at ``repro``.
+
+    ``src/repro/core/gma.py`` -> ``("repro", "core", "gma.py")``; a file
+    outside the package (benchmarks, examples, fixtures) keeps its own
+    components.  Fixture trees that embed a ``repro/...`` directory
+    scope exactly like the real package, which is what the rule tests
+    rely on.
+    """
+    parts = PurePosixPath(path.replace("\\", "/")).parts
+    for index in range(len(parts) - 1, -1, -1):
+        if parts[index] == "repro":
+            return parts[index:]
+    return parts
+
 
 def module_name_for(path: str) -> str:
     """Dotted module name for a file, rooted at the ``repro`` package.
@@ -90,7 +153,8 @@ def _free_names(node: ast.expr) -> Tuple[Set[str], Set[str]]:
             else:
                 bound.add(child.id)
         elif isinstance(child, ast.Lambda):
-            for arg in parameter_nodes(child):  # type: ignore[arg-type]
+            args = child.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 bound.add(arg.arg)
         elif isinstance(child, ast.Call):
             name = dotted_name(child.func)
@@ -109,33 +173,26 @@ def _str_consts(node: ast.expr) -> Tuple[str, ...]:
 def describe_value(node: ast.expr) -> ValueDesc:
     """Build the :class:`ValueDesc` approximation of one expression."""
     names, callees = _free_names(node)
-    names_t = tuple(sorted(names))
-    calls_t = tuple(sorted(callees))
-    consts_t = _str_consts(node)
+    kind, text = "other", ""
+    suffix: Optional[str] = None
     if isinstance(node, ast.Name):
-        return ValueDesc(kind="name", text=node.id,
-                         suffix=unit_suffix(node.id),
-                         names=names_t, calls=calls_t)
-    if isinstance(node, ast.Attribute):
+        kind, text, suffix = "name", node.id, unit_suffix(node.id)
+    elif isinstance(node, ast.Attribute):
         dotted = dotted_name(node)
         if dotted is not None:
-            return ValueDesc(kind="attr", text=dotted,
-                             suffix=unit_suffix(_leaf(dotted)),
-                             names=names_t, calls=calls_t)
-        return ValueDesc(kind="other", names=names_t, calls=calls_t,
-                         consts=consts_t)
-    if isinstance(node, ast.Call):
-        dotted = dotted_name(node.func) or ""
-        return ValueDesc(kind="call", text=dotted,
-                         names=names_t, calls=calls_t, consts=consts_t)
-    if isinstance(node, ast.Lambda):
-        return ValueDesc(kind="lambda", names=names_t, calls=calls_t,
-                         consts=consts_t)
-    if isinstance(node, ast.Constant):
-        return ValueDesc(kind="const", text=repr(node.value),
-                         consts=consts_t)
-    return ValueDesc(kind="other", names=names_t, calls=calls_t,
-                     consts=consts_t)
+            kind, text = "attr", dotted
+            suffix = unit_suffix(_leaf(dotted))
+    elif isinstance(node, ast.Call):
+        kind, text = "call", dotted_name(node.func) or ""
+    elif isinstance(node, ast.Lambda):
+        kind = "lambda"
+    elif isinstance(node, ast.Constant):
+        kind, text = "const", repr(node.value)
+    return ValueDesc(kind=kind, text=text, suffix=suffix,
+                     names=tuple(sorted(names)),
+                     calls=tuple(sorted(callees)),
+                     consts=_str_consts(node),
+                     lineno=node.lineno, col=node.col_offset)
 
 
 # -- exception-flow facts ----------------------------------------------------
@@ -159,27 +216,21 @@ def _walk_skipping_defs(nodes: Sequence[ast.AST]):
 
 
 class _ExceptionFactsCollector:
-    """Collect raise/handler/cleanup facts for one def body.
+    """Collect raise/handler facts for one def body.
 
     Nested defs and classes are skipped (they collect their own
     facts).  The guard stack tracks which enclosing ``try`` statements
     would intercept an exception at the current position: pushed for a
     try *body* only — handler bodies, ``else`` and ``finally`` blocks
     are not protected by their own handlers, matching Python
-    semantics.  A ``with SignalGuard()`` region raises the signal
-    depth, marking calls whose ``sys.exit`` would bypass the deferred
-    checkpoint-exit protocol.
+    semantics.
     """
 
     def __init__(self) -> None:
         self.tries: List[TryFact] = []
         self.raises: List[RaiseFact] = []
         self.calls: List[CallGuard] = []
-        self.resources: List[ResourceFact] = []
-        self.returned: Set[str] = set()
         self._stack: List[int] = []     # try indices, outermost first
-        self._loops = 0
-        self._signal = 0
 
     def walk(self, stmts: Sequence[ast.stmt]) -> None:
         for stmt in stmts:
@@ -199,24 +250,13 @@ class _ExceptionFactsCollector:
             self._raise(stmt)
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._with(stmt)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            for expr in _own_expressions(stmt):
-                self._calls_in(expr)
-            self._loops += 1
+            for item in stmt.items:
+                self._calls_in(item.context_expr)
             self.walk(stmt.body)
-            self.walk(stmt.orelse)
-            self._loops -= 1
-            return
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                names, _ = _free_names(stmt.value)
-                self.returned |= names
-                self._calls_in(stmt.value)
             return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            self._assign(stmt)
+            if stmt.value is not None:
+                self._calls_in(stmt.value)
             return
         for expr in _own_expressions(stmt):
             self._calls_in(expr)
@@ -231,7 +271,7 @@ class _ExceptionFactsCollector:
             lineno=stmt.lineno, col=stmt.col_offset,
             handlers=handlers,
             has_finally=bool(getattr(stmt, "finalbody", [])),
-            in_loop=self._loops > 0, guards=self._guards()))
+            guards=self._guards()))
         if handlers:
             self._stack.append(index)
             self.walk(stmt.body)
@@ -301,49 +341,6 @@ class _ExceptionFactsCollector:
             type_token=token, lineno=stmt.lineno, col=stmt.col_offset,
             guards=self._guards(), from_name=from_name))
 
-    def _with(self, stmt: ast.stmt) -> None:
-        assert isinstance(stmt, (ast.With, ast.AsyncWith))
-        signal = False
-        for item in stmt.items:
-            expr = item.context_expr
-            self._calls_in(expr)
-            if not isinstance(expr, ast.Call):
-                continue
-            leaf = _leaf(dotted_name(expr.func) or "")
-            if leaf == "SignalGuard":
-                signal = True
-            if leaf in RESOURCE_PRODUCERS and \
-                    isinstance(item.optional_vars, ast.Name):
-                self.resources.append(ResourceFact(
-                    name=item.optional_vars.id,
-                    kind=RESOURCE_PRODUCERS[leaf],
-                    lineno=expr.lineno, col=expr.col_offset,
-                    via_with=True))
-        if signal:
-            self._signal += 1
-        self.walk(stmt.body)
-        if signal:
-            self._signal -= 1
-
-    def _assign(self, stmt: ast.stmt) -> None:
-        assert isinstance(stmt, (ast.Assign, ast.AnnAssign))
-        value = stmt.value
-        if value is None:
-            return
-        self._calls_in(value)
-        target: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-        elif isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-        if isinstance(target, ast.Name) and isinstance(value, ast.Call):
-            leaf = _leaf(dotted_name(value.func) or "")
-            if leaf in RESOURCE_PRODUCERS:
-                self.resources.append(ResourceFact(
-                    name=target.id, kind=RESOURCE_PRODUCERS[leaf],
-                    lineno=value.lineno, col=value.col_offset,
-                    via_with=False))
-
     def _calls_in(self, expr: ast.expr) -> None:
         for node in _walk_skipping_defs([expr]):
             if isinstance(node, ast.Call):
@@ -351,23 +348,20 @@ class _ExceptionFactsCollector:
                 if dotted is not None:
                     self.calls.append(CallGuard(
                         func=dotted, lineno=node.lineno,
-                        col=node.col_offset, guards=self._guards(),
-                        in_signal_guard=self._signal > 0))
+                        col=node.col_offset, guards=self._guards()))
 
 
 def _exception_facts(node: ast.AST) -> Tuple[
         Tuple[TryFact, ...], Tuple[RaiseFact, ...],
-        Tuple[CallGuard, ...], Tuple[ResourceFact, ...],
-        Tuple[str, ...]]:
+        Tuple[CallGuard, ...]]:
     """The exception-flow facts of one def body (nested defs skip)."""
     assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     collector = _ExceptionFactsCollector()
     collector.walk(node.body)
     return (tuple(collector.tries), tuple(collector.raises),
             tuple(sorted(collector.calls,
-                         key=lambda c: (c.lineno, c.col, c.func))),
-            tuple(collector.resources),
-            tuple(sorted(collector.returned)))
+                         key=lambda c: (c.lineno, c.col, c.func))))
+
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -385,7 +379,8 @@ def _param_from_arg(arg: ast.arg,
     annotation = ast.unparse(arg.annotation) if arg.annotation else None
     return ParamInfo(name=arg.arg, annotation=annotation,
                      has_default=default is not None,
-                     default_is_none=_is_none(default))
+                     default_is_none=_is_none(default),
+                     lineno=arg.lineno, col=arg.col_offset)
 
 
 def _signature_params(node: ast.AST, drop_self: bool) -> List[ParamInfo]:
@@ -518,20 +513,21 @@ class _ModuleExtractor:
         rng_sources = {p.name for p in params
                        if p.name == "rng" or p.name.endswith("_rng")
                        or (p.annotation and "Generator" in p.annotation)}
-        try_facts, raise_facts, call_guards, resource_facts, \
-            returned_names = _exception_facts(node)
+        try_facts, raise_facts, call_guards = _exception_facts(node)
         self.functions[qualname] = FunctionInfo(
             qualname=qualname, lineno=node.lineno,
             params=tuple(params), is_method=in_class,
             rng_sources=tuple(sorted(rng_sources)),
             try_facts=try_facts, raise_facts=raise_facts,
-            call_guards=call_guards, resource_facts=resource_facts,
-            returned_names=returned_names)
+            call_guards=call_guards)
         if not self._scope:
             self.bindings.setdefault(
                 node.name, f"{self.module}.{node.name}")
-        for decorator in node.decorator_list:
-            self._expression(decorator)
+        # Decorators and defaults evaluate in the enclosing scope.
+        args = node.args
+        for expr in [*node.decorator_list, *args.defaults,
+                     *(d for d in args.kw_defaults if d is not None)]:
+            self._expression(expr)
         self._scope.append(node.name)
         self._function_depth += 1
         self.walk(node.body)
@@ -560,9 +556,7 @@ class _ModuleExtractor:
             calls_resolve_rng=calls_resolve,
             rng_sources=tuple(sorted(sources)),
             try_facts=info.try_facts, raise_facts=info.raise_facts,
-            call_guards=info.call_guards,
-            resource_facts=info.resource_facts,
-            returned_names=info.returned_names)
+            call_guards=info.call_guards)
 
     def _class(self, node: ast.ClassDef) -> None:
         qualname = ".".join(self._scope + [node.name])
@@ -590,9 +584,12 @@ class _ModuleExtractor:
                     name=stmt.target.id,
                     annotation=ast.unparse(stmt.annotation),
                     has_default=stmt.value is not None,
-                    default_is_none=_is_none(stmt.value)))
-        for decorator in node.decorator_list:
-            self._expression(decorator)
+                    default_is_none=_is_none(stmt.value),
+                    lineno=stmt.target.lineno,
+                    col=stmt.target.col_offset))
+        for expr in [*node.decorator_list, *node.bases,
+                     *(k.value for k in node.keywords)]:
+            self._expression(expr)
         self._scope.append(node.name)
         self.walk(node.body)
         self._scope.pop()
@@ -618,6 +615,10 @@ class _ModuleExtractor:
                 bound_to = stmt.targets[0].id
         elif isinstance(stmt.target, ast.Name):
             bound_to = stmt.target.id
+        targets: List[ast.expr] = list(stmt.targets) \
+            if isinstance(stmt, ast.Assign) else [stmt.target]
+        for target in targets:
+            self._expression(target)
         if value is None:
             return
         if isinstance(value, ast.Call):
@@ -667,7 +668,8 @@ class _ModuleExtractor:
             in_function=".".join(self._scope)))
 
 def _call_operands(node: ast.Call) -> List[ast.expr]:
-    operands: List[ast.expr] = []
+    """The callee expression and every argument of a call."""
+    operands: List[ast.expr] = [node.func]
     operands.extend(a.value if isinstance(a, ast.Starred) else a
                     for a in node.args)
     operands.extend(kw.value for kw in node.keywords)

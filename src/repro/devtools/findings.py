@@ -1,4 +1,4 @@
-"""The lint engine's output unit: one finding per rule violation."""
+"""The analyzer's output unit: one finding per rule violation."""
 
 from __future__ import annotations
 

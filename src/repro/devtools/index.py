@@ -16,9 +16,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engine import iter_python_files
 from .extract import extract_module
 from .model import (
     INDEX_SCHEMA_VERSION,
@@ -31,6 +31,35 @@ from .model import (
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 _CACHE_FILENAME = "program-index.json"
+
+#: Directories never descended into.
+_SKIP_DIRS = frozenset({
+    "__pycache__", ".git", ".mypy_cache", ".ruff_cache",
+    ".pytest_cache", ".hypothesis", "node_modules",
+})
+
+
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    Raises ``FileNotFoundError`` for a path that does not exist --
+    analyzing nothing because of a typo must not report success.
+    """
+    collected = []
+    for raw in paths:
+        path = Path(raw)
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
+        if path.is_file():
+            collected.append(str(path))
+            continue
+        for dirpath, dirnames, filenames in os.walk(path):
+            dirnames[:] = sorted(d for d in dirnames
+                                 if d not in _SKIP_DIRS)
+            for filename in sorted(filenames):
+                if filename.endswith(".py"):
+                    collected.append(os.path.join(dirpath, filename))
+    return sorted(collected)
 
 
 @dataclass(frozen=True)
@@ -188,7 +217,7 @@ def load_cache(cache_dir: str) -> Dict[str, object]:
     The payload holds a ``files`` section ({path: {sha, module}}) and,
     once an analysis has run to completion, a ``results`` section (the
     findings of the last run, keyed by a content hash of every input —
-    see :func:`repro.devtools.program.analyzer.analyze_paths`).
+    see :func:`repro.devtools.analyzer.analyze_paths`).
     """
     try:
         with open(_cache_path(cache_dir), "r", encoding="utf-8") as fh:
@@ -220,27 +249,17 @@ def save_cache(cache_dir: str, payload: Dict[str, object]) -> None:
 
 
 def build_index(paths: Sequence[str],
-                cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
-                cached_payload: Optional[Dict[str, object]] = None,
-                save: bool = True) -> ProjectIndex:
+                cached_files: Optional[Dict[str, Dict[str, object]]] = None
+                ) -> ProjectIndex:
     """Parse every ``.py`` file under ``paths`` into a ProjectIndex.
 
-    ``cache_dir=None`` disables the on-disk cache entirely.  Files that
-    fail to parse are recorded as ``syntax_errors`` (path, line,
-    message) instead of aborting the whole build.  A caller that has
-    already loaded the cache may pass it as ``cached_payload`` (and
-    ``save=False`` to take over persistence, e.g. to add a results
-    section before the single write).
+    ``cached_files`` is the ``files`` section of a loaded cache
+    ({path: {sha, module}}): a file whose content hash matches its
+    entry is deserialized instead of re-extracted.  Files that fail to
+    parse are recorded as ``syntax_errors`` (path, line, message)
+    instead of aborting the whole build.
     """
-    if cached_payload is not None:
-        payload = cached_payload
-    elif cache_dir is not None:
-        payload = load_cache(cache_dir)
-    else:
-        payload = {}
-    cached: Dict[str, Dict[str, object]] = \
-        payload.get("files", {})  # type: ignore[assignment]
-    next_cache: Dict[str, Dict[str, object]] = {}
+    cached = cached_files or {}
     index = ProjectIndex()
     errors = []
     for filename in iter_python_files(paths):
@@ -251,7 +270,6 @@ def build_index(paths: Sequence[str],
         if entry is not None and entry.get("sha") == sha:
             info = ModuleInfo.from_dict(entry["module"])  # type: ignore[arg-type]
             index.from_cache += 1
-            next_cache[filename] = entry
         else:
             try:
                 info = extract_module(filename, source, sha)
@@ -260,16 +278,8 @@ def build_index(paths: Sequence[str],
                                exc.msg or "syntax error"))
                 continue
             index.extracted += 1
-            next_cache[filename] = {"sha": sha, "module": info.to_dict()}
+            entry = {"sha": sha, "module": info.to_dict()}
+        index.cache_entries[filename] = entry
         index.modules[info.module] = info
     index.syntax_errors = tuple(errors)
-    index.cache_entries = next_cache
-    # Rewriting an unchanged cache costs more than everything else on a
-    # warm run, so only persist when something was actually re-parsed.
-    # Entries merge over the old cache: analyzing a subtree must not
-    # evict the rest of the project's entries.
-    if cache_dir is not None and save and index.extracted > 0:
-        merged = dict(cached)
-        merged.update(next_cache)
-        save_cache(cache_dir, dict(payload, files=merged))
     return index

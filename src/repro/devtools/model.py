@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 #: Bump when the extracted shape changes; stale caches are discarded.
-INDEX_SCHEMA_VERSION = 6
+INDEX_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,10 @@ class ValueDesc:
     plain name loaded anywhere inside the expression (minus
     comprehension and lambda-bound targets), ``calls`` every dotted
     callee, and ``consts`` every string literal (how the crash-safety
-    rules recognize tmp siblings and journal paths) — the approximation the RNG-taint rules match against.
+    rules recognize tmp siblings and journal paths) — the
+    approximation the RNG-taint rules match against.  ``lineno`` /
+    ``col`` locate the expression (where U001 anchors a keyword
+    cross-assignment).
     """
 
     kind: str
@@ -69,12 +72,15 @@ class ValueDesc:
     names: Tuple[str, ...] = ()
     calls: Tuple[str, ...] = ()
     consts: Tuple[str, ...] = ()
+    lineno: int = 0
+    col: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind, "text": self.text, "suffix": self.suffix,
             "names": list(self.names), "calls": list(self.calls),
-            "consts": list(self.consts),
+            "consts": list(self.consts), "lineno": self.lineno,
+            "col": self.col,
         }
 
     @classmethod
@@ -83,7 +89,8 @@ class ValueDesc:
                    suffix=payload["suffix"],
                    names=tuple(payload["names"]),
                    calls=tuple(payload["calls"]),
-                   consts=tuple(payload["consts"]))
+                   consts=tuple(payload["consts"]),
+                   lineno=payload["lineno"], col=payload["col"])
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class CallSite:
     """One call expression, with per-argument descriptions.
 
     ``bound_to`` is the simple assignment target when the call's result
-    is bound directly (``power_dbm = mw_to_dbm(x)``), which is what the
-    return-unit rule checks.  ``in_function`` is the qualified name of
+    is bound directly (``rng = resolve_rng(seed)``), which is how the
+    RNG-taint rules track generator names.  ``in_function`` is the qualified name of
     the enclosing function ("" at module level).
     """
 
@@ -169,22 +176,20 @@ class TryFact:
 
     ``guards`` are the indices (into the same function's ``try_facts``)
     of the *enclosing* try statements whose handlers would intercept an
-    exception escaping this one, innermost first.  ``in_loop`` marks a
-    try nested under a ``for``/``while`` — the retry-discipline shape.
+    exception escaping this one, innermost first.
     """
 
     lineno: int
     col: int
     handlers: Tuple[HandlerSpec, ...] = ()
     has_finally: bool = False
-    in_loop: bool = False
     guards: Tuple[int, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "lineno": self.lineno, "col": self.col,
             "handlers": [h.to_dict() for h in self.handlers],
-            "has_finally": self.has_finally, "in_loop": self.in_loop,
+            "has_finally": self.has_finally,
             "guards": list(self.guards),
         }
 
@@ -194,7 +199,6 @@ class TryFact:
                    handlers=tuple(HandlerSpec.from_dict(h)
                                   for h in payload["handlers"]),
                    has_finally=payload["has_finally"],
-                   in_loop=payload["in_loop"],
                    guards=tuple(payload["guards"]))
 
 
@@ -235,87 +239,51 @@ class CallGuard:
 
     The per-call-site ``guards`` (enclosing try indices, innermost
     first) are what lets the escape-set fixpoint subtract caught types
-    exactly where a callee is invoked.  ``in_signal_guard`` marks calls
-    made inside a ``with SignalGuard()`` region, where a direct
-    ``sys.exit`` would bypass the deferred-signal protocol.
+    exactly where a callee is invoked.
     """
 
     func: str
     lineno: int
     col: int
     guards: Tuple[int, ...] = ()
-    in_signal_guard: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "func": self.func, "lineno": self.lineno, "col": self.col,
             "guards": list(self.guards),
-            "in_signal_guard": self.in_signal_guard,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CallGuard":
         return cls(func=payload["func"], lineno=payload["lineno"],
-                   col=payload["col"], guards=tuple(payload["guards"]),
-                   in_signal_guard=payload["in_signal_guard"])
-
-
-@dataclass(frozen=True)
-class ResourceFact:
-    """One resource acquisition bound to a local name.
-
-    ``via_with`` marks ``with open(...) as fh`` bindings — already
-    cleanup-scoped.  A plain assignment from a resource producer with a
-    raise path after it and no ``finally`` anywhere is the R002 leak
-    shape.
-    """
-
-    name: str
-    kind: str
-    lineno: int
-    col: int
-    via_with: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "kind": self.kind,
-            "lineno": self.lineno, "col": self.col,
-            "via_with": self.via_with,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ResourceFact":
-        return cls(name=payload["name"], kind=payload["kind"],
-                   lineno=payload["lineno"], col=payload["col"],
-                   via_with=payload["via_with"])
+                   col=payload["col"], guards=tuple(payload["guards"]))
 
 
 @dataclass(frozen=True)
 class ParamInfo:
-    """One declared parameter (or dataclass field)."""
+    """One declared parameter (or dataclass field) and its position."""
 
     name: str
     annotation: Optional[str] = None
     has_default: bool = False
     default_is_none: bool = False
-
-    @property
-    def suffix(self) -> Optional[str]:
-        from ..visitors import unit_suffix
-        return unit_suffix(self.name)
+    lineno: int = 0
+    col: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name, "annotation": self.annotation,
             "has_default": self.has_default,
             "default_is_none": self.default_is_none,
+            "lineno": self.lineno, "col": self.col,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ParamInfo":
         return cls(name=payload["name"], annotation=payload["annotation"],
                    has_default=payload["has_default"],
-                   default_is_none=payload["default_is_none"])
+                   default_is_none=payload["default_is_none"],
+                   lineno=payload["lineno"], col=payload["col"])
 
 
 @dataclass(frozen=True)
@@ -327,11 +295,9 @@ class FunctionInfo:
     ``*_rng`` or annotated ``Generator``, and names assigned from
     ``resolve_rng`` / ``spawn`` / ``derive`` / ``default_rng`` calls).
 
-    ``try_facts`` / ``raise_facts`` / ``call_guards`` /
-    ``resource_facts`` are the raw exception-flow facts (nested defs
-    excluded) the escape-set inference consumes; ``returned_names``
-    lists plain names appearing in return expressions (ownership
-    transfer exempts a resource from the leak rule).
+    ``try_facts`` / ``raise_facts`` / ``call_guards`` are the raw
+    exception-flow facts (nested defs excluded) the escape-set
+    inference consumes.
     """
 
     qualname: str
@@ -343,14 +309,6 @@ class FunctionInfo:
     try_facts: Tuple[TryFact, ...] = ()
     raise_facts: Tuple[RaiseFact, ...] = ()
     call_guards: Tuple[CallGuard, ...] = ()
-    resource_facts: Tuple[ResourceFact, ...] = ()
-    returned_names: Tuple[str, ...] = ()
-
-    def param(self, name: str) -> Optional[ParamInfo]:
-        for info in self.params:
-            if info.name == name:
-                return info
-        return None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -362,9 +320,6 @@ class FunctionInfo:
             "try_facts": [t.to_dict() for t in self.try_facts],
             "raise_facts": [r.to_dict() for r in self.raise_facts],
             "call_guards": [c.to_dict() for c in self.call_guards],
-            "resource_facts": [r.to_dict()
-                               for r in self.resource_facts],
-            "returned_names": list(self.returned_names),
         }
 
     @classmethod
@@ -381,10 +336,7 @@ class FunctionInfo:
             raise_facts=tuple(RaiseFact.from_dict(r)
                               for r in payload["raise_facts"]),
             call_guards=tuple(CallGuard.from_dict(c)
-                              for c in payload["call_guards"]),
-            resource_facts=tuple(ResourceFact.from_dict(r)
-                                 for r in payload["resource_facts"]),
-            returned_names=tuple(payload["returned_names"]))
+                              for c in payload["call_guards"]))
 
 
 @dataclass(frozen=True)

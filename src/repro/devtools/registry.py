@@ -1,60 +1,45 @@
-"""Rule base class, registry, and --select/--ignore resolution."""
+"""Rule base class, registry, and ``--select`` / ``--ignore`` resolution.
+
+Every rule runs over the :class:`~.index.ProjectIndex`: the per-file
+unit rules (``U``) read the facts extraction already recorded, and the
+interprocedural families read the resolved call graph on top of them.
+"""
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Type,
-    TypeVar,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Type
 
-from .context import FileContext
 from .findings import Finding
+from .index import ProjectIndex
+from .model import ModuleInfo
 
 _REGISTRY: Dict[str, "Rule"] = {}
 
 
-class HasRuleId(Protocol):
-    """Anything selectable by rule id (lint rules, program rules)."""
-
-    rule_id: str
-
-
-_AnyRule = TypeVar("_AnyRule", bound=HasRuleId)
-
-
 class Rule:
-    """One lint rule: an id, a rationale, and a ``check`` pass.
+    """One rule: an id, a rationale, and a ``check`` pass.
 
-    Subclasses set ``rule_id`` and ``summary`` and implement
-    :meth:`check`; :meth:`applies_to` scopes the rule to parts of the
-    tree (determinism rules bind ``src/repro`` tighter than benchmark
-    scripts, for example).
+    ``check`` receives the whole project index and yields findings
+    anchored in whichever module they occur; the analyzer applies
+    per-line ``# repro: noqa`` suppression afterwards.
     """
 
     rule_id: str = ""
     summary: str = ""
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return True
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(self, ctx: FileContext, line: int, column: int,
+    def finding(self, info: ModuleInfo, line: int, column: int,
                 message: str) -> Finding:
-        """Build a finding for this rule (column converted to 1-based)."""
-        return Finding(path=ctx.path, line=line, column=column + 1,
+        """Build a finding in ``info``'s file (column to 1-based)."""
+        return Finding(path=info.path, line=line, column=column + 1,
                        rule_id=self.rule_id, message=message)
 
 
-def register(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+def register_rule(rule_class: Type[Rule]
+                          ) -> Type[Rule]:
+    """Class decorator adding a rule to the registry."""
     rule = rule_class()
     if not rule.rule_id:
         raise ValueError(f"{rule_class.__name__} has no rule_id")
@@ -65,9 +50,14 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 
 
 def _load_rules() -> None:
-    # Importing the rule modules populates the registry; deferred so
-    # the registry module itself stays import-cycle free.
-    from . import rules_api, rules_determinism, rules_units  # noqa: F401
+    # Importing the rule modules populates the registry.
+    from . import (  # noqa: F401
+        rules_crashsafety,
+        rules_exceptions,
+        rules_layering,
+        rules_rngflow,
+        rules_units,
+    )
 
 
 def all_rules() -> List[Rule]:
@@ -76,25 +66,18 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    """Look one rule up by exact id (raises ``KeyError`` if unknown)."""
-    _load_rules()
-    return _REGISTRY[rule_id.upper()]
-
-
-def apply_selection(rules: List["_AnyRule"],
-                    select: Optional[Iterable[str]] = None,
-                    ignore: Optional[Iterable[str]] = None
-                    ) -> List["_AnyRule"]:
+def resolve_selection(
+        select: Optional[Iterable[str]] = None,
+        ignore: Optional[Iterable[str]] = None) -> List[Rule]:
     """Apply flake8-style ``--select`` / ``--ignore`` prefix lists.
 
-    Entries match by prefix, so ``D`` selects every determinism rule
-    and ``D001`` exactly one.  Unknown entries (matching no registered
-    rule) raise ``ValueError`` so typos fail loudly instead of
-    silently linting nothing.  Works for any rule set that carries
-    ``rule_id`` attributes — the per-file lint rules and the
-    whole-program analysis rules share this resolver.
+    Entries match by prefix, case-insensitively, so ``T`` selects every
+    RNG-provenance rule and ``T001`` exactly one.  Unknown entries
+    (matching no registered rule) raise ``ValueError`` so typos fail
+    loudly instead of silently analyzing nothing.
     """
+    rules = all_rules()
+
     def expand(entries: Iterable[str]) -> List[str]:
         prefixes = []
         for entry in entries:
@@ -116,9 +99,3 @@ def apply_selection(rules: List["_AnyRule"],
         selected = [r for r in selected
                     if not any(r.rule_id.startswith(p) for p in prefixes)]
     return selected
-
-
-def resolve_selection(select: Optional[Iterable[str]] = None,
-                      ignore: Optional[Iterable[str]] = None) -> List[Rule]:
-    """``apply_selection`` over the registered per-file lint rules."""
-    return apply_selection(all_rules(), select=select, ignore=ignore)

@@ -1,4 +1,4 @@
-"""Text and JSON reporters for lint results."""
+"""Text, JSON and GitHub-annotation reporters for analyzer results."""
 
 from __future__ import annotations
 
@@ -6,13 +6,13 @@ import json
 from collections import Counter
 from typing import Any, Dict
 
-from .engine import LintResult
+from .analyzer import AnalyzeResult
 
 #: Schema version of the JSON payload; bump on breaking changes.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-def render_text(result: LintResult) -> str:
+def render_text(result: AnalyzeResult) -> str:
     """Compiler-style ``path:line:col RULE message`` lines + summary."""
     lines = [finding.render() for finding in result.findings]
     counts = Counter(f.rule_id for f in result.findings)
@@ -28,19 +28,21 @@ def render_text(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def to_payload(result: LintResult) -> Dict[str, Any]:
-    """The JSON-serializable form of a lint run."""
+def to_payload(result: AnalyzeResult) -> Dict[str, Any]:
+    """The JSON-serializable form of an analyzer run."""
     counts = Counter(f.rule_id for f in result.findings)
     return {
         "version": JSON_SCHEMA_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
+        "from_cache": result.from_cache,
+        "extracted": result.extracted,
         "counts": dict(sorted(counts.items())),
         "findings": [f.to_dict() for f in result.findings],
     }
 
 
-def render_json(result: LintResult) -> str:
+def render_json(result: AnalyzeResult) -> str:
     """Deterministically ordered JSON (sorted findings, sorted keys)."""
     return json.dumps(to_payload(result), indent=2, sort_keys=True)
 
@@ -52,7 +54,7 @@ def _escape_workflow_data(text: str) -> str:
                 .replace("\n", "%0A"))
 
 
-def render_github(result: LintResult) -> str:
+def render_github(result: AnalyzeResult) -> str:
     """GitHub Actions ``::error`` workflow annotations, one per finding.
 
     Emitted to stdout during a CI run, these surface as inline

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Set, Tuple
 
-from ..findings import Finding
 from .effects import ATOMIC_MODULE, EffectTable, effect_table
+from .findings import Finding
 from .index import ProjectIndex
 from .model import ModuleInfo
-from .registry import ProgramRule, register_program_rule
+from .registry import Rule, register_rule
 
 #: Modules sanctioned to mutate journal / manifest files.
 JOURNAL_MODULES = frozenset({
@@ -43,7 +43,7 @@ def _by_module(index: ProjectIndex) -> Dict[str, ModuleInfo]:
     return dict(index.modules)
 
 
-class _EffectRule(ProgramRule):
+class _EffectRule(Rule):
     """Shared scaffold: build the table once, dispatch per event."""
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -55,7 +55,7 @@ class _EffectRule(ProgramRule):
         raise NotImplementedError
 
 
-@register_program_rule
+@register_rule
 class NonAtomicWriteRule(_EffectRule):
     """W001: no truncating write to a published path."""
 
@@ -84,7 +84,7 @@ class NonAtomicWriteRule(_EffectRule):
                 "os.replace")
 
 
-@register_program_rule
+@register_rule
 class RenameWithoutFsyncRule(_EffectRule):
     """W002: publish renames must be preceded by an fsync."""
 
@@ -117,7 +117,7 @@ class RenameWithoutFsyncRule(_EffectRule):
                     "dir) before os.replace")
 
 
-@register_program_rule
+@register_rule
 class JournalDisciplineRule(_EffectRule):
     """W003: journal/manifest files change only via their modules."""
 

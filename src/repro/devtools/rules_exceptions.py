@@ -1,4 +1,4 @@
-"""E/B/R-series: error-contract enforcement over escape sets.
+"""E/B-series: error-contract enforcement over escape sets.
 
 The sweep orchestrator survives crashes, signals, and flaky units only
 because the exception taxonomy (``SweepError`` / ``UnitFailedError`` /
@@ -25,36 +25,25 @@ converged escape sets of :mod:`.exceptions` to police that contract:
   function).
 * **B003** — handler ordering where a broad clause shadows a narrower
   one later in the same ``try``.
-* **R001** — a retry loop (``try`` inside a loop) re-invoking a
-  project callee whose taxonomy escapes it does not fully catch: the
-  uncaught type aborts the whole retry ladder on attempt one.
-* **R002** — a resource acquired without ``with`` in a function that
-  has a live raise path after the acquisition and no ``finally``
-  (returned handles — factory pattern — are exempt).
-* **R003** — a ``SignalGuard``-deferred region calling something that
-  can raise ``SystemExit`` directly, bypassing the guard's deferred
-  delivery and the journal flush it protects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from ..findings import Finding
 from .effects import resolve_worker
 from .exceptions import (
     ExceptionTable,
     TypeLattice,
     arriving_at,
     exception_table,
-    propagate_types,
-    resolve_call_guard,
     type_lattice,
     type_token,
 )
+from .findings import Finding
 from .index import ProjectIndex
 from .model import CallSite, FunctionInfo, HandlerSpec, ModuleInfo
-from .registry import ProgramRule, register_program_rule
+from .registry import Rule, register_rule
 
 #: Pool entry points guarded by E001.
 POOL_LEAVES = frozenset({"parallel_map", "parallel_map_arrays"})
@@ -85,7 +74,7 @@ def _functions(index: ProjectIndex
             yield module, info, qualname, info.functions[qualname]
 
 
-class _EscapeRule(ProgramRule):
+class _EscapeRule(Rule):
     """Shared scaffold: rules that walk functions with both tables."""
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -103,8 +92,8 @@ class _EscapeRule(ProgramRule):
         raise NotImplementedError
 
 
-@register_program_rule
-class WorkerEscapeRule(ProgramRule):
+@register_rule
+class WorkerEscapeRule(Rule):
     """E001: pool workers must not escape unclassifiable exceptions."""
 
     rule_id = "E001"
@@ -154,7 +143,7 @@ class WorkerEscapeRule(ProgramRule):
                 "instead")
 
 
-@register_program_rule
+@register_rule
 class CliExitMapRule(_EscapeRule):
     """E002: every subcommand escape needs an exit-code mapping."""
 
@@ -190,7 +179,7 @@ class CliExitMapRule(_EscapeRule):
                 "ladder in main() to keep the 0/1/2/130/143 contract")
 
 
-@register_program_rule
+@register_rule
 class VagueEscapeRule(_EscapeRule):
     """E003: layer APIs must fail with taxonomy types, not vague ones."""
 
@@ -219,7 +208,7 @@ class VagueEscapeRule(_EscapeRule):
                 "exception that names the failure")
 
 
-@register_program_rule
+@register_rule
 class SilentSwallowRule(_EscapeRule):
     """B001: broad handlers must re-raise, translate, or record."""
 
@@ -250,7 +239,7 @@ class SilentSwallowRule(_EscapeRule):
                     "explicitly")
 
 
-@register_program_rule
+@register_rule
 class DeadCatchRule(_EscapeRule):
     """B002: a taxonomy catch must be reachable by a matching raise."""
 
@@ -295,7 +284,7 @@ class DeadCatchRule(_EscapeRule):
                         "the try or drop the clause")
 
 
-@register_program_rule
+@register_rule
 class ShadowedHandlerRule(_EscapeRule):
     """B003: a broad clause must not precede a narrower one."""
 
@@ -327,128 +316,3 @@ class ShadowedHandlerRule(_EscapeRule):
                             "catches it; order handlers "
                             "narrowest-first")
                         break
-
-
-@register_program_rule
-class RetryCoverageRule(_EscapeRule):
-    """R001: retry loops must catch everything they retry over."""
-
-    rule_id = "R001"
-    summary = ("a retry loop re-invoking a callee whose taxonomy "
-               "escapes it does not fully catch aborts the whole "
-               "ladder on the first uncaught raise; catch the full "
-               "escape set or let a supervisor own the retry")
-
-    def check_function(self, index: ProjectIndex,
-                       table: ExceptionTable, lattice: TypeLattice,
-                       module: str, info: ModuleInfo, qualname: str,
-                       function: FunctionInfo) -> Iterator[Finding]:
-        for try_index, fact in enumerate(function.try_facts):
-            if not fact.in_loop or not fact.handlers:
-                continue
-            for call in function.call_guards:
-                if try_index not in call.guards:
-                    continue
-                callee = resolve_call_guard(index, module, info,
-                                            qualname, call)
-                if callee is None:
-                    continue
-                summary = table.summaries.get(callee)
-                if summary is None:
-                    continue
-                inner = call.guards[:call.guards.index(try_index)]
-                arriving = propagate_types(summary.escapes, inner,
-                                           function, lattice)
-                uncaught = sorted(
-                    leaf for leaf in arriving
-                    if lattice.is_taxonomy(leaf)
-                    and not any(lattice.catches(spec, leaf)
-                                for spec in fact.handlers))
-                if uncaught:
-                    yield self.finding(
-                        info, call.lineno, call.col,
-                        f"retry loop in {qualname!r} re-invokes "
-                        f"{_leaf(call.func)!r} but does not catch its "
-                        f"escape {lattice.qualified(uncaught[0])}; "
-                        "one uncaught raise aborts every remaining "
-                        "attempt — catch it or classify it fatal "
-                        "explicitly")
-                    break
-
-
-@register_program_rule
-class UncleanedResourceRule(_EscapeRule):
-    """R002: resources on a raise path need with/finally cleanup."""
-
-    rule_id = "R002"
-    summary = ("a file handle, memmap, SharedMemory segment or pipe "
-               "acquired without `with` in a function that can raise "
-               "afterwards leaks on the raise path unless a finally "
-               "closes it; returned handles (factory functions) are "
-               "the caller's job")
-
-    def check_function(self, index: ProjectIndex,
-                       table: ExceptionTable, lattice: TypeLattice,
-                       module: str, info: ModuleInfo, qualname: str,
-                       function: FunctionInfo) -> Iterator[Finding]:
-        if any(fact.has_finally for fact in function.try_facts):
-            return
-        for resource in function.resource_facts:
-            if resource.via_with:
-                continue
-            if resource.name in function.returned_names:
-                continue
-            live_raise = any(
-                fact.lineno > resource.lineno
-                and propagate_types(
-                    {type_token(fact.type_token)} - {""},
-                    fact.guards, function, lattice)
-                for fact in function.raise_facts)
-            if live_raise:
-                yield self.finding(
-                    info, resource.lineno, resource.col,
-                    f"{resource.kind} {resource.name!r} in "
-                    f"{qualname!r} is acquired without `with` but "
-                    "the function can raise after the acquisition; "
-                    "the handle leaks on the raise path — use `with` "
-                    "or close it in a finally")
-
-
-@register_program_rule
-class SignalGuardExitRule(_EscapeRule):
-    """R003: SignalGuard regions must not sys.exit out of the guard."""
-
-    rule_id = "R003"
-    summary = ("a SignalGuard region defers SIGINT/SIGTERM so the "
-               "journal and store flush before exit; calling "
-               "sys.exit (or anything escaping SystemExit) inside "
-               "the region bypasses the deferred delivery and can "
-               "strand a half-written checkpoint")
-
-    def check_function(self, index: ProjectIndex,
-                       table: ExceptionTable, lattice: TypeLattice,
-                       module: str, info: ModuleInfo, qualname: str,
-                       function: FunctionInfo) -> Iterator[Finding]:
-        for call in function.call_guards:
-            if not call.in_signal_guard:
-                continue
-            if call.func in ("sys.exit", "exit", "os._exit"):
-                yield self.finding(
-                    info, call.lineno, call.col,
-                    f"{call.func}() inside a SignalGuard region in "
-                    f"{qualname!r} bypasses deferred signal delivery "
-                    "and the cleanup it protects; return an exit "
-                    "code out of the region instead")
-                continue
-            callee = resolve_call_guard(index, module, info, qualname,
-                                        call)
-            if callee is None:
-                continue
-            summary = table.summaries.get(callee)
-            if summary is not None and summary.can_exit:
-                yield self.finding(
-                    info, call.lineno, call.col,
-                    f"{_leaf(call.func)!r} called inside a "
-                    f"SignalGuard region in {qualname!r} can raise "
-                    "SystemExit, bypassing deferred signal delivery; "
-                    "make the callee return instead of exiting")

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..findings import Finding
+from .findings import Finding
 from .index import ProjectIndex
 from .model import ImportedName, ModuleInfo
-from .registry import ProgramRule, register_program_rule
+from .registry import Rule, register_rule
 
 #: The layer DAG, as (layer name, members).  Index = height.
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
@@ -90,14 +90,14 @@ def _import_edges(index: ProjectIndex, info: ModuleInfo,
             yield record, target
 
 
-@register_program_rule
-class LayeringRule(ProgramRule):
+@register_rule
+class LayeringRule(Rule):
     """L001: no module may import a higher layer."""
 
     rule_id = "L001"
-    summary = ("imports must follow the layer DAG (foundation -> "
-               "device -> core/link -> motion/plan -> simulate/faults "
-               "-> devtools/cli); upward imports are findings")
+    summary = ("imports must follow the layer DAG ("
+               + " -> ".join(name for name, _ in LAYERS)
+               + "); upward imports are findings")
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
         for module in sorted(index.modules):
@@ -118,8 +118,8 @@ class LayeringRule(ProgramRule):
                     "them")
 
 
-@register_program_rule
-class ImportCycleRule(ProgramRule):
+@register_rule
+class ImportCycleRule(Rule):
     """L002: no module-level import cycles."""
 
     rule_id = "L002"
@@ -157,8 +157,8 @@ class ImportCycleRule(ProgramRule):
         return 1
 
 
-@register_program_rule
-class UnassignedModuleRule(ProgramRule):
+@register_rule
+class UnassignedModuleRule(Rule):
     """L003: every repro subpackage must be assigned to a layer."""
 
     rule_id = "L003"
@@ -176,8 +176,7 @@ class UnassignedModuleRule(ProgramRule):
                     info, 1, 0,
                     f"module {module} (subpackage {component!r}) is "
                     "not assigned to any layer in the layering "
-                    "contract (repro.devtools.program.rules_layering."
-                    "LAYERS)")
+                    "contract (repro.devtools.rules_layering.LAYERS)")
 
 
 def _strongly_connected(edges: Dict[str, Set[str]]

@@ -2,8 +2,7 @@
 
 The determinism contract (:mod:`repro.determinism`) says every
 stochastic component draws from a generator its caller threaded in.
-The per-file D rules catch unseeded factories; these whole-program
-rules track *provenance*: generators may only be minted inside
+These rules track *provenance*: generators may only be minted inside
 ``repro.determinism`` (T001), must never be captured across the
 ``parallel_map`` process boundary (T002) — worker processes re-seed
 from explicit per-item seeds, a pickled generator would silently fork
@@ -14,13 +13,13 @@ seed the analyzer can trace back to ``resolve_rng`` / ``spawn`` /
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
-from ..findings import Finding
 from .extract import RNG_PRODUCERS
+from .findings import Finding
 from .index import ProjectIndex, ResolvedCallee
-from .model import CallSite, ClassInfo, FunctionInfo, ModuleInfo, ValueDesc
-from .registry import ProgramRule, register_program_rule
+from .model import CallSite, ModuleInfo, ValueDesc
+from .registry import Rule, register_rule
 
 #: The one module allowed to call the numpy generator factories.
 SANCTIONED_MINT = "repro.determinism"
@@ -55,8 +54,8 @@ def _enclosing_sources(info: ModuleInfo, call: CallSite) -> Set[str]:
     return sources
 
 
-@register_program_rule
-class MintDisciplineRule(ProgramRule):
+@register_rule
+class MintDisciplineRule(Rule):
     """T001: generators are minted only inside repro.determinism."""
 
     rule_id = "T001"
@@ -88,8 +87,8 @@ class MintDisciplineRule(ProgramRule):
                     "provenance stays auditable")
 
 
-@register_program_rule
-class PoolBoundaryRule(ProgramRule):
+@register_rule
+class PoolBoundaryRule(Rule):
     """T002: no RNG object crosses the parallel_map boundary."""
 
     rule_id = "T002"
@@ -176,8 +175,8 @@ class PoolBoundaryRule(ProgramRule):
                 "generators")
 
 
-@register_program_rule
-class SinkProvenanceRule(ProgramRule):
+@register_rule
+class SinkProvenanceRule(Rule):
     """T003: stochastic sinks get a traceable rng/seed, or fail."""
 
     rule_id = "T003"

@@ -1,27 +1,27 @@
-"""Units & numerics rules (U/N families).
+"""U-series: the unit-suffix convention.
 
 The link budget mixes absolute power (dBm), relative power (dB),
 linear power (mW), lengths, angles, voltages, times, and rates.  The
 repo's convention is to carry the unit in the name (``power_dbm``,
 ``range_m``); these rules make the convention load-bearing: suffixed
-parameters must be annotated, and a value named in one unit must not
-be passed into a parameter named in another.
+parameters must be annotated, a value named in one unit must not be
+passed into a keyword named in another, and an array parameter must
+not be silently truncated by ``float()``.
+
+Both rules read facts extraction already recorded — parameter
+annotations with their positions, and call-site keyword values with
+their unit suffixes — so they cost no second pass over the source.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set
 
-from .context import FileContext
+from .extract import package_parts, unit_suffix
 from .findings import Finding
-from .registry import Rule, register
-from .visitors import (
-    FunctionStackVisitor,
-    annotation_text,
-    parameter_nodes,
-    unit_suffix,
-)
+from .index import ProjectIndex
+from .model import ModuleInfo
+from .registry import Rule, register_rule
 
 #: Annotations that cannot possibly describe a numeric quantity.
 _NON_NUMERIC = frozenset({"str", "bool", "bytes", "dict", "Dict"})
@@ -29,17 +29,16 @@ _NON_NUMERIC = frozenset({"str", "bool", "bytes", "dict", "Dict"})
 #: Annotation fragments identifying an array-typed parameter (U002).
 _ARRAY_MARKERS = ("ndarray", "NDArray", "ArrayLike", "Array")
 
-#: Call-expression defaults that construct a fresh mutable object per
-#: *definition* (not per call) -- the classic shared-state bug (N001).
-_MUTABLE_FACTORIES = frozenset({
-    "list", "dict", "set", "bytearray", "deque", "defaultdict",
-    "np.array", "np.zeros", "np.ones", "np.empty", "np.full",
-    "numpy.array", "numpy.zeros", "numpy.ones", "numpy.empty",
-    "numpy.full",
-})
+#: Subpackages whose float() calls U002 polices.
+_U002_PACKAGES = frozenset({"optics", "link"})
 
 
-@register
+def _modules(index: ProjectIndex) -> Iterator[ModuleInfo]:
+    for module in sorted(index.modules):
+        yield index.modules[module]
+
+
+@register_rule
 class UnitSuffixRule(Rule):
     """U001: unit-suffixed parameters are annotated and never
     cross-assigned to a different unit within a call."""
@@ -49,61 +48,47 @@ class UnitSuffixRule(Rule):
                "_mrad/_v/_s/_hz) must be annotated, and keyword "
                "arguments must not mix unit suffixes")
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        findings: List[Tuple[int, int, str]] = []
-        require_annotations = ctx.in_package()
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in _modules(index):
+            if package_parts(info.path)[:1] == ("repro",):
+                yield from self._check_signatures(info)
+            yield from self._check_calls(info)
 
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and require_annotations:
-                findings.extend(self._check_signature(node))
-            elif isinstance(node, ast.Call):
-                findings.extend(self._check_call(node))
+    def _check_signatures(self, info: ModuleInfo) -> Iterator[Finding]:
+        for function in info.functions.values():
+            for param in function.params:
+                suffix = unit_suffix(param.name)
+                if suffix is None:
+                    continue
+                if param.annotation is None:
+                    yield self.finding(
+                        info, param.lineno, param.col,
+                        f"parameter {param.name} carries the {suffix} "
+                        "unit suffix but no type annotation (expected "
+                        "float or an array type)")
+                elif param.annotation in _NON_NUMERIC:
+                    yield self.finding(
+                        info, param.lineno, param.col,
+                        f"parameter {param.name} carries the {suffix} "
+                        f"unit suffix but is annotated "
+                        f"{param.annotation}, which cannot hold a "
+                        "physical quantity")
 
-        for line, column, message in findings:
-            yield self.finding(ctx, line, column, message)
-
-    def _check_signature(self, node: ast.AST
-                         ) -> List[Tuple[int, int, str]]:
-        findings = []
-        for arg in parameter_nodes(node):  # type: ignore[arg-type]
-            suffix = unit_suffix(arg.arg)
-            if suffix is None:
-                continue
-            text = annotation_text(arg.annotation)
-            if text is None:
-                findings.append((
-                    arg.lineno, arg.col_offset,
-                    f"parameter {arg.arg} carries the {suffix} unit "
-                    "suffix but no type annotation (expected float or "
-                    "an array type)"))
-            elif text in _NON_NUMERIC:
-                findings.append((
-                    arg.lineno, arg.col_offset,
-                    f"parameter {arg.arg} carries the {suffix} unit "
-                    f"suffix but is annotated {text}, which cannot "
-                    "hold a physical quantity"))
-        return findings
-
-    def _check_call(self, node: ast.Call) -> List[Tuple[int, int, str]]:
-        findings = []
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            expected = unit_suffix(keyword.arg)
-            if expected is None or not isinstance(keyword.value, ast.Name):
-                continue
-            actual = unit_suffix(keyword.value.id)
-            if actual is not None and actual != expected:
-                findings.append((
-                    keyword.value.lineno, keyword.value.col_offset,
-                    f"{keyword.value.id} ({actual}) passed into "
-                    f"{keyword.arg}= ({expected}); convert explicitly "
-                    "or rename one side"))
-        return findings
+    def _check_calls(self, info: ModuleInfo) -> Iterator[Finding]:
+        for call in info.calls:
+            for keyword, value in call.keywords:
+                expected = unit_suffix(keyword)
+                if expected is None or value.kind != "name":
+                    continue
+                if value.suffix is not None and value.suffix != expected:
+                    yield self.finding(
+                        info, value.lineno, value.col,
+                        f"{value.text} ({value.suffix}) passed into "
+                        f"{keyword}= ({expected}); convert explicitly "
+                        "or rename one side")
 
 
-@register
+@register_rule
 class FloatTruncationRule(Rule):
     """U002: no bare ``float(array_param)`` in ``optics/`` / ``link/``.
 
@@ -116,90 +101,36 @@ class FloatTruncationRule(Rule):
     summary = ("no bare float(<array parameter>) in repro/optics and "
                "repro/link; reduce explicitly first")
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_package("optics", "link")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        findings: List[Tuple[int, int, str]] = []
-
-        class Visitor(FunctionStackVisitor):
-            def __init__(self) -> None:
-                super().__init__()
-                self._array_params: List[Set[str]] = []
-
-            def handle_function(self, node: ast.AST) -> None:
-                arrays = set()
-                for arg in parameter_nodes(node):  # type: ignore[arg-type]
-                    text = annotation_text(arg.annotation)
-                    if text and any(m in text for m in _ARRAY_MARKERS):
-                        arrays.add(arg.arg)
-                self._array_params.append(arrays)
-
-            def visit_Call(self, node: ast.Call) -> None:
-                if (isinstance(node.func, ast.Name)
-                        and node.func.id == "float"
-                        and len(node.args) == 1
-                        and isinstance(node.args[0], ast.Name)):
-                    name = node.args[0].id
-                    if any(name in scope for scope in self._array_params):
-                        findings.append((
-                            node.lineno, node.col_offset,
-                            f"float({name}) truncates an array-typed "
-                            "parameter; reduce it explicitly (e.g. "
-                            "float(np.sum(...)) or .item())"))
-                self.generic_visit(node)
-
-            def _visit_function(self, node: ast.AST) -> None:
-                super()._visit_function(node)  # type: ignore[arg-type]
-                self._array_params.pop()
-
-        Visitor().visit(ctx.tree)
-        for line, column, message in findings:
-            yield self.finding(ctx, line, column, message)
-
-
-@register
-class MutableDefaultRule(Rule):
-    """N001: no mutable default arguments."""
-
-    rule_id = "N001"
-    summary = ("no mutable default arguments (list/dict/set literals "
-               "or array constructors); use None plus an in-body "
-               "default")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef, ast.Lambda)):
+    def check(self, index: ProjectIndex) -> Iterator[Finding]:
+        for info in _modules(index):
+            parts = package_parts(info.path)
+            if parts[:1] != ("repro",) or len(parts) < 2 or \
+                    parts[1] not in _U002_PACKAGES:
                 continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None]
-            for default in defaults:
-                reason = _mutable_default_reason(default)
-                if reason is not None:
+            for call in info.calls:
+                if call.func != "float" or len(call.args) != 1 or \
+                        call.args[0].kind != "name":
+                    continue
+                name = call.args[0].text
+                if name in self._array_params(info, call.in_function):
                     yield self.finding(
-                        ctx, default.lineno, default.col_offset,
-                        f"mutable default argument ({reason}) is shared "
-                        "across calls; default to None instead")
+                        info, call.lineno, call.col,
+                        f"float({name}) truncates an array-typed "
+                        "parameter; reduce it explicitly (e.g. "
+                        "float(np.sum(...)) or .item())")
 
-
-def _mutable_default_reason(node: ast.expr) -> Optional[str]:
-    if isinstance(node, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(node, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(node, ast.Call):
-        names: Dict[str, str] = {}
-        func = node.func
-        if isinstance(func, ast.Name):
-            names[func.id] = func.id
-        elif isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name):
-            dotted = f"{func.value.id}.{func.attr}"
-            names[dotted] = dotted
-        for name in names:
-            if name in _MUTABLE_FACTORIES:
-                return f"{name}()"
-    return None
+    @staticmethod
+    def _array_params(info: ModuleInfo, scope: str) -> Set[str]:
+        """Array-annotated parameters of every function enclosing
+        ``scope`` (closures see their outer functions' parameters)."""
+        arrays: Set[str] = set()
+        parts = scope.split(".") if scope else []
+        while parts:
+            function = info.functions.get(".".join(parts))
+            if function is not None:
+                arrays.update(
+                    p.name for p in function.params
+                    if p.annotation and any(marker in p.annotation
+                                            for marker in _ARRAY_MARKERS))
+            parts.pop()
+        return arrays

@@ -2,7 +2,7 @@
 
 A sweep is enumerated up front as an ordered list of **work units**,
 each a JSON-able parameter dictionary.  Identity is content-hashed in
-two tiers, mirroring the ``devtools/program`` cache (per-file shas
+two tiers, mirroring the ``devtools`` analyzer cache (per-file shas
 feeding one whole-run key):
 
 * **tier 1 — the unit key**: SHA-256 over the canonical JSON of

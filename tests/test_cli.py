@@ -223,7 +223,6 @@ class TestExitCodeContract:
         ("_cmd_formats", ["formats"]),
         ("_cmd_chaos", ["chaos"]),
         ("_cmd_sweep", ["sweep", "--checkpoint", "ck"]),
-        ("_cmd_lint", ["lint"]),
         ("_cmd_analyze", ["analyze"]),
         ("_cmd_scenarios", ["scenarios"]),
         ("_cmd_scenario", ["scenario", "s1"]),

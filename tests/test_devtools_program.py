@@ -2,10 +2,10 @@
 
 Covers the project index (extraction, caching, invalidation), each
 interprocedural rule family against seeded true-positive fixture trees,
-the baseline ratchet, noqa suppression, ``--select``/``--ignore``
+noqa suppression and the waiver budget, ``--select``/``--ignore``
 prefix resolution, the ``--profile`` counters, the CLI exit-code
-contract, and the GitHub annotation format.  A marker-gated perf smoke test asserts
-the warm index cache actually pays for itself.
+contract, and the GitHub annotation format.  A marker-gated perf smoke
+test asserts the warm cache actually pays for itself.
 """
 
 from __future__ import annotations
@@ -20,21 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.program import (
-    analyze_paths,
-    build_index,
-    load_baseline,
-    module_name_for,
-    write_baseline,
-)
-from repro.devtools.program.effects import EFFECTS_SCHEMA_VERSION
-from repro.devtools.program.index import load_cache, save_cache
-from repro.devtools.program.model import INDEX_SCHEMA_VERSION
+from repro.devtools import analyze_paths, build_index, module_name_for
+from repro.devtools.index import load_cache, save_cache
+from repro.devtools.model import INDEX_SCHEMA_VERSION
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 SRC_REPRO = ROOT / "src" / "repro"
-#: Trips E, B, R and L: the tree the selection tests slice.
+#: Trips E, B, L and U: the tree the selection tests slice.
 EXC = FIXTURES / "exceptions"
 
 
@@ -74,11 +67,6 @@ def test_root_analyze_default_selection_is_clean():
     assert payload["suppressed"] == 0
 
 
-def test_committed_baseline_is_empty():
-    baseline = load_baseline(str(ROOT / ".analyze-baseline.json"))
-    assert baseline == set()
-
-
 # ---------------------------------------------------------------------------
 # Rule families against the seeded true-positive trees.
 # ---------------------------------------------------------------------------
@@ -97,21 +85,6 @@ def test_layering_messages_name_the_modules():
     assert "repro.geometry" in proc.stdout  # L001 upward import
     assert "repro.core -> repro.link" in proc.stdout  # L002 cycle
     assert "experimental" in proc.stdout  # L003 unassigned
-
-
-def test_unitflow_fixture_trips_every_x_rule():
-    proc = run_analyze_cli(str(FIXTURES / "unitflow"), "--no-cache",
-                           "--select", "X", "--format", "json")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, _ = rules_found(proc)
-    assert rules == ["X001", "X002", "X002", "X003"]
-
-
-def test_x001_is_positional_and_cross_function():
-    proc = run_analyze_cli(str(FIXTURES / "unitflow"), "--no-cache",
-                           "--select", "X001")
-    assert proc.returncode == 1
-    assert "tx_dbm" in proc.stdout and "power_mw" in proc.stdout
 
 
 def test_rngflow_fixture_trips_every_t_rule():
@@ -193,54 +166,10 @@ def test_max_waivers_budget(tmp_path):
                            "T", "--max-waivers", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     proc = run_analyze_cli(str(tmp_path), "--no-cache", "--select",
-                           "T", "--max-waivers", "0")
+                           "T", "--max-waivers", "0", "--format", "json")
     assert proc.returncode == 1
-    assert "waiver" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
-# Baseline ratchet.
-# ---------------------------------------------------------------------------
-
-def test_baseline_freezes_old_findings_only(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    # Snapshot only the L001 finding into the baseline.
-    proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
-                           "--select", "L001", "--baseline",
-                           str(baseline), "--write-baseline")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert baseline.exists()
-    assert len(load_baseline(str(baseline))) == 1
-
-    # Same selection against the baseline: nothing new, exit 0.
-    proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
-                           "--select", "L001", "--baseline",
-                           str(baseline), "--format", "json")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    _, payload = rules_found(proc)
-    assert payload["findings"] == []
-    assert payload["baselined"] == 1
-
-    # The wider selection surfaces L002/L003 as NEW findings: exit 1.
-    proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
-                           "--select", "L", "--baseline",
-                           str(baseline), "--format", "json")
-    assert proc.returncode == 1
-    rules, payload = rules_found(proc)
-    assert rules == ["L002", "L003"]
-    assert payload["baselined"] == 1
-
-
-def test_stale_baseline_entries_are_counted(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    write_baseline(str(baseline), [])
-    payload = json.loads(baseline.read_text())
-    payload["findings"].append(
-        {"path": "gone.py", "rule": "L001", "message": "fixed"})
-    baseline.write_text(json.dumps(payload))
-    result = analyze_paths([str(FIXTURES / "rngflow")], select=["T"],
-                           cache_dir=None, baseline_path=str(baseline))
-    assert result.stale_baseline == 1
+    assert json.loads(proc.stdout)["suppressed"] == 1
+    assert "waiver" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -272,51 +201,15 @@ def test_cache_invalidates_on_content_change(tmp_path):
     assert warm.from_cache > 0
 
 
-def test_effect_table_round_trips_through_cache(tmp_path):
-    from repro.devtools.program.effects import (
-        attach_cached_table,
-        effect_table,
-    )
-    cache = tmp_path / "cache"
-    cold = analyze_paths([str(FIXTURES / "crashsafety")], select=["W"],
-                         cache_dir=str(cache))
-    payload = json.loads((cache / "program-index.json").read_text())
-    assert payload.get("effects"), "effect summaries not persisted"
-
-    # A fresh index adopts the cached table instead of re-inferring.
-    index = build_index([str(FIXTURES / "crashsafety")],
-                        cache_dir=None)
-    assert attach_cached_table(index, payload["effects"])
-    assert effect_table(index).from_cache
-
-    # And the warm analyze run reproduces the cold findings exactly.
-    warm = analyze_paths([str(FIXTURES / "crashsafety")], select=["W"],
-                         cache_dir=str(cache))
-    assert warm.extracted == 0
-    assert warm.findings == cold.findings
-
-
-def test_effect_table_cache_rejects_stale_key(tmp_path):
-    from repro.devtools.program.effects import attach_cached_table
-    tree = tmp_path / "tree"
-    shutil.copytree(FIXTURES / "crashsafety", tree)
-    cache = tmp_path / "cache"
-    analyze_paths([str(tree)], select=["W"], cache_dir=str(cache))
-    payload = json.loads((cache / "program-index.json").read_text())
-    target = tree / "repro" / "spool.py"
-    target.write_text(target.read_text() + "\nEXTRA = 1\n")
-    index = build_index([str(tree)], cache_dir=None)
-    assert not attach_cached_table(index, payload["effects"])
-
-
 def test_stale_cache_payloads_are_invalidated(tmp_path):
     # A cache written under an older schema must be discarded
     # wholesale, never mis-read: v2 predates the exception facts, v4
-    # carries the retired kernel facts and v5 the retired array and
-    # global-write facts.
+    # carries the retired kernel facts, v5 the retired array and
+    # global-write facts, and v6 the retired resource facts and lacks
+    # the parameter positions U001 reads.
     cache = tmp_path / "cache"
     cache.mkdir()
-    for version in (2, 4, 5):
+    for version in (2, 4, 5, 6):
         stale = {
             "version": version,
             "files": {"x.py": {"sha": "0" * 64, "module": {"bogus": 1}}},
@@ -328,16 +221,15 @@ def test_stale_cache_payloads_are_invalidated(tmp_path):
                            select=["W"], cache_dir=str(cache))
     assert result.extracted > 0  # nothing was trusted from the file
     rewritten = json.loads((cache / "program-index.json").read_text())
-    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 6
-    assert set(rewritten) == {"version", "files", "results", "effects"}
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 7
+    assert set(rewritten) == {"version", "files", "results"}
 
 
 def test_save_cache_stamps_current_schema_version(tmp_path):
     save_cache(str(tmp_path), {"files": {}})
     payload = json.loads(
         (tmp_path / "program-index.json").read_text())
-    assert payload["version"] == INDEX_SCHEMA_VERSION == 6
-    assert EFFECTS_SCHEMA_VERSION == 2
+    assert payload["version"] == INDEX_SCHEMA_VERSION == 7
 
 
 def test_corrupt_cache_is_ignored(tmp_path):
@@ -362,7 +254,7 @@ def test_exit_two_on_unknown_rule():
 
 def test_single_letter_prefix_selects_one_family():
     # "B" is a single-letter prefix over B001-B003 and must not leak
-    # into E, R or L, which the same tree also trips.
+    # into E, L or U, which the same tree also trips.
     proc = run_analyze_cli(str(EXC), "--no-cache",
                            "--select", "B", "--format", "json")
     rules, _ = rules_found(proc)
@@ -371,10 +263,9 @@ def test_single_letter_prefix_selects_one_family():
 
 def test_selection_is_case_insensitive():
     proc = run_analyze_cli(str(EXC), "--no-cache",
-                           "--select", "b,r", "--format", "json")
+                           "--select", "b,e", "--format", "json")
     rules, _ = rules_found(proc)
-    assert rules == ["B001", "B002", "B003",
-                     "R001", "R002", "R003", "R003"]
+    assert rules == ["B001", "B002", "B003", "E001", "E002", "E003"]
 
 
 def test_ignore_prefix_drops_a_family():
@@ -382,7 +273,7 @@ def test_ignore_prefix_drops_a_family():
                            "--format", "json")
     rules, _ = rules_found(proc)
     assert rules == ["B001", "B002", "B003", "E001", "E002", "E003",
-                     "R001", "R002", "R003", "R003"]
+                     "U001", "U001", "U001"]
 
 
 def test_exact_id_selection_still_works():
@@ -393,10 +284,12 @@ def test_exact_id_selection_still_works():
 
 
 def test_retired_family_prefixes_exit_two():
-    # The race (C), shape (S), dtype (Y), hot-path (P) and kernel (K)
-    # families are gone; selecting them is a usage error, not a
-    # silently empty run.
-    for bogus in ("C", "S", "Y", "P", "K", "C001", "S002", "Y002"):
+    # The race (C), shape (S), dtype (Y), hot-path (P), kernel (K),
+    # determinism (D), numerics (N), API-annotation (A), unit-flow (X)
+    # and retry/cleanup (R) families are gone; selecting them is a
+    # usage error, not a silently empty run.
+    for bogus in ("C", "S", "Y", "P", "K", "C001", "S002", "Y002",
+                  "D", "N", "A", "X", "R", "D001", "X001", "R002"):
         proc = run_analyze_cli(str(EXC), "--no-cache",
                                "--select", bogus)
         assert proc.returncode == 2, f"{bogus}: {proc.stdout}"
@@ -412,13 +305,10 @@ def test_warn_only_reports_but_exits_zero():
 def test_list_rules_covers_all_families():
     proc = run_analyze_cli("--list-rules")
     assert proc.returncode == 0
-    for rule_id in ("L001", "L002", "L003", "X001", "X002", "X003",
-                    "T001", "T002", "T003", "W001", "W002", "W003",
-                    "E001", "E002", "E003", "B001", "B002", "B003",
-                    "R001", "R002", "R003"):
-        assert rule_id in proc.stdout
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
-    assert not [rule_id for rule_id in listed if rule_id[0] in "CSYPK"]
+    assert listed == ["B001", "B002", "B003", "E001", "E002", "E003",
+                      "L001", "L002", "L003", "T001", "T002", "T003",
+                      "U001", "U002", "W001", "W002", "W003"]
 
 
 def test_github_format_emits_annotations():
@@ -450,12 +340,11 @@ def test_profile_text_reports_families_and_cache(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "profile: family W" in proc.stdout
     assert "profile: family L" in proc.stdout
-    assert ("cache results miss, effects miss, exceptions miss;"
-            in proc.stdout)
+    assert "cache results miss; files 0 cached /" in proc.stdout
 
     warm = run_analyze_cli(*args)
-    assert ("cache results hit, effects hit, exceptions hit;"
-            in warm.stdout)
+    assert "cache results hit; files" in warm.stdout
+    assert "0 extracted; total" in warm.stdout
 
 
 def test_profile_json_payload(tmp_path):
@@ -467,10 +356,9 @@ def test_profile_json_payload(tmp_path):
     assert set(profile["families"]) == {"W", "L"}
     assert all(seconds >= 0 for seconds in
                profile["families"].values())
-    assert set(profile["cache"]) == {"results", "effects", "exceptions",
-                                     "files_cached", "files_extracted"}
+    assert set(profile["cache"]) == {"results", "files_cached",
+                                     "files_extracted"}
     assert profile["cache"]["results"] == "miss"
-    assert profile["cache"]["effects"] == "miss"
     assert profile["cache"]["files_extracted"] > 0
 
 
@@ -493,19 +381,18 @@ def test_module_names_root_at_repro():
 
 
 def test_index_resolves_cross_module_calls():
-    index = build_index([str(FIXTURES / "unitflow")], cache_dir=None)
-    info = index.modules["repro.link"]
+    index = build_index([str(EXC)])
+    info = index.modules["repro.cli"]
     calls = {call.func for call in info.calls}
-    assert "linear_to_db" in calls
-    converter = next(c for c in info.calls
-                     if c.func == "linear_to_db")
-    callee = index.resolve_call("repro.link", converter)
+    assert "read_group" in calls
+    reader = next(c for c in info.calls if c.func == "read_group")
+    callee = index.resolve_call("repro.cli", reader)
     assert callee is not None
-    assert callee.qualified == "repro.optics.units.linear_to_db"
+    assert callee.qualified == "repro.store.read_group"
 
 
 def test_index_resolution_follows_reexports():
-    index = build_index([str(SRC_REPRO)], cache_dir=None)
+    index = build_index([str(SRC_REPRO)])
     # repro.simulate.rig imports GalvoHardware via the repro.galvo
     # facade; the index must resolve it to the defining module's class.
     info = index.modules["repro.simulate.rig"]
@@ -522,18 +409,13 @@ def test_index_resolution_follows_reexports():
 
 @pytest.mark.perf
 def test_warm_cache_at_least_5x_faster(tmp_path):
-    # The default selection includes the W and E/B/R families, so the
-    # cold run pays for effect and escape inference and the warm runs
-    # must reuse both persisted tables as well as the per-file
-    # extractions.
+    # The cold run parses every file and runs every family; the warm
+    # runs must hit the results tier and skip both.
     cache = tmp_path / "cache"
     started = time.perf_counter()
     cold = analyze_paths([str(SRC_REPRO)], cache_dir=str(cache))
     cold_s = time.perf_counter() - started
     assert cold.extracted > 0
-    cached = json.loads((cache / "program-index.json").read_text())
-    assert cached.get("effects"), "effect summaries not persisted"
-    assert cached.get("exceptions"), "escape sets not persisted"
 
     warm_s = float("inf")
     for _ in range(3):  # best-of-3 to shrug off scheduler noise
@@ -541,7 +423,7 @@ def test_warm_cache_at_least_5x_faster(tmp_path):
         warm = analyze_paths([str(SRC_REPRO)], cache_dir=str(cache))
         warm_s = min(warm_s, time.perf_counter() - started)
         assert warm.extracted == 0
-        assert warm.profile["cache"]["exceptions"] == "hit"
+        assert warm.profile["cache"]["results"] == "hit"
     assert warm_s * 5 <= cold_s, (
         f"warm re-run {warm_s:.4f}s vs cold {cold_s:.4f}s: cache "
         "no longer pays for itself")

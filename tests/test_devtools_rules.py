@@ -1,9 +1,12 @@
-"""Fixture-backed tests for every repro.devtools lint rule.
+"""Fixture-backed tests for the per-file unit rules and rule plumbing.
 
-Each rule has a true-positive fixture (must fire) and a true-negative
-fixture (must stay silent) under ``tests/fixtures/lint/``.  The fixture
-tree deliberately contains a ``repro/`` directory so path-scoped rules
-(D002, D004, U001, U002, A001) see the files as package members.
+U001 and U002 each have a true-positive fixture (must fire) and a
+true-negative fixture (must stay silent) under
+``tests/fixtures/program/units/``.  The fixture tree deliberately
+contains a ``repro/`` directory so the path-scoped halves (U001's
+signature check, U002's optics/link scope) see the files as package
+members.  Every other family fires on one of the whole-program fixture
+trees, which is what the registry-coverage test checks.
 """
 
 from __future__ import annotations
@@ -14,107 +17,96 @@ import pytest
 
 from repro.devtools import (
     all_rules,
-    get_rule,
-    lint_paths,
+    analyze_paths,
     resolve_selection,
 )
-from repro.devtools.context import package_parts, parse_noqa
+from repro.devtools.extract import package_parts, parse_noqa
 
-FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+PROGRAM = Path(__file__).parent / "fixtures" / "program"
+UNITS = PROGRAM / "units"
 
 RULE_FIXTURES = [
-    ("D001", FIXTURES / "repro/core/d001_tp.py",
-     FIXTURES / "repro/core/d001_tn.py"),
-    ("D002", FIXTURES / "repro/core/d002_tp.py",
-     FIXTURES / "plain/d002_tn.py"),
-    ("D003", FIXTURES / "repro/core/d003_tp.py",
-     FIXTURES / "repro/core/d003_tn.py"),
-    ("D004", FIXTURES / "repro/core/d004_tp.py",
-     FIXTURES / "repro/core/d004_tn.py"),
-    ("U001", FIXTURES / "repro/core/u001_tp.py",
-     FIXTURES / "repro/core/u001_tn.py"),
-    ("U002", FIXTURES / "repro/optics/u002_tp.py",
-     FIXTURES / "repro/optics/u002_tn.py"),
-    ("N001", FIXTURES / "repro/core/n001_tp.py",
-     FIXTURES / "repro/core/n001_tn.py"),
-    ("A001", FIXTURES / "repro/core/a001_tp.py",
-     FIXTURES / "repro/core/a001_tn.py"),
+    ("U001", UNITS / "repro/core/u001_tp.py",
+     UNITS / "repro/core/u001_tn.py"),
+    ("U002", UNITS / "repro/optics/u002_tp.py",
+     UNITS / "repro/optics/u002_tn.py"),
 ]
+
+#: The whole-program trees, each tripping its family's every rule.
+FAMILY_TREES = ("crashsafety", "exceptions", "layering", "rngflow")
+
+
+def analyze(path: Path, select=None):
+    return analyze_paths([str(path)], select=select, cache_dir=None)
 
 
 @pytest.mark.parametrize("rule_id,tp,tn", RULE_FIXTURES,
                          ids=[r[0] for r in RULE_FIXTURES])
 def test_rule_fires_on_tp_and_not_on_tn(rule_id, tp, tn):
-    tp_result = lint_paths([tp], select=[rule_id])
+    tp_result = analyze(tp, select=[rule_id])
     assert any(f.rule_id == rule_id for f in tp_result.findings), \
         f"{rule_id} should fire on {tp.name}"
-    tn_result = lint_paths([tn], select=[rule_id])
+    tn_result = analyze(tn, select=[rule_id])
     assert not tn_result.findings, \
         f"{rule_id} fired spuriously on {tn.name}: {tn_result.findings}"
 
 
 def test_every_registered_rule_has_a_fixture():
-    covered = {r[0] for r in RULE_FIXTURES}
-    registered = {rule.rule_id for rule in all_rules()}
-    assert registered == covered
+    fired = {r[0] for r in RULE_FIXTURES}
+    for tree in FAMILY_TREES:
+        fired |= {f.rule_id for f in analyze(PROGRAM / tree).findings}
+    rules = all_rules()
+    assert {rule.rule_id for rule in rules} <= fired
+    assert all(rule.summary for rule in rules)
 
 
 def test_findings_carry_position_and_message():
-    result = lint_paths([FIXTURES / "repro/core/d001_tp.py"],
-                        select=["D001"])
+    result = analyze(UNITS / "repro/core/u001_tp.py", select=["U001"])
     assert result.findings
     for finding in result.findings:
         assert finding.line >= 1
         assert finding.column >= 1
-        assert finding.rule_id == "D001"
+        assert finding.rule_id == "U001"
         assert finding.message
         assert ":" in finding.render()
 
 
 def test_noqa_suppresses_and_is_counted():
-    result = lint_paths([FIXTURES / "repro/core/noqa_demo.py"],
-                        select=["D001"])
-    assert result.clean
+    result = analyze(UNITS / "repro/core/noqa_demo.py", select=["U001"])
+    assert not result.findings
     assert result.suppressed >= 1
 
 
 def test_noqa_for_other_rule_does_not_suppress():
-    noqa = parse_noqa("x = 1  # repro: noqa[U001]\n")
-    assert noqa[1] == frozenset({"U001"})
+    for line in ("x = 1  # repro: noqa[U001]\n",
+                 "x = 1  # repro: noqa [U001]\n"):
+        assert parse_noqa(line)[1] == frozenset({"U001"}), line
     bare = parse_noqa("x = 1  # repro: noqa\n")
     assert bare[1] == frozenset()
 
 
 def test_syntax_error_becomes_e999_finding():
-    result = lint_paths([FIXTURES / "broken/e999.py"])
+    result = analyze(PROGRAM / "broken/e999.py")
     assert any(f.rule_id == "E999" for f in result.findings)
 
 
 def test_package_parts_roots_at_last_repro_component():
-    parts = package_parts(str(FIXTURES / "repro/core/d001_tp.py"))
-    assert parts == ("repro", "core", "d001_tp.py")
+    parts = package_parts(str(UNITS / "repro/core/u001_tp.py"))
+    assert parts == ("repro", "core", "u001_tp.py")
 
 
 def test_selection_prefix_resolution():
-    determinism = {r.rule_id for r in resolve_selection(select=["D"],
-                                                        ignore=None)}
-    assert determinism == {"D001", "D002", "D003", "D004"}
-    without = {r.rule_id for r in resolve_selection(select=None,
-                                                    ignore=["D001"])}
-    assert "D001" not in without
-    assert "U001" in without
+    units = {r.rule_id for r in resolve_selection(select=["U"])}
+    assert units == {"U001", "U002"}
+    without = {r.rule_id
+               for r in resolve_selection(ignore=["U001"])}
+    assert "U001" not in without
+    assert "U002" in without
     with pytest.raises(ValueError):
-        resolve_selection(select=["Z9"], ignore=None)
-
-
-def test_get_rule_and_summaries():
-    for rule in all_rules():
-        assert get_rule(rule.rule_id) is rule
-        assert rule.summary
+        resolve_selection(select=["Z9"])
 
 
 def test_cross_assignment_is_flagged_with_both_units():
-    result = lint_paths([FIXTURES / "repro/core/u001_tp.py"],
-                        select=["U001"])
+    result = analyze(UNITS / "repro/core/u001_tp.py", select=["U001"])
     messages = " ".join(f.message for f in result.findings)
     assert "_dbm" in messages and "_db" in messages
