@@ -5,6 +5,7 @@ Sub-modules map one-to-one onto Section 4 of the paper:
 * :mod:`gma` -- the parameterized GMA model ``G`` (4.1-A);
 * :mod:`kspace` -- board calibration and the K-space fit (4.1-B);
 * :mod:`mapping` -- the 12-parameter VR-space mapping fit (4.2);
+* :mod:`lsq` -- the Levenberg-Marquardt solver both fits run on;
 * :mod:`inverse` -- the iterative reverse model ``G'`` (4.3);
 * :mod:`pointing` -- the real-time pointing mechanism ``P`` (4.3);
 * :mod:`alignment` -- the exhaustive power-search training oracle;

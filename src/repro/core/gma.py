@@ -11,7 +11,8 @@ itself lives in :func:`repro.galvo.mirror.trace`; this module adds:
   their residual functions (the scalar path would be ~100x slower);
 * :func:`trace_rows` -- its kernel, which also takes per-row geometry
   (:func:`layout` and :func:`placed` build it), so the Section 4.2 fit
-  traces 30 differently placed RX models in one call;
+  traces 30 differently placed RX models (or the K-space fit's 25
+  finite-difference models) in one call;
 * :func:`board_hits` -- the ``f(G(v1, v2))`` composition of Section
   4.1-B: where the beams land on the calibration board.
 """
@@ -164,33 +165,41 @@ def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
     """Vectorized ``G`` over many voltage pairs.
 
     ``vector`` is the 25-parameter encoding of
-    :meth:`repro.galvo.GmaParams.to_vector`; ``v1``/``v2`` are (n,)
-    voltage arrays.  Returns ``(origins, directions)``, each (n, 3).
-    Unlike the scalar path, no validation is applied: the optimizer is
-    free to wander through slightly non-unit normals, and the residuals
-    stay smooth.
+    :meth:`repro.galvo.GmaParams.to_vector`, or a (k, 25) stack of them
+    (a finite-difference Jacobian's perturbed models), traced in one
+    :func:`trace_rows` call; ``v1``/``v2`` are (n,) voltage arrays.
+    Returns ``(origins, directions)``, each (n, 3), or (k, n, 3) for a
+    stack.  Unlike the scalar path, no validation is applied: the
+    optimizer is free to wander through slightly non-unit normals, and
+    the residuals stay smooth.
     """
     vec = np.asarray(vector, dtype=float)
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    theta1 = vec[24]
-    rows = layout(vec).copy()
-    for row in _DIRECTION_ROWS:
-        rows[row] = rows[row] / np.linalg.norm(rows[row])
-    origins, directions, _, _ = trace_rows(rows, theta1 * v1, theta1 * v2)
-    return origins, directions
+    stack = vec.reshape(-1, 25)
+    rows = stack[:, :24].reshape(-1, 8, 3).copy()
+    directions = rows[:, _DIRECTION_ROWS]
+    rows[:, _DIRECTION_ROWS] = directions / np.linalg.norm(
+        directions, axis=-1, keepdims=True)
+    per_row = np.repeat(np.moveaxis(rows, 1, 0), v1.size, axis=1)
+    theta1 = stack[:, 24:]
+    origins, directions, _, _ = trace_rows(
+        per_row, (theta1 * v1).ravel(), (theta1 * v2).ravel())
+    shape = vec.shape[:-1] + (v1.size, 3)
+    return origins.reshape(shape), directions.reshape(shape)
 
 
 def board_hits(vector: npt.ArrayLike, v1: npt.ArrayLike,
                v2: npt.ArrayLike, board: Plane) -> np.ndarray:
     """Where the modelled beams land on the calibration board.
 
-    Returns (n, 3) world points; beams that never reach the board
-    yield non-finite coordinates.
+    ``vector`` is one parameter vector or a (k, 25) stack, as in
+    :func:`trace_batch`.  Returns (n, 3) or (k, n, 3) world points;
+    beams that never reach the board yield non-finite coordinates.
     """
     origins, directions = trace_batch(vector, v1, v2)
     denom = directions @ board.normal
     safe = np.where(np.abs(denom) < 1e-300, np.nan, denom)
-    offsets = board.point[None, :] - origins
+    offsets = board.point - origins
     t = (offsets @ board.normal) / safe
-    return origins + t[:, None] * directions
+    return origins + t[..., None] * directions

@@ -22,12 +22,12 @@ from typing import List, Tuple
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize import least_squares
 
 from .. import constants
 from ..galvo import GalvoHardware, GmaParams
 from ..geometry import Plane
 from .gma import GmaModel, board_hits
+from .lsq import forward_jacobian, levenberg_marquardt
 from .pointing import PointingDivergedError
 
 #: By-eye spot-positioning accuracy on the grid board, one axis (m).
@@ -207,23 +207,27 @@ def fit_gma(samples: List[BoardSample], initial_guess: GmaParams,
     """
     if not samples:
         raise ValueError("cannot fit a GMA model without samples")
-    targets = np.array([[s.x, s.y] for s in samples])
-    v1 = np.array([s.v1 for s in samples])
-    v2 = np.array([s.v2 for s in samples])
+    data = np.array([[s.x, s.y, s.v1, s.v2] for s in samples], dtype=float)
+    if not np.isfinite(data).all():
+        raise ValueError("board samples must have finite coordinates "
+                         "and voltages")
+    targets, v1, v2 = data[:, :2], data[:, 2], data[:, 3]
     initial = initial_guess.to_vector()
     sigmas = _prior_sigmas(initial)
 
-    def residuals(vector: np.ndarray) -> np.ndarray:
-        hits = board_hits(vector, v1, v2, board)[:, :2]
-        res = (hits - targets).ravel()
+    def residual_rows(vectors: np.ndarray) -> np.ndarray:
+        """Board-hit misses, then the prior, per (25,) row of a stack."""
+        hits = board_hits(vectors, v1, v2, board)[..., :2]
+        res = (hits - targets).reshape(len(vectors), -1)
         # Beams that miss the board entirely are maximally wrong.
         res = np.where(np.isfinite(res), res, 1e3)
-        prior = (vector - initial) / sigmas * PRIOR_WEIGHT_M
-        return np.concatenate([res, prior])
+        prior = (vectors - initial) / sigmas * PRIOR_WEIGHT_M
+        return np.concatenate([res, prior], axis=1)
 
-    solution = least_squares(residuals, initial, method="lm",
-                             xtol=1e-15, ftol=1e-15)
-    return GmaModel(GmaParams.from_vector(solution.x))
+    solution = levenberg_marquardt(
+        lambda vector: residual_rows(vector[None])[0], initial,
+        forward_jacobian(residual_rows))
+    return GmaModel(GmaParams.from_vector(solution))
 
 
 def evaluate_fit(model: GmaModel, rig: BoardRig,

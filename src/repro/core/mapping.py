@@ -24,11 +24,11 @@ from typing import List
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize import least_squares
 
 from ..geometry import NoIntersectionError, euler_to_matrix
 from ..vrh import Pose
 from .gma import GmaModel, intersect_rows, layout, placed, trace_rows
+from .lsq import forward_jacobian, levenberg_marquardt
 from .system import LearnedSystem
 
 #: Residual assigned when a candidate geometry misses a mirror plane.
@@ -142,6 +142,10 @@ def fit_mapping(tx_kspace: GmaModel, rx_kspace: GmaModel,
     if initial.shape != (12,):
         raise ValueError("expected 12 initial mapping parameters")
     stack = _stack(samples)
+    if not all(np.isfinite(values).all() for values in (
+            initial, stack.voltages, stack.rotations, stack.positions)):
+        raise ValueError("aligned voltages, reported poses and initial "
+                         "mapping parameters must be finite")
     tx_layout = layout(tx_kspace.params.to_vector())
     rx_layout = layout(rx_kspace.params.to_vector())
 
@@ -153,10 +157,11 @@ def fit_mapping(tx_kspace: GmaModel, rx_kspace: GmaModel,
             rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
             params[6:9], stack).ravel()
 
-    solution = least_squares(residuals, initial, method="lm",
-                             xtol=1e-15, ftol=1e-15)
+    solution = levenberg_marquardt(
+        residuals, initial,
+        forward_jacobian(lambda rows: np.array([residuals(p) for p in rows])))
     return LearnedSystem.from_mapping_params(tx_kspace, rx_kspace,
-                                             solution.x)
+                                             solution)
 
 
 def mean_coincidence_error_m(system: LearnedSystem,

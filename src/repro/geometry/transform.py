@@ -4,7 +4,7 @@ Section 4.2 learns the K-space -> VR-space mapping for each GMA as six
 parameters (a rigid transform per Corke's robotics text).  We encode a
 transform as ``(tx, ty, tz, roll, pitch, yaw)`` so the 12 mapping
 parameters of the joint fit are simply the concatenation of two of these
-vectors, directly optimizable by ``scipy.optimize.least_squares``.
+vectors, which a least-squares solver optimizes directly.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@
 * :func:`scalar_coincidence_residuals` -- the Section 4.2 residual one
   sample at a time, built from ``LearnedSystem`` objects and planes
   (the batched kernel in :mod:`repro.core.mapping` must agree with it);
+* :func:`reference_fit_gma` / :func:`reference_fit_mapping` -- the
+  Section 4.1-B and 4.2 fits through ``scipy.optimize.least_squares``
+  (MINPACK's Levenberg-Marquardt with its own forward differences);
+  :func:`gma_fit_residuals` and :func:`mapping_fit_residuals` are the
+  residuals both they and :mod:`repro.core.lsq` minimize, so tests can
+  price either solution (the fits in :mod:`repro.core.kspace` and
+  :mod:`repro.core.mapping` must reach the same cost);
 * :func:`reference_evaluate` -- the channel on :class:`Ray` objects and
   numpy 3-vectors (the float :meth:`repro.link.FsoChannel.evaluate`
   must agree with it);
@@ -22,15 +29,21 @@
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from repro import constants
-from repro.core.mapping import MISS_PENALTY_M
+from repro.core import GmaModel, LearnedSystem
+from repro.core.gma import board_hits, layout, placed
+from repro.core.kspace import BOARD_PLANE, PRIOR_WEIGHT_M, _prior_sigmas
+from repro.core.mapping import MISS_PENALTY_M, _residual_rows, _stack
 from repro.determinism import derive
+from repro.galvo import GmaParams
 from repro.geometry import (
     NoIntersectionError,
     Plane,
     Ray,
     angle_between,
+    euler_to_matrix,
     normalize,
     reflect_ray,
     rotation_matrix,
@@ -79,6 +92,58 @@ def scalar_coincidence_residuals(system, sample):
     except NoIntersectionError:
         return np.full(6, MISS_PENALTY_M)
     return np.concatenate([tx_beam.origin - tau_r, rx_beam.origin - tau_t])
+
+
+def gma_fit_residuals(samples, initial_guess, board=BOARD_PLANE):
+    """The Section 4.1-B residual: board-hit misses, then the prior."""
+    targets = np.array([[s.x, s.y] for s in samples])
+    v1 = np.array([s.v1 for s in samples])
+    v2 = np.array([s.v2 for s in samples])
+    initial = initial_guess.to_vector()
+    sigmas = _prior_sigmas(initial)
+
+    def residuals(vector):
+        hits = board_hits(vector, v1, v2, board)[:, :2]
+        res = (hits - targets).ravel()
+        res = np.where(np.isfinite(res), res, 1e3)
+        prior = (vector - initial) / sigmas * PRIOR_WEIGHT_M
+        return np.concatenate([res, prior])
+    return residuals
+
+
+def reference_fit_gma(samples, initial_guess, board=BOARD_PLANE):
+    """``fit_gma`` through ``scipy.optimize.least_squares``."""
+    solution = least_squares(
+        gma_fit_residuals(samples, initial_guess, board),
+        initial_guess.to_vector(), method="lm", xtol=1e-15, ftol=1e-15)
+    return GmaModel(GmaParams.from_vector(solution.x))
+
+
+def mapping_fit_residuals(tx_kspace, rx_kspace, samples):
+    """The Section 4.2 residual over the 12 mapping parameters."""
+    stack = _stack(samples)
+    tx_layout = layout(tx_kspace.params.to_vector())
+    rx_layout = layout(rx_kspace.params.to_vector())
+
+    def residuals(params):
+        tx_vr = placed(tx_layout, euler_to_matrix(*params[3:6]),
+                       params[:3])
+        return _residual_rows(
+            tx_vr, tx_kspace.params.theta1, rx_layout,
+            rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
+            params[6:9], stack).ravel()
+    return residuals
+
+
+def reference_fit_mapping(tx_kspace, rx_kspace, samples,
+                          initial_mapping_params):
+    """``fit_mapping`` through ``scipy.optimize.least_squares``."""
+    solution = least_squares(
+        mapping_fit_residuals(tx_kspace, rx_kspace, samples),
+        np.asarray(initial_mapping_params, dtype=float), method="lm",
+        xtol=1e-15, ftol=1e-15)
+    return LearnedSystem.from_mapping_params(tx_kspace, rx_kspace,
+                                             solution.x)
 
 
 def reference_evaluate(channel, body_pose):

@@ -10,7 +10,6 @@ forward-only), or a beam runs parallel to the other side's mirror.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -106,16 +105,16 @@ def fit_residual_function(samples, initial):
     """The residual closure :func:`fit_mapping` hands the optimizer."""
     captured = {}
 
-    def fake_least_squares(fun, x0, **kwargs):
+    def fake_solver(fun, x0, jac, **kwargs):
         captured["fun"] = fun
-        return SimpleNamespace(x=x0)
+        return x0
 
-    real = mapping.least_squares
-    mapping.least_squares = fake_least_squares
+    real = mapping.levenberg_marquardt
+    mapping.levenberg_marquardt = fake_solver
     try:
         mapping.fit_mapping(KSPACE, KSPACE, samples, initial)
     finally:
-        mapping.least_squares = real
+        mapping.levenberg_marquardt = real
     return captured["fun"]
 
 

@@ -2,8 +2,9 @@
 
 Small enough to ride in tier-1: they assert the vectorized slot model
 agrees with the slot-loop oracle on a real (tiny) dataset, that the
-Section 4.2 mapping fit stays batched, and that the channel stays on
-floats (counted calls, not timed ones).  Speed is measured by the
+Section 4.2 mapping fit stays batched, that a Section 4.1-B
+finite-difference Jacobian is one batched trace, and that the channel
+stays on floats (counted calls, not timed ones).  Speed is measured by the
 repository benchmark (``bench/run.py``), not here, so CI timing noise
 cannot break the suite.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import geometry
-from repro.core import mapping
+from repro.core import BoardSample, gma, kspace, mapping
 from repro.geometry import Ray, vec
 from repro.motion import generate_dataset
 from repro.simulate import simulate_dataset
@@ -53,11 +54,17 @@ class TestMappingFitIsBatched:
                             counted("scalar", mapping.coincidence_residuals))
         monkeypatch.setattr(mapping, "_residual_rows",
                             counted("batched", mapping._residual_rows))
-        least_squares = mapping.least_squares
-        monkeypatch.setattr(
-            mapping, "least_squares",
-            lambda fun, x0, **kwargs: least_squares(
-                counted("evaluations", fun), x0, **kwargs))
+        solver = mapping.levenberg_marquardt
+
+        def solve(fun, x0, jac):
+            def jacobian(x, f):
+                # A forward-difference Jacobian evaluates the residual
+                # once per parameter.
+                calls["evaluations"] += x.size
+                return jac(x, f)
+            return solver(counted("evaluations", fun), x0, jacobian)
+
+        monkeypatch.setattr(mapping, "levenberg_marquardt", solve)
 
         tx_map = testbed.vr_from_world.compose(testbed.tx_kspace_to_world)
         initial = np.concatenate([
@@ -68,6 +75,30 @@ class TestMappingFitIsBatched:
                             calibration.mapping_samples, initial)
         assert calls["scalar"] == 0
         assert 0 < calls["batched"] <= calls["evaluations"]
+
+
+class TestGmaJacobianIsOneTrace:
+    def test_one_trace_rows_call_per_jacobian(self, testbed, monkeypatch):
+        captured = {}
+
+        def capture(fun, x0, jac, **kwargs):
+            captured.update(fun=fun, jac=jac)
+            return x0
+
+        monkeypatch.setattr(kspace, "levenberg_marquardt", capture)
+        params = testbed.tx_hardware.params
+        samples = [BoardSample(0.01 * i, -0.02 * i, 0.3 * i, -0.2 * i)
+                   for i in range(-5, 6)]
+        kspace.fit_gma(samples, params)
+        x = params.to_vector()
+        residual = captured["fun"](x)
+
+        calls = Counter()
+        monkeypatch.setattr(gma, "trace_rows",
+                            counter(calls)("trace_rows", gma.trace_rows))
+        jacobian = captured["jac"](x, residual)
+        assert calls["trace_rows"] == 1
+        assert jacobian.shape == (residual.size, x.size)
 
 
 class TestChannelStaysOnFloats:
