@@ -10,6 +10,7 @@ voltages via two finite differences, projects everything onto the plane
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,16 @@ def solve(model: GmaModel, target: npt.ArrayLike,
        ``u2 = k2 - k0`` by a least-squares 2x2 solve for ``(a, b)``;
     4. update ``v1 += a * eps``, ``v2 += b * eps``; stop once the
        update falls below the GM's minimum voltage step.
+
+    A non-finite ``target`` or seed voltage raises
+    :class:`InverseDivergedError` before the first iteration.
     """
     tau = np.asarray(target, dtype=float)
+    if not (all(map(math.isfinite, tau.tolist())) and math.isfinite(v1)
+            and math.isfinite(v2)):
+        raise InverseDivergedError(
+            f"G' needs a finite target and seed, got target {tau} "
+            f"from voltages ({v1}, {v2})")
     for iteration in range(1, max_iterations + 1):
         beam0 = model.beam(v1, v2)
         plane = Plane(tau, beam0.direction)

@@ -18,6 +18,7 @@ millimeter per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -88,8 +89,18 @@ def point(system: LearnedSystem, reported_pose: Pose,
     ``initial`` seeds the iteration; in steady-state operation the
     previous command is the natural (and fastest) seed, exactly as the
     prototype operates between consecutive VRH-T reports.
+
+    A non-finite reported position or ``initial`` raises
+    :class:`PointingDivergedError` before the first iteration (a
+    :class:`Pose` already rejects a non-rotation orientation).
     """
     v_tx1, v_tx2, v_rx1, v_rx2 = (float(v) for v in initial)
+    if not all(map(math.isfinite, (*reported_pose.position.tolist(),
+                                   v_tx1, v_tx2, v_rx1, v_rx2))):
+        raise PointingDivergedError(
+            f"P needs a finite report and seed, got position "
+            f"{reported_pose.position} from voltages "
+            f"({v_tx1}, {v_tx2}, {v_rx1}, {v_rx2})")
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)
     for iteration in range(1, max_iterations + 1):

@@ -8,8 +8,8 @@ per trace.  :func:`generate_trace` is the same pass over one trace and
 :func:`generate_dataset` the corpus as per-trace views.
 
 Layout: tensors are *axis-major* — ``(T, 3, n)`` with time contiguous
-— because every heavy stage (``lfilter``, ``cumsum``, ``diff``) walks
-the time axis.  :meth:`TraceBatch.trace` exposes the familiar
+— because every heavy stage (the AR(1) scan, ``cumsum``, ``diff``)
+walks the time axis.  :meth:`TraceBatch.trace` exposes the familiar
 ``(n, 3)`` per-trace view by transposition (a zero-copy view).
 
 The equality oracle is ``reference_generate_trace`` in
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,17 +34,9 @@ from ..store import ColumnGroup, ColumnStore
 from .traces import VIDEO_360, HeadTrace, TraceProfile
 
 
-@lru_cache(maxsize=None)
-def _lfilter() -> Callable[..., np.ndarray]:
-    """``scipy.signal.lfilter``, imported on first trace generation.
-
-    ``scipy.signal`` drags in ``scipy.stats``, ``scipy.special`` and
-    ``scipy.fft`` (about a second of import) for this one function,
-    which only OU trace generation calls, so it stays off the
-    ``import repro`` path.
-    """
-    from scipy.signal import lfilter
-    return lfilter
+#: OU time constants (s) of the six noise rows per trace: angular
+#: velocity (yaw, pitch, roll) then linear sway velocity (x, y, z).
+_TAU_S = (0.8, 0.8, 0.8, 1.2, 1.2, 1.2)
 
 
 @dataclass
@@ -201,20 +193,18 @@ class TraceBatch:
 
 def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
                   n: int, dt_s: float, seed: int
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             np.ndarray, List[Tuple[int, int, int,
-                                                    float]]]:
+                  ) -> Tuple[np.ndarray, np.ndarray,
+                             List[Tuple[int, int, int, float]]]:
     """Consume every per-trace random stream, in the oracle's order.
 
-    Returns the raw normal tensors plus per-trace sigmas and the
-    saccade burst list.  This is the only per-trace loop left in the
-    batch engine; everything after it is one tensor pass.
+    Returns the raw normal tensor ``(T, 6, n)`` (the three angular
+    rows, then the three sway rows), the matching ``(T, 6)`` sigmas
+    and the saccade burst list.  This is the only per-trace loop left
+    in the batch engine; everything after it is one tensor pass.
     """
     t_count = len(ids)
-    z_ang = np.empty((t_count, 3, n), dtype=np.float64)
-    z_vel = np.empty((t_count, 3, n), dtype=np.float64)
-    sigma_ang = np.empty((t_count, 3), dtype=np.float64)
-    sigma_vel = np.empty(t_count, dtype=np.float64)
+    z = np.empty((t_count, 6, n), dtype=np.float64)
+    sigma = np.empty((t_count, 6), dtype=np.float64)
     bursts: List[Tuple[int, int, int, float]] = []
     saccades_on = profile.saccade_rate_hz > 0
     expected = profile.saccade_rate_hz * n * dt_s
@@ -225,40 +215,60 @@ def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
         activity = min(viewer_activity * video_activity,
                        profile.activity_cap)
         wander = math.radians(profile.wander_speed_deg_s) * activity
-        sigma_ang[t, 0] = wander          # yaw (drawn first)
-        sigma_ang[t, 1] = wander * 0.45   # pitch
-        sigma_ang[t, 2] = wander * 0.2    # roll
+        sigma[t, 0] = wander          # yaw (drawn first)
+        sigma[t, 1] = wander * 0.45   # pitch
+        sigma[t, 2] = wander * 0.2    # roll
         # One (3, n) fill consumes the identical ziggurat stream three
         # sequential standard_normal(n) calls would.
-        rng.standard_normal(out=z_ang[t])
+        rng.standard_normal(out=z[t, :3])
         peak = math.radians(profile.saccade_peak_deg_s) * activity
         if saccades_on and peak > 0:
             for _ in range(rng.poisson(expected)):
                 center = int(rng.integers(0, n))
                 duration_s = rng.uniform(0.15, 0.45)
                 width = max(int(duration_s / dt_s), 2)
+                # integers(0, 2) picks the side choice([-1.0, 1.0])
+                # would from the same stream, at a seventh of its cost.
                 magnitude = (peak * rng.lognormal(0.0, 0.4)
-                             * rng.choice([-1.0, 1.0]))
+                             * (-1.0, 1.0)[rng.integers(0, 2)])
                 bursts.append((t, center, width, magnitude))
-        sigma_vel[t] = profile.sway_speed_m_s * activity
-        rng.standard_normal(out=z_vel[t])
-    return z_ang, z_vel, sigma_ang, sigma_vel, bursts
+        sigma[t, 3:] = profile.sway_speed_m_s * activity
+        rng.standard_normal(out=z[t, 3:])
+    return z, sigma, bursts
 
 
-def _ou_filter(z: np.ndarray, sigma: np.ndarray, dt_s: float,
-               tau: float) -> np.ndarray:
-    """Batched stationary-start OU: AR(1) over the last axis.
+def _ou_scan(z: np.ndarray, sigma: np.ndarray, dt_s: float,
+             taus: Sequence[float]) -> np.ndarray:
+    """Batched stationary-start OU: an in-place AR(1) over the last axis.
 
-    Scales ``z`` in place (it is scratch) and runs one ``lfilter``
-    pass, which evaluates ``y[i] = decay * y[i-1] + x[i]`` in the same
-    floating-point order as the per-sample recursion.
+    ``z`` is ``(..., rows, n)`` unit normals and ``taus`` one time
+    constant per row.  Scales ``z`` into innovations, then scans
+    ``y[i] = decay * y[i-1] + x[i]`` over time, overwriting ``z`` with
+    the paths.  Each element goes through the per-sample recursion's
+    exact IEEE operations (one multiply, then one add, each rounded),
+    so the paths match it bit for bit.  The scan walks prebuilt column
+    views with one preallocated buffer: no tensor is allocated.
     """
-    decay = math.exp(-dt_s / tau)
-    innovation = sigma * math.sqrt(max(1.0 - decay * decay, 1e-12))
+    if not z.flags.c_contiguous:
+        raise ValueError("the OU scan writes through a reshaped view of "
+                         "z, which must be C-contiguous")
+    decays = [math.exp(-dt_s / tau) for tau in taus]
+    innovation = sigma * np.array(
+        [math.sqrt(max(1.0 - decay * decay, 1e-12)) for decay in decays])
     first = sigma * z[..., 0]
     np.multiply(z, innovation[..., None], out=z)
     z[..., 0] = first
-    return _lfilter()([1.0], [1.0, -decay], z, axis=-1)
+    # One flat column view per time step, built once: a 1-D strided
+    # ufunc call is cheaper than a multi-axis one, and a positional
+    # ``out`` skips keyword parsing (2n calls per chunk).
+    rows = z.reshape(-1, z.shape[-1])
+    decay = np.broadcast_to(np.array(decays), sigma.shape).reshape(-1)
+    scaled = np.empty_like(decay)
+    cols = list(rows.T)
+    for prev, col in zip(cols, cols[1:]):
+        np.multiply(decay, prev, scaled)
+        np.add(scaled, col, col)
+    return z
 
 
 def _deposit_saccades(shape: Tuple[int, int],
@@ -313,17 +323,13 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
                       with_pose: bool) -> Dict[str, np.ndarray]:
     """The tensor pass: every column for a chunk of (viewer, video)."""
     n = int(round(duration_s / dt_s)) + 1
-    z_ang, z_vel, sigma_ang, sigma_vel, bursts = _draw_streams(
-        ids, profile, n, dt_s, seed)
-
-    # omega rows: yaw, pitch, roll
-    omega = _ou_filter(z_ang, sigma_ang, dt_s, 0.8)
+    z, sigma, bursts = _draw_streams(ids, profile, n, dt_s, seed)
+    _ou_scan(z, sigma, dt_s, _TAU_S)
+    omega = z[:, :3, :]      # rows: yaw, pitch, roll
+    velocity = z[:, 3:, :]
     saccades = _deposit_saccades((len(ids), n), bursts)
     if saccades is not None:
         omega[:, 0, :] += saccades
-    velocity = _ou_filter(
-        z_vel, np.broadcast_to(sigma_vel[:, None], (len(ids), 3)).copy(),
-        dt_s, 1.2)
     velocity[:, 2, :] *= 0.4  # vertical sway is smaller
 
     # step_angular reduces (roll^2 + pitch^2) + yaw^2 — the column
@@ -334,23 +340,23 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
     np.multiply(velocity, dt_s, out=velocity)
     positions = np.cumsum(velocity, axis=-1, out=velocity)
     positions -= positions[:, :, :1].copy()
-    # z_vel is spent scratch (scaled noise already consumed by the
-    # filter): reuse it for the position deltas instead of faulting a
-    # fresh tensor in.
+    eulers = None
+    if with_pose:
+        np.multiply(omega, dt_s, out=omega)
+        # eulers columns are (roll, pitch, yaw): reverse the row order
+        # before integrating.
+        eulers = np.cumsum(omega[:, ::-1, :], axis=-1)
+    # omega is spent (step_angular and eulers are out): reuse its
+    # rows for the position deltas instead of faulting a fresh tensor.
     deltas = np.subtract(positions[:, :, 1:], positions[:, :, :-1],
-                         out=z_vel[:, :, 1:])
+                         out=omega[:, :, 1:])
     step_linear = _norm3_steps(deltas)
 
     columns = {
         "step_linear_m": step_linear,
         "step_angular_rad": step_angular,
     }
-    if with_pose:
-        np.multiply(omega, dt_s, out=omega)
-        # eulers columns are (roll, pitch, yaw): reverse the row order
-        # before integrating; z_ang is spent scratch and becomes the
-        # output buffer.
-        eulers = np.cumsum(omega[:, ::-1, :], axis=-1, out=z_ang)
+    if eulers is not None:
         columns["positions"] = positions
         columns["eulers"] = eulers
     return columns
@@ -406,9 +412,6 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     """
     if columns not in ("full", "steps"):
         raise ValueError("columns must be 'full' or 'steps'")
-    # Resolved before any corpus tensor is allocated, so importing
-    # scipy.signal does not land in the middle of the batch's heap.
-    _lfilter()
     with_pose = columns == "full"
     ids = [(viewer, video) for viewer in range(viewers)
            for video in range(videos)]

@@ -65,3 +65,20 @@ class TestSolve:
         except InverseDivergedError:
             return
         assert max(abs(result.v1), abs(result.v2)) > 10.0
+
+
+class TestNonFiniteInputs:
+    """A NaN or inf input is a typed error at the entry, not LAPACK noise."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises(self, model, bad, capfd):
+        with pytest.raises(InverseDivergedError, match="finite"):
+            solve_inverse(model, np.array([0.1, bad, 1.5]))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", [
+        dict(v1=np.nan), dict(v2=np.nan), dict(v1=np.inf),
+        dict(v2=-np.inf)])
+    def test_non_finite_seed_raises(self, model, seed):
+        with pytest.raises(InverseDivergedError, match="finite"):
+            solve_inverse(model, np.array([0.1, 0.0, 1.5]), **seed)

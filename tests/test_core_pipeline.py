@@ -18,6 +18,7 @@ from repro.core import (
     point,
 )
 from repro.core.errors import beam_error_m, summarize
+from repro.core.pointing import PointingDivergedError
 from repro.vrh import Pose
 
 
@@ -156,6 +157,22 @@ class TestPointing:
                      initial=(cold.v_tx1, cold.v_tx2,
                               cold.v_rx1, cold.v_rx2))
         assert warm.iterations <= cold.iterations
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_raises(self, testbed, learned_system,
+                                        bad, capfd):
+        report = testbed.tracker.report(testbed.evaluation_poses(1)[0])
+        position = report.position.copy()
+        position[1] = bad
+        with pytest.raises(PointingDivergedError, match="finite"):
+            point(learned_system, Pose(position, report.orientation))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_seed_raises(self, testbed, learned_system, bad):
+        report = testbed.tracker.report(testbed.evaluation_poses(1)[0])
+        with pytest.raises(PointingDivergedError, match="finite"):
+            point(learned_system, report, initial=(0.0, bad, 0.0, 0.0))
 
     def test_command_voltages_in_range(self, testbed, learned_system):
         for pose in testbed.evaluation_poses(5):

@@ -1,15 +1,15 @@
-"""Import-graph guard: scipy stays off the deployment path.
+"""Import-graph guard: scipy stays out of the runtime.
 
-``scipy.signal`` (with the ``scipy.stats``, ``scipy.special`` and
-``scipy.fft`` it loads) is about a second of import, for one function,
-``lfilter``, that only OU trace generation calls.  ``scipy.optimize``
-(and the ``scipy.linalg`` it loads) would be most of a second more;
-the Section 4 fits run on :mod:`repro.core.lsq` instead.  Importing
-``repro`` and calibrating a testbed must load none of the three; the
-first trace generation must load ``scipy.signal``.  Each check runs in
-a fresh interpreter, since this test process has imported everything
-already, and after the calibration, so an import deferred into the
-fits is caught too.  No timing is asserted.
+Nothing in ``repro`` imports scipy.  The Section 4 fits run on
+:mod:`repro.core.lsq` (``scipy.optimize`` and the ``scipy.linalg`` it
+loads would be most of a second of import), and OU trace generation is
+an in-place numpy AR(1) scan (``scipy.signal`` and the
+``scipy.stats``/``special``/``fft`` it loads would be about a second
+more, and ~76 MB resident).  Importing ``repro``, calibrating a testbed
+and running the Section 5.4 trace pipeline must load no scipy module.
+Each check runs in a fresh interpreter, since this test process has
+imported everything already, and after the work, so an import deferred
+into a call is caught too.  No timing is asserted.
 """
 
 import os
@@ -29,12 +29,19 @@ for name in ("scipy.signal", "scipy.optimize", "scipy.linalg"):
     print(name in sys.modules)
 """
 
-FIRST_TRACE = """
+FULL_RUN = """
 import sys
 from repro.motion import generate_trace
-print("scipy.signal" in sys.modules)
+from repro.motion.batch import generate_batch
+from repro.simulate import Testbed
+from repro.simulate.batch import simulate_batch
+Testbed(seed=3).calibrate()
 generate_trace(0, 0, duration_s=1.0)
-print("scipy.signal" in sys.modules)
+for columns in ("full", "steps"):
+    simulate_batch(generate_batch(viewers=2, videos=2, duration_s=1.0,
+                                  columns=columns))
+print(",".join(sorted(name for name in sys.modules
+                      if name.split(".")[0] == "scipy")) or "none")
 """
 
 
@@ -53,5 +60,5 @@ def test_import_and_calibrate_leave_scipy_signal_unloaded():
     assert run_python(DEPLOYMENT_PATH) == ["False", "False", "False"]
 
 
-def test_first_trace_generation_loads_scipy_signal():
-    assert run_python(FIRST_TRACE) == ["False", "True"]
+def test_deployment_and_trace_pipeline_load_no_scipy():
+    assert run_python(FULL_RUN) == ["none"]

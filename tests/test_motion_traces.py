@@ -12,7 +12,7 @@ from repro.motion import (
     measure_trace,
     resample_trace,
 )
-from repro.motion.batch import _ou_filter
+from repro.motion.batch import _TAU_S, _ou_scan
 
 from .oracles import reference_generate_trace, reference_ou_series
 
@@ -202,7 +202,7 @@ class TestResample:
 
 
 class TestOuVectorization:
-    """The batched AR(1) filter is bit-identical to the recursion."""
+    """The batched AR(1) scan is bit-identical to the recursion."""
 
     @pytest.mark.parametrize("n,tau,sigma", [
         (1, 0.8, 0.1),
@@ -214,10 +214,34 @@ class TestOuVectorization:
     ])
     def test_bitwise_equal_to_reference(self, n, tau, sigma):
         z = np.random.default_rng(99).standard_normal((1, 1, n))
-        fast = _ou_filter(z, np.array([[sigma]]), 0.01, tau)[0, 0]
+        fast = _ou_scan(z, np.array([[sigma]]), 0.01, (tau,))[0, 0]
         slow = reference_ou_series(n, 0.01, tau, sigma,
                                    np.random.default_rng(99))
         np.testing.assert_array_equal(fast, slow)
+
+    @pytest.mark.parametrize("n", [1, 2, 977])
+    def test_fused_rows_bitwise_equal_to_reference(self, n):
+        # One scan over the (T, 6, n) tensor the batch engine fills:
+        # angular rows (tau 0.8 s) and sway rows (tau 1.2 s) with
+        # per-row sigmas, each row equal to its own recursion.
+        assert len(set(_TAU_S)) == 2
+        sigma = np.array([[0.14, 0.063, 0.028, 0.04, 0.04, 0.04],
+                          [0.3, 0.135, 0.06, 0.09, 0.09, 0.09]])
+        seeds = np.arange(sigma.size).reshape(sigma.shape)
+        z = np.array([[np.random.default_rng(seed).standard_normal(n)
+                       for seed in row] for row in seeds])
+        fast = _ou_scan(z, sigma, 0.01, _TAU_S)
+        for (t, row), seed in np.ndenumerate(seeds):
+            slow = reference_ou_series(n, 0.01, _TAU_S[row],
+                                       sigma[t, row],
+                                       np.random.default_rng(seed))
+            np.testing.assert_array_equal(fast[t, row], slow)
+
+    def test_rejects_a_non_contiguous_tensor(self):
+        # The scan writes through a reshaped view; a copy would drop it.
+        z = np.zeros((2, 1, 8))[:, :, ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            _ou_scan(z, np.ones((2, 1)), 0.01, (0.8,))
 
     def test_consumes_identical_rng_stream(self):
         # One n-sample fill (what the tensor pass draws per OU path)
