@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import numpy.typing as npt
 
-from ..geometry import NoIntersectionError, Plane, Ray
+from ..galvo.mirror import trace_floats
+from ..geometry import Vec3, as_vec3
 from .gma import GmaModel
 
 #: Finite-difference voltage step for the local linearization.
@@ -40,9 +40,26 @@ class InverseResult:
     miss_distance_m: float
 
 
-def _intersection(beam: Ray, plane: Plane) -> np.ndarray:
-    """Beam-plane intersection, tolerant of backwards geometry."""
-    return plane.intersect_ray(beam, forward_only=False)
+def _plane_hit(origin: Vec3, direction: Vec3, point: Vec3,
+               normal: Vec3) -> Vec3:
+    """Where a beam's line crosses the plane through ``point``.
+
+    Float form of :meth:`repro.geometry.Plane.intersect_ray` with
+    ``forward_only=False`` (backwards geometry is tolerated), for a unit
+    ``normal``; the beam direction is normalized as :class:`Ray` does.
+    """
+    dx, dy, dz = direction
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    dx, dy, dz = dx / length, dy / length, dz / length
+    nx, ny, nz = normal
+    denom = dx * nx + dy * ny + dz * nz
+    if abs(denom) < 1e-12:
+        raise InverseDivergedError(
+            "beam became parallel to the target plane")
+    ox, oy, oz = origin
+    t = ((point[0] - ox) * nx + (point[1] - oy) * ny
+         + (point[2] - oz) * nz) / denom
+    return ox + t * dx, oy + t * dy, oz + t * dz
 
 
 def solve(model: GmaModel, target: npt.ArrayLike,
@@ -60,34 +77,60 @@ def solve(model: GmaModel, target: npt.ArrayLike,
        ``k1``, ``k2``);
     3. express the required in-plane displacement ``tau - k0`` in the
        basis of the per-epsilon displacements ``u1 = k1 - k0`` and
-       ``u2 = k2 - k0`` by a least-squares 2x2 solve for ``(a, b)``;
+       ``u2 = k2 - k0``: the 3x2 least squares for ``(a, b)``, solved
+       as its 2x2 normal equations by Cramer's rule;
     4. update ``v1 += a * eps``, ``v2 += b * eps``; stop once the
        update falls below the GM's minimum voltage step.
 
-    A non-finite ``target`` or seed voltage raises
-    :class:`InverseDivergedError` before the first iteration.
+    The iteration runs on plain floats
+    (:func:`repro.galvo.mirror.trace_floats`); only the converged beam
+    is built as a :class:`repro.geometry.Ray`, for ``miss_distance_m``.  A non-finite ``target`` or seed voltage
+    raises :class:`InverseDivergedError` before the first iteration, and
+    so does a singular finite-difference basis during it.
     """
-    tau = np.asarray(target, dtype=float)
+    tau = as_vec3(target)
     if not (all(map(math.isfinite, tau.tolist())) and math.isfinite(v1)
             and math.isfinite(v2)):
         raise InverseDivergedError(
             f"G' needs a finite target and seed, got target {tau} "
             f"from voltages ({v1}, {v2})")
+    tx, ty, tz = tau.tolist()
+    point = (tx, ty, tz)
+    params = model.params
+    theta1 = params.theta1
     for iteration in range(1, max_iterations + 1):
-        beam0 = model.beam(v1, v2)
-        plane = Plane(tau, beam0.direction)
-        try:
-            k0 = _intersection(beam0, plane)
-            k1 = _intersection(model.beam(v1 + EPSILON_V, v2), plane)
-            k2 = _intersection(model.beam(v1, v2 + EPSILON_V), plane)
-        except NoIntersectionError as exc:
+        origin, direction = trace_floats(params, theta1 * v1, theta1 * v2)
+        dx, dy, dz = direction
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        normal = (dx / length, dy / length, dz / length)
+        k0x, k0y, k0z = _plane_hit(origin, direction, point, normal)
+        k1x, k1y, k1z = _plane_hit(
+            *trace_floats(params, theta1 * (v1 + EPSILON_V), theta1 * v2),
+            point, normal)
+        k2x, k2y, k2z = _plane_hit(
+            *trace_floats(params, theta1 * v1, theta1 * (v2 + EPSILON_V)),
+            point, normal)
+        u1x = (k1x - k0x) / EPSILON_V
+        u1y = (k1y - k0y) / EPSILON_V
+        u1z = (k1z - k0z) / EPSILON_V
+        u2x = (k2x - k0x) / EPSILON_V
+        u2y = (k2y - k0y) / EPSILON_V
+        u2z = (k2z - k0z) / EPSILON_V
+        rx, ry, rz = tx - k0x, ty - k0y, tz - k0z
+        g11 = u1x * u1x + u1y * u1y + u1z * u1z
+        g12 = u1x * u2x + u1y * u2y + u1z * u2z
+        g22 = u2x * u2x + u2y * u2y + u2z * u2z
+        b1 = u1x * rx + u1y * ry + u1z * rz
+        b2 = u2x * rx + u2y * ry + u2z * rz
+        det = g11 * g22 - g12 * g12
+        if det == 0.0:
             raise InverseDivergedError(
-                f"beam became parallel to the target plane: {exc}") from exc
-        u1 = (k1 - k0) / EPSILON_V
-        u2 = (k2 - k0) / EPSILON_V
-        basis = np.column_stack([u1, u2])
-        coeffs, *_ = np.linalg.lstsq(basis, tau - k0, rcond=None)
-        a, b = float(coeffs[0]), float(coeffs[1])
+                f"singular finite-difference basis at ({v1}, {v2})")
+        a = (b1 * g22 - g12 * b2) / det
+        b = (g11 * b2 - g12 * b1) / det
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InverseDivergedError(
+                f"non-finite G' step ({a}, {b}) at ({v1}, {v2})")
         v1 += a
         v2 += b
         if max(abs(a), abs(b)) < voltage_step_v:

@@ -17,6 +17,7 @@ like the paper we only ever evaluate ``G`` by where its beams go.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -25,7 +26,7 @@ import numpy.typing as npt
 
 from .. import constants
 from ..galvo import GalvoHardware, GmaParams
-from ..geometry import Plane
+from ..geometry import NoIntersectionError, Plane
 from .gma import GmaModel, board_hits
 from .lsq import forward_jacobian, levenberg_marquardt
 from .pointing import PointingDivergedError
@@ -84,7 +85,8 @@ class BoardRig:
 
     def __post_init__(self) -> None:
         # Random but fixed warp phases: the board's particular bend.
-        self._warp_phase = self.rng.uniform(0.0, 2.0 * np.pi, size=2)
+        self._warp_phase = tuple(
+            self.rng.uniform(0.0, 2.0 * np.pi, size=2).tolist())
 
     def warp_bias(self, point_xy: npt.ArrayLike) -> np.ndarray:
         """Systematic apparent-position bias from board non-flatness.
@@ -94,10 +96,16 @@ class BoardRig:
         component of the paper's 1-2 mm stage-1 error that no amount of
         samples removes.
         """
-        p = np.asarray(point_xy, dtype=float)
-        phase = 2.0 * np.pi * p / WARP_PERIOD_M + self._warp_phase
-        return self.warp_bias_m * np.array(
-            [np.sin(phase[0]), np.sin(phase[1])])
+        x, y = np.asarray(point_xy, dtype=float).tolist()
+        return np.array(self._warp_floats(x, y))
+
+    def _warp_floats(self, x: float, y: float) -> Tuple[float, float]:
+        """:meth:`warp_bias` of the board point ``(x, y)``, as floats."""
+        phase_x, phase_y = self._warp_phase
+        return (self.warp_bias_m * math.sin(
+                    2.0 * math.pi * x / WARP_PERIOD_M + phase_x),
+                self.warp_bias_m * math.sin(
+                    2.0 * math.pi * y / WARP_PERIOD_M + phase_y))
 
     def beam_board_hit(self) -> np.ndarray:
         """Where the true beam currently lands on the board (exact)."""
@@ -109,6 +117,27 @@ class BoardRig:
         hit = self.beam_board_hit()[:2]
         return hit + self.warp_bias(hit)
 
+    def _observed_floats(self) -> Tuple[float, float]:
+        """:meth:`observed_board_hit` on plain floats.
+
+        The true beam, normalized as :class:`repro.geometry.Ray` does,
+        meets the z = 0 board with :meth:`Plane.intersect_ray`'s rules (a
+        beam parallel to the board, or hitting it behind its origin,
+        raises :class:`NoIntersectionError`), and the warp bias is added.
+        """
+        (ox, oy, oz), (dx, dy, dz) = self.hardware.output_beam_floats()
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        dz /= length
+        if abs(dz) < 1e-12:
+            raise NoIntersectionError("ray is parallel to the plane")
+        t = -oz / dz
+        if t < -1e-12:
+            raise NoIntersectionError("intersection is behind the ray origin")
+        x = ox + t * (dx / length)
+        y = oy + t * (dy / length)
+        bias_x, bias_y = self._warp_floats(x, y)
+        return x + bias_x, y + bias_y
+
     def voltages_hitting(self, target_xy: npt.ArrayLike,
                          tolerance_m: float = 60e-6,
                          max_iterations: int = 50) -> Tuple[float, float]:
@@ -119,34 +148,55 @@ class BoardRig:
         the voltage knobs until the spot covers the grid point.  The
         default tolerance sits above the GM's own 10 urad jitter floor
         (~15 um on the board) but far below the by-eye reading noise.
-        All readings go through :meth:`observed_board_hit`, so the
-        board's warp bias flows into the samples, exactly as it would
-        on the real bench.
+        All readings are the observed spot (:meth:`observed_board_hit`,
+        on floats), so the board's warp bias flows into the samples,
+        exactly as it would on the real bench.  Each iteration commands
+        the hardware three times (base, then one finite-difference step
+        per mirror; the last only once) and takes the Newton step from
+        the 2x2 Jacobian by Cramer's rule.
+
+        A non-finite target, or a singular Jacobian, raises
+        :class:`PointingDivergedError`.
         """
-        target = np.asarray(target_xy, dtype=float)
-        v1, v2 = self.hardware.voltages
+        target_x, target_y = np.asarray(target_xy, dtype=float).tolist()
+        if not (math.isfinite(target_x) and math.isfinite(target_y)):
+            raise PointingDivergedError(
+                f"the board loop needs a finite target, got "
+                f"({target_x}, {target_y})")
+        hardware = self.hardware
+        limit = hardware.daq.voltage_range_v - 0.05
+        v1, v2 = hardware.voltages
         epsilon = 5e-3  # volts, for the finite-difference Jacobian
         for _ in range(max_iterations):
-            self.hardware.apply(v1, v2)
-            hit = self.observed_board_hit()
-            miss = target - hit
-            if float(np.linalg.norm(miss)) <= tolerance_m:
+            hardware.apply(v1, v2)
+            x, y = self._observed_floats()
+            miss_x, miss_y = target_x - x, target_y - y
+            if math.hypot(miss_x, miss_y) <= tolerance_m:
                 return v1, v2
-            self.hardware.apply(v1 + epsilon, v2)
-            hit1 = self.observed_board_hit()
-            self.hardware.apply(v1, v2 + epsilon)
-            hit2 = self.observed_board_hit()
-            jacobian = np.column_stack([(hit1 - hit) / epsilon,
-                                        (hit2 - hit) / epsilon])
-            step, *_ = np.linalg.lstsq(jacobian, miss, rcond=None)
+            hardware.apply(v1 + epsilon, v2)
+            x1, y1 = self._observed_floats()
+            hardware.apply(v1, v2 + epsilon)
+            x2, y2 = self._observed_floats()
+            j11, j21 = (x1 - x) / epsilon, (y1 - y) / epsilon
+            j12, j22 = (x2 - x) / epsilon, (y2 - y) / epsilon
+            det = j11 * j22 - j12 * j21
+            if det == 0.0:
+                raise PointingDivergedError(
+                    f"singular board Jacobian at ({v1}, {v2}) V")
+            step1 = (miss_x * j22 - j12 * miss_y) / det
+            step2 = (j11 * miss_y - j21 * miss_x) / det
+            if not (math.isfinite(step1) and math.isfinite(step2)):
+                raise PointingDivergedError(
+                    f"non-finite board step ({step1}, {step2}) at "
+                    f"({v1}, {v2}) V")
             # Trust region: a jittery Jacobian must not fling the
             # mirrors across (or beyond) their coverage cone.
-            step = np.clip(step, -1.5, 1.5)
-            limit = self.hardware.daq.voltage_range_v - 0.05
-            v1 = float(np.clip(v1 + step[0], -limit, limit))
-            v2 = float(np.clip(v2 + step[1], -limit, limit))
+            step1 = min(max(step1, -1.5), 1.5)
+            step2 = min(max(step2, -1.5), 1.5)
+            v1 = min(max(v1 + step1, -limit), limit)
+            v2 = min(max(v2 + step2, -limit), limit)
         raise PointingDivergedError(
-            f"could not steer the beam onto {target} "
+            f"could not steer the beam onto ({target_x}, {target_y}) "
             f"within {max_iterations} iterations")
 
     def collect_samples(self, grid_points: np.ndarray) -> List[BoardSample]:

@@ -14,6 +14,14 @@
   residuals both they and :mod:`repro.core.lsq` minimize, so tests can
   price either solution (the fits in :mod:`repro.core.kspace` and
   :mod:`repro.core.mapping` must reach the same cost);
+* :func:`reference_voltages_hitting` -- the Section 4.1-B board loop
+  on :class:`Ray`/:class:`Plane` readings and ``np.linalg.lstsq``
+  Newton steps (the float loop in :mod:`repro.core.kspace` must land
+  within 1e-9 V of it with the same hardware commands);
+* :func:`reference_solve` -- ``G'`` on ``GmaModel.beam`` rays, a
+  :class:`Plane` through ``tau`` and ``np.linalg.lstsq`` (the float
+  :func:`repro.core.inverse.solve` must land within one DAQ step of it
+  in as many iterations);
 * :func:`reference_evaluate` -- the channel on :class:`Ray` objects and
   numpy 3-vectors (the float :meth:`repro.link.FsoChannel.evaluate`
   must agree with it);
@@ -32,7 +40,17 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from repro import constants
-from repro.core import GmaModel, LearnedSystem
+from repro.core import (
+    GmaModel,
+    InverseDivergedError,
+    LearnedSystem,
+    PointingDivergedError,
+)
+from repro.core.inverse import (
+    DEFAULT_VOLTAGE_STEP_V,
+    EPSILON_V,
+    InverseResult,
+)
 from repro.core.gma import board_hits, layout, placed
 from repro.core.kspace import BOARD_PLANE, PRIOR_WEIGHT_M, _prior_sigmas
 from repro.core.mapping import MISS_PENALTY_M, _residual_rows, _stack
@@ -144,6 +162,68 @@ def reference_fit_mapping(tx_kspace, rx_kspace, samples,
         xtol=1e-15, ftol=1e-15)
     return LearnedSystem.from_mapping_params(tx_kspace, rx_kspace,
                                              solution.x)
+
+
+def reference_voltages_hitting(rig, target_xy, tolerance_m=60e-6,
+                               max_iterations=50):
+    """``BoardRig.voltages_hitting`` on :class:`Ray`/:class:`Plane`
+    board readings and an ``np.linalg.lstsq`` Newton step."""
+    target = np.asarray(target_xy, dtype=float)
+    v1, v2 = rig.hardware.voltages
+    epsilon = 5e-3
+    for _ in range(max_iterations):
+        rig.hardware.apply(v1, v2)
+        hit = rig.observed_board_hit()
+        miss = target - hit
+        if float(np.linalg.norm(miss)) <= tolerance_m:
+            return v1, v2
+        rig.hardware.apply(v1 + epsilon, v2)
+        hit1 = rig.observed_board_hit()
+        rig.hardware.apply(v1, v2 + epsilon)
+        hit2 = rig.observed_board_hit()
+        jacobian = np.column_stack([(hit1 - hit) / epsilon,
+                                    (hit2 - hit) / epsilon])
+        step, *_ = np.linalg.lstsq(jacobian, miss, rcond=None)
+        step = np.clip(step, -1.5, 1.5)
+        limit = rig.hardware.daq.voltage_range_v - 0.05
+        v1 = float(np.clip(v1 + step[0], -limit, limit))
+        v2 = float(np.clip(v2 + step[1], -limit, limit))
+    raise PointingDivergedError(
+        f"could not steer the beam onto {target} "
+        f"within {max_iterations} iterations")
+
+
+def reference_solve(model, target, v1=0.0, v2=0.0,
+                    voltage_step_v=DEFAULT_VOLTAGE_STEP_V,
+                    max_iterations=25):
+    """``G'`` on ``model.beam`` rays, a :class:`Plane` through ``tau``
+    and an ``np.linalg.lstsq`` solve of the 3x2 system."""
+    tau = np.asarray(target, dtype=float)
+    for iteration in range(1, max_iterations + 1):
+        beam0 = model.beam(v1, v2)
+        plane = Plane(tau, beam0.direction)
+        try:
+            k0 = plane.intersect_ray(beam0, forward_only=False)
+            k1 = plane.intersect_ray(model.beam(v1 + EPSILON_V, v2),
+                                     forward_only=False)
+            k2 = plane.intersect_ray(model.beam(v1, v2 + EPSILON_V),
+                                     forward_only=False)
+        except NoIntersectionError as exc:
+            raise InverseDivergedError(
+                f"beam became parallel to the target plane: {exc}") from exc
+        u1 = (k1 - k0) / EPSILON_V
+        u2 = (k2 - k0) / EPSILON_V
+        basis = np.column_stack([u1, u2])
+        coeffs, *_ = np.linalg.lstsq(basis, tau - k0, rcond=None)
+        a, b = float(coeffs[0]), float(coeffs[1])
+        v1 += a
+        v2 += b
+        if max(abs(a), abs(b)) < voltage_step_v:
+            miss = model.beam(v1, v2).distance_to_point(tau)
+            return InverseResult(v1=v1, v2=v2, iterations=iteration,
+                                 miss_distance_m=miss)
+    raise InverseDivergedError(
+        f"G' did not converge on {tau} in {max_iterations} iterations")
 
 
 def reference_evaluate(channel, body_pose):

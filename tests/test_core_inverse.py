@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import GmaModel, solve_inverse
-from repro.core.inverse import InverseDivergedError
+from repro.core import GmaModel, cold_start_seed, inverse, point, solve_inverse
+from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
+from repro.simulate import Testbed
+
+from .oracles import reference_solve
 
 
 @pytest.fixture()
@@ -82,3 +85,80 @@ class TestNonFiniteInputs:
     def test_non_finite_seed_raises(self, model, seed):
         with pytest.raises(InverseDivergedError, match="finite"):
             solve_inverse(model, np.array([0.1, 0.0, 1.5]), **seed)
+
+
+class TestSingularBasis:
+    def test_voltage_blind_model_raises(self):
+        # theta1 so small that the epsilon beams coincide with the base
+        # beam: the finite-difference basis is singular.
+        model = GmaModel(canonical_gma(1e-300))
+        with pytest.raises(InverseDivergedError, match="singular"):
+            solve_inverse(model, np.array([0.2, 0.3, 1.5]))
+
+
+class TestMatchesOracle:
+    """The float ``G'`` against the Ray/Plane/lstsq reference, on the
+    calibrated system and 300 cold plus 300 warm tracker reports."""
+
+    REPORTS = 300
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        rig = Testbed(seed=7)
+        cold, warm = [], []
+        for pose in rig.evaluation_poses(self.REPORTS):
+            cold.append(rig.tracker.report(pose))
+            warm.append(rig.tracker.report(pose))
+        return cold, warm
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.iterations == want.iterations
+        for name in ("v_tx1", "v_tx2", "v_rx1", "v_rx2"):
+            assert abs(getattr(got, name) - getattr(want, name)) \
+                <= DEFAULT_VOLTAGE_STEP_V
+
+    def test_solve_calls(self, learned_system, reports, monkeypatch):
+        calls = []
+        fast = inverse.solve
+
+        def recording(model, target, v1=0.0, v2=0.0, **kwargs):
+            result = fast(model, target, v1, v2, **kwargs)
+            calls.append((model, target, v1, v2, result))
+            return result
+
+        monkeypatch.setattr(inverse, "solve", recording)
+        cold, warm = reports
+        for cold_report, warm_report in zip(cold, warm):
+            seed = cold_start_seed(learned_system, cold_report)
+            command = point(learned_system, cold_report, initial=seed)
+            point(learned_system, warm_report, initial=(
+                command.v_tx1, command.v_tx2, command.v_rx1, command.v_rx2))
+        assert len(calls) >= 4 * self.REPORTS
+        for model, target, v1, v2, got in calls:
+            want = reference_solve(model, target, v1, v2)
+            assert got.iterations == want.iterations
+            assert abs(got.v1 - want.v1) <= DEFAULT_VOLTAGE_STEP_V
+            assert abs(got.v2 - want.v2) <= DEFAULT_VOLTAGE_STEP_V
+            assert np.isfinite(got.miss_distance_m)
+
+    def test_point(self, learned_system, reports, monkeypatch):
+        cold, warm = reports
+        for cold_report, warm_report in zip(cold, warm):
+            seed = cold_start_seed(learned_system, cold_report)
+            got_cold = point(learned_system, cold_report, initial=seed)
+            got_warm = point(learned_system, warm_report, initial=(
+                got_cold.v_tx1, got_cold.v_tx2,
+                got_cold.v_rx1, got_cold.v_rx2))
+            with monkeypatch.context() as patched:
+                patched.setattr(inverse, "solve", reference_solve)
+                want_seed = cold_start_seed(learned_system, cold_report)
+                want_cold = point(learned_system, cold_report,
+                                  initial=want_seed)
+                want_warm = point(learned_system, warm_report, initial=(
+                    want_cold.v_tx1, want_cold.v_tx2,
+                    want_cold.v_rx1, want_cold.v_rx2))
+            assert np.allclose(seed, want_seed, rtol=0.0,
+                               atol=DEFAULT_VOLTAGE_STEP_V)
+            self.assert_close(got_cold, want_cold)
+            self.assert_close(got_warm, want_warm)

@@ -1,13 +1,23 @@
 """Unit tests for the K-space calibration machinery."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import constants
-from repro.core import BoardRig, fit_gma, interior_grid_points
+from repro.core import (
+    BoardRig,
+    PointingDivergedError,
+    fit_gma,
+    interior_grid_points,
+)
 from repro.core.kspace import BOARD_PLANE, BoardSample, _prior_sigmas
 from repro.galvo import GalvoHardware, canonical_gma
 from repro.geometry import euler_to_matrix, RigidTransform
+from repro.simulate import Testbed
+
+from .oracles import reference_voltages_hitting
 
 
 def board_hardware(seed=0, nonlinearity=0.0):
@@ -89,6 +99,77 @@ class TestBoardRig:
         rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
         with pytest.raises(RuntimeError):
             rig.voltages_hitting([5.0, 5.0])  # far outside the cone
+
+
+class TestBoardLoopInputs:
+    """Bad inputs and degenerate readings are typed errors."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_raises_before_any_command(self, bad):
+        rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
+        state = rig.hardware.rng.bit_generator.state
+        with pytest.raises(PointingDivergedError, match="finite"):
+            rig.voltages_hitting([bad, 0.0])
+        assert rig.hardware.rng.bit_generator.state == state
+
+    def test_frozen_beam_is_a_singular_jacobian(self, monkeypatch):
+        # The spot does not move with the voltages: determinant 0.
+        rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
+        monkeypatch.setattr(rig.hardware, "output_beam_floats",
+                            lambda: ((0.0, 0.0, 1.5), (0.0, 0.0, -1.0)))
+        with pytest.raises(PointingDivergedError, match="singular"):
+            rig.voltages_hitting([0.1, -0.05])
+
+    def test_overflowing_step_raises(self, monkeypatch):
+        # One mirror moves the spot by a subnormal distance: the
+        # determinant is non-zero, the Newton step is infinite.
+        rig = BoardRig(board_hardware(), rng=np.random.default_rng(1),
+                       warp_bias_m=0.0)
+
+        def beam():
+            v1, v2 = rig.hardware.voltages
+            return (1e-310 * v1, v2, 1.5), (0.0, 0.0, -1.0)
+
+        monkeypatch.setattr(rig.hardware, "output_beam_floats", beam)
+        with pytest.raises(PointingDivergedError, match="non-finite"):
+            rig.voltages_hitting([0.1, 0.0])
+
+
+class TestBoardLoopMatchesOracle:
+    """The float loop against the Ray/Plane/lstsq reference."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("side", ["tx_hardware", "rx_hardware"])
+    def test_samples_commands_and_jitter_draws(self, seed, side):
+        hardware = getattr(Testbed(seed=seed), side)
+        rigs, applies = [], []
+        for _ in range(2):
+            copied = copy.deepcopy(hardware)
+            count = [0]
+
+            def apply(v1, v2, copied=copied, count=count):
+                count[0] += 1
+                return GalvoHardware.apply(copied, v1, v2)
+
+            copied.apply = apply
+            rigs.append(BoardRig(copied, rng=np.random.default_rng(seed)))
+            applies.append(count)
+        fast, reference = rigs
+        reference.voltages_hitting = (
+            lambda target: reference_voltages_hitting(reference, target))
+        grid = interior_grid_points()
+        got = fast.collect_samples(grid)
+        want = reference.collect_samples(grid)
+        assert len(got) == len(want) == len(grid)
+        for a, b in zip(got, want):
+            assert (a.x, a.y) == (b.x, b.y)
+            assert abs(a.v1 - b.v1) <= 1e-9
+            assert abs(a.v2 - b.v2) <= 1e-9
+        assert applies[0][0] == applies[1][0] > 3 * len(grid)
+        assert (fast.hardware.rng.bit_generator.state
+                == reference.hardware.rng.bit_generator.state)
+        assert (fast.rng.bit_generator.state
+                == reference.rng.bit_generator.state)
 
 
 class TestFitGma:

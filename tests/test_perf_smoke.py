@@ -3,24 +3,40 @@
 Small enough to ride in tier-1: they assert the vectorized slot model
 agrees with the slot-loop oracle on a real (tiny) dataset, that the
 Section 4.2 mapping fit stays batched, that a Section 4.1-B
-finite-difference Jacobian is one batched trace, and that the channel
-stays on floats (counted calls, not timed ones).  Speed is measured by the
+finite-difference Jacobian is one batched trace, and that the channel,
+``G'`` and the K-space board loop stay on floats (counted calls, not
+timed ones).  Speed is measured by the
 repository benchmark (``bench/run.py``), not here, so CI timing noise
 cannot break the suite.
 """
 
+import copy
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import geometry
-from repro.core import BoardSample, gma, kspace, mapping
-from repro.geometry import Ray, vec
+from repro.core import (
+    BoardRig,
+    BoardSample,
+    gma,
+    interior_grid_points,
+    inverse,
+    kspace,
+    mapping,
+)
+from repro.galvo import GalvoHardware
+from repro.geometry import Plane, Ray, vec
 from repro.motion import generate_dataset
 from repro.simulate import simulate_dataset
 
-from .oracles import reference_evaluate, reference_simulate_trace
+from .oracles import (
+    reference_evaluate,
+    reference_simulate_trace,
+    reference_solve,
+    reference_voltages_hitting,
+)
 
 pytestmark = pytest.mark.perf
 
@@ -124,3 +140,59 @@ class TestChannelStaysOnFloats:
         reference_evaluate(testbed.channel, testbed.home_pose)
         assert calls["Ray"] > 0
         assert calls["norm"] > 0
+
+
+class TestNewtonSolversStayOnFloats:
+    """``G'`` and the board loop: no lstsq, no Plane, one Ray per solve
+    (the miss distance), three hardware commands per board iteration."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+        counted = counter(calls)
+        for cls in (Ray, Plane):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            counted("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(GalvoHardware, "apply",
+                            counted("apply", GalvoHardware.apply))
+        return calls
+
+    @pytest.fixture()
+    def targets(self, learned_system, testbed):
+        tx = learned_system.tx_model_vr
+        rx = learned_system.rx_model_vr(testbed.home_pose)
+        return [(tx, rx.beam(0.0, 0.0).origin),
+                (rx, tx.beam(0.0, 0.0).origin),
+                (tx, rx.beam(1.0, -2.0).origin)]
+
+    @pytest.fixture()
+    def rig(self, testbed):
+        return BoardRig(copy.deepcopy(testbed.tx_hardware),
+                        rng=np.random.default_rng(0))
+
+    def test_solve(self, targets, calls):
+        for model, target in targets:
+            inverse.solve(model, target)
+        assert calls["lstsq"] == 0
+        assert calls["Plane"] == 0
+        assert calls["Ray"] <= len(targets)
+
+    def test_voltages_hitting(self, rig, calls):
+        for point in interior_grid_points()[::40]:
+            before = calls["apply"]
+            rig.voltages_hitting(point)
+            # Three commands per non-final iteration, one for the last.
+            assert (calls["apply"] - before) % 3 == 1
+        assert calls["lstsq"] == 0
+        assert calls["Plane"] == 0
+        assert calls["Ray"] == 0
+
+    def test_counters_see_the_object_path(self, targets, rig, calls):
+        model, target = targets[0]
+        reference_solve(model, target)
+        reference_voltages_hitting(rig, interior_grid_points()[0])
+        assert calls["lstsq"] > 0
+        assert calls["Plane"] > 0
+        assert calls["Ray"] > 1

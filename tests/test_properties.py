@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import LINK_RANGE_MAX_M, LINK_RANGE_MIN_M
 from repro.core import GmaModel, solve_inverse
+from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
 from repro.geometry import (
     Plane,
@@ -149,6 +151,25 @@ class TestInverseProperty:
         result = solve_inverse(model, target)
         beam = model.beam(result.v1, result.v2)
         assert beam.distance_to_point(target) < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(v1=st.floats(min_value=-10.0, max_value=10.0),
+           v2=st.floats(min_value=-10.0, max_value=10.0),
+           reach=st.floats(min_value=LINK_RANGE_MIN_M,
+                           max_value=LINK_RANGE_MAX_M))
+    def test_g_prime_over_the_full_cone(self, v1, v2, reach):
+        """Over the whole +/-10 V coverage cone, from rest, G' either
+        recovers the generating voltages within one DAQ step or raises
+        its typed error: never a NaN, never a silent miss."""
+        model = GmaModel(canonical_gma(np.radians(1.0)))
+        target = model.beam(v1, v2).point_at(reach)
+        try:
+            result = solve_inverse(model, target)
+        except InverseDivergedError:
+            return
+        assert math.isfinite(result.v1) and math.isfinite(result.v2)
+        assert abs(result.v1 - v1) <= DEFAULT_VOLTAGE_STEP_V
+        assert abs(result.v2 - v2) <= DEFAULT_VOLTAGE_STEP_V
 
 
 class TestScheduleProperties:
