@@ -11,15 +11,12 @@ can poke the system without writing code::
     python -m repro plan --width 4 --depth 3   # ceiling TX plan
     python -m repro formats           # the VR-format bandwidth ladder
     python -m repro chaos             # fault-injection robustness sweep
-    python -m repro sweep --checkpoint ck   # crash-safe resumable sweep
     python -m repro analyze           # static analysis (layering/RNG/units/
                                       # crash safety/error contracts)
 
-``chaos`` and ``sweep`` publish their JSON records atomically (tmp +
-rename) and defer SIGINT/SIGTERM to checkpoint boundaries, exiting
-``128 + signum`` with no torn artifacts; ``sweep`` additionally
-checkpoints per work unit and resumes byte-identically with
-``--resume``.
+``chaos`` writes its JSON record only after its one compute call
+returns, and atomically (tmp + rename), so an interrupted run leaves
+no file behind.
 """
 
 from __future__ import annotations
@@ -146,7 +143,6 @@ def _cmd_chaos(args):
     import time
 
     from .faults.chaos import get_scenarios, run_chaos, sweep_payload
-    from .orchestrator.signals import SignalGuard
     from .reporting import TextTable, fmt_float
     from .store import write_json_atomic
 
@@ -156,13 +152,11 @@ def _cmd_chaos(args):
     except KeyError as exc:
         print(exc.args[0])
         return 2
-    # The sweep is one compute call, so a first Ctrl-C defers: the
-    # finished records still publish (atomically) before exiting
-    # 128+signum.  A second Ctrl-C aborts the blunt way.
-    with SignalGuard() as guard:
-        t0 = time.perf_counter()
-        records = run_chaos(scenarios, workers=args.workers)
-        wall_s = time.perf_counter() - t0
+    # Nothing is written until this one compute call returns, so a
+    # Ctrl-C during it exits 130 (via main) and leaves no file behind.
+    t0 = time.perf_counter()
+    records = run_chaos(scenarios, workers=args.workers)
+    wall_s = time.perf_counter() - t0
 
     table = TextTable(["scenario", "bare up", "supervised up", "gain",
                        "MTTR (s)", "recoveries"])
@@ -182,107 +176,6 @@ def _cmd_chaos(args):
     print(f"mean uptime gain: {payload['mean_uptime_gain']:+.3f}")
     print(f"wall: {wall_s:.2f} s (workers={args.workers})")
     print(f"wrote {args.output}")
-    if guard.triggered:
-        print(f"interrupted by signal {guard.triggered}; record "
-              "published before exit")
-        return guard.exit_code
-    return 0
-
-
-def _cmd_sweep(args):
-    """Run (or resume) a crash-safe checkpointed sweep.
-
-    Work units execute in killable child processes, spool into the
-    checkpoint's column store as they finish, and the final corpus +
-    ``SWEEP_<kind>.json`` payload are byte-identical no matter how
-    many times the run was interrupted — SIGKILL included — and
-    resumed with ``--resume``.  Exit codes: 0 done, 1 units failed,
-    2 bad configuration, 128+signum when interrupted.
-    """
-    import time
-
-    from .orchestrator import (
-        SignalGuard,
-        SweepConfigError,
-        SweepError,
-        SweepInterrupted,
-        SweepRunner,
-        UnitFailedError,
-        build_sweep,
-        list_kinds,
-    )
-    from .store import write_json_atomic
-
-    names = args.scenarios.split(",") if args.scenarios else None
-    try:
-        spec = build_sweep(args.kind, seed=args.seed, units=args.units,
-                           work=args.work, sleep_s=args.sleep_s,
-                           trials=args.trials, scenarios=names)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else str(exc))
-        print(f"available kinds: {', '.join(list_kinds())}")
-        return 2
-
-    output = args.output if args.output else f"SWEEP_{args.kind}.json"
-    t0 = time.perf_counter()
-    baseline = {"done": 0}
-
-    def progress(done, total, unit):
-        elapsed = time.perf_counter() - t0
-        fresh = done - baseline["done"]
-        remaining = total - done
-        if fresh > 0 and remaining > 0:
-            eta = elapsed / fresh * remaining
-            tail = f"ETA {eta:5.1f} s"
-        else:
-            tail = "done" if remaining == 0 else "ETA ?"
-        print(f"[{done:>{len(str(total))}}/{total}] {unit.label} "
-              f"({elapsed:.1f} s elapsed, {tail})")
-
-    try:
-        with SignalGuard() as guard:
-            runner = SweepRunner(
-                spec, args.checkpoint, workers=args.workers,
-                timeout_s=args.timeout_s, retries=args.retries,
-                progress=progress, stop_check=guard.check)
-            status = runner.prepare(resume=args.resume)
-            baseline["done"] = status.done
-            print(f"sweep {spec.name!r}: {status.total} units, "
-                  f"{status.done} already checkpointed, "
-                  f"{status.pending} to run "
-                  f"(workers={runner.workers})")
-            if status.reaped_tmp:
-                print(f"reaped {status.reaped_tmp} orphaned tmp "
-                      "group(s) from a previous crash")
-            if status.journal_dropped_bytes:
-                print(f"dropped {status.journal_dropped_bytes} torn "
-                      "journal byte(s); affected units re-run")
-            result = runner.run()
-            guard.check()
-            _, payload = runner.finalize(group=args.group)
-    except SweepConfigError as exc:
-        print(str(exc))
-        return 2
-    except UnitFailedError as exc:
-        print(str(exc))
-        return 1
-    except SweepError as exc:
-        print(str(exc))
-        return 1
-    except SweepInterrupted as exc:
-        print(f"interrupted by signal {exc.signum}; checkpoint at "
-              f"{args.checkpoint} is consistent — rerun with --resume")
-        return exc.exit_code
-
-    write_json_atomic(output, payload)
-    wall_s = time.perf_counter() - t0
-    print(f"corpus group {args.group!r}: {payload['units']} rows, "
-          f"sha256 {payload['corpus_sha256'][:16]}…")
-    print(f"ran {result.ran}, skipped {result.skipped} "
-          f"(infra retries {result.infra_retries}, fn retries "
-          f"{result.fn_retries}, escalations {result.escalations})")
-    print(f"wall: {wall_s:.2f} s")
-    print(f"wrote {output}")
     return 0
 
 
@@ -364,43 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default="BENCH_chaos.json")
     chaos.set_defaults(func=_cmd_chaos)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="crash-safe checkpointed sweep (resume with --resume)")
-    sweep.add_argument("--kind", default="demo",
-                       help="workload: demo, calibration, or chaos")
-    sweep.add_argument("--checkpoint", required=True,
-                       help="checkpoint directory (manifest, journal, "
-                            "spooled results)")
-    sweep.add_argument("--resume", action="store_true",
-                       help="continue an interrupted sweep; completed "
-                            "units are skipped, bytes are identical")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="concurrent worker processes (0 = auto)")
-    sweep.add_argument("--timeout-s", type=float, default=None,
-                       dest="timeout_s", metavar="S",
-                       help="kill a unit's worker after S seconds")
-    sweep.add_argument("--retries", type=int, default=2,
-                       help="retries per unit before serial escalation")
-    sweep.add_argument("--units", type=int, default=8,
-                       help="unit count (demo/calibration kinds)")
-    sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--work", type=int, default=4096,
-                       help="per-unit draw count (demo kind)")
-    sweep.add_argument("--sleep-s", type=float, default=0.0,
-                       dest="sleep_s", metavar="S",
-                       help="per-unit sleep (demo kind; test harness)")
-    sweep.add_argument("--trials", type=int, default=10,
-                       help="realignment trials (calibration kind)")
-    sweep.add_argument("--scenarios", default=None,
-                       help="comma-separated names (chaos kind)")
-    sweep.add_argument("--group", default="corpus",
-                       help="final corpus group name")
-    sweep.add_argument("--output", default=None,
-                       help="payload JSON path "
-                            "(default SWEEP_<kind>.json)")
-    sweep.set_defaults(func=_cmd_sweep)
-
     analyze = sub.add_parser(
         "analyze",
         help="static analysis: layering, RNG provenance, units, crash "
@@ -422,36 +278,22 @@ def main(argv=None) -> int:
     """Entry point; returns a process exit code.
 
     Every subcommand shares one exception→exit-code contract: 0 ok,
-    1 failed work (units, store, coverage), 2 bad configuration or
-    usage, 130/143 interrupted by SIGINT/SIGTERM (128+signum).
-    Subcommands may map their own exceptions first for a more
-    specific message; this ladder is the backstop that keeps an
-    escaping taxonomy exception from surfacing as a traceback.
+    1 failed work (store, coverage), 2 bad configuration or usage, 130
+    interrupted by Ctrl-C.  Subcommands may map their own exceptions
+    first for a more specific message; this ladder is the backstop
+    that keeps an escaping taxonomy exception from surfacing as a
+    traceback.
     """
     from .galvo import CoverageError
-    from .orchestrator import (
-        ManifestError,
-        SweepConfigError,
-        SweepError,
-        SweepInterrupted,
-        UnitFailedError,
-    )
     from .store import StoreError
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SweepInterrupted as exc:
-        print(f"interrupted by signal {exc.signum}")
-        return exc.exit_code
     except KeyboardInterrupt:
         print("interrupted")
         return 130
-    except (SweepConfigError, ManifestError) as exc:
-        print(str(exc))
-        return 2
-    except (UnitFailedError, SweepError, StoreError,
-            CoverageError) as exc:
+    except (StoreError, CoverageError) as exc:
         print(str(exc))
         return 1
 

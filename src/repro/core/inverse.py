@@ -62,6 +62,22 @@ def _plane_hit(origin: Vec3, direction: Vec3, point: Vec3,
     return ox + t * dx, oy + t * dy, oz + t * dz
 
 
+def _miss_distance(origin: Vec3, direction: Vec3, point: Vec3) -> float:
+    """Distance from ``point`` to a beam's line.
+
+    Float form of :meth:`repro.geometry.Ray.distance_to_point`: the
+    direction is normalized as :class:`Ray` does.
+    """
+    dx, dy, dz = direction
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    dx, dy, dz = dx / length, dy / length, dz / length
+    ox, oy, oz = point[0] - origin[0], point[1] - origin[1], \
+        point[2] - origin[2]
+    along = ox * dx + oy * dy + oz * dz
+    ex, ey, ez = ox - along * dx, oy - along * dy, oz - along * dz
+    return math.sqrt(ex * ex + ey * ey + ez * ez)
+
+
 def solve(model: GmaModel, target: npt.ArrayLike,
           v1: float = 0.0, v2: float = 0.0,
           voltage_step_v: float = DEFAULT_VOLTAGE_STEP_V,
@@ -83,10 +99,11 @@ def solve(model: GmaModel, target: npt.ArrayLike,
        update falls below the GM's minimum voltage step.
 
     The iteration runs on plain floats
-    (:func:`repro.galvo.mirror.trace_floats`); only the converged beam
-    is built as a :class:`repro.geometry.Ray`, for ``miss_distance_m``.  A non-finite ``target`` or seed voltage
-    raises :class:`InverseDivergedError` before the first iteration, and
-    so does a singular finite-difference basis during it.
+    (:func:`repro.galvo.mirror.trace_floats`), and so does
+    ``miss_distance_m``: one more trace at the converged voltages and a
+    point-to-line distance.  A non-finite ``target`` or seed voltage
+    raises :class:`InverseDivergedError` before the first iteration,
+    and so does a singular finite-difference basis during it.
     """
     tau = as_vec3(target)
     if not (all(map(math.isfinite, tau.tolist())) and math.isfinite(v1)
@@ -134,7 +151,8 @@ def solve(model: GmaModel, target: npt.ArrayLike,
         v1 += a
         v2 += b
         if max(abs(a), abs(b)) < voltage_step_v:
-            miss = model.beam(v1, v2).distance_to_point(tau)
+            miss = _miss_distance(
+                *trace_floats(params, theta1 * v1, theta1 * v2), point)
             return InverseResult(v1=v1, v2=v2, iterations=iteration,
                                  miss_distance_m=miss)
     raise InverseDivergedError(

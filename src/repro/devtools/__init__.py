@@ -22,9 +22,8 @@ it:
   bare ``float()`` in the optics and link packages;
 * **W-series** — crash safety over the effect inference of
   :mod:`.effects`: truncating writes to published paths
-  (tmp→rename scopes are proven safe interprocedurally), publish
-  renames without a preceding fsync, and journal/manifest mutation
-  outside the orchestrator's checksummed append path;
+  (tmp→rename scopes are proven safe interprocedurally) and publish
+  renames without a preceding fsync;
 * **E/B-series** — error contracts over the interprocedural
   exception-escape inference of :mod:`.exceptions`: escape-set
   violations (unclassifiable worker exceptions, CLI subcommands with

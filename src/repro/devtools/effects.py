@@ -55,8 +55,7 @@ class WriteEvent:
     ``→`` marking writes inherited through a callee.  ``mode`` is
     ``"w"`` for truncating/creating writes, ``"a"`` for appends and
     ``"u"`` for in-place updates (``r+`` modes) — only ``"w"`` events
-    are non-atomic *publication* (W001); the others still count as
-    journal/manifest mutations (W003).
+    are non-atomic *publication* (W001).
     """
 
     module: str
@@ -100,7 +99,6 @@ class EffectTable:
 
     summaries: Dict[str, EffectSummary] = field(default_factory=dict)
     published_writes: Tuple[WriteEvent, ...] = ()
-    journal_events: Tuple[WriteEvent, ...] = ()
 
 
 # -- location helpers --------------------------------------------------------
@@ -307,7 +305,6 @@ def _build_table(index: ProjectIndex) -> EffectTable:
     table = EffectTable()
     edges: List[_CallEdge] = []
     published: Dict[Tuple[str, int, int, str], WriteEvent] = {}
-    journalish: List[WriteEvent] = []
 
     # Pass 1: per-function direct facts.
     for module in sorted(index.modules):
@@ -343,8 +340,6 @@ def _build_table(index: ProjectIndex) -> EffectTable:
                     module=module, lineno=write.lineno, col=write.col,
                     via=write.via, scope=write.scope,
                     detail=write.detail, mode=write.mode)
-                if _mentions_journal(call, write):
-                    journalish.append(write)
                 if write.scope == "published":
                     published.setdefault(
                         (module, write.lineno, write.col, write.via),
@@ -360,11 +355,6 @@ def _build_table(index: ProjectIndex) -> EffectTable:
                 summary.renames += (RenameEvent(
                     module=module, lineno=rename.lineno,
                     col=rename.col, detail=rename.detail),)
-            if rename is not None and _mentions_journal(call, None):
-                journalish.append(WriteEvent(
-                    module=module, lineno=call.lineno, col=call.col,
-                    via=call.func, scope="published",
-                    detail=rename.detail, mode="w"))
 
             if summary is not None and leaf == "fsync":
                 summary.fsyncs = True
@@ -399,9 +389,6 @@ def _build_table(index: ProjectIndex) -> EffectTable:
 
     table.published_writes = tuple(sorted(
         published.values(),
-        key=lambda w: (w.module, w.lineno, w.col, w.via)))
-    table.journal_events = tuple(sorted(
-        journalish,
         key=lambda w: (w.module, w.lineno, w.col, w.via)))
     return table
 
@@ -484,23 +471,6 @@ def _lookup_function(index: ProjectIndex,
             if qualname in info.functions:
                 return info.functions[qualname]
     return None
-
-
-def _mentions_journal(call: CallSite,
-                      write: Optional[WriteEvent]) -> bool:
-    """Does this call's path expression name a journal or manifest?"""
-    blobs: List[str] = [call.func or ""]
-    for desc in call.args[:2]:
-        blobs.append(desc.text)
-        blobs.extend(desc.names)
-        blobs.extend(desc.consts)
-    for _, desc in call.keywords:
-        blobs.append(desc.text)
-        blobs.extend(desc.consts)
-    if write is not None:
-        blobs.append(write.detail)
-    blob = " ".join(blobs).lower()
-    return "journal" in blob or "manifest" in blob
 
 
 def effect_table(index: ProjectIndex) -> EffectTable:

@@ -10,16 +10,16 @@ come from the per-function raise/handler walk in :mod:`.extract`:
   semantics);
 * a ``sys.exit(...)`` call contributes ``SystemExit`` the same way;
 * a resolved call site inherits the callee's escape set, subtracted
-  per call site by the handlers guarding it — ``try: load() except
-  ManifestError: ...`` removes exactly what that clause catches, with
-  ``reraise`` handlers passing types through and ``translate`` /
-  ``raise`` handlers absorbing them (their replacement raise is its
-  own direct fact).
+  per call site by the handlers guarding it — ``try: solve() except
+  InverseDivergedError: ...`` removes exactly what that clause
+  catches, with ``reraise`` handlers passing types through and
+  ``translate`` / ``raise`` handlers absorbing them (their replacement
+  raise is its own direct fact).
 
 Subtype subtraction runs over a leaf-name lattice merging the builtin
-exception hierarchy with every class the index defines (``StoreError
-→ RuntimeError → Exception``), so ``except SweepError`` provably
-catches ``SweepConfigError``.  The inference is deliberately an
+exception hierarchy with every class the index defines
+(``CoverageError → ValueError → Exception``), so ``except ValueError``
+provably catches ``CoverageError``.  The inference is deliberately an
 *under*-approximation: unresolvable calls (externals, bound methods)
 contribute nothing, so every type in an escape set is positively
 known to be raisable — the property the E/B rule families

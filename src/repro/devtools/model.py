@@ -60,7 +60,7 @@ class ValueDesc:
     plain name loaded anywhere inside the expression (minus
     comprehension and lambda-bound targets), ``calls`` every dotted
     callee, and ``consts`` every string literal (how the crash-safety
-    rules recognize tmp siblings and journal paths) — the
+    rules recognize tmp siblings) — the
     approximation the RNG-taint rules match against.  ``lineno`` /
     ``col`` locate the expression (where U001 anchors a keyword
     cross-assignment).

@@ -1,11 +1,10 @@
 """W-series: crash-safety of every file the repo publishes.
 
-The crash model (DESIGN §11) says a reader observes either the old
-complete file or the new complete file — never a torn prefix.  The
-sanctioned plumbing lives in ``repro/store/atomic.py`` (write tmp
-sibling → flush → fsync → ``os.replace``) and the orchestrator's
-journal (append + per-line CRC + fsync).  These rules police everyone
-else, consuming the effect table of :mod:`.effects`:
+The crash model says a reader observes either the old complete file
+or the new complete file — never a torn prefix.  The sanctioned
+plumbing lives in ``repro/store/atomic.py`` (write tmp sibling →
+flush → fsync → ``os.replace``).  These rules police everyone else,
+consuming the effect table of :mod:`.effects`:
 
 * **W001** — a truncating write (``open(path, "w")`` and the
   ``json.dump`` it feeds, ``np.save``, ``Path.write_text``) lands on a
@@ -18,26 +17,17 @@ else, consuming the effect table of :mod:`.effects`:
   ``os.rename`` / ``Path.replace``) and writes data, but neither it
   nor anything it calls ever ``fsync``\\ s: after a crash the rename
   can survive while the renamed bytes do not.
-* **W003** — a journal or manifest file is written, appended to, or
-  renamed outside ``repro.orchestrator.journal`` /
-  ``repro.orchestrator.manifest`` — every completion record must go
-  through the checksummed ``journal.append`` path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator
 
 from .effects import ATOMIC_MODULE, EffectTable, effect_table
 from .findings import Finding
 from .index import ProjectIndex
 from .model import ModuleInfo
 from .registry import Rule, register_rule
-
-#: Modules sanctioned to mutate journal / manifest files.
-JOURNAL_MODULES = frozenset({
-    "repro.orchestrator.journal", "repro.orchestrator.manifest"})
-
 
 def _by_module(index: ProjectIndex) -> Dict[str, ModuleInfo]:
     return dict(index.modules)
@@ -115,39 +105,3 @@ class RenameWithoutFsyncRule(_EffectRule):
                     "rename can surface a file whose bytes were "
                     "lost — fsync the written files (and the tmp "
                     "dir) before os.replace")
-
-
-@register_rule
-class JournalDisciplineRule(_EffectRule):
-    """W003: journal/manifest files change only via their modules."""
-
-    rule_id = "W003"
-    summary = ("journal and manifest files may be mutated only inside "
-               "repro.orchestrator.journal / .manifest — the "
-               "checksummed journal.append path is what makes a torn "
-               "record equal 'not done'; a side-channel write "
-               "corrupts resume")
-
-    def check_table(self, index: ProjectIndex,
-                    table: EffectTable) -> Iterator[Finding]:
-        modules = _by_module(index)
-        seen: Set[Tuple[str, int, int]] = set()
-        for event in table.journal_events:
-            if event.module in JOURNAL_MODULES or \
-                    event.module == ATOMIC_MODULE:
-                continue
-            info = modules.get(event.module)
-            if info is None:
-                continue
-            key: Tuple[str, int, int] = (event.module, event.lineno,
-                                         event.col)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield self.finding(
-                info, event.lineno, event.col,
-                f"{event.via} touches a journal/manifest path "
-                f"({event.detail!r}) outside the orchestrator's "
-                "checksummed append path; torn-write-equals-not-done "
-                "only holds when every mutation goes through "
-                "journal.append / the manifest writer")

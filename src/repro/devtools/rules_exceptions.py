@@ -1,15 +1,15 @@
 """E/B-series: error-contract enforcement over escape sets.
 
-The sweep orchestrator survives crashes, signals, and flaky units only
-because the exception taxonomy (``SweepError`` / ``UnitFailedError`` /
-``StoreError`` / ``ManifestError`` ...) is raised, classified, retried
-and mapped to exit codes consistently.  These rules consume the
-converged escape sets of :mod:`.exceptions` to police that contract:
+Each layer names its failures with a taxonomy type
+(``InverseDivergedError`` / ``PointingDivergedError`` /
+``CoverageError`` ...), and the CLI maps the ones that escape to exit
+codes.  These rules consume the converged escape sets of
+:mod:`.exceptions` to police that contract:
 
 * **E001** — a ``parallel_map`` / ``parallel_map_arrays`` worker whose
   escape set contains a ``BaseException``-only type (``SystemExit``,
-  ``KeyboardInterrupt``): the pool's infra-vs-fn classifier cannot
-  attribute it, and a worker calling ``sys.exit`` kills the child
+  ``KeyboardInterrupt``): the pool does not catch it as a worker
+  failure, and a worker calling ``sys.exit`` kills the child
   silently.
 * **E002** — a CLI subcommand (``_cmd_*`` in a ``cli`` module) whose
   escape set contains a taxonomy type with no exception→exit-code

@@ -12,7 +12,7 @@ layer  packages
 1      ``geometry`` ``optics`` ``galvo`` ``vrh`` ``net`` ``stream``
 2      ``core`` ``link``
 3      ``motion`` ``plan`` ``analysis``
-4      ``simulate`` ``faults`` ``baselines`` ``orchestrator``
+4      ``simulate`` ``faults`` ``baselines``
 5      ``devtools`` ``cli`` ``__main__`` (and the ``repro`` facade)
 ====== =========================================================
 
@@ -42,8 +42,7 @@ LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
                 "stream")),
     ("pipeline", ("core", "link")),
     ("workload", ("motion", "plan", "analysis")),
-    ("experiment", ("simulate", "faults", "baselines",
-                    "orchestrator")),
+    ("experiment", ("simulate", "faults", "baselines")),
     ("tooling", ("devtools", "cli", "__main__")),
 )
 

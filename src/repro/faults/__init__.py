@@ -3,9 +3,7 @@
 Seeded fault models (:mod:`~repro.faults.models`), the injection
 wrappers the session loop drives them through
 (:mod:`~repro.faults.inject`), and the structured event log + derived
-robustness metrics (:mod:`~repro.faults.events`).  Compute-layer
-chaos — SIGKILLed workers, torn checkpoint files — lives in
-:mod:`~repro.faults.process`.  The chaos sweep
+robustness metrics (:mod:`~repro.faults.events`).  The chaos sweep
 harness lives in :mod:`repro.faults.chaos`, imported directly (not
 re-exported here) because it depends on :mod:`repro.simulate`, which
 in turn depends on this package.
@@ -19,13 +17,6 @@ from .events import (
     down_spells,
 )
 from .inject import FaultInjector, NullInjector
-from .process import (
-    ProcessChaos,
-    SimulatedCrash,
-    kill_plan,
-    mangle_json,
-    tear_file,
-)
 from .models import (
     AttenuationRamp,
     ChannelBlockage,
@@ -50,9 +41,7 @@ __all__ = [
     "FaultMetrics",
     "GalvoSaturation",
     "NullInjector",
-    "ProcessChaos",
     "SessionEvent",
-    "SimulatedCrash",
     "StuckMirror",
     "TrackerDrift",
     "TrackerDropout",
@@ -60,8 +49,5 @@ __all__ = [
     "TrackerOutlierBurst",
     "derive_metrics",
     "down_spells",
-    "kill_plan",
-    "mangle_json",
     "poisson_windows",
-    "tear_file",
 ]

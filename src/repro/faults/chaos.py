@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..parallel import parallel_map
 from . import models
 
@@ -97,38 +95,13 @@ def run_scenario(scenario: ChaosScenario) -> dict:
 
 
 def run_chaos(scenarios: Sequence[ChaosScenario],
-              workers: Optional[int] = None,
-              store=None, group: str = "chaos") -> List[dict]:
+              workers: Optional[int] = None) -> List[dict]:
     """Run a scenario sweep, optionally across processes.
 
     Results come back in scenario order regardless of ``workers``, so
     the serialized sweep is byte-identical for any worker count.
-
-    Passing ``store=`` (a :class:`repro.store.ColumnStore`) persists
-    the numeric per-scenario outcomes as column group ``group`` (one
-    row per scenario, scenario names and full records in the group
-    attributes), so robustness trends are queryable across runs.
     """
-    records = parallel_map(run_scenario, list(scenarios),
-                           workers=workers)
-    if store is not None and records:
-        store.write_group(group, {
-            "availability_supervised": np.array(
-                [r["supervised"]["availability"] for r in records]),
-            "availability_bare": np.array(
-                [r["unsupervised"]["availability"] for r in records]),
-            "uptime_gain": np.array(
-                [r["uptime_gain"] for r in records]),
-            "mttr_s": np.array(
-                [r["supervised"]["mttr_s"] for r in records]),
-            "recovery_actions": np.array(
-                [r["supervised"]["recovery_actions"] for r in records]),
-        }, attrs={
-            "kind": "chaos-sweep",
-            "scenarios": [r["name"] for r in records],
-            "records": records,
-        })
-    return records
+    return parallel_map(run_scenario, list(scenarios), workers=workers)
 
 
 def sweep_payload(records: Sequence[dict]) -> dict:

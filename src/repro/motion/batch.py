@@ -453,17 +453,12 @@ def generate_dataset(viewers: int = 50, videos: int = 10,
                      profile: TraceProfile = VIDEO_360,
                      duration_s: float = constants.TRACE_DURATION_S,
                      seed: int = 2022,
-                     workers: Optional[int] = 1,
-                     store: Optional[ColumnStore] = None,
-                     group: str = "traces") -> List[HeadTrace]:
+                     workers: Optional[int] = 1) -> List[HeadTrace]:
     """The full 500-trace dataset (viewers x videos), deterministic.
 
     :func:`generate_batch` as per-trace zero-copy views, in (viewer,
-    video) order, byte-identical for any ``workers`` setting.  Passing
-    ``store=`` (a :class:`repro.store.ColumnStore`) persists the corpus
-    as column group ``group``.
+    video) order, byte-identical for any ``workers`` setting.
     """
     return generate_batch(viewers=viewers, videos=videos,
                           profile=profile, duration_s=duration_s,
-                          seed=seed, workers=workers, store=store,
-                          group=group).traces()
+                          seed=seed, workers=workers).traces()

@@ -25,9 +25,9 @@ results — with three properties the callers rely on:
 chunk of results.  ``parallel_map_arrays`` removes that cost for the
 hot tensor pipelines: the caller declares named output arrays with one
 row per item, the parent maps them into ``multiprocessing.
-shared_memory`` (or reuses the caller's disk-backed ``np.memmap``),
-and workers write their rows directly into the shared buffers — only
-the item chunks cross the process boundary, never the results.
+shared_memory``, and workers write their rows directly into the shared
+buffers — only the item chunks cross the process boundary, never the
+results.
 """
 
 from __future__ import annotations
@@ -179,22 +179,18 @@ def parallel_map(fn: Callable[[_Item], _Result],
 #: array is ``(len(items), *shape)``.
 ArraySpec = Tuple[Tuple[int, ...], Union[str, np.dtype, type]]
 
-#: Worker-side handle describing where one output array lives.
-#: kind is "shm" (name is the SharedMemory name) or "mmap" (name is
-#: the backing ``.npy`` path, opened with numpy's own header parsing).
-_Handle = Tuple[str, str, Tuple[int, ...], str]
+#: Worker-side handle for one output array: the SharedMemory block
+#: name, the array shape and the dtype string.
+_Handle = Tuple[str, Tuple[int, ...], str]
 
 
 def _attach_output(handle: _Handle):
-    """Open one output array inside a worker. Returns (array, closer)."""
-    kind, name, shape, dtype = handle
-    if kind == "shm":
-        from multiprocessing import shared_memory
-        block = shared_memory.SharedMemory(name=name)
-        array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
-        return array, block.close
-    array = np.lib.format.open_memmap(name, mode="r+")
-    return array, lambda: None
+    """Open one output array inside a worker. Returns (array, block)."""
+    from multiprocessing import shared_memory
+    name, shape, dtype = handle
+    block = shared_memory.SharedMemory(name=name)
+    array = np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
+    return array, block
 
 
 def _fill_chunk(fn: Callable, chunk: Sequence, start: int,
@@ -219,9 +215,9 @@ def _fill_chunk(fn: Callable, chunk: Sequence, start: int,
     finally:
         # Views into the shared block must be dropped before closing.
         for name in list(attached):
-            array, closer = attached.pop(name)
+            array, block = attached.pop(name)
             del array
-            closer()
+            block.close()
     return len(chunk)
 
 
@@ -256,61 +252,34 @@ def _allocate_outputs(n_items: int,
     return outputs
 
 
-def _memmap_handle(array: np.memmap) -> Optional[_Handle]:
-    """A reopenable handle for a caller-provided disk-backed memmap."""
-    filename = getattr(array, "filename", None)
-    if filename is None or getattr(array, "offset", 0) == 0:
-        # Only numpy-format memmaps (``open_memmap``) reopen with the
-        # right header offset; a raw offset-0 buffer map would clobber
-        # its own header.
-        return None
-    return ("mmap", str(filename), tuple(array.shape), array.dtype.str)
-
-
 def parallel_map_arrays(fn: Callable,
                         items: Sequence,
-                        specs: Optional[Mapping[str, ArraySpec]] = None,
-                        out: Optional[Mapping[str, np.ndarray]] = None,
+                        specs: Mapping[str, ArraySpec],
                         workers: Optional[int] = None,
                         chunk_size: Optional[int] = None,
                         batched: bool = False) -> Dict[str, np.ndarray]:
     """Map ``fn`` over ``items``, collecting rows of named arrays.
 
-    ``fn(item)`` returns ``{name: row}`` for every name in ``specs`` /
-    ``out``; row ``i`` of each output array is the result for
-    ``items[i]``.  With ``batched=True``, ``fn`` instead receives a
-    *list* of items and returns ``{name: stacked_rows}`` — the hook
-    that lets tensor engines (``generate_batch``/``simulate_batch``)
-    run one vectorized pass per chunk inside each worker.
-
-    Exactly one of ``specs`` (allocate ``(len(items), *shape)`` arrays
-    here) or ``out`` (caller-preallocated arrays, e.g. the columnar
-    store's disk-backed memmaps) must be given.
+    ``fn(item)`` returns ``{name: row}`` for every name in ``specs``;
+    row ``i`` of each ``(len(items), *shape)`` output array is the
+    result for ``items[i]``.  With ``batched=True``, ``fn`` instead
+    receives a *list* of items and returns ``{name: stacked_rows}`` —
+    the hook that lets tensor engines (``generate_batch``/
+    ``simulate_batch``) run one vectorized pass per chunk inside each
+    worker.
 
     ``workers=None`` (or ``1``) runs serially; size a real pool with
     :func:`default_workers`, which resolves ``REPRO_WORKERS`` → the
     scheduler affinity mask → ``os.cpu_count()``, in that order.
     ``workers>1`` ships only the item chunks to the pool; the output
-    rows travel through ``multiprocessing.shared_memory`` (or straight
-    into the caller's ``np.memmap`` files), never through pickle.  The
-    chunking is identical to :func:`parallel_map`, the rows land at
-    absolute indices, and the serial fallback fills the same arrays
-    in-process — so the output bytes are identical for any ``workers``
-    setting.
+    rows travel through ``multiprocessing.shared_memory``, never
+    through pickle.  The chunking is identical to :func:`parallel_map`,
+    the rows land at absolute indices, and the serial fallback fills
+    the same arrays in-process — so the output bytes are identical for
+    any ``workers`` setting.
     """
     items = list(items)
-    if (specs is None) == (out is None):
-        raise ValueError("pass exactly one of specs= or out=")
-    if specs is not None:
-        outputs = _allocate_outputs(len(items), specs)
-    else:
-        assert out is not None
-        outputs = dict(out)
-        for name, array in outputs.items():
-            if array.shape[:1] != (len(items),):
-                raise ValueError(
-                    f"out[{name!r}] has leading dimension "
-                    f"{array.shape[:1]}, expected ({len(items)},)")
+    outputs = _allocate_outputs(len(items), specs)
     if workers is None:
         workers = 1
     if workers < 1:
@@ -331,19 +300,15 @@ def parallel_map_arrays(fn: Callable,
 def _fill_pooled(fn: Callable, items: Sequence,
                  outputs: Dict[str, np.ndarray], workers: int,
                  chunk_size: Optional[int], batched: bool) -> None:
-    """Fan chunks over a pool, outputs via shm / caller memmaps."""
+    """Fan chunks over a pool, outputs via shared memory."""
     from concurrent.futures import ProcessPoolExecutor
 
     handles: Dict[str, _Handle] = {}
     blocks = []     # (SharedMemory, target ndarray, shm ndarray)
     try:
         for name, array in outputs.items():
-            handle = _memmap_handle(array) if isinstance(
-                array, np.memmap) else None
-            if handle is None:
-                handle, record = _create_shm(name, array)
-                blocks.append(record)
-            handles[name] = handle
+            handles[name], record = _create_shm(array)
+            blocks.append(record)
 
         chunks = chunk_items(items, _resolve_chunk_size(
             len(items), workers, chunk_size))
@@ -372,126 +337,11 @@ def _fill_pooled(fn: Callable, items: Sequence,
                 pass
 
 
-def _create_shm(name: str, array: np.ndarray):
+def _create_shm(array: np.ndarray):
     """Allocate one shared block mirroring ``array``."""
     from multiprocessing import shared_memory
     nbytes = max(1, int(array.nbytes))
     block = shared_memory.SharedMemory(create=True, size=nbytes)
     mirror = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-    handle: _Handle = ("shm", block.name, tuple(array.shape),
-                      array.dtype.str)
+    handle: _Handle = (block.name, tuple(array.shape), array.dtype.str)
     return handle, (block, array, mirror)
-
-
-# ---------------------------------------------------------------------------
-# Supervised single-call transport
-# ---------------------------------------------------------------------------
-
-def _pending_call_child(conn, fn: Callable, arg: object) -> None:
-    """Child body for :class:`PendingCall` (module-level: spawnable).
-
-    Outcomes travel back as one ``(status, value)`` message; a child
-    that dies without sending (SIGKILL, OOM, segfault) is detected by
-    the parent as EOF on the pipe plus a nonzero exit code.
-    """
-    try:
-        try:
-            result = fn(arg)
-        except BaseException as exc:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        else:
-            try:
-                conn.send(("ok", result))
-            except Exception as exc:
-                conn.send(("error",
-                           f"result not transportable: {exc}"))
-    except (BrokenPipeError, OSError):
-        # The parent died or closed its end; there is nobody left to
-        # report to, so the child just exits.
-        pass
-    finally:
-        conn.close()
-
-
-class PendingCall:
-    """One callable evaluating in a dedicated, *killable* child process.
-
-    The pool primitives above trade isolation for throughput: a worker
-    serves many chunks, so one hung or crashed item poisons the whole
-    map (the fallback then re-runs everything serially).  A supervisor
-    needs the opposite trade — per-call blast radius — so
-    ``PendingCall`` runs exactly one ``fn(arg)`` in its own process:
-
-    * :meth:`kill` stops a hung call without disturbing its siblings;
-    * a child killed mid-call (chaos, OOM) surfaces as a ``"died"``
-      status instead of an exception in the parent;
-    * the one-shot pipe means a completed call's result is never lost
-      to a later crash of the same worker.
-
-    This is the execution transport under
-    ``repro.orchestrator.SweepRunner``; prefer :func:`parallel_map`
-    for plain fan-out.
-    """
-
-    def __init__(self, fn: Callable, arg: object) -> None:
-        from multiprocessing import Pipe, Process
-        self._recv, child = Pipe(duplex=False)
-        self.process = Process(target=_pending_call_child,
-                               args=(child, fn, arg), daemon=True)
-        self.process.start()
-        # The parent's copy of the child end must close so that a dead
-        # child reads as EOF rather than a forever-open pipe.
-        child.close()
-
-    @property
-    def connection(self):
-        """The readable end, for ``multiprocessing.connection.wait``."""
-        return self._recv
-
-    def ready(self) -> bool:
-        """True when a result message (or EOF) is waiting."""
-        return self._recv.poll()
-
-    def kill(self) -> None:
-        """SIGKILL the child (idempotent); reaps the process."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-
-    def finish(self) -> Tuple[str, object]:
-        """Harvest the outcome: ``(status, value)``; reaps the process.
-
-        ``("ok", result)`` for a clean return, ``("error", message)``
-        when ``fn`` raised, ``("died", detail)`` when the child exited
-        without reporting (killed / crashed).  A result that was fully
-        sent before a kill still comes back as ``"ok"`` — a completed
-        call is never discarded.
-        """
-        message: Optional[Tuple[str, object]] = None
-        try:
-            if self._recv.poll():
-                message = self._recv.recv()
-        except (EOFError, OSError):
-            message = None
-        self.process.join()
-        self._recv.close()
-        if message is not None:
-            return message[0], message[1]
-        code = self.process.exitcode
-        detail = f"exit code {code}" if code is None or code >= 0 \
-            else f"killed by signal {-code}"
-        return "died", detail
-
-
-def wait_ready(calls: Sequence[PendingCall],
-               timeout_s: Optional[float] = None) -> List[PendingCall]:
-    """The subset of ``calls`` with a result (or EOF) available.
-
-    Blocks up to ``timeout_s`` (None = forever); returns ``[]`` on
-    timeout.  A dead child's pipe reads as ready, so supervisors wake
-    for crashes exactly like for completions.
-    """
-    from multiprocessing.connection import wait
-    by_conn = {call.connection: call for call in calls}
-    ready = wait(list(by_conn), timeout=timeout_s)
-    return [by_conn[conn] for conn in ready if conn in by_conn]

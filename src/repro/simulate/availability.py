@@ -8,7 +8,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..motion import HeadTrace
-from ..store import ColumnStore
 from .batch import simulate_batch
 from .timeslot import TimeslotParams, TimeslotResult
 
@@ -43,20 +42,17 @@ class AvailabilityReport:
 
 def simulate_dataset(traces: Sequence[HeadTrace],
                      params: TimeslotParams = TimeslotParams(),
-                     workers: Optional[int] = 1,
-                     store: Optional[ColumnStore] = None,
-                     group: str = "slots") -> List[TimeslotResult]:
+                     workers: Optional[int] = 1) -> List[TimeslotResult]:
     """Replay every trace through the Section 5.4 model.
 
     :func:`repro.simulate.batch.simulate_batch` as per-trace views, in
     trace order for any ``workers`` setting, so downstream aggregation
     is deterministic.  The corpus must be rectangular (one ``dt_s``
     and length, as the generated datasets always are); a ragged one
-    raises ``ValueError``.  Passing ``store=`` persists the slot
-    tensor as column group ``group``.
+    raises ``ValueError``.
     """
-    return simulate_batch(traces, params=params, workers=workers,
-                          store=store, group=group).results()
+    return simulate_batch(traces, params=params,
+                          workers=workers).results()
 
 
 def report(results: Sequence[TimeslotResult]) -> AvailabilityReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,109 +51,26 @@ def _eval_seed(metric_fn: Callable[[int], Dict[str, float]],
     return metric_fn(int(seed))
 
 
-def _seed_unit(metric_fn: Callable[[int], Dict[str, float]],
-               params: Dict[str, Any]) -> Dict[str, float]:
-    """One orchestrator work unit: a seed's metrics as one corpus row."""
-    seed = int(params["seed"])
-    row: Dict[str, float] = {"seed": float(seed)}
-    for name, value in metric_fn(seed).items():
-        row[name] = float(value)
-    return row
-
-
 def sweep_seeds(metric_fn: Callable[[int], Dict[str, float]],
                 seeds: Sequence[int],
-                workers: Optional[int] = 1,
-                store=None,
-                group: str = "sweep",
-                checkpoint_dir=None,
-                resume: bool = False,
-                timeout_s: Optional[float] = None,
-                retries: int = 2) -> Dict[str, MetricSummary]:
+                workers: Optional[int] = 1) -> Dict[str, MetricSummary]:
     """Evaluate a per-seed metric dictionary across seeds.
 
     ``workers>1`` fans the seeds out over a process pool (``metric_fn``
     must then be picklable — a lambda degrades to the serial path); the
     per-seed dictionaries are merged in seed order either way, so the
     summaries are identical for any worker count.
-
-    Passing ``store=`` (a :class:`repro.store.ColumnStore`) persists
-    the sweep as column group ``group``: one ``seeds`` column plus one
-    per-seed value column per metric, so long sweeps are queryable
-    without rerunning the pipeline.
-
-    Passing ``checkpoint_dir=`` routes the sweep through
-    :class:`repro.orchestrator.SweepRunner` instead of the plain pool:
-    each seed runs in a supervised, killable worker (``timeout_s``,
-    ``retries``), finished seeds spool to the checkpoint as they
-    complete, and an interrupted sweep continues with ``resume=True``
-    — the summaries (and any ``store=`` output) are identical to an
-    uninterrupted run.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    if checkpoint_dir is not None:
-        return _sweep_seeds_checkpointed(
-            metric_fn, seeds, workers=workers, store=store, group=group,
-            checkpoint_dir=checkpoint_dir, resume=resume,
-            timeout_s=timeout_s, retries=retries)
     per_seed = parallel_map(partial(_eval_seed, metric_fn),
                             list(seeds), workers=workers)
     collected: Dict[str, List[float]] = {}
     for metrics in per_seed:
         for name, value in metrics.items():
             collected.setdefault(name, []).append(float(value))
-    summaries = {name: MetricSummary(name=name, values=np.array(values))
-                 for name, values in collected.items()}
-    if store is not None:
-        columns = {"seeds": np.asarray(list(seeds))}
-        columns.update({name: summary.values
-                        for name, summary in summaries.items()})
-        store.write_group(group, columns, attrs={
-            "kind": "seed-sweep",
-            "metrics": sorted(collected),
-        })
-    return summaries
-
-
-def _sweep_seeds_checkpointed(metric_fn, seeds, workers, store, group,
-                              checkpoint_dir, resume, timeout_s: Optional[float],
-                              retries: int) -> Dict[str, MetricSummary]:
-    """The crash-safe :func:`sweep_seeds` path (checkpoint_dir given).
-
-    Imported lazily: ``orchestrator`` sits in the same layer as
-    ``simulate`` and its sweep catalogue imports this module, so the
-    module-level dependency must stay one-directional.
-    """
-    from ..orchestrator.runner import SweepRunner, SweepSpec
-
-    metric_name = getattr(metric_fn, "__name__",
-                          type(metric_fn).__name__)
-    spec = SweepSpec(
-        name=f"seed-sweep:{metric_name}",
-        unit_fn=partial(_seed_unit, metric_fn),
-        unit_params=tuple({"seed": int(seed)} for seed in seeds),
-        common={"metric": metric_name})
-    runner = SweepRunner(spec, checkpoint_dir, workers=workers,
-                         timeout_s=timeout_s, retries=retries)
-    runner.prepare(resume=resume)
-    runner.run()
-    corpus, _payload = runner.finalize()
-    summaries = {
-        name: MetricSummary(name=name,
-                            values=np.asarray(corpus[name], dtype=float))
-        for name in corpus if name != "seed"
-    }
-    if store is not None:
-        # Same group layout (and bytes) as the un-checkpointed path.
-        columns = {"seeds": np.asarray(list(seeds))}
-        columns.update({name: summary.values
-                        for name, summary in summaries.items()})
-        store.write_group(group, columns, attrs={
-            "kind": "seed-sweep",
-            "metrics": sorted(summaries),
-        })
-    return summaries
+    return {name: MetricSummary(name=name, values=np.array(values))
+            for name, values in collected.items()}
 
 
 def calibration_quality(seed: int, trials: int = 10) -> Dict[str, float]:

@@ -5,7 +5,7 @@ See :mod:`repro.store.columnar` for the layout and contracts, and
 that share its crash model.
 """
 
-from .atomic import fsync_path, fsync_tree, read_json, write_json_atomic
+from .atomic import fsync_path, fsync_tree, write_json_atomic
 from .columnar import ColumnGroup, ColumnStore, GroupWriter, StoreError
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "StoreError",
     "fsync_path",
     "fsync_tree",
-    "read_json",
     "write_json_atomic",
 ]

@@ -1,12 +1,12 @@
 """Atomic publication of small sidecar files (JSON payloads).
 
-Every artifact this repo publishes next to a run — ``BENCH_*.json``
-records, sweep manifests, sweep payloads — must obey the same crash
-model as the column groups: a reader either sees the previous complete
-file or the new complete file, never a torn prefix.  The recipe is the
-classic one: write to a same-directory temp file, flush, ``fsync``,
-then ``os.replace`` onto the destination (atomic on POSIX within one
-filesystem, which a same-directory sibling guarantees).
+Every record this repo publishes next to a run (``BENCH_chaos.json``)
+obeys the same crash model as the column groups: a reader either sees
+the previous complete file or the new complete file, never a torn
+prefix.  The recipe is the classic one: write to a same-directory
+temp file, flush, ``fsync``, then ``os.replace`` onto the destination
+(atomic on POSIX within one filesystem, which a same-directory sibling
+guarantees).
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ def write_json_atomic(path: Union[str, Path], payload: object,
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return path
-
-
-def read_json(path: Union[str, Path]) -> object:
-    """Load a JSON sidecar; raises ``OSError``/``ValueError`` as-is."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def fsync_path(path: Union[str, Path]) -> None:

@@ -27,9 +27,8 @@ Design points, in order of importance:
 * **Preallocated streaming writes.**  :meth:`ColumnStore.open_writer`
   creates the full-size ``.npy`` files up front (numpy's own format,
   via ``open_memmap``) and hands back writable row-addressable
-  memmaps.  ``repro.parallel.parallel_map_arrays`` recognizes these
-  and lets pool workers write their rows *directly into the store*,
-  so a sweep spools results to disk as it runs.  The group only
+  memmaps that a caller fills row by row, so results spool to disk
+  without a full in-RAM copy.  The group only
   becomes visible (``meta.json`` written) at :meth:`GroupWriter.
   finalize`, so a crashed run never leaves a readable half-group.
 * **Single-file interchange.**  :meth:`ColumnStore.export_npz` /

@@ -38,9 +38,3 @@ def publish_atomic(state):
     os.fsync(fd)
     os.close(fd)
     os.replace(tmp, "spool_totals.json")
-
-
-def log_done(record):
-    # W003: a side-channel append to the journal bypasses the CRC path.
-    with open("sweep_journal.ndjson", "a") as fh:
-        fh.write(record + "\n")

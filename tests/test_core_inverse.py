@@ -140,7 +140,8 @@ class TestMatchesOracle:
             assert got.iterations == want.iterations
             assert abs(got.v1 - want.v1) <= DEFAULT_VOLTAGE_STEP_V
             assert abs(got.v2 - want.v2) <= DEFAULT_VOLTAGE_STEP_V
-            assert np.isfinite(got.miss_distance_m)
+            assert abs(got.miss_distance_m - want.miss_distance_m) \
+                <= 1e-12
 
     def test_point(self, learned_system, reports, monkeypatch):
         cold, warm = reports

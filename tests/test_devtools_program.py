@@ -111,7 +111,7 @@ def test_crashsafety_fixture_trips_every_w_rule():
     # W001 twice: the direct json.dump and the interprocedurally
     # resolved _dump("spool_counts.json") call site.  The atomic twin
     # (tmp sibling -> fsync -> rename through the same helper) passes.
-    assert rules == ["W001", "W001", "W002", "W003"]
+    assert rules == ["W001", "W001", "W002"]
 
 
 def test_w001_resolves_helper_writes_at_call_sites():
@@ -122,15 +122,13 @@ def test_w001_resolves_helper_writes_at_call_sites():
     assert any("_dump" in m and "spool_counts" in m for m in messages)
 
 
-def test_atomic_and_journal_modules_are_exempt():
+def test_atomic_module_is_exempt():
     proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
                            "--select", "W", "--format", "json")
     _, payload = rules_found(proc)
     paths = {f["path"] for f in payload["findings"]}
-    # store/atomic.py rewrites a published path in place and the
-    # journal fixture appends to sweep_journal.ndjson: both sanctioned.
+    # store/atomic.py rewrites a published path in place: sanctioned.
     assert all("atomic" not in path for path in paths)
-    assert all("orchestrator" not in path for path in paths)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ def test_list_rules_covers_all_families():
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
     assert listed == ["B001", "B002", "B003", "E001", "E002", "E003",
                       "L001", "L002", "L003", "T001", "T002", "T003",
-                      "U001", "U002", "W001", "W002", "W003"]
+                      "U001", "U002", "W001", "W002"]
 
 
 def test_github_format_emits_annotations():

@@ -221,8 +221,8 @@ class TestPooledCleanup:
         created = []
         real_create = par._create_shm
 
-        def recording_create(name, array):
-            handle, record = real_create(name, array)
+        def recording_create(array):
+            handle, record = real_create(array)
             created.append(record[0])
             return handle, record
 
@@ -257,27 +257,3 @@ class TestPooledCleanup:
                          chunk_size=None, batched=False)
         assert created, "shared blocks were never allocated"
         assert outputs["y"].tolist() == [float(x * x) for x in items]
-
-
-class TestPendingCallChildPipeGone:
-    """``_pending_call_child`` swallows only BrokenPipeError/OSError
-    when the parent vanished; run the body in-process against a pipe
-    whose read end is already closed to pin both report paths."""
-
-    def test_result_send_to_dead_parent_is_swallowed(self):
-        from multiprocessing import Pipe
-
-        from repro.parallel import _pending_call_child
-
-        recv, child = Pipe(duplex=False)
-        recv.close()
-        _pending_call_child(child, square, 3)  # must not raise
-
-    def test_error_report_to_dead_parent_is_swallowed(self):
-        from multiprocessing import Pipe
-
-        from repro.parallel import _pending_call_child
-
-        recv, child = Pipe(duplex=False)
-        recv.close()
-        _pending_call_child(child, explode, 3)  # must not raise

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelFallbackWarning, parallel_map_arrays
-from repro.store import ColumnStore
 
 
 def row_fn(x):
@@ -74,33 +73,8 @@ class TestPooled:
         assert np.array_equal(serial["sq"], pooled["sq"])
         assert np.array_equal(serial["neg"], pooled["neg"])
 
-    def test_store_memmap_out(self, tmp_path):
-        # Workers (or the serial path) write straight into the store's
-        # preallocated column files; finalize publishes them.
-        items = list(range(8))
-        store = ColumnStore(tmp_path)
-        writer = store.open_writer("rows", SPECS, rows=len(items))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ParallelFallbackWarning)
-            parallel_map_arrays(row_fn, items, out=writer.columns,
-                               workers=2)
-        group = writer.finalize()
-        assert np.array_equal(group["sq"], expected(items)["sq"])
-
 
 class TestValidation:
-    def test_requires_exactly_one_of_specs_or_out(self):
-        with pytest.raises(ValueError):
-            parallel_map_arrays(row_fn, [1])
-        with pytest.raises(ValueError):
-            parallel_map_arrays(row_fn, [1], specs=SPECS,
-                               out={"sq": np.empty((1, 2))})
-
-    def test_out_leading_dimension_checked(self):
-        with pytest.raises(ValueError):
-            parallel_map_arrays(row_fn, [1, 2],
-                               out={"sq": np.empty((3, 2))})
-
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             parallel_map_arrays(row_fn, [1], specs=SPECS, workers=0)

@@ -13,6 +13,11 @@ from repro.simulate import (
 )
 
 
+def linear_metric(seed):
+    """Module-level so the pooled path can ship it to workers."""
+    return {"value": float(seed), "twice": 2.0 * seed}
+
+
 class TestSweepSeeds:
     def test_aggregates_metrics(self):
         def fake_metric(seed):
@@ -37,45 +42,13 @@ class TestSweepSeeds:
         assert summary.mean == 2.0
         assert summary.std == pytest.approx(np.sqrt(2.0))
 
-
-def linear_metric(seed):
-    """Module-level so the checkpointed path can ship it to workers."""
-    return {"value": float(seed), "twice": 2.0 * seed}
-
-
-class TestCheckpointedSweepSeeds:
-    def test_matches_plain_path(self, tmp_path):
-        plain = sweep_seeds(linear_metric, seeds=[4, 5, 6])
-        routed = sweep_seeds(linear_metric, seeds=[4, 5, 6],
-                             checkpoint_dir=tmp_path / "ck")
-        assert sorted(routed) == sorted(plain)
-        for name in plain:
-            assert np.array_equal(routed[name].values,
-                                  plain[name].values)
-
-    def test_store_group_layout_is_unchanged(self, tmp_path):
-        from repro.store import ColumnStore
-        store_a = ColumnStore(tmp_path / "plain")
-        store_b = ColumnStore(tmp_path / "routed")
-        sweep_seeds(linear_metric, seeds=[1, 2], store=store_a)
-        sweep_seeds(linear_metric, seeds=[1, 2], store=store_b,
-                    checkpoint_dir=tmp_path / "ck")
-        group_a = store_a.read_group("sweep")
-        group_b = store_b.read_group("sweep")
-        assert group_a.column_names == group_b.column_names
-        assert group_a.attrs == group_b.attrs
-        for name in group_a.column_names:
-            assert np.array_equal(group_a[name], group_b[name])
-
-    def test_resume_skips_finished_units(self, tmp_path):
-        first = sweep_seeds(linear_metric, seeds=[8, 9],
-                            checkpoint_dir=tmp_path / "ck")
-        again = sweep_seeds(linear_metric, seeds=[8, 9],
-                            checkpoint_dir=tmp_path / "ck",
-                            resume=True)
-        for name in first:
-            assert np.array_equal(first[name].values,
-                                  again[name].values)
+    def test_workers_do_not_change_values(self):
+        serial = sweep_seeds(linear_metric, seeds=[4, 5, 6], workers=1)
+        pooled = sweep_seeds(linear_metric, seeds=[4, 5, 6], workers=2)
+        assert sorted(pooled) == sorted(serial)
+        for name in serial:
+            assert serial[name].values.tobytes() == \
+                pooled[name].values.tobytes()
 
 
 class TestCalibrationQuality:

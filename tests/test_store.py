@@ -159,9 +159,13 @@ class TestCorruptionSurfacesStoreError:
             group["values"]
 
     def test_mangled_meta_json(self, store):
-        from repro.faults import mangle_json
         store.write_group("traces", demo_columns())
-        mangle_json(store.root / "traces" / "meta.json")
+        # Scribble over the middle (same length): valid UTF-8, not JSON.
+        meta = store.root / "traces" / "meta.json"
+        data = bytearray(meta.read_bytes())
+        middle = len(data) // 2
+        data[middle:middle + 8] = b"~" * len(data[middle:middle + 8])
+        meta.write_bytes(bytes(data))
         with pytest.raises(StoreError, match="meta.json"):
             store.read_group("traces")
 
