@@ -13,15 +13,12 @@ by layer:
 * :mod:`repro.motion` -- stages, hand motion, head traces, speeds;
 * :mod:`repro.parallel` -- deterministic chunked process-pool maps;
 * :mod:`repro.simulate` -- the testbed and the Section 5 harnesses;
-* :mod:`repro.faults` -- seeded fault injection and the chaos sweep;
 * :mod:`repro.net` -- iperf-style throughput measurement;
 * :mod:`repro.baselines` -- alternatives the paper argues against;
 * :mod:`repro.stream` -- VR video formats and frame transport;
 * :mod:`repro.plan` -- ceiling-TX coverage planning;
 * :mod:`repro.analysis` -- closed-form tolerated-speed budgets;
-* :mod:`repro.reporting` -- text tables and terminal plots;
-* :mod:`repro.store` -- the columnar dataset store and all-or-nothing
-  JSON publication.
+* :mod:`repro.reporting` -- text tables and terminal plots.
 
 The static analyzer (:mod:`repro.devtools`) and the CLI
 (:mod:`repro.cli`) sit on top and are not imported here.

@@ -10,13 +10,8 @@ can poke the system without writing code::
     python -m repro safety            # eye-safety reports
     python -m repro plan --width 4 --depth 3   # ceiling TX plan
     python -m repro formats           # the VR-format bandwidth ladder
-    python -m repro chaos             # fault-injection robustness sweep
     python -m repro analyze           # static analysis (layering/RNG/units/
                                       # crash safety/error contracts)
-
-``chaos`` writes its JSON record only after its one compute call
-returns, and atomically (tmp + rename), so an interrupted run leaves
-no file behind.
 """
 
 from __future__ import annotations
@@ -138,47 +133,6 @@ def _cmd_formats(args):
     return 0
 
 
-def _cmd_chaos(args):
-    """Sweep fault scenarios, supervised vs bare, write BENCH_chaos.json."""
-    import time
-
-    from .faults.chaos import get_scenarios, run_chaos, sweep_payload
-    from .reporting import TextTable, fmt_float
-    from .store import write_json_atomic
-
-    names = args.scenarios.split(",") if args.scenarios else None
-    try:
-        scenarios = get_scenarios(names)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-    # Nothing is written until this one compute call returns, so a
-    # Ctrl-C during it exits 130 (via main) and leaves no file behind.
-    t0 = time.perf_counter()
-    records = run_chaos(scenarios, workers=args.workers)
-    wall_s = time.perf_counter() - t0
-
-    table = TextTable(["scenario", "bare up", "supervised up", "gain",
-                       "MTTR (s)", "recoveries"])
-    for r in records:
-        table.add_row(r["name"],
-                      fmt_float(r["unsupervised"]["availability"], 3),
-                      fmt_float(r["supervised"]["availability"], 3),
-                      fmt_float(r["uptime_gain"], 3),
-                      fmt_float(r["supervised"]["mttr_s"], 3),
-                      str(r["supervised"]["recovery_actions"]))
-    print(table.render())
-
-    # Wall time is printed but kept OUT of the payload so the file is
-    # byte-identical for any --workers setting.
-    payload = sweep_payload(records)
-    write_json_atomic(args.output, payload)
-    print(f"mean uptime gain: {payload['mean_uptime_gain']:+.3f}")
-    print(f"wall: {wall_s:.2f} s (workers={args.workers})")
-    print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_analyze(args):
     """Run the repro.devtools static analyzer."""
     from .devtools.cli import run_analyze
@@ -249,14 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("formats", help="VR format bandwidth ladder"
                    ).set_defaults(func=_cmd_formats)
 
-    chaos = sub.add_parser(
-        "chaos", help="fault-injection sweep, write BENCH_chaos.json")
-    chaos.add_argument("--scenarios", default=None,
-                       help="comma-separated scenario names (default all)")
-    chaos.add_argument("--workers", type=int, default=1)
-    chaos.add_argument("--output", default="BENCH_chaos.json")
-    chaos.set_defaults(func=_cmd_chaos)
-
     analyze = sub.add_parser(
         "analyze",
         help="static analysis: layering, RNG provenance, units, crash "
@@ -278,14 +224,13 @@ def main(argv=None) -> int:
     """Entry point; returns a process exit code.
 
     Every subcommand shares one exception→exit-code contract: 0 ok,
-    1 failed work (store, coverage), 2 bad configuration or usage, 130
+    1 failed work (coverage), 2 bad configuration or usage, 130
     interrupted by Ctrl-C.  Subcommands may map their own exceptions
     first for a more specific message; this ladder is the backstop
     that keeps an escaping taxonomy exception from surfacing as a
     traceback.
     """
     from .galvo import CoverageError
-    from .store import StoreError
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -293,7 +238,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted")
         return 130
-    except (StoreError, CoverageError) as exc:
+    except CoverageError as exc:
         print(str(exc))
         return 1
 

@@ -55,26 +55,6 @@ class DriftMonitor:
             return None
         return float(np.median(self._baseline))
 
-    @property
-    def recent_dbm(self) -> Optional[float]:
-        """Rolling median of the monitored window (None until full)."""
-        if len(self._recent) < self.window:
-            return None
-        return float(np.median(self._recent))
-
-    @property
-    def deficit_db(self) -> float:
-        """How far the recent median sits below the baseline (>= 0).
-
-        Zero while either median is still being learned; the supervisor
-        logs this alongside its escalation events.
-        """
-        baseline = self.baseline_dbm
-        recent = self.recent_dbm
-        if baseline is None or recent is None:
-            return 0.0
-        return max(baseline - recent, 0.0)
-
     def observe(self, post_tp_power_dbm: float) -> bool:
         """Feed one observation; returns True when drift is flagged."""
         if len(self._baseline) < self.baseline_samples:

@@ -10,7 +10,7 @@ it:
 
 * **L-series** — the import-layering contract (the explicit layer DAG
   ``foundation -> device -> core/link -> motion/plan ->
-  simulate/faults -> devtools/cli``): upward imports, module cycles,
+  simulate -> devtools/cli``): upward imports, module cycles,
   and unassigned subpackages;
 * **T-series** — RNG provenance taint: generators minted only inside
   ``repro.determinism``, no RNG object crossing the ``parallel_map``

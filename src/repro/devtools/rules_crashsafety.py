@@ -2,9 +2,12 @@
 
 The crash model says a reader observes either the old complete file
 or the new complete file — never a torn prefix.  The sanctioned
-plumbing lives in ``repro/store/atomic.py`` (write tmp sibling →
-flush → fsync → ``os.replace``).  These rules police everyone else,
-consuming the effect table of :mod:`.effects`:
+plumbing is the module named by :data:`.effects.ATOMIC_MODULE`,
+``repro.store.atomic`` (write tmp sibling → flush → fsync →
+``os.replace``).  These rules police everyone else, consuming the
+effect table of :mod:`.effects`.  ``src/repro`` itself publishes no
+file, so only the ``crashsafety`` fixture tree under
+``tests/fixtures/program`` exercises them today:
 
 * **W001** — a truncating write (``open(path, "w")`` and the
   ``json.dump`` it feeds, ``np.save``, ``Path.write_text``) lands on a

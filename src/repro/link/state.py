@@ -59,19 +59,6 @@ class LinkStateMachine:
             return 1.0 if self._up else 0.0
         return self._up_time_s / self._observed_s
 
-    def relock_remaining_s(self, time_s: float) -> float:
-        """Seconds of continuous signal still needed before traffic.
-
-        Zero when the link is already up; the full re-lock delay when
-        no signal is present at all.
-        """
-        if self._up:
-            return 0.0
-        if self._signal_since is None:
-            return self.sfp.relock_delay_s
-        return max(self.sfp.relock_delay_s - (time_s - self._signal_since),
-                   0.0)
-
     def observe(self, time_s: float, received_power_dbm: float) -> bool:
         """Feed one power sample; returns the resulting link state.
 

@@ -30,7 +30,6 @@ import numpy as np
 from .. import constants
 from ..determinism import derive
 from ..parallel import parallel_map_arrays
-from ..store import ColumnGroup, ColumnStore
 from .traces import VIDEO_360, HeadTrace, TraceProfile
 
 
@@ -151,43 +150,6 @@ class TraceBatch:
                                 for t in traces]) if with_pose else None,
             eulers=np.stack([np.asarray(t.eulers).T
                              for t in traces]) if with_pose else None,
-        )
-
-    # -- columnar store integration --------------------------------------
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        out: Dict[str, np.ndarray] = {
-            "viewer_ids": np.asarray(self.viewer_ids),
-            "video_ids": np.asarray(self.video_ids),
-            "step_linear_m": self.step_linear_m,
-            "step_angular_rad": self.step_angular_rad,
-        }
-        if self.positions is not None:
-            out["positions"] = self.positions
-        if self.eulers is not None:
-            out["eulers"] = self.eulers
-        return out
-
-    def save(self, store: ColumnStore, group: str = "traces",
-             attrs: Optional[dict] = None) -> ColumnGroup:
-        """Persist the corpus as a column group."""
-        merged = {"dt_s": self.dt_s, "kind": "trace-batch"}
-        merged.update(attrs or {})
-        return store.write_group(group, self.columns(), attrs=merged)
-
-    @classmethod
-    def load(cls, store: ColumnStore, group: str = "traces",
-             mmap: bool = True) -> "TraceBatch":
-        """Open a persisted corpus; columns stay memmapped (lazy)."""
-        g = store.read_group(group, mmap=mmap)
-        return cls(
-            viewer_ids=g["viewer_ids"],
-            video_ids=g["video_ids"],
-            dt_s=float(g.attrs["dt_s"]),
-            step_linear_m=g["step_linear_m"],
-            step_angular_rad=g["step_angular_rad"],
-            positions=g["positions"] if "positions" in g else None,
-            eulers=g["eulers"] if "eulers" in g else None,
         )
 
 
@@ -395,9 +357,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
                    seed: int = 2022,
                    columns: str = "full",
                    workers: Optional[int] = 1,
-                   chunk_size: Optional[int] = _GEN_CHUNK,
-                   store: Optional[ColumnStore] = None,
-                   group: str = "traces") -> TraceBatch:
+                   chunk_size: Optional[int] = _GEN_CHUNK) -> TraceBatch:
     """The full dataset as one batch, byte-identical per seed.
 
     Per-trace streams derive from ``(seed, viewer, video)``, so every
@@ -407,8 +367,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     via :func:`repro.parallel.parallel_map_arrays`).
 
     ``columns="steps"`` skips the pose tensors (the slot pipeline only
-    consumes step magnitudes).  Passing ``store=`` persists the batch
-    as a column group named ``group`` before returning.
+    consumes step magnitudes).
     """
     if columns not in ("full", "steps"):
         raise ValueError("columns must be 'full' or 'steps'")
@@ -430,7 +389,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         ids, specs=specs, workers=workers, chunk_size=chunk_size,
         batched=True)
 
-    batch = TraceBatch(
+    return TraceBatch(
         viewer_ids=np.array([viewer for viewer, _ in ids],
                             dtype=np.int64),
         video_ids=np.array([video for _, video in ids],
@@ -441,12 +400,6 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         positions=cols.get("positions"),
         eulers=cols.get("eulers"),
     )
-    if store is not None:
-        batch.save(store, group, attrs={
-            "seed": seed, "viewers": viewers, "videos": videos,
-            "duration_s": duration_s, "profile": profile.name,
-        })
-    return batch
 
 
 def generate_dataset(viewers: int = 50, videos: int = 10,

@@ -1,11 +1,11 @@
 """Deterministic chunked process-pool mapping.
 
 The dataset-scale workloads (generating 500 traces, replaying each
-through the Section 5.4 slot model, sweeping calibration seeds) are
-embarrassingly parallel: every item is pure and independent.  This
-module provides the two primitives they share — ``parallel_map`` for
-object results and ``parallel_map_arrays`` for fixed-shape array
-results — with three properties the callers rely on:
+through the Section 5.4 slot model) are embarrassingly parallel: every
+item is pure and independent.  This module provides two primitives —
+``parallel_map`` for object results and ``parallel_map_arrays`` for
+fixed-shape array results, which both batch engines use — with three
+properties the callers rely on:
 
 * **Determinism.**  Results come back in input order regardless of the
   worker count or chunking, so ``workers=8`` produces the exact same

@@ -9,11 +9,10 @@ from .handover import (
     MultiTxRig,
     OcclusionEvent,
 )
-from .montecarlo import MetricSummary, calibration_quality, sweep_seeds
+from .montecarlo import calibration_quality
 from .rig import CalibrationOutcome, Testbed
 from .scenarios import SCENARIOS, Scenario, get_scenario, list_scenarios
 from .session import PrototypeSession, SessionResult, surviving_speed_threshold
-from .supervisor import Supervisor
 from .timeslot import TimeslotParams, TimeslotResult
 
 __all__ = [
@@ -23,14 +22,12 @@ __all__ = [
     "ClusteringReport",
     "HandoverController",
     "HandoverResult",
-    "MetricSummary",
     "MultiTxRig",
     "OcclusionEvent",
     "PrototypeSession",
     "SCENARIOS",
     "Scenario",
     "SessionResult",
-    "Supervisor",
     "Testbed",
     "TimeslotParams",
     "TimeslotResult",
@@ -42,6 +39,5 @@ __all__ = [
     "simulate_batch",
     "simulate_dataset",
     "simulate_trace",
-    "sweep_seeds",
     "surviving_speed_threshold",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 from ..motion import HeadTrace
 from ..motion.batch import TraceBatch
 from ..parallel import parallel_map_arrays
-from ..store import ColumnGroup, ColumnStore
 from .timeslot import TimeslotParams, TimeslotResult
 
 
@@ -71,28 +70,6 @@ class BatchTimeslotResult:
         if self.slots == 0:
             return np.zeros(len(self), dtype=np.float64)
         return np.mean(self.connected, axis=1)
-
-    # -- columnar store integration --------------------------------------
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        return {
-            "connected": self.connected,
-            "viewer_ids": np.asarray(self.viewer_ids),
-            "video_ids": np.asarray(self.video_ids),
-        }
-
-    def save(self, store: ColumnStore, group: str = "slots",
-             attrs: Optional[dict] = None) -> ColumnGroup:
-        merged = {"kind": "slot-batch"}
-        merged.update(attrs or {})
-        return store.write_group(group, self.columns(), attrs=merged)
-
-    @classmethod
-    def load(cls, store: ColumnStore, group: str = "slots",
-             mmap: bool = True) -> "BatchTimeslotResult":
-        g = store.read_group(group, mmap=mmap)
-        return cls(connected=g["connected"], viewer_ids=g["viewer_ids"],
-                   video_ids=g["video_ids"])
 
 
 def _drift_no_realign(rates: np.ndarray, residual: float,
@@ -236,9 +213,8 @@ _SIM_CHUNK = 64
 def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
                    params: TimeslotParams = TimeslotParams(),
                    workers: Optional[int] = 1,
-                   chunk_size: Optional[int] = _SIM_CHUNK,
-                   store: Optional[ColumnStore] = None,
-                   group: str = "slots") -> BatchTimeslotResult:
+                   chunk_size: Optional[int] = _SIM_CHUNK
+                   ) -> BatchTimeslotResult:
     """Replay a whole corpus through the 1 ms-slot model in one pass.
 
     Accepts a :class:`~repro.motion.batch.TraceBatch` (preferred; a
@@ -250,7 +226,6 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
     With ``workers > 1`` the trace axis is chunked over a process pool
     and workers write their ``connected`` rows into shared memory (no
     result pickling; see :func:`repro.parallel.parallel_map_arrays`).
-    Passing ``store=`` persists the result as column group ``group``.
     """
     if not isinstance(batch, TraceBatch):
         traces = list(batch)
@@ -270,14 +245,6 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
         items,
         specs={"connected": ((n * slots_per_report,), np.bool_)},
         workers=workers, chunk_size=chunk_size, batched=True)
-    connected = cols["connected"]
-
-    result = BatchTimeslotResult(connected=connected,
-                                 viewer_ids=np.asarray(batch.viewer_ids),
-                                 video_ids=np.asarray(batch.video_ids))
-    if store is not None:
-        result.save(store, group, attrs={
-            "slots_per_report": slots_per_report,
-            "tp_latency_slots": params.tp_latency_slots,
-        })
-    return result
+    return BatchTimeslotResult(connected=cols["connected"],
+                               viewer_ids=np.asarray(batch.viewer_ids),
+                               video_ids=np.asarray(batch.video_ids))

@@ -1,76 +1,19 @@
-"""Multi-seed experiment sweeps.
+"""Per-seed calibration quality.
 
 A single calibrated testbed is one lab; the paper's numbers come from
-one prototype.  To know which digits of a result are *stable*, rerun
-the pipeline across independently seeded worlds and aggregate.  Used
-by tests (is 10/10 realignment a fluke of seed 3?) and available to
-users studying the calibration's robustness.
+one prototype.  :func:`calibration_quality` scores one independently
+seeded world, so an experiment can check which digits of a result are
+stable across worlds (is 10/10 realignment a fluke of seed 3?).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from ..core import point
-from ..parallel import parallel_map
 from .rig import Testbed
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    """Across-seed statistics of one scalar metric."""
-
-    name: str
-    values: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def std(self) -> float:
-        return float(self.values.std(ddof=1)) if len(self.values) > 1 \
-            else 0.0
-
-    @property
-    def worst(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def best(self) -> float:
-        return float(self.values.max())
-
-
-def _eval_seed(metric_fn: Callable[[int], Dict[str, float]],
-               seed: int) -> Dict[str, float]:
-    """Evaluate one seed (module-level so the pair pickles)."""
-    return metric_fn(int(seed))
-
-
-def sweep_seeds(metric_fn: Callable[[int], Dict[str, float]],
-                seeds: Sequence[int],
-                workers: Optional[int] = 1) -> Dict[str, MetricSummary]:
-    """Evaluate a per-seed metric dictionary across seeds.
-
-    ``workers>1`` fans the seeds out over a process pool (``metric_fn``
-    must then be picklable — a lambda degrades to the serial path); the
-    per-seed dictionaries are merged in seed order either way, so the
-    summaries are identical for any worker count.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    per_seed = parallel_map(partial(_eval_seed, metric_fn),
-                            list(seeds), workers=workers)
-    collected: Dict[str, List[float]] = {}
-    for metrics in per_seed:
-        for name, value in metrics.items():
-            collected.setdefault(name, []).append(float(value))
-    return {name: MetricSummary(name=name, values=np.array(values))
-            for name, values in collected.items()}
 
 
 def calibration_quality(seed: int, trials: int = 10) -> Dict[str, float]:

@@ -12,14 +12,6 @@
   machine (including the seconds-long re-lock after a loss) and the
   iperf-style windowed throughput meter.
 
-The loop optionally runs under *fault injection* (``faults=``, a list
-of :mod:`repro.faults` models applied through wrapper interfaces -- the
-core models stay untouched) and under *supervised recovery*
-(``supervisor=``, a :class:`repro.simulate.supervisor.Supervisor`
-implementing the watchdog / retry / hold-off / remap escalation
-ladder).  Every injected fault and every recovery action lands in the
-:class:`SessionResult`'s structured event log.
-
 The tolerated-speed thresholds of Figs. 13-15 / Table 3 are *read off*
 these runs -- nothing in the loop knows about them.
 """
@@ -27,7 +19,7 @@ these runs -- nothing in the loop knows about them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,12 +33,9 @@ from ..core import (
     cold_start_seed,
     point,
 )
-from ..faults import FaultInjector, NullInjector
-from ..faults.events import EventLog, FaultMetrics, derive_metrics
 from ..link import LinkStateMachine
 from ..net import ThroughputMeter, ThroughputWindow
 from .rig import Testbed
-from .supervisor import Supervisor
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,6 @@ class SessionResult:
     #: Commands rejected for leaving the GM coverage cone -- counted
     #: separately from solve divergences since the cure differs.
     coverage_failures: int = 0
-    #: Structured log: every injected fault and recovery action.
-    events: tuple = ()
 
     @property
     def uptime_fraction(self) -> float:
@@ -73,24 +60,6 @@ class SessionResult:
 
     def throughputs_gbps(self) -> np.ndarray:
         return np.array([w.throughput_gbps for w in self.windows])
-
-    # -- structured event log ------------------------------------------------
-
-    def event_lines(self) -> List[str]:
-        """Canonical one-line-per-event rendering (reproducible)."""
-        return [event.line() for event in self.events]
-
-    def event_log_text(self) -> str:
-        """The whole event log as one byte-comparable string."""
-        return "\n".join(self.event_lines())
-
-    def fault_metrics(self) -> FaultMetrics:
-        """Derived MTTR / availability-under-faults numbers."""
-        if self.sample_times_s.size >= 2:
-            dt_s = float(self.sample_times_s[1] - self.sample_times_s[0])
-        else:
-            dt_s = 1e-3
-        return derive_metrics(self.link_up, dt_s, self.events)
 
 
 @dataclass
@@ -104,18 +73,13 @@ class PrototypeSession:
 
     def run(self, profile, duration_s: Optional[float] = None,
             dt_s: float = 1e-3, window_s: float = 0.05,
-            start_aligned: bool = True,
-            faults: Union[Sequence, FaultInjector, None] = None,
-            fault_seed: int = 0,
-            supervisor: Optional[Supervisor] = None) -> SessionResult:
+            start_aligned: bool = True) -> SessionResult:
         """Run the closed loop over a motion profile.
 
-        ``faults`` arms fault models (or a prebuilt
-        :class:`~repro.faults.inject.FaultInjector`); ``fault_seed``
-        seeds their schedules.  ``supervisor`` enables the recovery
-        ladder; without it the loop degrades exactly as the bare
-        prototype would (single pointing attempt, no hold-off, no
-        mid-session remap).
+        Each report is solved once, seeded with the last applied
+        command (or :func:`~repro.core.cold_start_seed` before the
+        first one); a diverged solve leaves the mirrors where they are
+        until the next report.
         """
         if duration_s is None:
             duration_s = profile.duration_s
@@ -125,18 +89,6 @@ class PrototypeSession:
         meter = ThroughputMeter(sfp.optimal_throughput_gbps,
                                 window_s=window_s)
         state = LinkStateMachine(sfp, initially_up=start_aligned)
-
-        log = EventLog()
-        if faults is None:
-            injector = NullInjector(log)
-        elif isinstance(faults, (FaultInjector, NullInjector)):
-            injector = faults
-            log = injector.log
-        else:
-            injector = FaultInjector(faults, duration_s,
-                                     seed=fault_seed, log=log)
-        if supervisor is not None:
-            supervisor.reset(log)
 
         system = self.system
         first_report = tracker.report(profile.pose_at(0.0))
@@ -151,7 +103,6 @@ class PrototypeSession:
 
         next_report_s = tracker.next_period_s()
         pending: Optional[tuple] = None  # (apply_at_s, command)
-        just_applied = False
         times, powers, ups = [], [], []
         steps = int(round(duration_s / dt_s))
         for step in range(1, steps + 1):
@@ -160,50 +111,30 @@ class PrototypeSession:
 
             if pending is not None and t >= pending[0]:
                 try:
-                    if injector.apply_command(t, testbed,
-                                              pending[1]) is not None:
-                        last_command = pending[1]
-                        just_applied = True
+                    testbed.apply_command(pending[1])
+                    last_command = pending[1]
                 except CoverageError:
                     # Out of the GM coverage cone: mirrors hold still.
                     coverage_failures += 1
                 pending = None
 
             if t >= next_report_s and pending is None:
-                report = injector.tracker_report(t, tracker, pose)
-                if supervisor is not None:
-                    wants_pointing = (supervisor.accept_report(t, report)
-                                      and not supervisor.holding(t))
+                report = tracker.report(pose)
+                pointing_calls += 1
+                if last_command is not None:
+                    seed = self._command_tuple(last_command)
                 else:
-                    wants_pointing = report is not None
-                if wants_pointing:
-                    pointing_calls += 1
-                    command = self._point_with_retries(
-                        t, system, report, last_command, supervisor)
-                    if command is None:
-                        pointing_failures += 1
-                    else:
-                        apply_at = (t + self.control_latency_s
-                                    + self.pointing_latency_s
-                                    + injector.command_latency_extra_s(t))
-                        pending = (apply_at, command)
+                    seed = cold_start_seed(system, report)
+                command = self._point(system, report, seed=seed)
+                if command is None:
+                    pointing_failures += 1
+                else:
+                    apply_at = (t + self.control_latency_s
+                                + self.pointing_latency_s)
+                    pending = (apply_at, command)
                 next_report_s = t + tracker.next_period_s()
 
-            sample = injector.channel_sample(t, testbed.channel, pose)
-            power = sample.received_power_dbm
-            if supervisor is not None:
-                supervisor.observe_power(t, power,
-                                         sfp.rx_sensitivity_dbm)
-                if just_applied and not supervisor.holding(t):
-                    refitted = supervisor.observe_post_tp_power(
-                        t, power, testbed, injector, system)
-                    if refitted is not None:
-                        system = refitted
-                        last_command = None
-                        pending = None
-                if sample.connected and last_command is not None:
-                    supervisor.note_good_command(last_command)
-            just_applied = False
+            power = testbed.channel.evaluate(pose).received_power_dbm
             up = state.observe(t, power)
             meter.record(t, up, dt_s)
             times.append(t)
@@ -218,33 +149,7 @@ class PrototypeSession:
             pointing_calls=pointing_calls,
             pointing_failures=pointing_failures,
             coverage_failures=coverage_failures,
-            events=log.events,
         )
-
-    def _point_with_retries(self, t: float, system: LearnedSystem,
-                            report, last_command,
-                            supervisor: Optional[Supervisor]
-                            ) -> Optional[PointingCommand]:
-        """One solve, plus the supervisor's fallback-seed ladder."""
-        if last_command is not None:
-            seed = self._command_tuple(last_command)
-        else:
-            seed = cold_start_seed(system, report)
-        command = self._point(system, report, seed=seed)
-        if command is not None or supervisor is None:
-            return command
-        attempts = 1
-        for name, fallback in supervisor.fallback_seeds(
-                cold_start_seed(system, report)):
-            if fallback == seed:
-                continue
-            attempts += 1
-            supervisor.note_retry(t, attempts, name)
-            command = self._point(system, report, seed=fallback)
-            if command is not None:
-                return command
-        supervisor.note_give_up(t, attempts)
-        return None
 
     @staticmethod
     def _command_tuple(command: PointingCommand) -> tuple:

@@ -62,17 +62,7 @@ class VrhTracker:
 
     def report(self, body_pose: Pose) -> Pose:
         """One VRH-T position report for the current true body pose."""
-        return self.noisy_pose(self.true_report_transform(body_pose))
-
-    def noisy_pose(self, clean: RigidTransform) -> Pose:
-        """Apply the tracker's measurement noise to a clean transform.
-
-        Fault injectors compose extra transforms (drift, outliers) onto
-        :meth:`true_report_transform` and then push the result through
-        this method, so a faulted report consumes the tracker's RNG
-        exactly like a clean one and the downstream noise statistics
-        stay identical.
-        """
+        clean = self.true_report_transform(body_pose)
         position = clean.translation + self.rng.normal(
             0.0, self.location_noise_m, size=3)
         if self.orientation_noise_rad > 0:

@@ -14,14 +14,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_sweep_is_an_unknown_command(self, capsys, tmp_path):
-        # No checkpointed-sweep subcommand: the invocation is a usage
-        # error and creates no checkpoint directory.
+    @pytest.mark.parametrize("command", ["sweep", "chaos"])
+    def test_sweep_is_an_unknown_command(self, capsys, tmp_path, command):
+        # No checkpointed-sweep or fault-injection subcommand: the
+        # invocation is a usage error and writes nothing.
         with pytest.raises(SystemExit) as info:
-            main(["sweep", "--checkpoint", str(tmp_path / "ck")])
+            main([command, "--output", str(tmp_path / "out.json")])
         assert info.value.code == 2
-        assert "invalid choice: 'sweep'" in capsys.readouterr().err
-        assert not (tmp_path / "ck").exists()
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
@@ -33,19 +34,6 @@ class TestParser:
             ["calibrate", "--seed", "11", "--trials", "5"])
         assert args.seed == 11
         assert args.trials == 5
-
-    def test_chaos_defaults(self):
-        args = build_parser().parse_args(["chaos"])
-        assert args.scenarios is None
-        assert args.workers == 1
-        assert args.output == "BENCH_chaos.json"
-
-    def test_chaos_options(self):
-        args = build_parser().parse_args(
-            ["chaos", "--scenarios", "drift-remap,blockage",
-             "--workers", "2", "--output", "/tmp/c.json"])
-        assert args.scenarios == "drift-remap,blockage"
-        assert args.workers == 2
 
 
 class TestCommands:
@@ -108,17 +96,12 @@ class TestScenarioCommands:
         out = capsys.readouterr().out
         assert "available" in out
 
-    def test_chaos_unknown_scenario(self, capsys):
-        assert main(["chaos", "--scenarios", "no-such"]) == 2
-        out = capsys.readouterr().out
-        assert "available" in out
-
 
 class TestExitCodeContract:
     """main()'s exception→exit-code backstop, per subcommand.
 
-    The documented contract: 0 ok, 1 failed work (store, coverage),
-    2 bad configuration or usage, 130 when interrupted by Ctrl-C.  Each
+    The documented contract: 0 ok, 1 failed work (coverage), 2 bad
+    configuration or usage, 130 when interrupted by Ctrl-C.  Each
     subcommand's handler is stubbed to escape one taxonomy exception;
     the ladder in ``main()`` must map it, never surface a traceback.
     """
@@ -131,7 +114,6 @@ class TestExitCodeContract:
         ("_cmd_safety", ["safety"]),
         ("_cmd_plan", ["plan"]),
         ("_cmd_formats", ["formats"]),
-        ("_cmd_chaos", ["chaos"]),
         ("_cmd_analyze", ["analyze"]),
         ("_cmd_scenarios", ["scenarios"]),
         ("_cmd_scenario", ["scenario", "s1"]),
@@ -139,9 +121,7 @@ class TestExitCodeContract:
 
     def escapes():
         from repro.galvo import CoverageError
-        from repro.store import StoreError
         return [
-            (StoreError("group torn"), 1),
             (CoverageError("cone not covered"), 1),
             (KeyboardInterrupt(), 130),
         ]

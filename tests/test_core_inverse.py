@@ -140,8 +140,11 @@ class TestMatchesOracle:
             assert got.iterations == want.iterations
             assert abs(got.v1 - want.v1) <= DEFAULT_VOLTAGE_STEP_V
             assert abs(got.v2 - want.v2) <= DEFAULT_VOLTAGE_STEP_V
+            # The two misses agree within ~3e-15 m, while the misses
+            # themselves reach ~1e-11 m (median) to ~3e-9 m, so a solve
+            # reporting no miss at all fails this bound.
             assert abs(got.miss_distance_m - want.miss_distance_m) \
-                <= 1e-12
+                <= 1e-14
 
     def test_point(self, learned_system, reports, monkeypatch):
         cold, warm = reports

@@ -88,31 +88,12 @@ class TestRapidFlapping:
         assert not m.observe(t + 0.1, GOOD)
         assert m.observe(t + 0.1 + relock, GOOD)
 
-    def test_relock_remaining_tracks_the_blips(self):
-        m = machine()
-        relock = SFP_10G_ZR.relock_delay_s
-        m.observe(0.0, BAD)
-        assert m.relock_remaining_s(0.0) == pytest.approx(relock)
-        m.observe(1.0, GOOD)
-        assert m.relock_remaining_s(1.0 + relock / 2) == \
-            pytest.approx(relock / 2)
-        m.observe(2.0, BAD)   # blip: back to the full delay
-        assert m.relock_remaining_s(2.0) == pytest.approx(relock)
-        m.observe(2.5, GOOD)
-        assert m.relock_remaining_s(2.5) == pytest.approx(relock)
-        assert m.relock_remaining_s(2.5 + relock) == 0.0
-
     def test_signal_present_vs_link_up(self):
         m = machine()
         m.observe(0.0, BAD)
         assert not m.signal_present
         m.observe(0.001, GOOD)
         assert m.signal_present and not m.link_up
-
-    def test_relock_remaining_zero_when_up(self):
-        m = machine()
-        m.observe(0.0, GOOD)
-        assert m.relock_remaining_s(0.5) == 0.0
 
 
 class TestUptimeAccounting:

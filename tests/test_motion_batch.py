@@ -24,7 +24,6 @@ from repro.motion import (
     generate_trace,
 )
 from repro.parallel import ParallelFallbackWarning
-from repro.store import ColumnStore
 
 from .oracles import reference_generate_trace
 
@@ -190,14 +189,6 @@ class TestRejectsMalformedShapes:
                 step_angular_rad=batch.step_angular_rad[:, 0],
                 positions=None, eulers=None)
 
-    def test_load_rejects_a_corrupt_store(self, batch, tmp_path):
-        store = ColumnStore(tmp_path)
-        columns = batch.columns()
-        columns["positions"] = batch.positions.transpose(0, 2, 1)
-        store.write_group("traces", columns, attrs={"dt_s": batch.dt_s})
-        with pytest.raises(ValueError, match="positions"):
-            TraceBatch.load(store)
-
 
 class TestFromTraces:
     def test_roundtrip(self):
@@ -222,31 +213,3 @@ class TestFromTraces:
                   generate_trace(0, 1, duration_s=2 * DUR, seed=SEED)]
         with pytest.raises(ValueError):
             TraceBatch.from_traces(traces)
-
-
-class TestStoreIntegration:
-    def test_save_load_roundtrip(self, tmp_path):
-        store = ColumnStore(tmp_path)
-        batch = generate_batch(viewers=2, videos=2, duration_s=DUR,
-                               seed=SEED, store=store)
-        loaded = TraceBatch.load(store)
-        assert loaded.dt_s == batch.dt_s
-        assert np.array_equal(loaded.viewer_ids, batch.viewer_ids)
-        assert np.array_equal(loaded.positions, batch.positions)
-        assert np.array_equal(loaded.step_linear_m, batch.step_linear_m)
-        attrs = store.read_group("traces").attrs
-        assert attrs["seed"] == SEED
-        assert attrs["viewers"] == 2
-
-    def test_loaded_columns_are_memmapped(self, tmp_path):
-        store = ColumnStore(tmp_path)
-        generate_batch(viewers=1, videos=2, duration_s=DUR, store=store)
-        loaded = TraceBatch.load(store)
-        assert isinstance(loaded.step_linear_m, np.memmap)
-
-    def test_steps_only_group_loads_without_pose(self, tmp_path):
-        store = ColumnStore(tmp_path)
-        generate_batch(viewers=1, videos=2, duration_s=DUR,
-                       columns="steps", store=store)
-        loaded = TraceBatch.load(store)
-        assert not loaded.has_pose

@@ -20,7 +20,6 @@ from repro.simulate import (
     simulate_batch,
     simulate_trace,
 )
-from repro.store import ColumnStore
 
 from .oracles import reference_simulate_trace
 
@@ -135,23 +134,3 @@ class TestEdgeShapes:
         want = [r.availability
                 for r in _oracle(corpus, TimeslotParams())]
         assert got.tolist() == want
-
-
-class TestStoreIntegration:
-    def test_save_load_roundtrip(self, corpus, tmp_path):
-        store = ColumnStore(tmp_path)
-        result = simulate_batch(corpus, store=store)
-        loaded = BatchTimeslotResult.load(store)
-        assert np.array_equal(loaded.connected, result.connected)
-        assert np.array_equal(loaded.viewer_ids, result.viewer_ids)
-        attrs = store.read_group("slots").attrs
-        assert attrs["slots_per_report"] == 10
-        assert attrs["tp_latency_slots"] == 2
-
-    def test_loaded_rows_replay_as_results(self, corpus, tmp_path):
-        store = ColumnStore(tmp_path)
-        simulate_batch(corpus, store=store)
-        loaded = BatchTimeslotResult.load(store)
-        for row, want in zip(loaded.results(),
-                             _oracle(corpus, TimeslotParams())):
-            assert np.array_equal(row.connected, want.connected)

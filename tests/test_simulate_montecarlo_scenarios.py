@@ -1,54 +1,14 @@
-"""Tests for the seed sweeps and the scenario registry."""
+"""Tests for per-seed calibration quality and the scenario registry."""
 
 import numpy as np
 import pytest
 
 from repro.simulate import (
-    MetricSummary,
     SCENARIOS,
     calibration_quality,
     get_scenario,
     list_scenarios,
-    sweep_seeds,
 )
-
-
-def linear_metric(seed):
-    """Module-level so the pooled path can ship it to workers."""
-    return {"value": float(seed), "twice": 2.0 * seed}
-
-
-class TestSweepSeeds:
-    def test_aggregates_metrics(self):
-        def fake_metric(seed):
-            return {"value": float(seed), "constant": 1.0}
-
-        summary = sweep_seeds(fake_metric, seeds=[1, 2, 3])
-        assert summary["value"].mean == pytest.approx(2.0)
-        assert summary["value"].worst == 1.0
-        assert summary["value"].best == 3.0
-        assert summary["constant"].std == 0.0
-
-    def test_single_seed_std_zero(self):
-        summary = sweep_seeds(lambda s: {"v": 5.0}, seeds=[7])
-        assert summary["v"].std == 0.0
-
-    def test_rejects_no_seeds(self):
-        with pytest.raises(ValueError):
-            sweep_seeds(lambda s: {}, seeds=[])
-
-    def test_metric_summary_fields(self):
-        summary = MetricSummary("m", np.array([1.0, 3.0]))
-        assert summary.mean == 2.0
-        assert summary.std == pytest.approx(np.sqrt(2.0))
-
-    def test_workers_do_not_change_values(self):
-        serial = sweep_seeds(linear_metric, seeds=[4, 5, 6], workers=1)
-        pooled = sweep_seeds(linear_metric, seeds=[4, 5, 6], workers=2)
-        assert sorted(pooled) == sorted(serial)
-        for name in serial:
-            assert serial[name].values.tobytes() == \
-                pooled[name].values.tobytes()
 
 
 class TestCalibrationQuality:

@@ -9,8 +9,9 @@ from repro.motion import (
     StaticProfile,
     StrokeSchedule,
 )
+from repro.galvo import CoverageError
 from repro.net import ThroughputWindow
-from repro.simulate import PrototypeSession, surviving_speed_threshold
+from repro.simulate import PrototypeSession, Testbed, surviving_speed_threshold
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,32 @@ class TestFastMotionSession:
                                             [len(down)]]))
             assert spans.max() >= int(
                 testbed.design.sfp.relock_delay_s / 1e-3 * 0.8)
+
+
+class TestCoverageFailureAccounting:
+    def test_counted_separately_and_survived(self, monkeypatch):
+        testbed = Testbed(seed=3)
+        session = PrototypeSession(testbed, testbed.oracle_system())
+        profile = StaticProfile(testbed.home_pose, duration_s=0.5)
+        apply_command = testbed.apply_command
+        calls = []
+
+        def tripwire(command):
+            # Call 1 is the start-aligned steer before the loop; the
+            # loop's first command (call 2) leaves the coverage cone.
+            calls.append(command)
+            if len(calls) == 2:
+                raise CoverageError("out-of-cone command")
+            return apply_command(command)
+
+        monkeypatch.setattr(testbed, "apply_command", tripwire)
+        result = session.run(profile)
+        assert len(calls) > 2
+        assert result.coverage_failures == 1
+        # The run carried on: the loop must catch exactly the typed
+        # error, not swallow it as a generic pointing failure.
+        assert result.pointing_failures == 0
+        assert result.uptime_fraction > 0.9
 
 
 class TestThresholdReadout:
