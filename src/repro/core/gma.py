@@ -9,10 +9,11 @@ itself lives in :func:`repro.galvo.mirror.trace`; this module adds:
 * :func:`trace_batch` -- a fully vectorized evaluation of ``G`` over
   many voltage pairs at once, which the least-squares fits call inside
   their residual functions (the scalar path would be ~100x slower);
-* :func:`trace_rows` -- its kernel, which also takes per-row geometry
-  (:func:`layout` and :func:`placed` build it), so the Section 4.2 fit
-  traces 30 differently placed RX models (or the K-space fit's 25
-  finite-difference models) in one call;
+* :func:`trace_rows` -- its kernel, on x/y/z component arrays: the
+  layout rows (:func:`layout` and :func:`placed` build them) broadcast
+  against the mirror angles, so the Section 4.2 fit traces a stack of
+  candidates times 30 differently placed RX models, and the K-space
+  fit its 25 finite-difference models, in one call;
 * :func:`board_hits` -- the ``f(G(v1, v2))`` composition of Section
   4.1-B: where the beams land on the calibration board.
 """
@@ -79,20 +80,63 @@ def placed(rows: np.ndarray, rotation: np.ndarray,
     return np.moveaxis(moved, -2, 0)
 
 
-def _rotate_about(axis: np.ndarray, angles: np.ndarray,
-                  vector: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of vectors by many angles (vectorized).
+#: A beam or plane as its x, y and z component arrays.
+Components = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    ``axis`` and ``vector`` are (3,) (shared by every row) or (n, 3)
-    (one per row); ``angles`` is (n,).  Returns (n, 3): each row's
-    ``vector`` rotated by its angle about its ``axis``.
+
+def _xyz(vectors: np.ndarray) -> Components:
+    """The x, y and z components of (..., 3) vectors."""
+    return vectors[..., 0], vectors[..., 1], vectors[..., 2]
+
+
+def _dot(a: Components, b: Components) -> np.ndarray:
+    """Element-wise dot products, summed as ``(x x' + z z') + y y'``.
+
+    That is the order numpy's ``einsum`` sums three products in, so
+    this kernel and an ``einsum`` dot agree bit for bit.
     """
-    cos = np.cos(angles)[:, None]
-    sin = np.sin(angles)[:, None]
-    axis_cross = np.cross(axis, vector)
-    axis_dot = np.einsum("...j,...j->...", axis, vector)[..., None]
-    return (cos * vector + sin * axis_cross
-            + (1.0 - cos) * axis_dot * axis)
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _cross(a: Components, b: Components) -> Components:
+    """Element-wise cross products, term for term as ``np.cross``."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _rotate_about(axis: Components, angles: np.ndarray,
+                  vector: Components) -> Components:
+    """Rodrigues rotation of ``vector`` by ``angles`` about ``axis``.
+
+    All three broadcast against each other, component by component.
+    """
+    cos = np.cos(angles)
+    sin = np.sin(angles)
+    cross = _cross(axis, vector)
+    along = (1.0 - cos) * _dot(axis, vector)
+    return (cos * vector[0] + sin * cross[0] + along * axis[0],
+            cos * vector[1] + sin * cross[1] + along * axis[1],
+            cos * vector[2] + sin * cross[2] + along * axis[2])
+
+
+def _intersect(origins: Components, directions: Components,
+               points: Components, normals: Components
+               ) -> Tuple[Components, np.ndarray, np.ndarray]:
+    """Beam-plane strikes ``(hits, denom, t)``: ``hits = o + t d``.
+
+    ``denom`` is ``d . n``; a beam parallel to its plane gives a
+    non-finite ``t`` and strike point.
+    """
+    denom = _dot(directions, normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offsets = (points[0] - origins[0], points[1] - origins[1],
+                   points[2] - origins[2])
+        t = _dot(offsets, normals) / denom
+        hits = (origins[0] + t * directions[0],
+                origins[1] + t * directions[1],
+                origins[2] + t * directions[2])
+    return hits, denom, t
 
 
 def intersect_rows(origins: np.ndarray, directions: np.ndarray,
@@ -101,63 +145,62 @@ def intersect_rows(origins: np.ndarray, directions: np.ndarray,
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-wise beam-plane hits and where they exist.
 
-    ``origins``, ``directions`` and ``normals`` are (n, 3); ``points``
-    (one point on each plane) is (3,) or (n, 3).  Returns ``(hits,
-    hit)``: the (n, 3) strike points and an (n,) mask with the rules of
-    :meth:`repro.geometry.Plane.intersect_ray` -- a beam parallel to
-    its plane misses, and with ``forward_only`` so does a hit behind
-    the beam's origin.  A beam exactly parallel to its plane yields a
-    non-finite strike point.
+    ``origins``, ``directions``, ``points`` (one point on each plane)
+    and ``normals`` are (..., 3) arrays that broadcast together.
+    Returns ``(hits, hit)``: the (..., 3) strike points and a (...)
+    mask with the rules of :meth:`repro.geometry.Plane.intersect_ray`
+    -- a beam parallel to its plane misses, and with ``forward_only``
+    so does a hit behind the beam's origin.  A beam exactly parallel
+    to its plane yields a non-finite strike point.
     """
-    denom = np.einsum("ij,ij->i", directions, normals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("ij,ij->i", points - origins, normals) / denom
-        hits = origins + t[:, None] * directions
+    hits, denom, t = _intersect(_xyz(origins), _xyz(directions),
+                                _xyz(points), _xyz(normals))
     hit = np.abs(denom) >= 1e-12
     if forward_only:
         hit &= t >= -1e-12
-    return hits, hit
+    return np.stack(hits, axis=-1), hit
 
 
-def _reflect_batch(origins: np.ndarray, directions: np.ndarray,
-                   normals: np.ndarray, pivot: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reflect n beams off n mirror planes.
+def _reflect(origins: Components, directions: Components,
+             normals: Components, pivot: Components
+             ) -> Tuple[Components, Components]:
+    """Reflect beams off mirror planes through ``pivot``.
 
-    ``origins``, ``directions`` and ``normals`` are (n, 3); ``pivot``
-    is one point shared by every plane (3,) or one per row (n, 3).
-    Returns ``(strike_points, reflected_directions)``, each (n, 3).
-    Strike points behind the origin are kept, as in the scalar ``G``.
-    Rays parallel to their mirror produce non-finite strike points,
-    which the fit's residuals turn into large errors (as they should).
+    Returns ``(strike_points, reflected_directions)``.  Strike points
+    behind the origin are kept, as in the scalar ``G``.  Rays parallel
+    to their mirror produce non-finite strike points, which the fit's
+    residuals turn into large errors (as they should).
     """
-    strikes, _ = intersect_rows(origins, directions, pivot, normals)
-    denom = np.einsum("ij,ij->i", directions, normals)
-    reflected = directions - 2.0 * denom[:, None] * normals
-    return strikes, reflected
+    strikes, denom, _ = _intersect(origins, directions, pivot, normals)
+    twice = 2.0 * denom
+    return strikes, (directions[0] - twice * normals[0],
+                     directions[1] - twice * normals[1],
+                     directions[2] - twice * normals[2])
 
 
 def trace_rows(rows: np.ndarray, angle1: np.ndarray, angle2: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``G`` per row, on explicit mirror angles.
 
-    ``rows`` is a :func:`layout` with unit directions: (8, 3) when
-    every row shares one geometry, or (8, n, 3) for per-row geometry
-    (e.g. one RX placement per tracking report, see :func:`placed`).
-    ``angle1``/``angle2`` are (n,).  Returns ``(origins, directions,
-    pivots2, normals2)``, each (n, 3): the output beams and the
-    second-mirror planes (the Lemma 1 target planes).
+    ``rows`` is a :func:`layout` with unit directions, (8, ..., 3):
+    (8, 3) when every row shares one geometry, (8, n, 3) for per-row
+    geometry (e.g. one RX placement per tracking report, see
+    :func:`placed`), or (8, k, 1, 3) for k models over the same
+    voltages.  ``angle1``/``angle2`` share one shape, and each layout
+    row broadcasts against it: the whole trace runs once, on x/y/z
+    component arrays.  Returns ``(origins, directions, pivots2,
+    normals2)``, each of the broadcast shape plus a trailing 3: the
+    output beams and the second-mirror planes (the Lemma 1 target
+    planes).
     """
-    p0, x0, n1, q1, r1, n2, q2, r2 = rows
+    p0, x0, n1, q1, r1, n2, q2, r2 = (_xyz(row) for row in rows)
     normals1 = _rotate_about(r1, angle1, n1)
     normals2 = _rotate_about(r2, angle2, n2)
-    shape = normals1.shape
-    mid_points, mid_dirs = _reflect_batch(np.broadcast_to(p0, shape),
-                                          np.broadcast_to(x0, shape),
-                                          normals1, q1)
-    origins, directions = _reflect_batch(mid_points, mid_dirs,
-                                         normals2, q2)
-    return origins, directions, np.broadcast_to(q2, shape), normals2
+    mid_points, mid_dirs = _reflect(p0, x0, normals1, q1)
+    origins, directions = _reflect(mid_points, mid_dirs, normals2, q2)
+    shape = origins[0].shape + (3,)
+    return (np.stack(origins, axis=-1), np.stack(directions, axis=-1),
+            np.broadcast_to(rows[6], shape), np.stack(normals2, axis=-1))
 
 
 def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
@@ -167,11 +210,12 @@ def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
     ``vector`` is the 25-parameter encoding of
     :meth:`repro.galvo.GmaParams.to_vector`, or a (k, 25) stack of them
     (a finite-difference Jacobian's perturbed models), traced in one
-    :func:`trace_rows` call; ``v1``/``v2`` are (n,) voltage arrays.
-    Returns ``(origins, directions)``, each (n, 3), or (k, n, 3) for a
-    stack.  Unlike the scalar path, no validation is applied: the
-    optimizer is free to wander through slightly non-unit normals, and
-    the residuals stay smooth.
+    :func:`trace_rows` call: the (8, k, 1, 3) layouts broadcast
+    against the (k, n) mirror angles.  ``v1``/``v2`` are (n,) voltage
+    arrays.  Returns ``(origins, directions)``, each (n, 3), or
+    (k, n, 3) for a stack.  Unlike the scalar path, no validation is
+    applied: the optimizer is free to wander through slightly non-unit
+    normals, and the residuals stay smooth.
     """
     vec = np.asarray(vector, dtype=float)
     v1 = np.asarray(v1, dtype=float)
@@ -181,10 +225,9 @@ def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
     directions = rows[:, _DIRECTION_ROWS]
     rows[:, _DIRECTION_ROWS] = directions / np.linalg.norm(
         directions, axis=-1, keepdims=True)
-    per_row = np.repeat(np.moveaxis(rows, 1, 0), v1.size, axis=1)
     theta1 = stack[:, 24:]
     origins, directions, _, _ = trace_rows(
-        per_row, (theta1 * v1).ravel(), (theta1 * v2).ravel())
+        np.moveaxis(rows, 1, 0)[:, :, None], theta1 * v1, theta1 * v2)
     shape = vec.shape[:-1] + (v1.size, 3)
     return origins.reshape(shape), directions.reshape(shape)
 

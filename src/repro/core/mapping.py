@@ -10,11 +10,13 @@ error function sums ``d(p_t, tau_r) + d(p_r, tau_t)`` over all samples,
 evaluated under the *candidate* mapping parameters, and non-linear
 least squares drives it toward zero.
 
-The residual is batched: the samples are stacked once, and each
-candidate parameter vector is evaluated for all of them in one pass
-through :func:`repro.core.gma.trace_rows` (the RX GMA gets one
-placement per reported pose).  The per-sample helpers below are 1-row
-and N-row calls into the same kernel.
+The residual is batched: the samples are stacked once, and a (k, 12)
+stack of candidate parameter vectors is evaluated for all of them in
+one pass through :func:`repro.core.gma.trace_rows` -- (k, n) rows,
+the RX GMA placed once per candidate and reported pose.  A
+forward-difference Jacobian is one such pass over its 12 perturbed
+candidates, and a single residual is the k = 1 case.  The per-sample
+helpers below are 1-row and N-row calls into the same kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ import numpy.typing as npt
 
 from ..geometry import NoIntersectionError, euler_to_matrix
 from ..vrh import Pose
-from .gma import GmaModel, intersect_rows, layout, placed, trace_rows
+from .gma import (
+    GmaModel,
+    _dot,
+    _xyz,
+    intersect_rows,
+    layout,
+    placed,
+    trace_rows,
+)
 from .lsq import forward_jacobian, levenberg_marquardt
 from .system import LearnedSystem
 
@@ -56,6 +66,11 @@ class _SampleStack:
     positions: np.ndarray
 
 
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """The (k, 3, 3) :func:`euler_to_matrix` of (k, 3) Euler angles."""
+    return np.array([euler_to_matrix(*row) for row in angles])
+
+
 def _stack(samples: List[AlignedSample]) -> _SampleStack:
     return _SampleStack(
         voltages=np.array([[s.v_tx1, s.v_tx2, s.v_rx1, s.v_rx2]
@@ -64,26 +79,29 @@ def _stack(samples: List[AlignedSample]) -> _SampleStack:
         positions=np.array([s.reported_pose.position for s in samples]))
 
 
-def _residual_rows(tx_layout: np.ndarray, tx_theta1: float,
+def _residual_rows(tx_layouts: np.ndarray, tx_theta1: float,
                    rx_layout: np.ndarray, rx_theta1: float,
-                   rx_rotation: np.ndarray, rx_translation: np.ndarray,
+                   rx_rotations: np.ndarray, rx_translations: np.ndarray,
                    stack: _SampleStack) -> np.ndarray:
-    """The (n, 6) rows ``(p_t - tau_r, p_r - tau_t)``, one per sample.
+    """The (k, n, 6) rows ``(p_t - tau_r, p_r - tau_t)`` of k candidates.
 
-    ``tx_layout`` is the TX model in VR-space; ``rx_layout`` the RX
-    model in its K-space, placed per row by the reported pose after
-    the RX mapping ``(rx_rotation, rx_translation)``.  A row whose
-    beam misses the other side's second-mirror plane reads
+    ``tx_layouts`` is (8, k, 3): each candidate's TX model in VR-space.
+    ``rx_layout`` is the RX model in its K-space, placed per candidate
+    and per sample by the reported pose after that candidate's RX
+    mapping (``rx_rotations`` (k, 3, 3), ``rx_translations`` (k, 3)).
+    A row whose beam misses the other side's second-mirror plane reads
     :data:`MISS_PENALTY_M` throughout.  A beam parallel to one of its
-    own GMA's mirrors raises :class:`NoIntersectionError`, as the
-    scalar ``G`` does.
+    own GMA's mirrors, under any candidate, raises
+    :class:`NoIntersectionError`, as the scalar ``G`` does.
     """
-    rotations = stack.rotations @ rx_rotation
-    translations = (np.einsum("nij,j->ni", stack.rotations, rx_translation)
-                    + stack.positions)
+    rotations = stack.rotations @ rx_rotations[:, None]
+    translations = _dot(_xyz(stack.rotations),
+                        _xyz(rx_translations[:, None, None])
+                        ) + stack.positions
     volts = stack.voltages
     tx_origins, tx_dirs, tx_pivots, tx_normals = trace_rows(
-        tx_layout, tx_theta1 * volts[:, 0], tx_theta1 * volts[:, 1])
+        tx_layouts[:, :, None], tx_theta1 * volts[:, 0],
+        tx_theta1 * volts[:, 1])
     rx_origins, rx_dirs, rx_pivots, rx_normals = trace_rows(
         placed(rx_layout, rotations, translations),
         rx_theta1 * volts[:, 2], rx_theta1 * volts[:, 3])
@@ -93,7 +111,8 @@ def _residual_rows(tx_layout: np.ndarray, tx_theta1: float,
                                   rx_normals, forward_only=True)
     tau_r, r_hit = intersect_rows(rx_origins, rx_dirs, tx_pivots,
                                   tx_normals)
-    rows = np.concatenate([tx_origins - tau_r, rx_origins - tau_t], axis=1)
+    rows = np.concatenate([tx_origins - tau_r, rx_origins - tau_t],
+                          axis=-1)
     rows[~(t_hit & r_hit)] = MISS_PENALTY_M
     return rows
 
@@ -102,10 +121,11 @@ def _system_rows(system: LearnedSystem,
                  samples: List[AlignedSample]) -> np.ndarray:
     tx = system.tx_model_vr.params
     rx = system.rx_model_kspace.params
-    return _residual_rows(layout(tx.to_vector()), tx.theta1,
+    return _residual_rows(layout(tx.to_vector())[:, None], tx.theta1,
                           layout(rx.to_vector()), rx.theta1,
-                          system.rx_mapping.rotation,
-                          system.rx_mapping.translation, _stack(samples))
+                          system.rx_mapping.rotation[None],
+                          system.rx_mapping.translation[None],
+                          _stack(samples))[0]
 
 
 def coincidence_residuals(system: LearnedSystem,
@@ -149,17 +169,18 @@ def fit_mapping(tx_kspace: GmaModel, rx_kspace: GmaModel,
     tx_layout = layout(tx_kspace.params.to_vector())
     rx_layout = layout(rx_kspace.params.to_vector())
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        tx_vr = placed(tx_layout, euler_to_matrix(*params[3:6]),
-                       params[:3])
+    def residual_rows(candidates: np.ndarray) -> np.ndarray:
+        """The residual vector of each (12,) row of a candidate stack."""
+        tx_vr = placed(tx_layout, _rotations(candidates[:, 3:6]),
+                       candidates[:, :3])
         return _residual_rows(
             tx_vr, tx_kspace.params.theta1, rx_layout,
-            rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
-            params[6:9], stack).ravel()
+            rx_kspace.params.theta1, _rotations(candidates[:, 9:12]),
+            candidates[:, 6:9], stack).reshape(len(candidates), -1)
 
     solution = levenberg_marquardt(
-        residuals, initial,
-        forward_jacobian(lambda rows: np.array([residuals(p) for p in rows])))
+        lambda params: residual_rows(params[None])[0], initial,
+        forward_jacobian(residual_rows))
     return LearnedSystem.from_mapping_params(tx_kspace, rx_kspace,
                                              solution)
 

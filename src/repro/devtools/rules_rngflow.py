@@ -4,11 +4,11 @@ The determinism contract (:mod:`repro.determinism`) says every
 stochastic component draws from a generator its caller threaded in.
 These rules track *provenance*: generators may only be minted inside
 ``repro.determinism`` (T001), must never be captured across the
-``parallel_map`` process boundary (T002) — worker processes re-seed
-from explicit per-item seeds, a pickled generator would silently fork
-the stream — and every stochastic sink must be handed a generator or
-seed the analyzer can trace back to ``resolve_rng`` / ``spawn`` /
-``derive`` (T003).
+``parallel_map``/``parallel_map_arrays`` process boundary (T002) —
+worker processes re-seed from explicit per-item seeds, a pickled
+generator would silently fork the stream — and every stochastic sink
+must be handed a generator or seed the analyzer can trace back to
+``resolve_rng`` / ``spawn`` / ``derive`` (T003).
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ SANCTIONED_MINT = "repro.determinism"
 
 #: Callee leaves that *mint* a fresh generator from numpy.
 _FACTORY_LEAVES = frozenset({"default_rng", "RandomState"})
+
+#: The ``repro.parallel`` maps that ship work to a process pool.
+_POOL_MAPS = frozenset({"parallel_map", "parallel_map_arrays"})
 
 #: Callee leaves that derive a generator under the contract.
 _SANCTIONED_LEAVES = frozenset({"resolve_rng", "spawn", "derive"})
@@ -89,12 +92,12 @@ class MintDisciplineRule(Rule):
 
 @register_rule
 class PoolBoundaryRule(Rule):
-    """T002: no RNG object crosses the parallel_map boundary."""
+    """T002: no RNG object crosses the process-pool boundary."""
 
     rule_id = "T002"
-    summary = ("parallel_map callables and item lists must not carry "
-               "RNG objects across the process boundary; pass "
-               "explicit per-item seeds instead")
+    summary = ("parallel_map/parallel_map_arrays callables and item "
+               "lists must not carry RNG objects across the process "
+               "boundary; pass explicit per-item seeds instead")
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:
         for module in sorted(index.modules):
@@ -114,12 +117,12 @@ class PoolBoundaryRule(Rule):
 
     def _is_parallel_map(self, index: ProjectIndex, module: str,
                          call: CallSite) -> bool:
-        if not call.func or _leaf(call.func) != "parallel_map":
+        if not call.func or _leaf(call.func) not in _POOL_MAPS:
             return False
         callee = index.resolve_call(module, call)
         if callee is None:
             return True  # unresolved but unambiguous by name
-        return callee.qualified == "repro.parallel.parallel_map"
+        return callee.qualified == f"repro.parallel.{_leaf(call.func)}"
 
     def _argument(self, call: CallSite, position: int,
                   keyword: str) -> Optional[ValueDesc]:
@@ -138,7 +141,7 @@ class PoolBoundaryRule(Rule):
             culprit = sorted(minted)[0]
             yield self.finding(
                 info, call.lineno, call.col,
-                f"parallel_map callable builds an RNG ({culprit}) "
+                f"{_leaf(call.func)} callable builds an RNG ({culprit}) "
                 "that would be pickled into the workers; pass a "
                 "per-item seed and resolve it worker-side")
             return
@@ -148,7 +151,7 @@ class PoolBoundaryRule(Rule):
             if captured:
                 yield self.finding(
                     info, call.lineno, call.col,
-                    f"parallel_map callable captures RNG "
+                    f"{_leaf(call.func)} callable captures RNG "
                     f"{captured[0]!r}; a generator crossing the "
                     "process-pool boundary forks its stream — pass "
                     "an explicit per-item seed instead")
@@ -161,7 +164,7 @@ class PoolBoundaryRule(Rule):
         if minted:
             yield self.finding(
                 info, call.lineno, call.col,
-                f"parallel_map items contain RNG objects "
+                f"{_leaf(call.func)} items contain RNG objects "
                 f"({minted[0]}); ship per-item seeds across the "
                 "pool boundary, not generators")
             return
@@ -170,7 +173,7 @@ class PoolBoundaryRule(Rule):
         if carried:
             yield self.finding(
                 info, call.lineno, call.col,
-                f"parallel_map items reference RNG {carried[0]!r}; "
+                f"{_leaf(call.func)} items reference RNG {carried[0]!r}; "
                 "ship per-item seeds across the pool boundary, not "
                 "generators")
 

@@ -8,7 +8,7 @@ pointing latency (Section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import constants
 
@@ -20,23 +20,31 @@ class Daq:
     bits: int = constants.DAQ_BITS
     voltage_range_v: float = constants.DAQ_VOLTAGE_RANGE_V
     conversion_latency_s: float = constants.DAQ_LATENCY_S
+    #: One LSB, worked out once: every hardware command quantizes twice.
+    _step_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("DAC needs at least one bit")
         if self.voltage_range_v <= 0:
             raise ValueError("voltage range must be positive")
+        object.__setattr__(self, "_step_v",
+                           2.0 * self.voltage_range_v / (2 ** self.bits))
 
     @property
     def voltage_step_v(self) -> float:
         """Smallest representable voltage change (one LSB)."""
-        return 2.0 * self.voltage_range_v / (2 ** self.bits)
+        return self._step_v
 
     def quantize(self, voltage_v: float) -> float:
         """Clamp to range and round to the nearest DAC code."""
-        clamped = min(max(voltage_v, -self.voltage_range_v),
-                      self.voltage_range_v)
-        step = self.voltage_step_v
+        limit = self.voltage_range_v
+        # ``min(max(voltage_v, -limit), limit)`` without the builtins'
+        # call overhead: this runs twice per hardware command.
+        clamped = -limit if voltage_v < -limit else voltage_v
+        if clamped > limit:
+            clamped = limit
+        step = self._step_v
         return round(clamped / step) * step
 
     def in_range(self, voltage_v: float) -> bool:

@@ -62,8 +62,7 @@ class GalvoHardware:
                                owner="GalvoHardware")
         self._v1 = 0.0
         self._v2 = 0.0
-        self._angle1 = self._true_angle(0.0)
-        self._angle2 = self._true_angle(0.0)
+        self._settle(0.0, 0.0)
 
     # -- voltage handling ----------------------------------------------------
 
@@ -75,35 +74,47 @@ class GalvoHardware:
     def apply(self, v1: float, v2: float) -> float:
         """Command new voltages; returns the mirror settle time.
 
-        Voltages outside the DAC range raise ``ValueError`` (the servo
-        controller rejects them) rather than silently clamping, so the
-        pointing algorithms must stay inside the coverage cone.  The
-        true mirror angles (nonlinearity + jitter) are drawn once per
-        command, so every query between two commands sees one
-        consistent physical state.
+        Voltages outside the DAC range (or not finite) raise
+        :class:`CoverageError` (the servo controller rejects them)
+        rather than silently clamping, so the pointing algorithms must
+        stay inside the coverage cone; a rejected command changes no
+        state and draws no jitter.  The true mirror angles
+        (nonlinearity + jitter) are drawn once per command, so every
+        query between two commands sees one consistent physical state.
         """
+        daq = self.daq
         for v in (v1, v2):
-            if not self.daq.in_range(v):
+            if not daq.in_range(v):
                 raise CoverageError(
                     f"voltage {v:+.3f} V outside the +/-"
-                    f"{self.daq.voltage_range_v:.0f} V range")
-        new_v1 = self.daq.quantize(v1)
-        new_v2 = self.daq.quantize(v2)
+                    f"{daq.voltage_range_v:.0f} V range")
+        new_v1 = daq.quantize(v1)
+        new_v2 = daq.quantize(v2)
         step = max(abs(new_v1 - self._v1), abs(new_v2 - self._v2))
         self._v1, self._v2 = new_v1, new_v2
-        self._angle1 = self._true_angle(new_v1)
-        self._angle2 = self._true_angle(new_v2)
+        self._settle(new_v1, new_v2)
         return self.spec.settle_time_s(step * self.params.theta1)
 
     # -- the physical response -----------------------------------------------
 
-    def _true_angle(self, voltage: float) -> float:
-        """True mirror angle for a voltage, with nonlinearity and jitter."""
-        angle = (self.params.theta1 * voltage
-                 + self.nonlinearity * voltage * voltage)
-        if self.spec.angular_accuracy_rad > 0:
-            angle += self.rng.normal(0.0, self.spec.angular_accuracy_rad)
-        return angle
+    def _settle(self, v1: float, v2: float) -> None:
+        """Set the true mirror angles for applied voltages.
+
+        Each angle is ``theta1 * v + kappa * v**2`` plus jitter; both
+        mirrors' jitter comes from one two-sample draw, the same stream
+        as a scalar draw for the first mirror, then the second.
+        """
+        theta1 = self.params.theta1
+        kappa = self.nonlinearity
+        angle1 = theta1 * v1 + kappa * v1 * v1
+        angle2 = theta1 * v2 + kappa * v2 * v2
+        accuracy = self.spec.angular_accuracy_rad
+        if accuracy > 0:
+            jitter1, jitter2 = self.rng.normal(0.0, accuracy, 2).tolist()
+            angle1 += jitter1
+            angle2 += jitter2
+        self._angle1 = angle1
+        self._angle2 = angle2
 
     def output_beam(self) -> Ray:
         """The beam currently leaving the GMA (in the params' frame)."""

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..parallel import parallel_map
+from ..parallel import parallel_map, parallel_map_arrays
 
 
 class Tracker:
@@ -21,6 +21,13 @@ def minted():
 def fan_out(rng, jobs):
     # T002: the callable captures a generator across the pool boundary.
     return parallel_map(lambda job: rng.normal() + job, jobs)
+
+
+def fan_out_rows(rng, jobs):
+    # T002: the items carry a generator across the array-pool boundary.
+    return parallel_map_arrays(
+        lambda pair: {"x": pair[1] + pair[0].normal()},
+        [(rng, job) for job in jobs], specs={"x": ((), float)})
 
 
 def build():

@@ -4,6 +4,18 @@
   with Rodrigues rotation *matrices*, numpy 3-vectors and the geometry
   package's :func:`repro.geometry.reflect_ray` (the float trace in
   :mod:`repro.galvo.mirror` must agree with it);
+* :func:`reference_trace_rows` / :func:`reference_trace_batch` /
+  :func:`reference_board_hits` -- the batched ``G`` on (n, 3) rows
+  through ``np.cross`` and ``einsum``, every model's layout
+  ``np.repeat``-ed across the voltage pairs (the component-wise
+  kernel in :mod:`repro.core.gma` must agree with them bit for bit);
+* :func:`reference_mapping_jacobian` -- the Section 4.2
+  forward-difference Jacobian as one single-candidate residual call
+  per parameter (the stacked residual of :func:`repro.core.mapping.fit_mapping`
+  must agree with it bit for bit);
+* :func:`reference_apply` -- ``GalvoHardware.apply`` with one scalar
+  jitter draw per mirror (the hardware must leave the same voltages,
+  angles and RNG state);
 * :func:`scalar_coincidence_residuals` -- the Section 4.2 residual one
   sample at a time, built from ``LearnedSystem`` objects and planes
   (the batched kernel in :mod:`repro.core.mapping` must agree with it);
@@ -51,11 +63,12 @@ from repro.core.inverse import (
     EPSILON_V,
     InverseResult,
 )
-from repro.core.gma import board_hits, layout, placed
+from repro.core.gma import _DIRECTION_ROWS, board_hits, layout, placed
 from repro.core.kspace import BOARD_PLANE, PRIOR_WEIGHT_M, _prior_sigmas
+from repro.core.lsq import forward_jacobian
 from repro.core.mapping import MISS_PENALTY_M, _residual_rows, _stack
 from repro.determinism import derive
-from repro.galvo import GmaParams
+from repro.galvo import CoverageError, GmaParams
 from repro.geometry import (
     NoIntersectionError,
     Plane,
@@ -89,6 +102,159 @@ def reference_trace(params, v1, v2, angle1_rad=None, angle2_rad=None):
     beam = Ray(params.p0, params.x0)
     mid = reflect_ray(beam, first, forward_only=False)
     return reflect_ray(mid, second, forward_only=False)
+
+
+def _reference_rotate_about(axis, angles, vector):
+    """Rodrigues rotation of (3,) or (n, 3) vectors by (n,) angles."""
+    cos = np.cos(angles)[:, None]
+    sin = np.sin(angles)[:, None]
+    axis_cross = np.cross(axis, vector)
+    axis_dot = np.einsum("...j,...j->...", axis, vector)[..., None]
+    return (cos * vector + sin * axis_cross
+            + (1.0 - cos) * axis_dot * axis)
+
+
+def reference_intersect_rows(origins, directions, points, normals,
+                             forward_only=False):
+    """Beam-plane hits of (n, 3) rows through ``einsum`` dots."""
+    denom = np.einsum("ij,ij->i", directions, normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.einsum("ij,ij->i", points - origins, normals) / denom
+        hits = origins + t[:, None] * directions
+    hit = np.abs(denom) >= 1e-12
+    if forward_only:
+        hit &= t >= -1e-12
+    return hits, hit
+
+
+def _reference_reflect(origins, directions, normals, pivot):
+    strikes, _ = reference_intersect_rows(origins, directions, pivot,
+                                          normals)
+    denom = np.einsum("ij,ij->i", directions, normals)
+    return strikes, directions - 2.0 * denom[:, None] * normals
+
+
+def reference_trace_rows(rows, angle1, angle2):
+    """``G`` on an (8, 3) shared or (8, n, 3) per-row layout and (n,)
+    angles, each output (n, 3)."""
+    p0, x0, n1, q1, r1, n2, q2, r2 = rows
+    normals1 = _reference_rotate_about(r1, angle1, n1)
+    normals2 = _reference_rotate_about(r2, angle2, n2)
+    shape = normals1.shape
+    mid_points, mid_dirs = _reference_reflect(
+        np.broadcast_to(p0, shape), np.broadcast_to(x0, shape), normals1,
+        q1)
+    origins, directions = _reference_reflect(mid_points, mid_dirs,
+                                             normals2, q2)
+    return origins, directions, np.broadcast_to(q2, shape), normals2
+
+
+def reference_trace_batch(vector, v1, v2):
+    """``trace_batch`` with every layout repeated across the voltages."""
+    vec = np.asarray(vector, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    stack = vec.reshape(-1, 25)
+    rows = stack[:, :24].reshape(-1, 8, 3).copy()
+    directions = rows[:, _DIRECTION_ROWS]
+    rows[:, _DIRECTION_ROWS] = directions / np.linalg.norm(
+        directions, axis=-1, keepdims=True)
+    per_row = np.repeat(np.moveaxis(rows, 1, 0), v1.size, axis=1)
+    theta1 = stack[:, 24:]
+    origins, directions, _, _ = reference_trace_rows(
+        per_row, (theta1 * v1).ravel(), (theta1 * v2).ravel())
+    shape = vec.shape[:-1] + (v1.size, 3)
+    return origins.reshape(shape), directions.reshape(shape)
+
+
+def reference_board_hits(vector, v1, v2, board):
+    """``board_hits`` on :func:`reference_trace_batch`."""
+    origins, directions = reference_trace_batch(vector, v1, v2)
+    denom = directions @ board.normal
+    safe = np.where(np.abs(denom) < 1e-300, np.nan, denom)
+    offsets = board.point - origins
+    t = (offsets @ board.normal) / safe
+    return origins + t[..., None] * directions
+
+
+def _reference_residual_rows(tx_layout, tx_theta1, rx_layout, rx_theta1,
+                             rx_rotation, rx_translation, stack):
+    """The (n, 6) Section 4.2 rows of one candidate."""
+    rotations = stack.rotations @ rx_rotation
+    translations = (np.einsum("nij,j->ni", stack.rotations, rx_translation)
+                    + stack.positions)
+    volts = stack.voltages
+    tx_origins, tx_dirs, tx_pivots, tx_normals = reference_trace_rows(
+        tx_layout, tx_theta1 * volts[:, 0], tx_theta1 * volts[:, 1])
+    rx_origins, rx_dirs, rx_pivots, rx_normals = reference_trace_rows(
+        placed(rx_layout, rotations, translations),
+        rx_theta1 * volts[:, 2], rx_theta1 * volts[:, 3])
+    if not (np.isfinite(tx_origins).all() and np.isfinite(rx_origins).all()):
+        raise NoIntersectionError("a beam is parallel to a GMA mirror")
+    tau_t, t_hit = reference_intersect_rows(tx_origins, tx_dirs, rx_pivots,
+                                            rx_normals, forward_only=True)
+    tau_r, r_hit = reference_intersect_rows(rx_origins, rx_dirs, tx_pivots,
+                                            tx_normals)
+    rows = np.concatenate([tx_origins - tau_r, rx_origins - tau_t], axis=1)
+    rows[~(t_hit & r_hit)] = MISS_PENALTY_M
+    return rows
+
+
+def reference_mapping_residuals(tx_kspace, rx_kspace, samples):
+    """The Section 4.2 fit residual, one candidate per call."""
+    stack = _stack(samples)
+    tx_layout = layout(tx_kspace.params.to_vector())
+    rx_layout = layout(rx_kspace.params.to_vector())
+
+    def residuals(params):
+        tx_vr = placed(tx_layout, euler_to_matrix(*params[3:6]),
+                       params[:3])
+        return _reference_residual_rows(
+            tx_vr, tx_kspace.params.theta1, rx_layout,
+            rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
+            params[6:9], stack).ravel()
+    return residuals
+
+
+def reference_mapping_jacobian(tx_kspace, rx_kspace, samples):
+    """The Section 4.2 forward-difference Jacobian ``jac(x, f)``, one
+    residual call per perturbed parameter."""
+    residuals = reference_mapping_residuals(tx_kspace, rx_kspace, samples)
+    return forward_jacobian(
+        lambda rows: np.array([residuals(p) for p in rows]))
+
+
+def reference_apply(hardware, v1, v2):
+    """``hardware.apply(v1, v2)`` with one scalar jitter draw per mirror
+    and the DAQ step recomputed per quantization."""
+    daq = hardware.daq
+    for v in (v1, v2):
+        if not abs(v) <= daq.voltage_range_v:
+            raise CoverageError(
+                f"voltage {v:+.3f} V outside the +/-"
+                f"{daq.voltage_range_v:.0f} V range")
+
+    def quantize(voltage_v):
+        clamped = min(max(voltage_v, -daq.voltage_range_v),
+                      daq.voltage_range_v)
+        step = 2.0 * daq.voltage_range_v / (2 ** daq.bits)
+        return round(clamped / step) * step
+
+    def true_angle(voltage):
+        angle = (hardware.params.theta1 * voltage
+                 + hardware.nonlinearity * voltage * voltage)
+        if hardware.spec.angular_accuracy_rad > 0:
+            angle += hardware.rng.normal(
+                0.0, hardware.spec.angular_accuracy_rad)
+        return angle
+
+    new_v1 = quantize(v1)
+    new_v2 = quantize(v2)
+    step = max(abs(new_v1 - hardware._v1), abs(new_v2 - hardware._v2))
+    hardware._v1, hardware._v2 = new_v1, new_v2
+    hardware._angle1 = true_angle(new_v1)
+    hardware._angle2 = true_angle(new_v2)
+    return hardware.spec.settle_time_s(step * hardware.params.theta1)
 
 
 def _second_plane(params, v1, v2):
@@ -147,9 +313,9 @@ def mapping_fit_residuals(tx_kspace, rx_kspace, samples):
         tx_vr = placed(tx_layout, euler_to_matrix(*params[3:6]),
                        params[:3])
         return _residual_rows(
-            tx_vr, tx_kspace.params.theta1, rx_layout,
-            rx_kspace.params.theta1, euler_to_matrix(*params[9:12]),
-            params[6:9], stack).ravel()
+            tx_vr[:, None], tx_kspace.params.theta1, rx_layout,
+            rx_kspace.params.theta1, euler_to_matrix(*params[9:12])[None],
+            params[None, 6:9], stack).ravel()
     return residuals
 
 

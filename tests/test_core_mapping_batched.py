@@ -7,16 +7,20 @@ samples it must equal the one-sample-at-a-time oracle in
 exactly the rows where the oracle's plane intersection fails: the TX
 beam's strike on the RX mirror lies behind the TX origin (``tau_t`` is
 forward-only), or a beam runs parallel to the other side's mirror.
+A (k, 12) stack of candidates, and so the fit's forward-difference
+Jacobian, must equal the one-candidate-per-call oracle bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GmaModel, LearnedSystem
 from repro.core import mapping
+from repro.core.gma import layout, placed
 from repro.core.mapping import (
     MISS_PENALTY_M,
     AlignedSample,
@@ -24,8 +28,9 @@ from repro.core.mapping import (
     coincidence_residuals,
     mean_coincidence_error_m,
 )
-from repro.galvo import canonical_gma
+from repro.galvo import GmaParams, canonical_gma
 from repro.geometry import (
+    NoIntersectionError,
     RigidTransform,
     euler_to_matrix,
     normalize,
@@ -34,6 +39,8 @@ from repro.geometry import (
 from repro.vrh import Pose
 
 from .oracles import (
+    reference_mapping_jacobian,
+    reference_mapping_residuals,
     reference_mirror_planes,
     reference_trace,
     scalar_coincidence_residuals,
@@ -101,21 +108,38 @@ def oracle_rows(system, samples):
                      for s in samples])
 
 
-def fit_residual_function(samples, initial):
-    """The residual closure :func:`fit_mapping` hands the optimizer."""
+def fit_closures(samples, initial, model=KSPACE):
+    """The residual and Jacobian :func:`fit_mapping` hands the
+    optimizer."""
     captured = {}
 
     def fake_solver(fun, x0, jac, **kwargs):
-        captured["fun"] = fun
+        captured.update(fun=fun, jac=jac)
         return x0
 
     real = mapping.levenberg_marquardt
     mapping.levenberg_marquardt = fake_solver
     try:
-        mapping.fit_mapping(KSPACE, KSPACE, samples, initial)
+        mapping.fit_mapping(model, model, samples, initial)
     finally:
         mapping.levenberg_marquardt = real
-    return captured["fun"]
+    return captured["fun"], captured["jac"]
+
+
+def fit_residual_function(samples, initial):
+    """The residual closure :func:`fit_mapping` hands the optimizer."""
+    return fit_closures(samples, initial)[0]
+
+
+def stacked_rows(samples, candidates, model=KSPACE):
+    """``_residual_rows`` of a (k, 12) candidate stack, (k, n, 6)."""
+    rows = layout(model.params.to_vector())
+    theta1 = model.params.theta1
+    tx = placed(rows, mapping._rotations(candidates[:, 3:6]),
+                candidates[:, :3])
+    return mapping._residual_rows(
+        tx, theta1, rows, theta1, mapping._rotations(candidates[:, 9:12]),
+        candidates[:, 6:9], mapping._stack(samples))
 
 
 class TestBatchedResidual:
@@ -183,3 +207,48 @@ class TestMissRows:
         assert not np.any(want == MISS_PENALTY_M)
         got = coincidence_residuals(system, sample)
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+
+
+class TestStackMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_candidate_stack(self, seed):
+        params, _, samples = case(seed)
+        rng = np.random.default_rng(seed)
+        candidates = np.array([candidate(rng) for _ in
+                               range(int(rng.integers(1, 14)))])
+        got = stacked_rows(samples, candidates)
+        assert got.shape == (len(candidates), len(samples), 6)
+        reference = reference_mapping_residuals(KSPACE, KSPACE, samples)
+        for rows, params in zip(got, candidates):
+            assert np.array_equal(rows.ravel(), reference(params))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_fit_residual_and_jacobian(self, seed):
+        params, _, samples = case(seed)
+        fun, jac = fit_closures(samples, params)
+        reference = reference_mapping_residuals(KSPACE, KSPACE, samples)
+        f = fun(params)
+        assert np.array_equal(f, reference(params))
+        want = reference_mapping_jacobian(KSPACE, KSPACE, samples)(params, f)
+        assert np.array_equal(jac(params, f), want)
+
+    def test_parallel_own_mirror_raises_for_the_stack(self):
+        # The input beam runs along the first mirror's axis, which the
+        # mirror normal is perpendicular to: under an identity TX
+        # placement every beam is parallel to the first mirror.
+        base = canonical_gma(math.radians(1.0))
+        model = GmaModel(GmaParams(
+            p0=base.p0, x0=[0.0, 0.0, 1.0], n1=[1.0, 0.0, 0.0],
+            q1=base.q1, r1=[0.0, 0.0, 1.0], n2=base.n2, q2=base.q2,
+            r2=base.r2, theta1=base.theta1))
+        rng = np.random.default_rng(11)
+        samples = [random_sample(rng) for _ in range(5)]
+        candidates = np.array([candidate(rng) for _ in range(4)])
+        candidates[2, :6] = 0.0
+        reference = reference_mapping_residuals(model, model, samples)
+        with pytest.raises(NoIntersectionError):
+            reference(candidates[2])
+        with pytest.raises(NoIntersectionError):
+            stacked_rows(samples, candidates, model)

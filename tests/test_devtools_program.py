@@ -91,8 +91,13 @@ def test_rngflow_fixture_trips_every_t_rule():
     proc = run_analyze_cli(str(FIXTURES / "rngflow"), "--no-cache",
                            "--select", "T", "--format", "json")
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, _ = rules_found(proc)
-    assert rules == ["T001", "T002", "T003"]
+    rules, payload = rules_found(proc)
+    # T002 twice: a parallel_map callable capturing a generator, and
+    # parallel_map_arrays items carrying one.
+    assert rules == ["T001", "T002", "T002", "T003"]
+    pools = sorted(f["message"].split()[0] for f in payload["findings"]
+                   if f["rule"] == "T002")
+    assert pools == ["parallel_map", "parallel_map_arrays"]
 
 
 def test_fixture_determinism_module_may_mint():
@@ -237,7 +242,7 @@ def test_corrupt_cache_is_ignored(tmp_path):
     result = analyze_paths([str(FIXTURES / "rngflow")], select=["T"],
                            cache_dir=str(cache))
     assert result.extracted > 0
-    assert len(result.findings) == 3
+    assert len(result.findings) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Unit tests for the galvo hardware substrate."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.galvo import (
+    CoverageError,
     Daq,
     GVS102,
     GalvoHardware,
@@ -14,6 +20,10 @@ from repro.galvo import (
     trace,
 )
 from repro.geometry import RigidTransform, angle_between, rotation_matrix
+
+from .oracles import reference_apply
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def quiet_hardware(**kwargs):
@@ -63,6 +73,15 @@ class TestDaq:
         daq = Daq()
         assert daq.quantize(15.0) == pytest.approx(10.0)
         assert daq.quantize(-15.0) == pytest.approx(-10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(voltage=st.floats(min_value=-1e3, max_value=1e3))
+    def test_quantize_matches_min_max_clamp(self, voltage):
+        daq = Daq()
+        step = 2.0 * daq.voltage_range_v / (2 ** daq.bits)
+        clamped = min(max(voltage, -daq.voltage_range_v),
+                      daq.voltage_range_v)
+        assert daq.quantize(voltage) == round(clamped / step) * step
 
     def test_in_range(self):
         daq = Daq()
@@ -215,3 +234,56 @@ class TestGalvoHardware:
         hw = quiet_hardware()
         beam = hw.beam_for(0.3, 0.4)
         assert np.allclose(beam.origin, hw.output_beam().origin)
+
+
+def hardware_state(hw):
+    return (hw.voltages, hw._angle1, hw._angle2,
+            hw.rng.bit_generator.state)
+
+
+class TestApplyMatchesOracle:
+    """One two-sample jitter draw per command is the same stream as the
+    scalar draws of :func:`reference_apply`: equal voltages, angles,
+    settle times and generator state after any command sequence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_random_command_sequence(self, seed):
+        rng = np.random.default_rng(seed)
+        params = canonical_gma(np.radians(1.0))
+        hw = GalvoHardware(params, nonlinearity=float(rng.normal(0, 1e-3)),
+                           rng=np.random.default_rng(seed))
+        reference = copy.deepcopy(hw)
+        commands = rng.uniform(-10.2, 10.2, size=(int(rng.integers(1, 60)),
+                                                  2))
+        for v1, v2 in commands.tolist():
+            try:
+                settle = reference_apply(reference, v1, v2)
+            except CoverageError:
+                with pytest.raises(CoverageError):
+                    hw.apply(v1, v2)
+            else:
+                assert hw.apply(v1, v2) == settle
+            assert hardware_state(hw) == hardware_state(reference)
+
+    def test_quiet_hardware_draws_nothing(self):
+        hw = quiet_hardware()
+        before = hw.rng.bit_generator.state
+        hw.apply(1.0, -1.0)
+        assert hw.rng.bit_generator.state == before
+
+
+class TestApplyRejectsWithoutSideEffects:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     10.0001, -10.0001])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_bad_voltage(self, bad, axis):
+        hw = GalvoHardware(canonical_gma(np.radians(1.0)),
+                           rng=np.random.default_rng(3))
+        hw.apply(1.25, -0.75)
+        before = hardware_state(hw)
+        command = [0.5, 0.5]
+        command[axis] = bad
+        with pytest.raises(CoverageError):
+            hw.apply(*command)
+        assert hardware_state(hw) == before
