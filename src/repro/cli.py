@@ -10,8 +10,7 @@ can poke the system without writing code::
     python -m repro safety            # eye-safety reports
     python -m repro plan --width 4 --depth 3   # ceiling TX plan
     python -m repro formats           # the VR-format bandwidth ladder
-    python -m repro analyze           # static analysis (layering/RNG/units/
-                                      # crash safety/error contracts)
+    python -m repro analyze           # static analysis (layering/RNG/units)
 """
 
 from __future__ import annotations
@@ -205,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="static analysis: layering, RNG provenance, units, crash "
-             "safety and error contracts (repro.devtools)")
+        help="static analysis: layering, RNG provenance and units "
+             "(repro.devtools)")
     from .devtools.cli import add_analyze_arguments
     add_analyze_arguments(analyze)
     analyze.set_defaults(func=_cmd_analyze)
@@ -224,13 +223,16 @@ def main(argv=None) -> int:
     """Entry point; returns a process exit code.
 
     Every subcommand shares one exception→exit-code contract: 0 ok,
-    1 failed work (coverage), 2 bad configuration or usage, 130
-    interrupted by Ctrl-C.  Subcommands may map their own exceptions
-    first for a more specific message; this ladder is the backstop
-    that keeps an escaping taxonomy exception from surfacing as a
-    traceback.
+    1 failed work (a voltage outside the coverage cone, a diverged
+    ``G'`` or ``P`` solve, a beam that misses its plane), 2 bad
+    configuration or usage, 130 interrupted by Ctrl-C.  Subcommands
+    may map their own exceptions first for a more specific message;
+    this ladder is the backstop that keeps an escaping taxonomy
+    exception from surfacing as a traceback.
     """
+    from .core import InverseDivergedError, PointingDivergedError
     from .galvo import CoverageError
+    from .geometry import NoIntersectionError
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -238,7 +240,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted")
         return 130
-    except CoverageError as exc:
+    except (CoverageError, PointingDivergedError, InverseDivergedError,
+            NoIntersectionError) as exc:
         print(str(exc))
         return 1
 

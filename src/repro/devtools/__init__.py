@@ -1,35 +1,29 @@
 """repro.devtools: the repo's own static analyzer.
 
-Byte-identical output per seed is the repo's headline contract;
-this package guards it (and the unit discipline the link
-budget depends on) at analysis time instead of hoping runtime tests
-trip over violations.  It parses all of ``src/repro`` once into a
-**project index** — module table, import graph, and a resolved call
-graph with per-function signatures — then runs six rule families over
-it:
+It guards what runtime tests cannot reach: the import-layer DAG, where
+generators are minted, and the unit discipline the link budget
+depends on.  It parses all of ``src/repro`` once into a **project
+index** — module table, import graph, call sites and per-function
+signatures, with names resolved across modules — then runs three rule
+families over it:
 
 * **L-series** — the import-layering contract (the explicit layer DAG
   ``foundation -> device -> core/link -> motion/plan ->
   simulate -> devtools/cli``): upward imports, module cycles,
   and unassigned subpackages;
-* **T-series** — RNG provenance taint: generators minted only inside
-  ``repro.determinism``, no RNG object crossing the ``parallel_map``
-  process boundary, and every stochastic sink threaded a traceable
-  ``rng=`` / ``seed=``;
+* **T001** — RNG provenance: generators are minted only inside
+  ``repro.determinism``;
 * **U-series** — the unit-suffix convention (``_dbm``, ``_mrad``,
   ...): suffixed parameters are annotated, keyword arguments never
   cross-assign units, and array parameters are never truncated by a
-  bare ``float()`` in the optics and link packages;
-* **W-series** — crash safety over the effect inference of
-  :mod:`.effects`: truncating writes to published paths
-  (tmp→rename scopes are proven safe interprocedurally) and publish
-  renames without a preceding fsync;
-* **E/B-series** — error contracts over the interprocedural
-  exception-escape inference of :mod:`.exceptions`: escape-set
-  violations (unclassifiable worker exceptions, CLI subcommands with
-  no exit-code mapping, vague ``Exception``/``RuntimeError`` escapes
-  from layer APIs) and swallow discipline (silent broad handlers, dead
-  taxonomy catches, shadowed clause ordering).
+  bare ``float()`` in the optics and link packages.
+
+The error and RNG contracts beyond these are pinned at runtime:
+``repro.cli.main`` maps every exception class ``repro`` defines to an
+exit code (``tests/test_cli.py``), ``resolve_rng`` refuses an unseeded
+stochastic component (``tests/test_determinism.py``), and the
+``*_workers_do_not_change_bytes`` tests hold the process-pool
+boundary.
 
 Run it as ``python -m repro analyze``; suppress a single finding with
 a ``# repro: noqa[RULE]`` comment on the offending line (bare

@@ -20,13 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .extract import extract_module
-from .model import (
-    INDEX_SCHEMA_VERSION,
-    CallSite,
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-)
+from .model import INDEX_SCHEMA_VERSION, CallSite, ModuleInfo
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -69,8 +63,6 @@ class ResolvedCallee:
     module: str
     name: str                       # qualified display name
     kind: str                       # "function" | "class"
-    function: Optional[FunctionInfo] = None
-    klass: Optional[ClassInfo] = None
 
     @property
     def qualified(self) -> str:
@@ -147,12 +139,10 @@ class ProjectIndex:
         info = self.modules[module]
         name = ".".join(attrs)
         if name in info.classes:
-            return ResolvedCallee(module=module, name=name, kind="class",
-                                  klass=info.classes[name])
+            return ResolvedCallee(module=module, name=name, kind="class")
         if name in info.functions:
             return ResolvedCallee(module=module, name=name,
-                                  kind="function",
-                                  function=info.functions[name])
+                                  kind="function")
         return None
 
     def resolve_call(self, module: str,
@@ -191,16 +181,6 @@ class ProjectIndex:
         if callee is not None or len(parts) == 1:
             return callee
         return None
-
-    def constructor_params(self, callee: ResolvedCallee
-                           ) -> Tuple[Tuple[str, ...], ResolvedCallee]:
-        """Parameter names a call to ``callee`` binds, in order."""
-        if callee.kind == "function" and callee.function is not None:
-            return (tuple(p.name for p in callee.function.params),
-                    callee)
-        if callee.kind == "class" and callee.klass is not None:
-            return tuple(p.name for p in callee.klass.fields), callee
-        return (), callee
 
 
 def file_sha(source: str) -> str:

@@ -1,8 +1,8 @@
 """Rule base class, registry, and ``--select`` / ``--ignore`` resolution.
 
-Every rule runs over the :class:`~.index.ProjectIndex`: the per-file
-unit rules (``U``) read the facts extraction already recorded, and the
-interprocedural families read the resolved call graph on top of them.
+Every rule runs over the :class:`~.index.ProjectIndex`: the layering
+rules (``L``) read its import graph, and the RNG (``T001``) and unit
+(``U``) rules read the call sites and signatures extraction recorded.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def register_rule(rule_class: Type[Rule]
 def _load_rules() -> None:
     # Importing the rule modules populates the registry.
     from . import (  # noqa: F401
-        rules_crashsafety,
-        rules_exceptions,
         rules_layering,
         rules_rngflow,
         rules_units,

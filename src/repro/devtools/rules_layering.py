@@ -8,7 +8,6 @@ experiment harnesses above those, and tooling on top:
 layer  packages
 ====== =========================================================
 0      ``constants`` ``determinism`` ``parallel`` ``reporting``
-       ``store``
 1      ``geometry`` ``optics`` ``galvo`` ``vrh`` ``net`` ``stream``
 2      ``core`` ``link``
 3      ``motion`` ``plan`` ``analysis``
@@ -37,7 +36,7 @@ from .registry import Rule, register_rule
 #: The layer DAG, as (layer name, members).  Index = height.
 LAYERS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("foundation", ("constants", "determinism", "parallel",
-                    "reporting", "store")),
+                    "reporting")),
     ("device", ("geometry", "optics", "galvo", "vrh", "net",
                 "stream")),
     ("pipeline", ("core", "link")),

@@ -1,1 +1,1 @@
-"""RNG-flow fixture: a tiny repro-shaped tree with T-series bugs."""
+"""RNG-flow fixture: a tiny repro-shaped tree with a T001 bug."""

@@ -1,8 +1,42 @@
 """Tests for the command-line interface."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: The documented exit code of every exception class ``repro`` defines
+#: (README, "Error contracts"): 1 is failed work.
+EXIT_CODES = {
+    "CoverageError": 1,
+    "InverseDivergedError": 1,
+    "NoIntersectionError": 1,
+    "PointingDivergedError": 1,
+}
+
+
+def repro_exception_classes():
+    """Every exception class defined in a ``repro`` module.
+
+    Imports every module of the package (``repro.__main__`` would run
+    the CLI) and walks the ``BaseException`` subclass tree.  Warning
+    classes are left out: they are issued through ``warnings.warn``,
+    not raised.
+    """
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if module.name != "repro.__main__":
+            importlib.import_module(module.name)
+    found, stack = set(), [BaseException]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and \
+                    not issubclass(sub, Warning):
+                found.add(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
 
 
 class TestParser:
@@ -100,10 +134,12 @@ class TestScenarioCommands:
 class TestExitCodeContract:
     """main()'s exception→exit-code backstop, per subcommand.
 
-    The documented contract: 0 ok, 1 failed work (coverage), 2 bad
-    configuration or usage, 130 when interrupted by Ctrl-C.  Each
-    subcommand's handler is stubbed to escape one taxonomy exception;
-    the ladder in ``main()`` must map it, never surface a traceback.
+    The documented contract: 0 ok, 1 failed work, 2 bad configuration
+    or usage, 130 when interrupted by Ctrl-C.  Each subcommand's
+    handler is stubbed to escape every exception class ``repro``
+    defines, one at a time; the ladder in ``main()`` must map it to
+    its documented code, never surface a traceback.  A new exception
+    class without an entry in ``EXIT_CODES`` fails here.
     """
 
     COMMANDS = [
@@ -120,11 +156,14 @@ class TestExitCodeContract:
     ]
 
     def escapes():
-        from repro.galvo import CoverageError
-        return [
-            (CoverageError("cone not covered"), 1),
-            (KeyboardInterrupt(), 130),
-        ]
+        return [(cls("escaped from a handler"),
+                 EXIT_CODES.get(cls.__name__))
+                for cls in repro_exception_classes()] + [
+            (KeyboardInterrupt(), 130)]
+
+    def test_every_repro_exception_has_a_documented_code(self):
+        names = [cls.__name__ for cls in repro_exception_classes()]
+        assert names == sorted(EXIT_CODES)
 
     @pytest.mark.parametrize("handler,argv", COMMANDS)
     @pytest.mark.parametrize(
@@ -142,3 +181,17 @@ class TestExitCodeContract:
         monkeypatch.setattr(cli, handler, boom)
         assert main(argv) == expected
         capsys.readouterr()  # the message, not a traceback
+
+    def test_diverged_pointing_in_calibrate_exits_one(self, monkeypatch,
+                                                      capsys):
+        # The handler's own import of ``point`` can raise
+        # PointingDivergedError after calibration succeeded.
+        import repro.core
+        from repro.core import PointingDivergedError
+
+        def diverge(system, report, *args, **kwargs):
+            raise PointingDivergedError("P did not settle")
+
+        monkeypatch.setattr(repro.core, "point", diverge)
+        assert main(["calibrate", "--trials", "1"]) == 1
+        assert "P did not settle" in capsys.readouterr().out

@@ -1,11 +1,12 @@
 """Tests for the whole-program analyzer (``python -m repro analyze``).
 
-Covers the project index (extraction, caching, invalidation), each
-interprocedural rule family against seeded true-positive fixture trees,
-noqa suppression and the waiver budget, ``--select``/``--ignore``
-prefix resolution, the ``--profile`` counters, the CLI exit-code
-contract, and the GitHub annotation format.  A marker-gated perf smoke
-test asserts the warm cache actually pays for itself.
+Covers the project index (extraction, caching, invalidation), the
+layering and RNG-provenance families against seeded true-positive
+fixture trees, noqa suppression and the waiver budget,
+``--select``/``--ignore`` prefix resolution, the ``--profile``
+counters, the CLI exit-code contract, and the GitHub annotation
+format.  A marker-gated perf smoke test asserts the warm cache
+actually pays for itself.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.devtools.model import INDEX_SCHEMA_VERSION
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures" / "program"
 SRC_REPRO = ROOT / "src" / "repro"
-#: Trips E, B, L and U: the tree the selection tests slice.
-EXC = FIXTURES / "exceptions"
+#: Together these trip L and U: the trees the selection tests slice.
+MIXED = (str(FIXTURES / "layering"), str(FIXTURES / "units"))
 
 
 def run_analyze_cli(*args: str,
@@ -91,13 +92,8 @@ def test_rngflow_fixture_trips_every_t_rule():
     proc = run_analyze_cli(str(FIXTURES / "rngflow"), "--no-cache",
                            "--select", "T", "--format", "json")
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, payload = rules_found(proc)
-    # T002 twice: a parallel_map callable capturing a generator, and
-    # parallel_map_arrays items carrying one.
-    assert rules == ["T001", "T002", "T002", "T003"]
-    pools = sorted(f["message"].split()[0] for f in payload["findings"]
-                   if f["rule"] == "T002")
-    assert pools == ["parallel_map", "parallel_map_arrays"]
+    rules, _ = rules_found(proc)
+    assert rules == ["T001"]
 
 
 def test_fixture_determinism_module_may_mint():
@@ -106,34 +102,6 @@ def test_fixture_determinism_module_may_mint():
     _, payload = rules_found(proc)
     paths = {f["path"] for f in payload["findings"]}
     assert all("determinism" not in path for path in paths)
-
-
-def test_crashsafety_fixture_trips_every_w_rule():
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
-                           "--select", "W", "--format", "json")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    rules, _ = rules_found(proc)
-    # W001 twice: the direct json.dump and the interprocedurally
-    # resolved _dump("spool_counts.json") call site.  The atomic twin
-    # (tmp sibling -> fsync -> rename through the same helper) passes.
-    assert rules == ["W001", "W001", "W002"]
-
-
-def test_w001_resolves_helper_writes_at_call_sites():
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
-                           "--select", "W001", "--format", "json")
-    _, payload = rules_found(proc)
-    messages = [f["message"] for f in payload["findings"]]
-    assert any("_dump" in m and "spool_counts" in m for m in messages)
-
-
-def test_atomic_module_is_exempt():
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
-                           "--select", "W", "--format", "json")
-    _, payload = rules_found(proc)
-    paths = {f["path"] for f in payload["findings"]}
-    # store/atomic.py rewrites a published path in place: sanctioned.
-    assert all("atomic" not in path for path in paths)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +176,12 @@ def test_stale_cache_payloads_are_invalidated(tmp_path):
     # A cache written under an older schema must be discarded
     # wholesale, never mis-read: v2 predates the exception facts, v4
     # carries the retired kernel facts, v5 the retired array and
-    # global-write facts, and v6 the retired resource facts and lacks
-    # the parameter positions U001 reads.
+    # global-write facts, v6 the retired resource facts and lacks
+    # the parameter positions U001 reads, and v7 the retired
+    # exception-flow and RNG-sink facts.
     cache = tmp_path / "cache"
     cache.mkdir()
-    for version in (2, 4, 5, 6):
+    for version in (2, 4, 5, 6, 7):
         stale = {
             "version": version,
             "files": {"x.py": {"sha": "0" * 64, "module": {"bogus": 1}}},
@@ -220,11 +189,11 @@ def test_stale_cache_payloads_are_invalidated(tmp_path):
         }
         (cache / "program-index.json").write_text(json.dumps(stale))
         assert load_cache(str(cache)) == {}, version
-    result = analyze_paths([str(FIXTURES / "crashsafety")],
-                           select=["W"], cache_dir=str(cache))
+    result = analyze_paths([str(FIXTURES / "layering")],
+                           select=["L"], cache_dir=str(cache))
     assert result.extracted > 0  # nothing was trusted from the file
     rewritten = json.loads((cache / "program-index.json").read_text())
-    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 7
+    assert rewritten["version"] == INDEX_SCHEMA_VERSION == 8
     assert set(rewritten) == {"version", "files", "results"}
 
 
@@ -232,7 +201,7 @@ def test_save_cache_stamps_current_schema_version(tmp_path):
     save_cache(str(tmp_path), {"files": {}})
     payload = json.loads(
         (tmp_path / "program-index.json").read_text())
-    assert payload["version"] == INDEX_SCHEMA_VERSION == 7
+    assert payload["version"] == INDEX_SCHEMA_VERSION == 8
 
 
 def test_corrupt_cache_is_ignored(tmp_path):
@@ -242,7 +211,7 @@ def test_corrupt_cache_is_ignored(tmp_path):
     result = analyze_paths([str(FIXTURES / "rngflow")], select=["T"],
                            cache_dir=str(cache))
     assert result.extracted > 0
-    assert len(result.findings) == 4
+    assert len(result.findings) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,44 +225,48 @@ def test_exit_two_on_unknown_rule():
 
 
 def test_single_letter_prefix_selects_one_family():
-    # "B" is a single-letter prefix over B001-B003 and must not leak
-    # into E, L or U, which the same tree also trips.
-    proc = run_analyze_cli(str(EXC), "--no-cache",
-                           "--select", "B", "--format", "json")
+    # "U" is a single-letter prefix over U001-U002 and must not leak
+    # into L, which the same trees also trip.
+    proc = run_analyze_cli(*MIXED, "--no-cache",
+                           "--select", "U", "--format", "json")
     rules, _ = rules_found(proc)
-    assert rules == ["B001", "B002", "B003"]
+    assert rules == ["U001", "U001", "U001", "U001", "U002"]
 
 
 def test_selection_is_case_insensitive():
-    proc = run_analyze_cli(str(EXC), "--no-cache",
-                           "--select", "b,e", "--format", "json")
+    proc = run_analyze_cli(*MIXED, "--no-cache",
+                           "--select", "l,u001", "--format", "json")
     rules, _ = rules_found(proc)
-    assert rules == ["B001", "B002", "B003", "E001", "E002", "E003"]
+    assert rules == ["L001", "L002", "L003",
+                     "U001", "U001", "U001", "U001"]
 
 
 def test_ignore_prefix_drops_a_family():
-    proc = run_analyze_cli(str(EXC), "--no-cache", "--ignore", "l",
+    proc = run_analyze_cli(*MIXED, "--no-cache", "--ignore", "l",
                            "--format", "json")
     rules, _ = rules_found(proc)
-    assert rules == ["B001", "B002", "B003", "E001", "E002", "E003",
-                     "U001", "U001", "U001"]
+    assert rules == ["U001", "U001", "U001", "U001", "U002"]
 
 
 def test_exact_id_selection_still_works():
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
-                           "--select", "W001", "--format", "json")
+    proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
+                           "--select", "L001", "--format", "json")
     rules, _ = rules_found(proc)
-    assert rules == ["W001", "W001"]
+    assert rules == ["L001"]
 
 
 def test_retired_family_prefixes_exit_two():
     # The race (C), shape (S), dtype (Y), hot-path (P), kernel (K),
-    # determinism (D), numerics (N), API-annotation (A), unit-flow (X)
-    # and retry/cleanup (R) families are gone; selecting them is a
-    # usage error, not a silently empty run.
+    # determinism (D), numerics (N), API-annotation (A), unit-flow (X),
+    # retry/cleanup (R), crash-safety (W), escape-set (E) and
+    # handler-hygiene (B) families are gone, and so are the pool-
+    # boundary (T002) and sink-provenance (T003) rules; selecting them
+    # is a usage error, not a silently empty run.
     for bogus in ("C", "S", "Y", "P", "K", "C001", "S002", "Y002",
-                  "D", "N", "A", "X", "R", "D001", "X001", "R002"):
-        proc = run_analyze_cli(str(EXC), "--no-cache",
+                  "D", "N", "A", "X", "R", "D001", "X001", "R002",
+                  "W", "E", "B", "T002", "T003", "W001", "E002",
+                  "B003"):
+        proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
                                "--select", bogus)
         assert proc.returncode == 2, f"{bogus}: {proc.stdout}"
 
@@ -309,9 +282,7 @@ def test_list_rules_covers_all_families():
     proc = run_analyze_cli("--list-rules")
     assert proc.returncode == 0
     listed = [line.split()[0] for line in proc.stdout.splitlines()]
-    assert listed == ["B001", "B002", "B003", "E001", "E002", "E003",
-                      "L001", "L002", "L003", "T001", "T002", "T003",
-                      "U001", "U002", "W001", "W002"]
+    assert listed == ["L001", "L002", "L003", "T001", "U001", "U002"]
 
 
 def test_github_format_emits_annotations():
@@ -337,11 +308,11 @@ def test_syntax_error_is_reported_not_fatal(tmp_path):
 
 def test_profile_text_reports_families_and_cache(tmp_path):
     cache = tmp_path / "cache"
-    args = (str(FIXTURES / "crashsafety"), "--cache-dir", str(cache),
-            "--select", "W,L", "--warn-only", "--profile")
+    args = (str(FIXTURES / "layering"), "--cache-dir", str(cache),
+            "--select", "T,L", "--warn-only", "--profile")
     proc = run_analyze_cli(*args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "profile: family W" in proc.stdout
+    assert "profile: family T" in proc.stdout
     assert "profile: family L" in proc.stdout
     assert "cache results miss; files 0 cached /" in proc.stdout
 
@@ -352,11 +323,11 @@ def test_profile_text_reports_families_and_cache(tmp_path):
 
 def test_profile_json_payload(tmp_path):
     cache = tmp_path / "cache"
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--cache-dir",
-                           str(cache), "--select", "W,L", "--warn-only",
+    proc = run_analyze_cli(str(FIXTURES / "layering"), "--cache-dir",
+                           str(cache), "--select", "T,L", "--warn-only",
                            "--profile", "--format", "json")
     profile = json.loads(proc.stdout)["profile"]
-    assert set(profile["families"]) == {"W", "L"}
+    assert set(profile["families"]) == {"T", "L"}
     assert all(seconds >= 0 for seconds in
                profile["families"].values())
     assert set(profile["cache"]) == {"results", "files_cached",
@@ -366,8 +337,8 @@ def test_profile_json_payload(tmp_path):
 
 
 def test_profile_absent_from_json_without_flag():
-    proc = run_analyze_cli(str(FIXTURES / "crashsafety"), "--no-cache",
-                           "--select", "W", "--warn-only",
+    proc = run_analyze_cli(str(FIXTURES / "layering"), "--no-cache",
+                           "--select", "L", "--warn-only",
                            "--format", "json")
     assert "profile" not in json.loads(proc.stdout)
 
@@ -384,14 +355,14 @@ def test_module_names_root_at_repro():
 
 
 def test_index_resolves_cross_module_calls():
-    index = build_index([str(EXC)])
-    info = index.modules["repro.cli"]
+    index = build_index([str(FIXTURES / "layering")])
+    info = index.modules["repro.geometry"]
     calls = {call.func for call in info.calls}
-    assert "read_group" in calls
-    reader = next(c for c in info.calls if c.func == "read_group")
-    callee = index.resolve_call("repro.cli", reader)
+    assert "run" in calls
+    runner = next(c for c in info.calls if c.func == "run")
+    callee = index.resolve_call("repro.geometry", runner)
     assert callee is not None
-    assert callee.qualified == "repro.store.read_group"
+    assert callee.qualified == "repro.simulate.run"
 
 
 def test_index_resolution_follows_reexports():
