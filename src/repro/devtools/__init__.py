@@ -4,8 +4,7 @@ It guards what runtime tests cannot reach: the import-layer DAG, where
 generators are minted, and the unit discipline the link budget
 depends on.  It parses all of ``src/repro`` once into a **project
 index** — module table, import graph, call sites and per-function
-signatures, with names resolved across modules — then runs three rule
-families over it:
+signatures — then runs three rule families over it:
 
 * **L-series** — the import-layering contract (the explicit layer DAG
   ``foundation -> device -> core/link -> motion/plan ->
@@ -28,22 +27,21 @@ boundary.
 Run it as ``python -m repro analyze``; suppress a single finding with
 a ``# repro: noqa[RULE]`` comment on the offending line (bare
 ``# repro: noqa`` suppresses every rule on the line), and cap the
-waiver count with ``--max-waivers``.  The cache has two tiers, both
-keyed by content hash: per-file index entries (a one-file edit
-re-parses one file) and the previous run's results (a no-change
-re-run skips the rules).  The rule catalog lives in DESIGN.md §9.
+waiver count with ``--max-waivers``.  Each run is one stateless
+pass (parse, extract, run the rules, report) that reads only the
+source files and writes nothing.  The rule catalog lives in DESIGN.md
+§9.
 """
 
 from .analyzer import AnalyzeResult, analyze_paths, run_rules
 from .extract import extract_module, module_name_for
 from .findings import Finding
-from .index import DEFAULT_CACHE_DIR, ProjectIndex, build_index
+from .index import ProjectIndex, build_index
 from .registry import Rule, all_rules, register_rule, resolve_selection
 from .reporters import render_github, render_json, render_text
 
 __all__ = [
     "AnalyzeResult",
-    "DEFAULT_CACHE_DIR",
     "Finding",
     "ProjectIndex",
     "Rule",

@@ -3,10 +3,9 @@
 This is the only place the analyzer touches an AST.  Everything the
 rules need — imports with their laziness and ``TYPE_CHECKING``
 status, function signatures with annotated, positioned parameters,
-class names, call sites with positioned argument descriptions,
-``# repro: noqa`` waivers — is distilled here into the
-JSON-serializable model, so the rest of the package (and the on-disk
-cache) never re-parses source.
+call sites with positioned argument descriptions, ``# repro: noqa``
+waivers — is distilled here into the plain-value model, so no rule
+walks source.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import PurePosixPath
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     CallSite,
-    ClassInfo,
     FunctionInfo,
     ImportedName,
     ModuleInfo,
@@ -157,15 +155,12 @@ def _signature_params(node: ast.AST, drop_self: bool) -> List[ParamInfo]:
 class _ModuleExtractor:
     """Single pass over one module's AST, accumulating the model."""
 
-    def __init__(self, module: str, path: str) -> None:
-        self.module = module
-        self.path = path
-        self.package = module  # adjusted by extract() for non-packages
+    def __init__(self, package: str) -> None:
+        self.package = package  # the anchor of relative imports
         self.imports: List[ImportedName] = []
         self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
         self.calls: List[CallSite] = []
-        self.bindings: Dict[str, str] = {}
+        self._classes: Set[str] = set()    # class qualnames seen so far
         self._scope: List[str] = []        # enclosing def/class names
         self._function_depth = 0
 
@@ -212,8 +207,6 @@ class _ModuleExtractor:
                 lineno=stmt.lineno, lazy=lazy,
                 type_checking=type_checking)
             self.imports.append(record)
-            if not lazy:
-                self.bindings.setdefault(local, target)
 
     def _from_import(self, stmt: ast.ImportFrom,
                      type_checking: bool) -> None:
@@ -235,8 +228,6 @@ class _ModuleExtractor:
                 lineno=stmt.lineno, lazy=lazy,
                 type_checking=type_checking)
             self.imports.append(record)
-            if not lazy:
-                self.bindings.setdefault(local, record.target)
 
     def _resolve_relative(self, module: Optional[str],
                           level: int) -> Optional[str]:
@@ -256,14 +247,11 @@ class _ModuleExtractor:
 
     def _function(self, node: ast.AST) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        in_class = bool(self._scope) and self._scope[-1] in self.classes
+        in_class = bool(self._scope) and self._scope[-1] in self._classes
         qualname = ".".join(self._scope + [node.name])
         self.functions[qualname] = FunctionInfo(
             qualname=qualname, lineno=node.lineno,
             params=tuple(_signature_params(node, drop_self=in_class)))
-        if not self._scope:
-            self.bindings.setdefault(
-                node.name, f"{self.module}.{node.name}")
         # Decorators and defaults evaluate in the enclosing scope.
         args = node.args
         for expr in [*node.decorator_list, *args.defaults,
@@ -276,13 +264,8 @@ class _ModuleExtractor:
         self._scope.pop()
 
     def _class(self, node: ast.ClassDef) -> None:
-        qualname = ".".join(self._scope + [node.name])
-        if not self._scope:
-            self.bindings.setdefault(
-                node.name, f"{self.module}.{node.name}")
         # Register before walking so methods see themselves as such.
-        self.classes[qualname] = ClassInfo(name=qualname,
-                                           lineno=node.lineno)
+        self._classes.add(".".join(self._scope + [node.name]))
         for expr in [*node.decorator_list, *node.bases,
                      *(k.value for k in node.keywords)]:
             self._expression(expr)
@@ -341,20 +324,17 @@ def _own_expressions(stmt: ast.stmt) -> List[ast.expr]:
     return exprs
 
 
-def extract_module(path: str, source: str, sha: str) -> ModuleInfo:
+def extract_module(path: str, source: str) -> ModuleInfo:
     """Parse and distill one file (raises ``SyntaxError`` unparsable)."""
     tree = ast.parse(source, filename=path)
     module = module_name_for(path)
-    extractor = _ModuleExtractor(module, path)
-    if not path.replace("\\", "/").endswith("__init__.py"):
-        extractor.package = module.rsplit(".", 1)[0] \
-            if "." in module else module
+    package = module if path.replace("\\", "/").endswith("__init__.py") \
+        else module.rsplit(".", 1)[0]
+    extractor = _ModuleExtractor(package)
     extractor.walk(tree.body)
     return ModuleInfo(
-        module=module, path=path, sha=sha,
+        module=module, path=path,
         imports=tuple(extractor.imports),
         functions=extractor.functions,
-        classes=extractor.classes,
         calls=tuple(extractor.calls),
-        bindings=extractor.bindings,
         suppressions=parse_noqa(source))

@@ -71,8 +71,9 @@ def resolve_selection(
 
     Entries match by prefix, case-insensitively, so ``T`` selects every
     RNG-provenance rule and ``T001`` exactly one.  Unknown entries
-    (matching no registered rule) raise ``ValueError`` so typos fail
-    loudly instead of silently analyzing nothing.
+    (matching no registered rule) and a ``select`` with no entries
+    (``""``, ``","``) raise ``ValueError`` so a typo fails loudly
+    instead of silently analyzing nothing.
     """
     rules = all_rules()
 
@@ -90,6 +91,8 @@ def resolve_selection(
     selected = rules
     if select is not None:
         prefixes = expand(select)
+        if not prefixes:
+            raise ValueError("empty rule selection")
         selected = [r for r in rules
                     if any(r.rule_id.startswith(p) for p in prefixes)]
     if ignore is not None:

@@ -9,7 +9,7 @@ from typing import Any, Dict
 from .analyzer import AnalyzeResult
 
 #: Schema version of the JSON payload; bump on breaking changes.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(result: AnalyzeResult) -> str:
@@ -35,8 +35,6 @@ def to_payload(result: AnalyzeResult) -> Dict[str, Any]:
         "version": JSON_SCHEMA_VERSION,
         "files_checked": result.files_checked,
         "suppressed": result.suppressed,
-        "from_cache": result.from_cache,
-        "extracted": result.extracted,
         "counts": dict(sorted(counts.items())),
         "findings": [f.to_dict() for f in result.findings],
     }

@@ -31,7 +31,7 @@ def run_analyze_cli(*args: str) -> "subprocess.CompletedProcess[str]":
     env["PYTHONPATH"] = str(ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-m", "repro", "analyze", "--no-cache", *args],
+        [sys.executable, "-m", "repro", "analyze", *args],
         capture_output=True, text=True, env=env, cwd=str(ROOT))
 
 
@@ -95,8 +95,7 @@ def test_json_format_schema_round_trip():
         assert set(finding) == {"path", "line", "column", "rule", "message"}
     # The CLI payload must match the library's own serialization.
     library = to_payload(analyze_paths(
-        [str(UNITS / "repro/core/u001_tp.py")], select=["U001"],
-        cache_dir=None))
+        [str(UNITS / "repro/core/u001_tp.py")], select=["U001"]))
     assert payload == library
 
 
@@ -119,6 +118,16 @@ def test_waiver_budget_met_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_negative_waiver_budget_is_a_usage_error():
+    # A budget of -1 could never be met; argparse rejects it before
+    # any file is read.
+    proc = run_analyze_cli(str(UNITS / "repro/core/noqa_demo.py"),
+                           "--max-waivers", "-1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "--max-waivers" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_src_repro_within_waiver_budget():
     """CI gate: the real tree carries no waivers at all."""
     proc = run_analyze_cli(str(SRC_REPRO), "--max-waivers", "0")
@@ -135,7 +144,7 @@ def test_github_format_emits_error_annotations():
 
 def test_src_repro_tree_lints_clean():
     """The headline gate: zero findings over the real package."""
-    result = analyze_paths([str(SRC_REPRO)], cache_dir=None)
+    result = analyze_paths([str(SRC_REPRO)])
     assert not result.findings, \
         "\n".join(f.render() for f in result.findings)
 

@@ -37,7 +37,7 @@ FAMILY_TREES = ("layering", "rngflow")
 
 
 def analyze(path: Path, select=None):
-    return analyze_paths([str(path)], select=select, cache_dir=None)
+    return analyze_paths([str(path)], select=select)
 
 
 @pytest.mark.parametrize("rule_id,tp,tn", RULE_FIXTURES,

@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on the core invariants.
 
 These cover the algebraic backbone everything else rests on: geometry
-identities, coupling monotonicity, the G'/G inverse relationship, and
-schedule/timeslot conservation laws.
+identities, coupling monotonicity, the G'/G inverse relationship, P's
+settling over the evaluation envelope, and schedule/timeslot
+conservation laws.
 """
 
 import math
@@ -12,8 +13,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.constants import LINK_RANGE_MAX_M, LINK_RANGE_MIN_M
-from repro.core import GmaModel, solve_inverse
+from repro.constants import (
+    DAQ_VOLTAGE_RANGE_V,
+    LINK_RANGE_MAX_M,
+    LINK_RANGE_MIN_M,
+)
+from repro.core import (
+    GmaModel,
+    PointingDivergedError,
+    cold_start_seed,
+    point,
+    solve_inverse,
+)
 from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
 from repro.geometry import (
@@ -21,12 +32,14 @@ from repro.geometry import (
     Ray,
     RigidTransform,
     angle_between,
+    euler_to_matrix,
     normalize,
     reflect_direction,
     rotation_matrix,
 )
 from repro.motion import StrokeSchedule
 from repro.optics import CouplingModel, GaussianBeam
+from repro.vrh import Pose
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
@@ -170,6 +183,46 @@ class TestInverseProperty:
         assert math.isfinite(result.v1) and math.isfinite(result.v2)
         assert abs(result.v1 - v1) <= DEFAULT_VOLTAGE_STEP_V
         assert abs(result.v2 - v2) <= DEFAULT_VOLTAGE_STEP_V
+
+
+#: ``Testbed.evaluation_poses``' envelope around the home pose.
+EVAL_OFFSET_M = 0.15
+EVAL_ANGLE_RAD = math.radians(6.0)
+
+
+class TestPointingProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(offset=st.tuples(*[st.floats(min_value=-EVAL_OFFSET_M,
+                                        max_value=EVAL_OFFSET_M)] * 3),
+           angles=st.tuples(*[st.floats(min_value=-EVAL_ANGLE_RAD,
+                                        max_value=EVAL_ANGLE_RAD)] * 3),
+           cold_seed=st.booleans())
+    def test_point_over_the_evaluation_envelope(
+            self, testbed, learned_system, offset, angles, cold_seed):
+        """For a headset anywhere in the evaluation envelope, P on
+        its (noise-free) report either settles on finite, in-range
+        voltages that a further round would not move by a DAQ step, or
+        raises its typed error: never a NaN, never a silent miss."""
+        home = testbed.home_pose
+        body = Pose(home.position + np.array(offset),
+                    home.orientation @ euler_to_matrix(*angles))
+        pose = Pose.from_transform(
+            testbed.tracker.true_report_transform(body))
+        initial = cold_start_seed(learned_system, pose) if cold_seed \
+            else (0.0, 0.0, 0.0, 0.0)
+        try:
+            command = point(learned_system, pose, initial=initial)
+        except (PointingDivergedError, InverseDivergedError):
+            return
+        volts = (*command.tx_voltages, *command.rx_voltages)
+        assert all(math.isfinite(v) and abs(v) <= DAQ_VOLTAGE_RANGE_V
+                   for v in volts), volts
+        # One more round; it raises if any voltage moves a full step.
+        again = point(learned_system, pose, initial=volts,
+                      max_iterations=1)
+        moved = np.subtract((*again.tx_voltages, *again.rx_voltages),
+                            volts)
+        assert np.all(np.abs(moved) < DEFAULT_VOLTAGE_STEP_V), moved
 
 
 class TestScheduleProperties:
