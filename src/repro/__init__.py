@@ -11,7 +11,7 @@ by layer:
   tracking-and-pointing pipeline (Sections 4.1-4.3);
 * :mod:`repro.link` -- link designs, the FSO channel, link state;
 * :mod:`repro.motion` -- stages, hand motion, head traces, speeds;
-* :mod:`repro.parallel` -- deterministic chunked process-pool maps;
+* :mod:`repro.parallel` -- the deterministic chunked process-pool map;
 * :mod:`repro.simulate` -- the testbed and the Section 5 harnesses;
 * :mod:`repro.net` -- iperf-style throughput measurement;
 * :mod:`repro.baselines` -- alternatives the paper argues against;

@@ -164,6 +164,14 @@ def _cmd_scenario(args):
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for counts: an integer >= 1 (else exit 2)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -184,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     traces = sub.add_parser("traces",
                             help="Section 5.4 trace availability")
-    traces.add_argument("--viewers", type=int, default=10)
-    traces.add_argument("--videos", type=int, default=10)
-    traces.add_argument("--workers", type=int, default=1)
+    traces.add_argument("--viewers", type=_positive_int, default=10)
+    traces.add_argument("--videos", type=_positive_int, default=10)
+    traces.add_argument("--workers", type=_positive_int, default=1)
     traces.set_defaults(func=_cmd_traces)
 
     sub.add_parser("safety", help="eye-safety reports"

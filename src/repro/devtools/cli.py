@@ -2,11 +2,12 @@
 
 Exit codes follow compiler conventions: 0 clean, 1 findings, 2 usage
 error (unknown rule, empty ``--select``, negative ``--max-waivers``,
-missing path).  ``--warn-only`` reports findings but exits 0 -- the
-mode used to survey ``benchmarks/`` and ``examples/`` without gating
-on them.  ``--max-waivers N`` turns the suppression count itself into
-a budget: ``# repro: noqa`` waivers beyond N fail the run, so the
-waiver list can only ratchet down.
+missing path, two files with one dotted module name).  ``--warn-only``
+reports findings but exits 0 -- the mode used to survey
+``benchmarks/`` and ``examples/`` without gating on them.
+``--max-waivers N`` turns the suppression count itself into a budget:
+``# repro: noqa`` waivers beyond N fail the run, so the waiver list
+can only ratchet down.
 Diagnostics go to stderr, so ``--format json`` stdout always parses.
 """
 

@@ -58,7 +58,9 @@ def build_index(paths: Sequence[str]) -> ProjectIndex:
     """Parse every ``.py`` file under ``paths`` into a ProjectIndex.
 
     Files that fail to parse are recorded as ``syntax_errors`` (path,
-    line, message) instead of aborting the whole build.
+    line, message) instead of aborting the whole build.  Two files that
+    map to one dotted module name raise ``ValueError``: keeping either
+    would silently drop the other's findings.
     """
     index = ProjectIndex()
     errors = []
@@ -71,6 +73,12 @@ def build_index(paths: Sequence[str]) -> ProjectIndex:
             errors.append((filename, exc.lineno or 1,
                            exc.msg or "syntax error"))
             continue
+        clash = index.modules.get(info.module)
+        if clash is not None and \
+                os.path.realpath(clash.path) != os.path.realpath(filename):
+            raise ValueError(
+                f"module {info.module} is defined by both {clash.path} "
+                f"and {filename}; analyze them in separate runs")
         index.modules[info.module] = info
     index.syntax_errors = tuple(errors)
     return index

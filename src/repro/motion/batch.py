@@ -347,6 +347,7 @@ def generate_trace(viewer: int, video: int,
 #: the scratch working set stays allocator-warm across chunks instead
 #: of page-faulting hundreds of fresh megabytes (measured ~1.4x on the
 #: 500-trace corpus), and the same size feeds the pool chunking.
+#: Read at call time, so tests can shrink it.
 _GEN_CHUNK = 64
 
 
@@ -356,15 +357,14 @@ def generate_batch(viewers: int = 50, videos: int = 10,
                    dt_s: float = constants.TRACE_REPORT_PERIOD_S,
                    seed: int = 2022,
                    columns: str = "full",
-                   workers: Optional[int] = 1,
-                   chunk_size: Optional[int] = _GEN_CHUNK) -> TraceBatch:
+                   workers: Optional[int] = 1) -> TraceBatch:
     """The full dataset as one batch, byte-identical per seed.
 
     Per-trace streams derive from ``(seed, viewer, video)``, so every
     row is the trace :func:`generate_trace` returns for that pair, bit
-    for bit — for any ``workers`` setting (each worker chunk
-    re-derives its own streams; outputs land at absolute row indices
-    via :func:`repro.parallel.parallel_map_arrays`).
+    for bit — for any ``workers`` setting (each chunk of
+    ``_GEN_CHUNK`` traces re-derives its own streams; its rows land at
+    absolute indices via :func:`repro.parallel.parallel_map_arrays`).
 
     ``columns="steps"`` skips the pose tensors (the slot pipeline only
     consumes step magnitudes).
@@ -386,8 +386,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         partial(_generate_columns, profile=profile,
                 duration_s=duration_s, dt_s=dt_s, seed=seed,
                 with_pose=with_pose),
-        ids, specs=specs, workers=workers, chunk_size=chunk_size,
-        batched=True)
+        ids, specs=specs, chunk_size=_GEN_CHUNK, workers=workers)
 
     return TraceBatch(
         viewer_ids=np.array([viewer for viewer, _ in ids],

@@ -206,14 +206,14 @@ def simulate_trace(trace: HeadTrace,
 
 
 #: Traces per kernel pass: keeps the accumulator rows cache-resident
-#: and the chunk working set allocator-warm (see motion.batch).
+#: and the chunk working set allocator-warm (see motion.batch).  Read
+#: at call time, so tests can shrink it.
 _SIM_CHUNK = 64
 
 
 def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
                    params: TimeslotParams = TimeslotParams(),
-                   workers: Optional[int] = 1,
-                   chunk_size: Optional[int] = _SIM_CHUNK
+                   workers: Optional[int] = 1
                    ) -> BatchTimeslotResult:
     """Replay a whole corpus through the 1 ms-slot model in one pass.
 
@@ -223,9 +223,9 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
     is rejected with ``ValueError``.  Element-wise identical to
     running :func:`simulate_trace` per trace.
 
-    With ``workers > 1`` the trace axis is chunked over a process pool
-    and workers write their ``connected`` rows into shared memory (no
-    result pickling; see :func:`repro.parallel.parallel_map_arrays`).
+    The trace axis runs in chunks of ``_SIM_CHUNK``; with ``workers >
+    1`` the chunks fan over a process pool and each returns its
+    ``connected`` rows (see :func:`repro.parallel.parallel_map_arrays`).
     """
     if not isinstance(batch, TraceBatch):
         traces = list(batch)
@@ -244,7 +244,7 @@ def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
                 slots_per_report=slots_per_report),
         items,
         specs={"connected": ((n * slots_per_report,), np.bool_)},
-        workers=workers, chunk_size=chunk_size, batched=True)
+        chunk_size=_SIM_CHUNK, workers=workers)
     return BatchTimeslotResult(connected=cols["connected"],
                                viewer_ids=np.asarray(batch.viewer_ids),
                                video_ids=np.asarray(batch.video_ids))

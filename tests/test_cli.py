@@ -58,6 +58,17 @@ class TestParser:
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option", ["--viewers", "--videos",
+                                        "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_traces_rejects_non_positive_counts(self, capsys, option,
+                                                value):
+        with pytest.raises(SystemExit) as info:
+            main(["traces", option, value])
+        assert info.value.code == 2
+        assert f"{option}: expected a positive integer" in \
+            capsys.readouterr().err
+
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
         assert args.width == 3.0

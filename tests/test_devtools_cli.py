@@ -60,6 +60,18 @@ def test_exit_two_on_missing_path():
     assert "no such file" in proc.stderr
 
 
+def test_exit_two_on_module_name_collision():
+    # The layering fixture embeds its own ``repro`` tree: indexed with
+    # the real package, one of each same-named pair would be dropped
+    # (and the fixture's L002 finding with it).
+    layering = Path(__file__).parent / "fixtures" / "program" / "layering"
+    proc = run_analyze_cli(str(layering), str(SRC_REPRO), "--select", "L",
+                           "--warn-only")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "module repro is defined by both" in proc.stderr
+    assert str(layering / "repro" / "__init__.py") in proc.stderr
+
+
 def test_lint_subcommand_is_gone():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint"], capture_output=True,

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.motion.batch as motion_batch
 from repro.motion import (
     NORMAL_USE,
     VIDEO_360,
@@ -88,28 +89,29 @@ class TestBitIdentity:
                  for v in range(2) for w in range(2)]):
             _assert_same_trace(got, want)
 
-    def test_chunk_size_does_not_change_bytes(self):
+    def test_chunk_size_does_not_change_bytes(self, monkeypatch):
         whole = generate_batch(viewers=3, videos=3, duration_s=DUR,
-                               seed=SEED, chunk_size=None)
+                               seed=SEED)  # one chunk
+        monkeypatch.setattr(motion_batch, "_GEN_CHUNK", 2)
         chopped = generate_batch(viewers=3, videos=3, duration_s=DUR,
-                                 seed=SEED, chunk_size=2)
+                                 seed=SEED)
         assert np.array_equal(whole.positions, chopped.positions)
         assert np.array_equal(whole.eulers, chopped.eulers)
         assert np.array_equal(whole.step_linear_m, chopped.step_linear_m)
         assert np.array_equal(whole.step_angular_rad,
                               chopped.step_angular_rad)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_workers_do_not_change_bytes(self, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_do_not_change_bytes(self, monkeypatch, workers):
         serial = generate_batch(viewers=2, videos=3, duration_s=DUR,
                                 seed=SEED, workers=1)
+        monkeypatch.setattr(motion_batch, "_GEN_CHUNK", 2)
         with warnings.catch_warnings():
             # A sandbox without process pools degrades serially; the
             # bytes must match either way.
             warnings.simplefilter("ignore", ParallelFallbackWarning)
             pooled = generate_batch(viewers=2, videos=3, duration_s=DUR,
-                                    seed=SEED, workers=workers,
-                                    chunk_size=2)
+                                    seed=SEED, workers=workers)
         assert np.array_equal(serial.positions, pooled.positions)
         assert np.array_equal(serial.eulers, pooled.eulers)
         assert np.array_equal(serial.step_linear_m,

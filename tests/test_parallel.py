@@ -1,29 +1,46 @@
-"""Unit tests for the deterministic chunked process-pool map."""
+"""Unit tests for the deterministic chunked process-pool map.
+
+``parallel_map_arrays`` over one scalar column, so every check reads
+as ``[fn(x) for x in items]``; ``test_parallel_arrays`` covers the
+multi-column, multi-dimensional rows.
+"""
 
 import concurrent.futures
+import warnings
 
+import numpy as np
 import pytest
 
 from repro.determinism import derive
 from repro.parallel import (
+    ParallelFallbackWarning,
     chunk_items,
-    default_workers,
-    parallel_map,
+    parallel_map_arrays,
 )
 
+SPEC = {"y": ((), np.int64)}
+FLOAT_SPEC = {"y": ((), np.float64)}
 
-def square(x):
+
+def square(chunk):
     """Module-level so it pickles into pool workers."""
-    return x * x
+    return {"y": np.square(np.asarray(chunk, dtype=np.int64))}
 
 
-def explode(x):
+def explode(chunk):
     raise RuntimeError("worker failure")
 
 
-def noisy_sum(seed):
+def noisy_sum(chunk):
     """A float pipeline whose bits would expose any stream fork."""
-    return float(derive(seed).standard_normal(8).sum())
+    return {"y": np.array([derive(seed).standard_normal(8).sum()
+                           for seed in chunk])}
+
+
+def squares(items, workers, chunk_size=3, fn=square):
+    return parallel_map_arrays(fn, items, specs=SPEC,
+                               chunk_size=chunk_size,
+                               workers=workers)["y"].tolist()
 
 
 class TestChunking:
@@ -47,111 +64,65 @@ class TestChunking:
 class TestParallelMap:
     def test_serial_matches_comprehension(self):
         items = list(range(25))
-        assert parallel_map(square, items, workers=1) == \
-            [x * x for x in items]
+        assert squares(items, workers=1) == [x * x for x in items]
 
     def test_none_workers_is_serial(self):
-        assert parallel_map(square, [3, 4], workers=None) == [9, 16]
+        assert squares([3, 4], workers=None) == [9, 16]
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            parallel_map(square, [1], workers=0)
+            squares([1], workers=0)
 
     def test_empty_items(self):
-        assert parallel_map(square, [], workers=4) == []
+        assert squares([], workers=4) == []
 
     def test_parallel_preserves_order(self):
         items = list(range(40))
-        assert parallel_map(square, items, workers=3) == \
-            [x * x for x in items]
+        with warnings.catch_warnings():
+            # A fallback would prove nothing about the pool's order.
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            assert squares(items, workers=3) == [x * x for x in items]
 
     def test_parallel_matches_serial(self):
         items = list(range(23))
-        assert parallel_map(square, items, workers=4) == \
-            parallel_map(square, items, workers=1)
+        assert squares(items, workers=4) == squares(items, workers=1)
 
     def test_explicit_chunk_size(self):
         items = list(range(11))
-        assert parallel_map(square, items, workers=2, chunk_size=2) == \
+        assert squares(items, workers=2, chunk_size=2) == \
             [x * x for x in items]
 
     def test_lambda_falls_back_to_serial(self):
         # Lambdas do not pickle; the map must still return the right
         # answer via the in-process fallback.
         items = list(range(10))
-        assert parallel_map(lambda x: x + 1, items, workers=4) == \
-            [x + 1 for x in items]
+        with pytest.warns(ParallelFallbackWarning):
+            got = squares(items, workers=4,
+                          fn=lambda chunk: {"y": np.add(chunk, 1)})
+        assert got == [x + 1 for x in items]
 
     def test_serial_path_propagates_exceptions(self):
         with pytest.raises(RuntimeError):
-            parallel_map(explode, [1], workers=1)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-
-class TestDefaultWorkers:
-    """The worker-count resolution ladder: env var, affinity, cpus."""
-
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_env_override_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError):
-            default_workers()
-
-    def test_env_override_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
-            default_workers()
-
-    def test_respects_affinity_mask(self, monkeypatch):
-        # Containers pin processes to a core subset; cpu_count alone
-        # would oversubscribe the pool.
-        import os
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("platform has no scheduler affinity")
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2, 3, 4})
-        assert default_workers() == 5
-
-    def test_ladder_order_env_beats_affinity_beats_cpu_count(
-            self, monkeypatch):
-        # The full ladder, each rung distinct so order is observable:
-        # REPRO_WORKERS=2 > affinity mask of 5 > cpu_count of 7.
-        import os
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("platform has no scheduler affinity")
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2, 3, 4})
-        monkeypatch.setattr(os, "cpu_count", lambda: 7)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert default_workers() == 2  # env wins over both
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert default_workers() == 5  # affinity wins over cpu_count
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert default_workers() == 7  # cpu_count is the last rung
+            squares([1], workers=1, fn=explode)
 
 
 class TestSerialFallback:
-    """The silent serial fallback, proven rather than assumed."""
+    """The serial fallback, proven rather than assumed."""
 
     def test_lambda_fallback_runs_in_this_process(self):
-        # A lambda cannot reach the workers, so every call must land
-        # in the parent process -- observable through a closure.
+        # A closure cannot reach the workers, so every chunk must land
+        # in the parent process -- observable through the closure.
         calls = []
 
-        def tag(x):
-            calls.append(x)
-            return x + 1
+        def tag(chunk):
+            calls.append(list(chunk))
+            return {"y": np.add(chunk, 1)}
 
         items = list(range(10))
-        assert parallel_map(tag, items, workers=4) == \
-            [x + 1 for x in items]
-        assert calls == items  # in order, once each, in-process
+        with pytest.warns(ParallelFallbackWarning):
+            assert squares(items, workers=4, fn=tag) == \
+                [x + 1 for x in items]
+        assert calls == chunk_items(items, 3)  # in order, once each
 
     def test_broken_pool_falls_back(self, monkeypatch):
         attempts = []
@@ -164,12 +135,14 @@ class TestSerialFallback:
         monkeypatch.setattr(concurrent.futures,
                             "ProcessPoolExecutor", BrokenPool)
         items = list(range(12))
-        assert parallel_map(square, items, workers=4) == \
-            [x * x for x in items]
-        assert attempts  # the pool WAS attempted: fallback exercised
+        with pytest.warns(ParallelFallbackWarning):
+            assert squares(items, workers=4) == [x * x for x in items]
+        assert attempts == [4]  # the pool WAS attempted
 
     def test_pool_that_dies_mid_map_falls_back(self, monkeypatch):
         class DyingPool:
+            """Delivers a wrong first chunk, then its workers crash."""
+
             def __init__(self, max_workers=None):
                 pass
 
@@ -179,19 +152,22 @@ class TestSerialFallback:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, chunks):
+                yield {"y": np.full(len(chunks[0]), -1)}
                 raise concurrent.futures.process.BrokenProcessPool(
                     "worker crashed")
 
         monkeypatch.setattr(concurrent.futures,
                             "ProcessPoolExecutor", DyingPool)
         items = list(range(7))
-        assert parallel_map(square, items, workers=2) == \
-            [x * x for x in items]
+        # The serial rerun overwrites the rows the pool had written.
+        with pytest.warns(ParallelFallbackWarning):
+            assert squares(items, workers=2) == [x * x for x in items]
 
     def test_fallback_is_byte_identical_to_serial(self, monkeypatch):
         seeds = list(range(20))
-        serial = parallel_map(noisy_sum, seeds, workers=1)
+        serial = parallel_map_arrays(noisy_sum, seeds, specs=FLOAT_SPEC,
+                                     chunk_size=3, workers=1)
 
         class BrokenPool:
             def __init__(self, max_workers=None):
@@ -199,61 +175,8 @@ class TestSerialFallback:
 
         monkeypatch.setattr(concurrent.futures,
                             "ProcessPoolExecutor", BrokenPool)
-        fallen_back = parallel_map(noisy_sum, seeds, workers=4)
-        assert fallen_back == serial  # exact float equality, not approx
-
-
-def square_row(x):
-    """Row fn for the array transport tests below."""
-    return {"y": float(x * x)}
-
-
-class TestPooledCleanup:
-    """The shm teardown in ``_fill_pooled`` catches only OSError now
-    (a crashed worker's atexit hooks racing the parent's cleanup);
-    anything else must propagate.  This pins the tolerated path."""
-
-    def test_cleanup_survives_already_unlinked_blocks(self, monkeypatch):
-        import numpy as np
-
-        from repro import parallel as par
-
-        created = []
-        real_create = par._create_shm
-
-        def recording_create(array):
-            handle, record = real_create(array)
-            created.append(record[0])
-            return handle, record
-
-        monkeypatch.setattr(par, "_create_shm", recording_create)
-
-        class EagerUnlinkPool:
-            """In-process stand-in whose teardown unlinks the shared
-            blocks before the parent's own cleanup gets to them."""
-
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def map(self, fn, *iterables):
-                return list(map(fn, *iterables))
-
-            def __exit__(self, *exc):
-                for block in created:
-                    block.unlink()
-                return False
-
-        monkeypatch.setattr(concurrent.futures,
-                            "ProcessPoolExecutor", EagerUnlinkPool)
-        items = list(range(8))
-        outputs = par._allocate_outputs(
-            len(items), {"y": ((), np.float64)})
-        # Direct call: parallel_map_arrays would mask a cleanup crash
-        # behind its serial fallback, and this must NOT fall back.
-        par._fill_pooled(square_row, items, outputs, workers=2,
-                         chunk_size=None, batched=False)
-        assert created, "shared blocks were never allocated"
-        assert outputs["y"].tolist() == [float(x * x) for x in items]
+        with pytest.warns(ParallelFallbackWarning):
+            fallen_back = parallel_map_arrays(
+                noisy_sum, seeds, specs=FLOAT_SPEC, chunk_size=3,
+                workers=4)
+        assert fallen_back["y"].tobytes() == serial["y"].tobytes()

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.simulate.batch as sim_batch
 from repro.motion import generate_batch
 from repro.parallel import ParallelFallbackWarning
 from repro.simulate import (
@@ -66,18 +67,20 @@ class TestBitIdentity:
                              _oracle(corpus, TimeslotParams())):
             assert np.array_equal(row.connected, want.connected)
 
-    def test_chunk_size_does_not_change_bytes(self, corpus):
-        whole = simulate_batch(corpus, chunk_size=None)
-        chopped = simulate_batch(corpus, chunk_size=2)
+    def test_chunk_size_does_not_change_bytes(self, corpus, monkeypatch):
+        whole = simulate_batch(corpus)  # one chunk
+        monkeypatch.setattr(sim_batch, "_SIM_CHUNK", 2)
+        chopped = simulate_batch(corpus)
         assert np.array_equal(whole.connected, chopped.connected)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_workers_do_not_change_bytes(self, corpus, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_do_not_change_bytes(self, corpus, monkeypatch,
+                                         workers):
         serial = simulate_batch(corpus, workers=1)
+        monkeypatch.setattr(sim_batch, "_SIM_CHUNK", 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParallelFallbackWarning)
-            pooled = simulate_batch(corpus, workers=workers,
-                                    chunk_size=2)
+            pooled = simulate_batch(corpus, workers=workers)
         assert np.array_equal(serial.connected, pooled.connected)
 
 
