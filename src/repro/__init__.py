@@ -3,7 +3,7 @@
 A full-system reproduction in simulation.  The public API is organized
 by layer:
 
-* :mod:`repro.geometry` -- exact 3D geometry (rays, mirrors, SE(3));
+* :mod:`repro.geometry` -- exact 3D geometry (rays, planes, SE(3));
 * :mod:`repro.optics` -- beams, coupling, transceivers, link budgets;
 * :mod:`repro.galvo` -- galvo-mirror hardware (the simulated truth);
 * :mod:`repro.vrh` -- headset poses, the built-in tracker, assemblies;

@@ -6,7 +6,6 @@ from .thresholds import (
     default_staleness_s,
     inputs_for,
     linear_speed_limit_m_s,
-    mixed_speed_feasible,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "default_staleness_s",
     "inputs_for",
     "linear_speed_limit_m_s",
-    "mixed_speed_feasible",
 ]

@@ -126,17 +126,3 @@ def linear_speed_limit_m_s(inputs: BudgetInputs) -> float:
             hi = mid
     return lo
 
-
-def mixed_speed_feasible(inputs: BudgetInputs, linear_m_s: float,
-                         angular_rad_s: float) -> bool:
-    """Whether simultaneous speeds stay within the budget.
-
-    The Fig. 14/15 mixed-motion question, answered in closed form.
-    """
-    drift_lat = linear_m_s * inputs.staleness_s
-    drift_ang = angular_rad_s * inputs.staleness_s
-    lateral = inputs.residual_lateral_m + drift_lat
-    angular = inputs.residual_angular_rad + drift_ang
-    if math.isfinite(inputs.curvature_radius_m):
-        angular += drift_lat / inputs.curvature_radius_m
-    return _excess_db(inputs, lateral, angular) < inputs.margin_db

@@ -106,11 +106,15 @@ def _cmd_safety(args):
 
 def _cmd_plan(args):
     from .plan import CoverageConstraints, Room, plan_greedy
-    room = Room(width_m=args.width, depth_m=args.depth,
-                ceiling_height_m=args.ceiling)
-    plan = plan_greedy(room, CoverageConstraints(),
-                       target_fraction=args.coverage,
-                       resolution_m=0.2)
+    try:
+        room = Room(width_m=args.width, depth_m=args.depth,
+                    ceiling_height_m=args.ceiling)
+        plan = plan_greedy(room, CoverageConstraints(),
+                           target_fraction=args.coverage,
+                           resolution_m=0.2)
+    except ValueError as exc:  # the room or the target is out of range
+        print(f"repro plan: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(plan.tx_positions)} TXs -> "
           f"{plan.coverage_fraction(0.2) * 100:.0f} % coverage, "
           f"{plan.redundancy_fraction(0.2) * 100:.0f} % redundant")
@@ -172,6 +176,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type for seeds: an integer >= 0 (else exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -186,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate",
                                help="run the Section 4 pipeline")
-    calibrate.add_argument("--seed", type=int, default=7)
-    calibrate.add_argument("--trials", type=int, default=10)
+    calibrate.add_argument("--seed", type=_non_negative_int, default=7)
+    calibrate.add_argument("--trials", type=_positive_int, default=10)
     calibrate.set_defaults(func=_cmd_calibrate)
 
     traces = sub.add_parser("traces",

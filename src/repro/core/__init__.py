@@ -9,7 +9,6 @@ Sub-modules map one-to-one onto Section 4 of the paper:
 * :mod:`inverse` -- the iterative reverse model ``G'`` (4.3);
 * :mod:`pointing` -- the real-time pointing mechanism ``P`` (4.3);
 * :mod:`alignment` -- the exhaustive power-search training oracle;
-* :mod:`lemma` -- numerical Lemma 1 checks;
 * :mod:`errors` -- Table 2 accuracy metrics;
 * :mod:`system` -- the assembled learned system ``P`` consumes.
 """
@@ -32,10 +31,8 @@ from .kspace import (
     fit_gma,
     interior_grid_points,
 )
-from .lemma import LemmaCheck, rank_agreement, sweep
 from .mapping import (
     AlignedSample,
-    coincidence_error_m,
     coincidence_residuals,
     fit_mapping,
     mean_coincidence_error_m,
@@ -63,12 +60,10 @@ __all__ = [
     "InverseDivergedError",
     "InverseResult",
     "LearnedSystem",
-    "LemmaCheck",
     "PointingCommand",
     "PointingDivergedError",
     "beam_error_m",
     "board_hits",
-    "coincidence_error_m",
     "coincidence_residuals",
     "cold_start_seed",
     "evaluate_fit",
@@ -77,11 +72,9 @@ __all__ = [
     "interior_grid_points",
     "mean_coincidence_error_m",
     "point",
-    "rank_agreement",
     "remap",
     "search",
     "solve_inverse",
     "summarize",
-    "sweep",
     "trace_batch",
 ]

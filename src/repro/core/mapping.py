@@ -139,13 +139,6 @@ def coincidence_residuals(system: LearnedSystem,
     return _system_rows(system, [sample])[0]
 
 
-def coincidence_error_m(system: LearnedSystem,
-                        sample: AlignedSample) -> float:
-    """The paper's scalar error ``d(p_t, tau_r) + d(p_r, tau_t)``."""
-    res = coincidence_residuals(system, sample)
-    return float(np.linalg.norm(res[:3]) + np.linalg.norm(res[3:]))
-
-
 def fit_mapping(tx_kspace: GmaModel, rx_kspace: GmaModel,
                 samples: List[AlignedSample],
                 initial_mapping_params: npt.ArrayLike) -> LearnedSystem:

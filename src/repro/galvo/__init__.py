@@ -5,11 +5,9 @@ from .galvo import CoverageError, GalvoHardware
 from .mirror import (
     GmaParams,
     canonical_gma,
-    mirror_planes,
     second_mirror_plane,
     trace,
 )
-from .servo import ServoModel
 from .specs import GVS102, GalvoSpec
 
 __all__ = [
@@ -18,10 +16,8 @@ __all__ = [
     "GVS102",
     "GalvoHardware",
     "GalvoSpec",
-    "ServoModel",
     "GmaParams",
     "canonical_gma",
-    "mirror_planes",
     "second_mirror_plane",
     "trace",
 ]

@@ -133,7 +133,3 @@ class GalvoHardware:
         """
         return second_mirror_plane(self.params, self._angle2)
 
-    def beam_for(self, v1: float, v2: float) -> Ray:
-        """Apply voltages and return the resulting beam in one call."""
-        self.apply(v1, v2)
-        return self.output_beam()

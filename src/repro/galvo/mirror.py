@@ -154,18 +154,6 @@ def _plane(point: Vec3, normal: Vec3) -> Plane:
     return Plane(np.array(point), np.array(normal))
 
 
-def mirror_planes(params: GmaParams, angle1_rad: float,
-                  angle2_rad: float) -> Tuple[Plane, Plane]:
-    """Both mirror planes for given *mechanical* rotation angles.
-
-    The pivots ``q1``/``q2`` sit on the rotation axes and therefore do
-    not move; only the normals rotate.
-    """
-    floats = params._floats
-    return (_plane(floats[3], _rotate(floats[4], angle1_rad, floats[2])),
-            second_mirror_plane(params, angle2_rad))
-
-
 def second_mirror_plane(params: GmaParams, angle2_rad: float) -> Plane:
     """The second mirror's plane alone (the Lemma 1 target plane)."""
     floats = params._floats

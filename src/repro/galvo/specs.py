@@ -41,11 +41,6 @@ class GalvoSpec:
         optical_deg_per_volt = 1.0 / self.volts_per_optical_degree
         return math.radians(optical_deg_per_volt) / 2.0
 
-    @property
-    def max_mech_angle_rad(self) -> float:
-        """Largest mirror rotation reachable within the voltage range."""
-        return self.mech_rad_per_volt * self.voltage_range_v
-
     def settle_time_s(self, step_rad: float) -> float:
         """Time for the mirror to settle after a step of ``step_rad``.
 

@@ -48,34 +48,3 @@ class Ray:
         along = dot(p - self.origin, self.direction)
         return self.point_at(along)
 
-
-def closest_approach(a: Ray, b: Ray) -> tuple:
-    """Closest points between two rays' supporting lines.
-
-    Returns ``(point_on_a, point_on_b, gap)``.  For (nearly) parallel
-    rays the points are taken at ``a``'s origin and its projection onto
-    ``b``.  Used by alignment diagnostics: two perfectly aligned beams
-    have ``gap == 0`` along the shared optical axis.
-    """
-    w0 = a.origin - b.origin
-    ad = a.direction
-    bd = b.direction
-    a_dot_b = dot(ad, bd)
-    denom = 1.0 - a_dot_b * a_dot_b
-    if denom < 1e-12:
-        # Parallel lines: any pairing has the same gap.
-        t_a = 0.0
-        t_b = dot(w0, bd)
-    else:
-        d_a = dot(w0, ad)
-        d_b = dot(w0, bd)
-        t_a = (a_dot_b * d_b - d_a) / denom
-        t_b = (d_b - a_dot_b * d_a) / denom
-    p_a = a.point_at(t_a)
-    p_b = b.point_at(t_b)
-    return p_a, p_b, distance(p_a, p_b)
-
-
-def skew_gap(a: Ray, b: Ray) -> float:
-    """Minimum distance between the supporting lines of two rays."""
-    return closest_approach(a, b)[2]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .vec import as_vec3, normalize
+from .vec import normalize
 
 
 def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
@@ -25,11 +25,6 @@ def rotation_matrix(axis, angle_rad: float) -> np.ndarray:
     ux, uy, uz = u
     cross = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
     return cos * np.eye(3) + sin * cross + (1.0 - cos) * np.outer(u, u)
-
-
-def rotate(axis, angle_rad: float, v) -> np.ndarray:
-    """Rotate vector ``v`` by ``angle_rad`` about ``axis``."""
-    return rotation_matrix(axis, angle_rad) @ as_vec3(v)
 
 
 def euler_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -105,8 +100,7 @@ def matrix_to_axis_angle(matrix: np.ndarray) -> tuple:
     """Decompose a rotation matrix into ``(axis, angle)``.
 
     ``angle`` is in ``[0, pi]``.  For the identity (angle 0) the axis is
-    arbitrary and +z is returned.  Used for interpolating headset
-    orientations along motion traces.
+    arbitrary and +z is returned.
     """
     m = np.asarray(matrix, dtype=float)
     angle = rotation_angle(m)

@@ -62,27 +62,3 @@ def cross(a, b) -> np.ndarray:
     """Cross product of two 3-vectors."""
     return np.cross(as_vec3(a), as_vec3(b))
 
-
-def angle_between(a, b) -> float:
-    """Angle in radians between two directions, in ``[0, pi]``."""
-    ua = normalize(a)
-    ub = normalize(b)
-    cosine = float(np.clip(np.dot(ua, ub), -1.0, 1.0))
-    return float(np.arccos(cosine))
-
-
-def is_unit(v, tol: float = 1e-9) -> bool:
-    """True when ``v`` has unit length within ``tol``."""
-    return abs(norm(v) - 1.0) <= tol
-
-
-def perpendicular_to(v) -> np.ndarray:
-    """Return an arbitrary unit vector perpendicular to ``v``.
-
-    Useful for building orthonormal bases around a beam direction.
-    """
-    u = normalize(v)
-    # Pick the world axis least aligned with u to avoid degeneracy.
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(u)))] = 1.0
-    return normalize(np.cross(u, axis))

@@ -39,7 +39,6 @@ from .. import constants
 from ..optics import (
     Amplifier,
     C40FC_C,
-    CFC_2X_C,
     Collimator,
     CouplingModel,
     F810FC_1550,

@@ -43,24 +43,19 @@ class LaneReport:
     chromatic_loss_db: float
     margin_db: float
 
-    @property
-    def closes(self) -> bool:
-        return self.margin_db >= 0.0
-
 
 @dataclass(frozen=True)
 class MultiWavelengthDesign:
     """A 4-lane single-strand design on top of a base link design.
 
-    The base design supplies the geometry, coupling widths, and
-    per-lane rate; lanes differ only in their chromatic penalty.
+    The base design supplies the geometry and coupling widths; lanes
+    differ only in their chromatic penalty.
     ``design_wavelength_nm`` is where the collimator focus is perfect.
     """
 
     name: str
     base: LinkDesign
     lane_wavelengths_nm: Tuple[float, ...] = CWDM4_WAVELENGTHS_NM
-    lane_rate_gbps: float = 10.3125
     design_wavelength_nm: float = 1301.0  # band center
     chromatic_db_per_nm: float = COMMODITY_CHROMATIC_DB_PER_NM
 
@@ -83,14 +78,6 @@ class MultiWavelengthDesign:
     def worst_lane_margin_db(self, range_m: Optional[float] = None) -> float:
         """The binding lane's margin -- the whole link's headroom."""
         return min(r.margin_db for r in self.lane_reports(range_m))
-
-    def is_feasible(self, range_m: Optional[float] = None) -> bool:
-        """True when every lane's budget closes."""
-        return all(r.closes for r in self.lane_reports(range_m))
-
-    @property
-    def aggregate_rate_gbps(self) -> float:
-        return self.lane_rate_gbps * len(self.lane_wavelengths_nm)
 
     def worst_lane_angular_tolerance_rad(
             self, range_m: Optional[float] = None) -> float:

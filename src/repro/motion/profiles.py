@@ -85,14 +85,6 @@ class StrokeSchedule:
             last_end = self.extent if side == 0.0 else 0.0
         return last_end
 
-    def speed_at(self, t_s: float) -> float:
-        """Instantaneous speed magnitude at ``t_s`` (0 during rests)."""
-        for start, duration, _, speed in self._segments:
-            if start <= t_s <= start + duration:
-                return speed
-        return 0.0
-
-
 @dataclass
 class LinearStrokeProfile:
     """Pure linear motion along a rail axis (Fig. 13 top)."""

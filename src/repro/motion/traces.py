@@ -114,11 +114,6 @@ class HeadTrace:
         """Per-step linear speeds."""
         return self.step_linear_m / self.dt_s
 
-    def angular_speeds_rad_s(self) -> np.ndarray:
-        """Per-step angular speeds."""
-        return self.step_angular_rad / self.dt_s
-
-
 def resample_trace(trace: HeadTrace, factor: int) -> HeadTrace:
     """The same physical motion, reported ``factor`` times less often.
 

@@ -66,12 +66,3 @@ class VibrationOverlay:
         return Pose(base.position + offset,
                     wobble @ base.orientation)
 
-    def peak_angular_speed_rad_s(self) -> float:
-        """Worst-case angular rate of the jitter alone."""
-        return (2.0 * np.pi * self.frequency_hz
-                * self.angular_amplitude_rad * np.sqrt(3.0))
-
-    def peak_linear_speed_m_s(self) -> float:
-        """Worst-case linear rate of the jitter alone."""
-        return (2.0 * np.pi * self.frequency_hz
-                * self.linear_amplitude_m * np.sqrt(3.0))

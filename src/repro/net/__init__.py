@@ -1,12 +1,8 @@
-"""Network-measurement substrate: iperf-style metering and ARQ."""
+"""Network-measurement substrate: iperf-style throughput metering."""
 
-from .arq import DEFAULT_PACKET_BITS, ArqResult, run_arq
 from .iperf import ThroughputMeter, ThroughputWindow
 
 __all__ = [
-    "ArqResult",
-    "DEFAULT_PACKET_BITS",
     "ThroughputMeter",
     "ThroughputWindow",
-    "run_arq",
 ]

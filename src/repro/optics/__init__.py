@@ -2,17 +2,9 @@
 
 from .amplifier import Amplifier
 from .budget import LinkBudget
-from .collimator import (
-    BE02_05_C,
-    BeamExpander,
-    C40FC_C,
-    CFC_2X_C,
-    Collimator,
-    F810FC_1550,
-)
+from .collimator import C40FC_C, Collimator, F810FC_1550
 from .coupling import EXCESS_DB_AT_WIDTH, CouplingModel
 from .gaussian import GaussianBeam, divergence_for_diameter
-from .photodiode import QuadPhotodiode
 from .safety import (
     PUPIL_DIAMETER_M,
     SafetyReport,
@@ -23,22 +15,11 @@ from .safety import (
     power_through_pupil_mw,
 )
 from .sfp import SFP28_LR, SFP_10G_ZR, Sfp
-from .units import (
-    MIN_POWER_DBM,
-    MIN_RATIO_DB,
-    apply_gain_dbm,
-    db_to_linear,
-    dbm_to_mw,
-    linear_to_db,
-    mw_to_dbm,
-)
+from .units import MIN_POWER_DBM, dbm_to_mw
 
 __all__ = [
     "Amplifier",
-    "BE02_05_C",
-    "BeamExpander",
     "C40FC_C",
-    "CFC_2X_C",
     "Collimator",
     "CouplingModel",
     "EXCESS_DB_AT_WIDTH",
@@ -46,22 +27,16 @@ __all__ = [
     "GaussianBeam",
     "LinkBudget",
     "MIN_POWER_DBM",
-    "MIN_RATIO_DB",
     "PUPIL_DIAMETER_M",
-    "QuadPhotodiode",
     "SafetyReport",
     "SFP28_LR",
     "SFP_10G_ZR",
     "Sfp",
-    "apply_gain_dbm",
     "assess_design",
     "class1_limit_mw",
-    "db_to_linear",
     "dbm_to_mw",
     "hazard_distance_m",
     "is_class1_at",
     "divergence_for_diameter",
-    "linear_to_db",
-    "mw_to_dbm",
     "power_through_pupil_mw",
 ]

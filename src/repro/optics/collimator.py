@@ -1,21 +1,20 @@
-"""Collimators and beam expanders: the launch and capture optics.
+"""Collimators: the capture optics.
 
-The prototype (Appendix A) uses:
+The prototype (Appendix A) receives through:
 
-* ``CFC-2X-C`` adjustable aspheric collimator at TX for the diverging
-  beam (divergence is tunable);
 * ``F810FC-1550`` fixed collimator at RX (21 mm clear aperture,
   f = 37.13 mm) capturing into a 50 um multimode fiber;
-* ``BE02-05-C`` beam expander for the wide collimated beam option;
 * ``C40FC-C`` adjustable-focus collimators for the 25G link, which buy a
   2-3 dB coupling improvement.
+
+Its launch optics (a ``CFC-2X-C`` adjustable collimator, a ``BE02-05-C``
+beam expander for the wide collimated option) are modelled directly as
+the :class:`repro.optics.GaussianBeam` each link design launches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .gaussian import GaussianBeam, divergence_for_diameter
 
 
 @dataclass(frozen=True)
@@ -36,56 +35,11 @@ class Collimator:
         if min(self.aperture_m, self.focal_length_m, self.fiber_core_m) <= 0:
             raise ValueError("all collimator dimensions must be positive")
 
-    def launch_collimated(self, waist_diameter_m: float,
-                          wavelength_m: float = 1550e-9) -> GaussianBeam:
-        """Launch a (near) diffraction-limited collimated beam."""
-        beam = GaussianBeam(waist_diameter_m, 0.0, wavelength_m)
-        return GaussianBeam(waist_diameter_m,
-                            beam.diffraction_limited_divergence_rad,
-                            wavelength_m)
-
-    def launch_diverging(self, waist_diameter_m: float,
-                         target_diameter_m: float, range_m: float,
-                         wavelength_m: float = 1550e-9) -> GaussianBeam:
-        """Launch a deliberately diverging beam.
-
-        The divergence is chosen so the beam reaches
-        ``target_diameter_m`` at ``range_m`` -- the knob the adjustable
-        aspheric collimator exposes.
-        """
-        divergence = divergence_for_diameter(
-            target_diameter_m, range_m, waist_diameter_m)
-        return GaussianBeam(waist_diameter_m, divergence, wavelength_m)
-
-
-@dataclass(frozen=True)
-class BeamExpander:
-    """A fixed-magnification beam expander (e.g. ThorLabs BE02-05-C)."""
-
-    magnification: float
-
-    def __post_init__(self) -> None:
-        if self.magnification <= 0:
-            raise ValueError("magnification must be positive")
-
-    def expand(self, beam: GaussianBeam) -> GaussianBeam:
-        """Widen the waist by the magnification; divergence shrinks by
-        the same factor (etendue is conserved)."""
-        return GaussianBeam(
-            beam.waist_diameter_m * self.magnification,
-            beam.divergence_rad / self.magnification,
-            beam.wavelength_m,
-        )
-
 
 # Catalogue entries used by the prototype, dimensions from datasheets.
 F810FC_1550 = Collimator(
     name="F810FC-1550", aperture_m=21e-3, focal_length_m=37.13e-3,
     fiber_core_m=50e-6)
-CFC_2X_C = Collimator(
-    name="CFC-2X-C", aperture_m=4.6e-3, focal_length_m=2.0e-3,
-    fiber_core_m=9e-6)
 C40FC_C = Collimator(
     name="C40FC-C", aperture_m=40e-3, focal_length_m=40.0e-3,
     fiber_core_m=50e-6)
-BE02_05_C = BeamExpander(magnification=5.0)

@@ -79,10 +79,3 @@ class CouplingModel:
             return 0.0
         return self.lateral_width_m * math.sqrt(margin / EXCESS_DB_AT_WIDTH)
 
-    def is_connected(self, lateral_offset_m: float,
-                     incidence_angle_rad: float,
-                     sensitivity_dbm: float) -> bool:
-        """True when received power clears the receiver sensitivity."""
-        power = self.received_power_dbm(lateral_offset_m,
-                                        incidence_angle_rad)
-        return power >= sensitivity_dbm

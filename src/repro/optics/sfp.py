@@ -33,11 +33,6 @@ class Sfp:
         if self.relock_delay_s < 0:
             raise ValueError("re-lock delay cannot be negative")
 
-    @property
-    def link_budget_db(self) -> float:
-        """TX power minus sensitivity: the dB loss the link can absorb."""
-        return self.tx_power_dbm - self.rx_sensitivity_dbm
-
     def signal_detected(self, received_dbm: float) -> bool:
         """True when the received power clears the sensitivity floor."""
         return received_dbm >= self.rx_sensitivity_dbm

@@ -1,54 +1,16 @@
-"""Optical power unit conversions and dB arithmetic.
+"""Optical power units: the dBm floor and dBm-to-milliwatt conversion.
 
-All link-budget math in the paper is in dBm/dB; all physical coupling
-math is linear.  These helpers keep the two domains honest.
+All link-budget math in the paper is in dBm/dB; the eye-safety limits
+are in milliwatts.
 """
 
 from __future__ import annotations
 
-import math
-
-#: Floor used when converting a non-positive linear power to dBm.
+#: Received power reported for no light at all: a fully blocked beam is
+#: "no light", not an error.
 MIN_POWER_DBM = -200.0
-
-#: Floor used when converting a non-positive linear *ratio* to dB.
-#: Same magnitude as :data:`MIN_POWER_DBM` but a different quantity:
-#: a dimensionless gain/loss, not an absolute power level.
-MIN_RATIO_DB = -200.0
 
 
 def dbm_to_mw(dbm: float) -> float:
     """Convert power in dBm to milliwatts."""
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    """Convert power in milliwatts to dBm.
-
-    Zero or negative power maps to :data:`MIN_POWER_DBM` rather than
-    raising -- a fully blocked beam is "no light", not an error.
-    """
-    if mw <= 0.0:
-        return MIN_POWER_DBM
-    return 10.0 * math.log10(mw)
-
-
-def db_to_linear(db: float) -> float:
-    """Convert a gain/loss in dB to a linear power ratio."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to dB.
-
-    Zero or negative ratios map to :data:`MIN_RATIO_DB` rather than
-    raising -- total extinction is "infinite loss", not an error.
-    """
-    if ratio <= 0.0:
-        return MIN_RATIO_DB
-    return 10.0 * math.log10(ratio)
-
-
-def apply_gain_dbm(power_dbm: float, gain_db: float) -> float:
-    """Apply a dB gain (negative = loss) to a dBm power level."""
-    return power_dbm + gain_db

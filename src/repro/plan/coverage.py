@@ -30,9 +30,10 @@ class Room:
     head_height_m: float = 1.5
 
     def __post_init__(self):
-        if min(self.width_m, self.depth_m) <= 0:
-            raise ValueError("room dimensions must be positive")
-        if self.ceiling_height_m <= self.head_height_m:
+        if not all(0 < size < math.inf
+                   for size in (self.width_m, self.depth_m)):
+            raise ValueError("room dimensions must be positive and finite")
+        if not self.head_height_m < self.ceiling_height_m < math.inf:
             raise ValueError("ceiling must be above head height")
 
     @property

@@ -38,7 +38,7 @@ from ..core import (
     point,
 )
 from ..determinism import resolve_rng, spawn
-from ..galvo import GalvoHardware, GmaParams, canonical_gma
+from ..galvo import GVS102, GalvoHardware, GmaParams, canonical_gma
 from ..geometry import (
     RigidTransform,
     euler_to_matrix,
@@ -131,7 +131,7 @@ class Testbed:
         self.tx_mirror_world = tx_mirror_world
         rng = resolve_rng(seed=self.seed, owner="Testbed")
         self.rng = rng
-        theta1 = np.radians(1.0)  # 1 deg mechanical per volt (GVS102)
+        theta1 = GVS102.mech_rad_per_volt
 
         # True K-space geometry of both units: canonical design, placed
         # facing the calibration board (firing -z from z ~ 1.5 m), with

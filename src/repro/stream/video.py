@@ -43,17 +43,6 @@ class VideoFormat:
         """Uncompressed streaming rate."""
         return self.bits_per_frame * self.fps / 1e9
 
-    def compressed_bitrate_gbps(self, ratio: float) -> float:
-        """Rate after compression by ``ratio`` (e.g. 50 for HEVC-class).
-
-        Compression shifts work onto the headset (decode) and adds
-        latency -- exactly the trade-off the paper's introduction
-        argues against for life-like VR.
-        """
-        if ratio < 1.0:
-            raise ValueError("compression ratio must be >= 1")
-        return self.raw_bitrate_gbps / ratio
-
     def fits_raw(self, link_gbps: float) -> bool:
         """True when a link can carry the format uncompressed."""
         return self.raw_bitrate_gbps <= link_gbps

@@ -4,8 +4,8 @@ The paper's "position" means both location (x, y, z) and orientation
 (three angles).  A :class:`Pose` is the rigid placement of the headset
 body frame in some reference frame (world or VR-space); it is a thin
 semantic wrapper over :class:`repro.geometry.RigidTransform` with the
-motion-specific operations the simulators need: linear/angular deltas,
-speeds, and interpolation.
+motion-specific operations the simulators need: linear/angular deltas
+and speeds.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from ..geometry import (
     as_vec3,
     euler_to_matrix,
     is_rotation_matrix,
-    matrix_to_axis_angle,
-    matrix_to_euler,
     rotation_angle,
-    rotation_matrix,
 )
 
 
@@ -62,10 +59,6 @@ class Pose:
         """The body-to-reference rigid transform."""
         return RigidTransform(self.orientation, self.position)
 
-    def euler_angles(self) -> tuple:
-        """Orientation as (roll, pitch, yaw)."""
-        return matrix_to_euler(self.orientation)
-
     # -- motion arithmetic ---------------------------------------------------
 
     def linear_distance_to(self, other: "Pose") -> float:
@@ -76,20 +69,6 @@ class Pose:
         """Radians of rotation between two poses (geodesic)."""
         relative = other.orientation @ self.orientation.T
         return rotation_angle(relative)
-
-    def interpolate(self, other: "Pose", fraction: float) -> "Pose":
-        """Pose a ``fraction`` of the way toward ``other``.
-
-        Linear interpolation on position and spherical (axis-angle)
-        interpolation on orientation -- how the trace simulator models
-        constant-rate drift between two VRH-T reports.
-        """
-        f = float(fraction)
-        position = (1.0 - f) * self.position + f * other.position
-        relative = other.orientation @ self.orientation.T
-        axis, angle = matrix_to_axis_angle(relative)
-        step = rotation_matrix(axis, angle * f)
-        return Pose(position, step @ self.orientation)
 
     def moved(self, translation=None, rotation=None) -> "Pose":
         """A copy displaced by a world-frame translation and/or rotation."""

@@ -17,7 +17,7 @@ its own (Section 3).  Two properties of VRH-T shape the whole design:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -90,12 +90,3 @@ class VrhTracker:
             high = constants.TRACKER_PERIOD_MAX_S
         return float(self.rng.uniform(low, high))
 
-    def report_times(self, duration_s: float,
-                     start_s: float = 0.0) -> List[float]:
-        """All report timestamps within ``[start_s, start_s + duration]``."""
-        times = []
-        t = start_s
-        while t <= start_s + duration_s:
-            times.append(t)
-            t += self.next_period_s()
-        return times

@@ -1,9 +1,13 @@
 """Reference implementations the fast paths are checked against.
 
+* :func:`reflect_direction` / :func:`reflect_ray` /
+  :func:`angle_between` -- the paper's reflection operator ``R``
+  (Section 4.1) and the angle between two directions on numpy
+  3-vectors, the building blocks of the object-path references below;
 * :func:`reference_trace` / :func:`reference_mirror_planes` -- ``G``
-  with Rodrigues rotation *matrices*, numpy 3-vectors and the geometry
-  package's :func:`repro.geometry.reflect_ray` (the float trace in
-  :mod:`repro.galvo.mirror` must agree with it);
+  with Rodrigues rotation *matrices*, numpy 3-vectors and
+  :func:`reflect_ray` (the float trace in :mod:`repro.galvo.mirror`
+  must agree with it);
 * :func:`reference_trace_rows` / :func:`reference_trace_batch` /
   :func:`reference_board_hits` -- the batched ``G`` on (n, 3) rows
   through ``np.cross`` and ``einsum``, every model's layout
@@ -73,10 +77,9 @@ from repro.geometry import (
     NoIntersectionError,
     Plane,
     Ray,
-    angle_between,
+    dot,
     euler_to_matrix,
     normalize,
-    reflect_ray,
     rotation_matrix,
 )
 from repro.link.channel import MIN_RANGE_M, AlignmentState
@@ -84,6 +87,34 @@ from repro.link.design import NOISE_FLOOR_DBM
 from repro.motion import VIDEO_360, HeadTrace
 from repro.simulate import TimeslotParams, TimeslotResult
 
+
+
+def reflect_direction(direction, normal):
+    """Reflect a direction vector about a mirror normal.
+
+    ``d' = d - 2 (d . n) n`` -- the sign of ``normal`` does not matter.
+    """
+    d = normalize(direction)
+    n = normalize(normal)
+    return d - 2.0 * dot(d, n) * n
+
+
+def reflect_ray(ray, mirror, forward_only=True):
+    """Reflect ``ray`` off the :class:`Plane` ``mirror``.
+
+    The returned ray originates at the strike point.  Raises
+    :class:`NoIntersectionError` if the beam never reaches the mirror
+    plane; ``forward_only=False`` permits strike points behind the ray
+    origin, which fitted GMA models can legally produce.
+    """
+    strike = mirror.intersect_ray(ray, forward_only=forward_only)
+    return Ray(strike, reflect_direction(ray.direction, mirror.normal))
+
+
+def angle_between(a, b):
+    """Angle in radians between two directions, in ``[0, pi]``."""
+    cosine = float(np.clip(np.dot(normalize(a), normalize(b)), -1.0, 1.0))
+    return float(np.arccos(cosine))
 
 def reference_mirror_planes(params, angle1_rad, angle2_rad):
     """Both mirror planes, normals rotated by Rodrigues matrices."""

@@ -11,7 +11,6 @@ from repro.analysis import (
     default_staleness_s,
     inputs_for,
     linear_speed_limit_m_s,
-    mixed_speed_feasible,
 )
 from repro.link import link_10g_diverging, link_25g
 
@@ -96,27 +95,3 @@ class TestLinearLimit:
         inputs = inputs_for(link_10g_diverging(),
                             residual_lateral_m=0.1)
         assert linear_speed_limit_m_s(inputs) == 0.0
-
-
-class TestMixedFeasibility:
-    def test_requirement_speeds_feasible(self):
-        # The Section 2.2 requirement: 14 cm/s + 19 deg/s... with the
-        # 25G link (whose mixed tolerance the paper matches to it).
-        inputs = inputs_for(link_25g())
-        assert mixed_speed_feasible(inputs, 0.14, np.radians(15.0))
-
-    def test_extreme_speeds_infeasible(self):
-        inputs = inputs_for(link_10g_diverging())
-        assert not mixed_speed_feasible(inputs, 1.0, np.radians(100.0))
-
-    def test_mixed_tighter_than_pure(self):
-        inputs = inputs_for(link_10g_diverging())
-        pure_ang = angular_speed_limit_rad_s(inputs)
-        # At the pure angular limit, adding linear speed breaks it.
-        assert not mixed_speed_feasible(inputs, 0.2, pure_ang * 0.99)
-
-    def test_boundary_consistency_with_pure_limits(self):
-        inputs = inputs_for(link_10g_diverging())
-        pure_lin = linear_speed_limit_m_s(inputs)
-        assert mixed_speed_feasible(inputs, pure_lin * 0.95, 0.0)
-        assert not mixed_speed_feasible(inputs, pure_lin * 1.05, 0.0)

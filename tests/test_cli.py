@@ -69,6 +69,35 @@ class TestParser:
         assert f"{option}: expected a positive integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0"], ["--trials", "-2"], ["--seed", "-1"],
+        ["--seed", "seven"]], ids=["trials0", "trials-2", "seed-1",
+                                   "seed-seven"])
+    def test_calibrate_rejects_bad_counts(self, capsys, argv):
+        # A zero trial count used to print "0/0" and exit 0, a negative
+        # seed ended in numpy's traceback.
+        with pytest.raises(SystemExit) as info:
+            main(["calibrate"] + argv)
+        assert info.value.code == 2
+        kind = "non-negative" if argv[0] == "--seed" else "positive"
+        assert f"{argv[0]}: expected a {kind} integer" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--width", "-1"], "room dimensions must be positive"),
+        (["--depth", "0"], "room dimensions must be positive"),
+        (["--width", "nan"], "room dimensions must be positive"),
+        (["--ceiling", "0.5"], "ceiling must be above head height"),
+        (["--coverage", "1.5"], "target fraction must be in (0, 1]"),
+        (["--coverage", "nan"], "target fraction must be in (0, 1]")],
+        ids=["width-1", "depth0", "width-nan", "ceiling0.5", "coverage1.5",
+             "coverage-nan"])
+    def test_plan_rejects_bad_room(self, capsys, argv, message):
+        assert main(["plan"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "TX 0" not in captured.out
+
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
         assert args.width == 3.0

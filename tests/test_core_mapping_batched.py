@@ -24,7 +24,6 @@ from repro.core.gma import layout, placed
 from repro.core.mapping import (
     MISS_PENALTY_M,
     AlignedSample,
-    coincidence_error_m,
     coincidence_residuals,
     mean_coincidence_error_m,
 )
@@ -170,7 +169,8 @@ class TestBatchedResidual:
         assert abs(mean_coincidence_error_m(system, samples)
                    - float(np.mean(errors))) <= TOL
         for sample, error in zip(samples, errors):
-            assert abs(coincidence_error_m(system, sample) - error) <= TOL
+            assert abs(mean_coincidence_error_m(system, [sample])
+                       - error) <= TOL
 
 
 class TestMissRows:

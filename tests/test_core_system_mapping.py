@@ -6,7 +6,6 @@ import pytest
 from repro.core import GmaModel, LearnedSystem
 from repro.core.mapping import (
     AlignedSample,
-    coincidence_error_m,
     coincidence_residuals,
     fit_mapping,
     mean_coincidence_error_m,
@@ -102,7 +101,7 @@ class TestCoincidence:
         system = LearnedSystem.from_mapping_params(
             tx, rx, np.concatenate([tx_map.to_params(),
                                     rx_map.to_params()]))
-        assert coincidence_error_m(system, sample) < 1e-4
+        assert mean_coincidence_error_m(system, [sample]) < 1e-4
 
     def test_wrong_mapping_has_large_residual(self):
         tx, rx, tx_map, rx_map = self.make_geometry()
@@ -112,7 +111,7 @@ class TestCoincidence:
                                 rx_map.to_params()])
         wrong[0] += 0.05  # 5 cm TX placement error
         system = LearnedSystem.from_mapping_params(tx, rx, wrong)
-        assert coincidence_error_m(system, sample) > 5e-3
+        assert mean_coincidence_error_m(system, [sample]) > 5e-3
 
     def test_residual_vector_shape(self):
         tx, rx, tx_map, rx_map = self.make_geometry()

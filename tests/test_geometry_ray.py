@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Ray, closest_approach, skew_gap
+from repro.geometry import Ray
 
 
 class TestRay:
@@ -40,35 +40,3 @@ class TestRay:
     def test_closest_point_to(self):
         ray = Ray([0, 0, 0], [0, 1, 0])
         assert np.allclose(ray.closest_point_to([3, 5, 0]), [0, 5, 0])
-
-
-class TestClosestApproach:
-    def test_intersecting_lines_have_zero_gap(self):
-        a = Ray([0, 0, 0], [1, 0, 0])
-        b = Ray([5, -5, 0], [0, 1, 0])
-        pa, pb, gap = closest_approach(a, b)
-        assert gap == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(pa, [5, 0, 0])
-        assert np.allclose(pa, pb)
-
-    def test_skew_lines(self):
-        a = Ray([0, 0, 0], [1, 0, 0])
-        b = Ray([0, 0, 2], [0, 1, 0])
-        assert skew_gap(a, b) == pytest.approx(2.0)
-
-    def test_parallel_lines(self):
-        a = Ray([0, 0, 0], [1, 0, 0])
-        b = Ray([0, 3, 0], [1, 0, 0])
-        assert skew_gap(a, b) == pytest.approx(3.0)
-
-    def test_coincident_antiparallel_lines(self):
-        # The aligned-link condition: TX beam and the imaginary RX beam
-        # share a line with opposite directions.
-        a = Ray([0, 0, 0], [1, 0, 0])
-        b = Ray([2, 0, 0], [-1, 0, 0])
-        assert skew_gap(a, b) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gap_symmetry(self):
-        a = Ray([0.3, 1.0, -0.2], [0.1, 0.9, 0.2])
-        b = Ray([1.0, -1.0, 0.7], [-0.5, 0.3, 0.8])
-        assert skew_gap(a, b) == pytest.approx(skew_gap(b, a))

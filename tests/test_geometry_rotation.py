@@ -8,7 +8,6 @@ from repro.geometry import (
     is_rotation_matrix,
     matrix_to_axis_angle,
     matrix_to_euler,
-    rotate,
     rotation_angle,
     rotation_between,
     rotation_matrix,
@@ -43,7 +42,7 @@ class TestRotationMatrix:
                            rotation_matrix([0, 0, 1], 0.5))
 
     def test_rotate_helper(self):
-        assert np.allclose(rotate([1, 0, 0], np.pi, [0, 1, 0]),
+        assert np.allclose(rotation_matrix([1, 0, 0], np.pi) @ [0, 1, 0],
                            [0, -1, 0], atol=1e-12)
 
 

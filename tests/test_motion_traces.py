@@ -133,7 +133,6 @@ class TestPoseAt:
     def test_speeds_helpers(self, video_trace):
         assert len(video_trace.linear_speeds_m_s()) == \
             video_trace.samples - 1
-        assert np.all(video_trace.angular_speeds_rad_s() >= 0)
 
 
 class TestResample:

@@ -52,14 +52,6 @@ class TestVibrationOverlay:
         assert np.linalg.norm(o.pose_at(0.0).position
                               - [1.0, 2.0, 3.0]) < 2e-3
 
-    def test_peak_speeds(self):
-        o = overlay(frequency_hz=50.0, angular_amplitude_rad=1e-3,
-                    linear_amplitude_m=1e-3)
-        assert o.peak_angular_speed_rad_s() == pytest.approx(
-            2 * np.pi * 50 * 1e-3 * np.sqrt(3))
-        assert o.peak_linear_speed_m_s() == pytest.approx(
-            2 * np.pi * 50 * 1e-3 * np.sqrt(3))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             overlay(frequency_hz=0.0)

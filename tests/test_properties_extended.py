@@ -6,29 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.motion import StaticProfile, VibrationOverlay
-from repro.net.arq import run_arq
 from repro.plan import CoverageConstraints, CoveragePlan, Room
-from repro.galvo.servo import ServoModel
 from repro.reporting import sparkline
 from repro.stream import VideoFormat, stream_over_link
 from repro.vrh import Pose
-
-
-class TestArqProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(pattern=st.lists(st.booleans(), min_size=10, max_size=200),
-           rate=st.floats(min_value=1.0, max_value=50.0))
-    def test_goodput_bounded_by_availability(self, pattern, rate):
-        link = np.array(pattern, dtype=bool)
-        result = run_arq(link, 1e-3, rate)
-        availability = float(np.mean(link))
-        assert result.goodput_gbps <= rate * availability + 1e-9
-
-    @settings(max_examples=30, deadline=None)
-    @given(pattern=st.lists(st.booleans(), min_size=10, max_size=200))
-    def test_delivered_never_exceeds_transmitted(self, pattern):
-        result = run_arq(np.array(pattern, dtype=bool), 1e-3, 23.5)
-        assert result.delivered_packets <= result.transmissions
 
 
 class TestStreamProperties:
@@ -76,23 +57,6 @@ class TestPlanProperties:
         plan = CoveragePlan(room, CoverageConstraints(), [(x, y)])
         fraction = plan.coverage_fraction(0.4)
         assert 0.0 <= fraction <= 1.0
-
-
-class TestServoProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(step=st.floats(min_value=1e-5, max_value=0.3),
-           t=st.floats(min_value=0.0, max_value=0.01))
-    def test_error_never_exceeds_step(self, step, t):
-        servo = ServoModel.calibrated()
-        assert servo.error_at(t, step) <= step + 1e-15
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=st.floats(min_value=1e-4, max_value=0.1),
-           b=st.floats(min_value=1e-4, max_value=0.1))
-    def test_settle_time_monotone_in_step(self, a, b):
-        servo = ServoModel.calibrated()
-        lo, hi = min(a, b), max(a, b)
-        assert servo.settle_time_s(lo) <= servo.settle_time_s(hi) + 1e-12
 
 
 class TestVibrationProperties:

@@ -32,14 +32,6 @@ class TestVideoFormat:
         rates = [f.raw_bitrate_gbps for f in CATALOGUE]
         assert rates == sorted(rates)
 
-    def test_compression_scales_rate(self):
-        assert UHD_8K_30.compressed_bitrate_gbps(50.0) == pytest.approx(
-            UHD_8K_30.raw_bitrate_gbps / 50.0)
-
-    def test_compression_ratio_validated(self):
-        with pytest.raises(ValueError):
-            UHD_8K_30.compressed_bitrate_gbps(0.5)
-
     def test_fits_raw(self):
         assert HD_1080P_60.fits_raw(9.4)
         assert not UHD_8K_30.fits_raw(9.4)
