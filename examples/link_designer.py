@@ -58,7 +58,15 @@ def budgets():
     for design in (link_10g_diverging(), link_25g()):
         print(f"\n{design.name} at 1.75 m "
               f"(sensitivity {design.sfp.rx_sensitivity_dbm:.0f} dBm):")
-        print(design.budget(1.75).breakdown())
+        running = design.sfp.tx_power_dbm
+        print(f"{'TX power':24s} {running:+8.2f} dBm")
+        for name, gain in (
+                ("amplifier", design.amplifier.gain_db),
+                ("insertion/mode loss", -design.fixed_loss_db),
+                ("defocus blur", -design.blur_loss_db(1.75)),
+                ("aperture capture", -design.capture_loss_db(1.75))):
+            running += gain
+            print(f"{name:24s} {gain:+8.2f} dB  -> {running:+.2f} dBm")
         print(f"{'margin':24s} {design.margin_db(1.75):+8.2f} dB")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .. import constants
 from ..link import LinkDesign
-from ..optics import EXCESS_DB_AT_WIDTH
+from ..optics import excess_loss_db, tolerance
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,10 @@ def inputs_for(design: LinkDesign, range_m: float = None,
         range_m = design.design_range_m
     if staleness_s is None:
         staleness_s = default_staleness_s()
-    coupling = design.coupling(range_m)
     return BudgetInputs(
-        margin_db=coupling.margin_db(design.sfp.rx_sensitivity_dbm),
-        lateral_width_m=coupling.lateral_width_m,
-        angular_width_rad=coupling.angular_width_rad,
+        margin_db=design.margin_db(range_m),
+        lateral_width_m=design.lateral_width_m(range_m),
+        angular_width_rad=design.angular_width_rad(range_m),
         curvature_radius_m=design.beam.curvature_radius_m(range_m),
         staleness_s=staleness_s,
         residual_lateral_m=residual_lateral_m,
@@ -73,9 +72,8 @@ def inputs_for(design: LinkDesign, range_m: float = None,
 
 def _excess_db(inputs: BudgetInputs, lateral_m: float,
                angular_rad: float) -> float:
-    lat = lateral_m / inputs.lateral_width_m
-    ang = angular_rad / inputs.angular_width_rad
-    return EXCESS_DB_AT_WIDTH * (lat * lat + ang * ang)
+    return excess_loss_db(lateral_m, inputs.lateral_width_m,
+                          angular_rad, inputs.angular_width_rad)
 
 
 def angular_speed_limit_rad_s(inputs: BudgetInputs) -> float:
@@ -88,11 +86,8 @@ def angular_speed_limit_rad_s(inputs: BudgetInputs) -> float:
     """
     lateral_cost = _excess_db(inputs, inputs.residual_lateral_m, 0.0)
     remaining = inputs.margin_db - lateral_cost
-    if remaining <= 0:
-        return 0.0
-    tolerance = inputs.angular_width_rad * math.sqrt(
-        remaining / EXCESS_DB_AT_WIDTH)
-    budget = tolerance - inputs.residual_angular_rad
+    budget = (tolerance(inputs.angular_width_rad, remaining)
+              - inputs.residual_angular_rad)
     if budget <= 0:
         return 0.0
     return budget / inputs.staleness_s

@@ -9,7 +9,6 @@ from .ray import Ray
 from .rotation import (
     euler_to_matrix,
     is_rotation_matrix,
-    matrix_to_axis_angle,
     matrix_to_euler,
     rotation_angle,
     rotation_between,
@@ -39,7 +38,6 @@ __all__ = [
     "dot",
     "euler_to_matrix",
     "is_rotation_matrix",
-    "matrix_to_axis_angle",
     "matrix_to_euler",
     "norm",
     "normalize",

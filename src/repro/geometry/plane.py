@@ -33,15 +33,6 @@ class Plane:
         """Signed distance of ``point`` from the plane (+ on normal side)."""
         return dot(as_vec3(point) - self.point, self.normal)
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """True when ``point`` lies on the plane within ``tol``."""
-        return abs(self.signed_distance(point)) <= tol
-
-    def project(self, point) -> np.ndarray:
-        """Orthogonal projection of ``point`` onto the plane."""
-        p = as_vec3(point)
-        return p - self.signed_distance(p) * self.normal
-
     def intersect_ray(self, ray: Ray, forward_only: bool = True) -> np.ndarray:
         """Intersection point of ``ray`` with the plane.
 

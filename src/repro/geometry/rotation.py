@@ -96,34 +96,6 @@ def rotation_between(from_dir, to_dir) -> np.ndarray:
     return rotation_matrix(axis / norm, float(np.arctan2(norm, cosine)))
 
 
-def matrix_to_axis_angle(matrix: np.ndarray) -> tuple:
-    """Decompose a rotation matrix into ``(axis, angle)``.
-
-    ``angle`` is in ``[0, pi]``.  For the identity (angle 0) the axis is
-    arbitrary and +z is returned.
-    """
-    m = np.asarray(matrix, dtype=float)
-    angle = rotation_angle(m)
-    if angle < 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    if abs(angle - np.pi) < 1e-6:
-        # Near pi the antisymmetric part vanishes; use the symmetric part.
-        b = (m + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(b), 0.0))
-        # Fix signs from the off-diagonal terms, anchored on the largest
-        # component (which is safely non-zero).
-        k = int(np.argmax(axis))
-        for i in range(3):
-            if i != k and b[k, i] < 0:
-                axis[i] = -axis[i]
-        axis = axis / np.linalg.norm(axis)
-        return axis, angle
-    axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0],
-                     m[1, 0] - m[0, 1]])
-    axis = axis / (2.0 * np.sin(angle))
-    return normalize(axis), angle
-
-
 def is_rotation_matrix(matrix: np.ndarray, tol: float = 1e-8) -> bool:
     """True when ``matrix`` is orthonormal with determinant +1.
 

@@ -10,7 +10,6 @@ from .design import (
 )
 from .multiwavelength import (
     CWDM4_WAVELENGTHS_NM,
-    LaneReport,
     MultiWavelengthDesign,
     link_40g_commodity,
     link_40g_custom,
@@ -31,7 +30,6 @@ __all__ = [
     "LemmaPoints",
     "LinkDesign",
     "LinkStateMachine",
-    "LaneReport",
     "MultiWavelengthDesign",
     "CWDM4_WAVELENGTHS_NM",
     "link_40g_commodity",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import NoIntersectionError
 from ..vrh import Pose, RxAssembly, TxAssembly
 from .design import NOISE_FLOOR_DBM, LinkDesign
 
@@ -97,9 +96,7 @@ class FsoChannel:
             (wx * wx + wy * wy + wz * wz) * (ux * ux + uy * uy + uz * uz))
         incidence = math.acos(min(max(cosine, -1.0), 1.0))
 
-        coupling = self.design.coupling(range_m)
-        power = coupling.received_power_dbm(axis_offset, incidence)
-        power = max(power, NOISE_FLOOR_DBM)
+        power = self.design.received_power_dbm(range_m, axis_offset, incidence)
         # Behind the transmitter there is no light at all.
         if along <= 0:
             power = NOISE_FLOOR_DBM

@@ -1,9 +1,10 @@
 """Link designs: the optical configurations of Section 5.1 and 5.3.1.
 
 A :class:`LinkDesign` bundles the transceiver, amplifier, launch beam,
-and receive collimator, and produces the calibrated
-:class:`repro.optics.CouplingModel` for any link range.  Three designs
-are provided, matching the paper's prototypes:
+and receive collimator.  It is the one link model: it owns the §5.1
+power budget and, through :mod:`repro.optics.coupling`, the calibrated
+coupling roll-off at any link range.  Three designs are provided,
+matching the paper's prototypes:
 
 * ``link_10g_diverging`` -- adjustable aspheric collimator at TX, fixed
   F810FC-1550 at RX, diverging beam with a chosen diameter at RX
@@ -40,14 +41,13 @@ from ..optics import (
     Amplifier,
     C40FC_C,
     Collimator,
-    CouplingModel,
     F810FC_1550,
     GaussianBeam,
-    LinkBudget,
     SFP28_LR,
     SFP_10G_ZR,
     Sfp,
     divergence_for_diameter,
+    excess_loss_db,
 )
 
 # Calibrated constants (see module docstring and DESIGN.md Section 5).
@@ -62,7 +62,7 @@ ANGULAR_SAT_DIAMETER_M = 6.44827e-3    # puts the RX tol peak at 16 mm
 COLLIMATED_LATERAL_SLACK_M = 0.46e-3   # anchors TX tol 2.00 mrad
 COLLIMATED_ANGULAR_FACTOR = 0.92736    # anchors RX tol 2.28 mrad
 LAUNCH_WAIST_DIAMETER_M = 2e-3         # fiber collimator output beam
-NOISE_FLOOR_DBM = -42.0                # photodetector reading floor
+NOISE_FLOOR_DBM = -42.0                # photodetector reading floor: no light
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,16 @@ class LinkDesign:
     lateral_width_coeff: float
     angular_width_coeff: float
     diverging: bool
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.fixed_loss_db) and self.fixed_loss_db >= 0):
+            raise ValueError("fixed_loss_db must be finite and >= 0")
+        if not (math.isfinite(self.design_range_m)
+                and self.design_range_m > 0):
+            raise ValueError("design_range_m must be finite and positive")
+        if self.diverging and not (self.lateral_width_coeff > 0
+                                   and self.angular_width_coeff > 0):
+            raise ValueError("coupling widths must be positive")
 
     # -- power accounting ----------------------------------------------------
 
@@ -107,18 +117,19 @@ class LinkDesign:
             return math.inf
         return -10.0 * math.log10(fraction)
 
-    def budget(self, range_m: float) -> LinkBudget:
-        """Full link budget at a given range, stage by stage."""
-        budget = LinkBudget(self.sfp.tx_power_dbm)
-        budget.add("amplifier", self.amplifier.gain_db)
-        budget.add("insertion/mode loss", -self.fixed_loss_db)
-        budget.add("defocus blur", -self.blur_loss_db(range_m))
-        budget.add("aperture capture", -self.capture_loss_db(range_m))
-        return budget
-
     def peak_power_dbm(self, range_m: float) -> float:
-        """Received power when perfectly aligned at ``range_m``."""
-        return self.budget(range_m).received_power_dbm
+        """Aligned received power: TX power plus the §5.1 budget."""
+        return self.sfp.tx_power_dbm + sum((
+            self.amplifier.gain_db, -self.fixed_loss_db,
+            -self.blur_loss_db(range_m), -self.capture_loss_db(range_m)))
+
+    def received_power_dbm(self, range_m: float, lateral_offset_m: float,
+                           incidence_angle_rad: float) -> float:
+        """Received power at a misalignment, floored at no light."""
+        power = self.peak_power_dbm(range_m) - excess_loss_db(
+            lateral_offset_m, self.lateral_width_m(range_m),
+            incidence_angle_rad, self.angular_width_rad(range_m))
+        return max(power, NOISE_FLOOR_DBM)
 
     def margin_db(self, range_m: float) -> float:
         """Headroom above the SFP sensitivity when aligned."""
@@ -143,14 +154,6 @@ class LinkDesign:
         f = self.rx_collimator.focal_length_m
         core = self.rx_collimator.fiber_core_m
         return COLLIMATED_ANGULAR_FACTOR * core / (2.0 * f)
-
-    def coupling(self, range_m: float) -> CouplingModel:
-        """The calibrated coupling model at a given range."""
-        return CouplingModel(
-            peak_power_dbm=self.peak_power_dbm(range_m),
-            lateral_width_m=self.lateral_width_m(range_m),
-            angular_width_rad=self.angular_width_rad(range_m),
-        )
 
 
 def link_10g_diverging(

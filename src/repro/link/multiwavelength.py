@@ -17,8 +17,9 @@ proposed fix (an achromatic custom collimator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
+from ..optics import tolerance
 from .design import LinkDesign, link_25g
 
 #: CWDM4 lane grid used by single-strand 40G/100G transceivers (nm).
@@ -33,15 +34,6 @@ COMMODITY_CHROMATIC_DB_PER_NM = 0.12
 #: An achromatic (doublet / custom) collimator holds the focus across
 #: the band -- the paper's "customized collimators" fix.
 CUSTOM_CHROMATIC_DB_PER_NM = 0.015
-
-
-@dataclass(frozen=True)
-class LaneReport:
-    """Budget state of one wavelength lane."""
-
-    wavelength_nm: float
-    chromatic_loss_db: float
-    margin_db: float
 
 
 @dataclass(frozen=True)
@@ -64,20 +56,12 @@ class MultiWavelengthDesign:
         offset = abs(wavelength_nm - self.design_wavelength_nm)
         return self.chromatic_db_per_nm * offset
 
-    def lane_reports(self, range_m: Optional[float] = None) -> List[LaneReport]:
-        """Per-lane budgets at a link range."""
-        if range_m is None:
-            range_m = self.base.design_range_m
-        base_margin = self.base.margin_db(range_m)
-        return [LaneReport(
-                    wavelength_nm=wl,
-                    chromatic_loss_db=self.chromatic_loss_db(wl),
-                    margin_db=base_margin - self.chromatic_loss_db(wl))
-                for wl in self.lane_wavelengths_nm]
-
     def worst_lane_margin_db(self, range_m: Optional[float] = None) -> float:
         """The binding lane's margin -- the whole link's headroom."""
-        return min(r.margin_db for r in self.lane_reports(range_m))
+        if range_m is None:
+            range_m = self.base.design_range_m
+        return self.base.margin_db(range_m) - max(
+            self.chromatic_loss_db(wl) for wl in self.lane_wavelengths_nm)
 
     def worst_lane_angular_tolerance_rad(
             self, range_m: Optional[float] = None) -> float:
@@ -88,16 +72,10 @@ class MultiWavelengthDesign:
         commodity-collimator 40G link is *more fragile under motion*
         even where it is statically feasible.
         """
-        import math
-
-        from ..optics import EXCESS_DB_AT_WIDTH
         if range_m is None:
             range_m = self.base.design_range_m
-        margin = self.worst_lane_margin_db(range_m)
-        if margin <= 0:
-            return 0.0
-        width = self.base.angular_width_rad(range_m)
-        return width * math.sqrt(margin / EXCESS_DB_AT_WIDTH)
+        return tolerance(self.base.angular_width_rad(range_m),
+                         self.worst_lane_margin_db(range_m))
 
 
 def link_40g_commodity(base: Optional[LinkDesign] = None) -> MultiWavelengthDesign:

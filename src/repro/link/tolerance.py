@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from ..optics import EXCESS_DB_AT_WIDTH
+from ..optics import EXCESS_DB_AT_WIDTH, tolerance
 from .design import LinkDesign
 
 
@@ -40,8 +40,8 @@ class ToleranceReport:
 
 def rx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver rotation keeping the link connected."""
-    coupling = design.coupling(range_m)
-    return coupling.angular_tolerance_rad(design.sfp.rx_sensitivity_dbm)
+    return tolerance(design.angular_width_rad(range_m),
+                     design.margin_db(range_m))
 
 
 def tx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
@@ -51,27 +51,33 @@ def tx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     off the beam axis; for a diverging beam the wavefront still arrives
     from the (unmoved) apex, so only the lateral term pays.
     """
-    coupling = design.coupling(range_m)
-    lateral = coupling.lateral_tolerance_m(design.sfp.rx_sensitivity_dbm)
+    lateral = tolerance(design.lateral_width_m(range_m),
+                        design.margin_db(range_m))
     return lateral / range_m
 
 
 def lateral_tolerance_m(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver translation keeping the link connected."""
-    coupling = design.coupling(range_m)
-    margin = coupling.margin_db(design.sfp.rx_sensitivity_dbm)
+    margin = design.margin_db(range_m)
     if margin <= 0:
         return 0.0
-    lateral_term = 1.0 / coupling.lateral_width_m ** 2
+    lateral_term = 1.0 / design.lateral_width_m(range_m) ** 2
     if design.diverging:
         # Translation delta also rotates the arrival direction by
         # delta / R(range); for our strongly diverging beams R ~ range.
         curvature = design.beam.curvature_radius_m(range_m)
-        angular_term = 1.0 / (curvature * coupling.angular_width_rad) ** 2
+        angular_term = 1.0 / (curvature
+                              * design.angular_width_rad(range_m)) ** 2
     else:
         angular_term = 0.0
     return math.sqrt(margin / EXCESS_DB_AT_WIDTH
                      / (lateral_term + angular_term))
+
+
+def _check_range(range_m: float) -> None:
+    if not (math.isfinite(range_m) and range_m > 0):
+        raise ValueError(f"range_m must be finite and positive, "
+                         f"got {range_m!r}")
 
 
 def evaluate(design: LinkDesign,
@@ -79,6 +85,7 @@ def evaluate(design: LinkDesign,
     """Full tolerance report for a design (Table 1 row)."""
     if range_m is None:
         range_m = design.design_range_m
+    _check_range(range_m)
     return ToleranceReport(
         design_name=design.name,
         range_m=range_m,
@@ -98,4 +105,5 @@ def diameter_sweep(design_factory: Callable[[float], LinkDesign],
     ``design_factory`` maps a beam diameter to a :class:`LinkDesign`
     (e.g. ``repro.link.link_10g_diverging``).
     """
+    _check_range(range_m)
     return [evaluate(design_factory(d), range_m) for d in diameters_m]

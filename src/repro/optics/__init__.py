@@ -1,9 +1,8 @@
-"""Optics substrate: beams, collimators, coupling, SFPs, link budgets."""
+"""Optics substrate: beams, collimators, the coupling roll-off, SFPs."""
 
 from .amplifier import Amplifier
-from .budget import LinkBudget
 from .collimator import C40FC_C, Collimator, F810FC_1550
-from .coupling import EXCESS_DB_AT_WIDTH, CouplingModel
+from .coupling import EXCESS_DB_AT_WIDTH, excess_loss_db, tolerance
 from .gaussian import GaussianBeam, divergence_for_diameter
 from .safety import (
     PUPIL_DIAMETER_M,
@@ -15,18 +14,15 @@ from .safety import (
     power_through_pupil_mw,
 )
 from .sfp import SFP28_LR, SFP_10G_ZR, Sfp
-from .units import MIN_POWER_DBM, dbm_to_mw
+from .units import dbm_to_mw
 
 __all__ = [
     "Amplifier",
     "C40FC_C",
     "Collimator",
-    "CouplingModel",
     "EXCESS_DB_AT_WIDTH",
     "F810FC_1550",
     "GaussianBeam",
-    "LinkBudget",
-    "MIN_POWER_DBM",
     "PUPIL_DIAMETER_M",
     "SafetyReport",
     "SFP28_LR",
@@ -35,8 +31,10 @@ __all__ = [
     "assess_design",
     "class1_limit_mw",
     "dbm_to_mw",
+    "excess_loss_db",
     "hazard_distance_m",
     "is_class1_at",
     "divergence_for_diameter",
     "power_through_pupil_mw",
+    "tolerance",
 ]

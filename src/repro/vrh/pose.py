@@ -50,11 +50,6 @@ class Pose:
         """Build from a location and intrinsic XYZ Euler angles."""
         return cls(position, euler_to_matrix(roll, pitch, yaw))
 
-    @classmethod
-    def from_transform(cls, transform: RigidTransform) -> "Pose":
-        """View a rigid transform as a pose."""
-        return cls(transform.translation, transform.rotation)
-
     def as_transform(self) -> RigidTransform:
         """The body-to-reference rigid transform."""
         return RigidTransform(self.orientation, self.position)

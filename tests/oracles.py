@@ -446,8 +446,12 @@ def reference_evaluate(channel, body_pose):
     behind = float(np.dot(p_r - tx_beam.origin, tx_beam.direction)) <= 0
 
     incidence = angle_between(wavefront, -rx_beam.direction)
-    coupling = channel.design.coupling(range_m)
-    power = coupling.received_power_dbm(axis_offset, incidence)
+    # The §5.1 roll-off, written out: 3 dB of excess loss per lateral
+    # or angular width, quadratic in dB, floored at no light.
+    design = channel.design
+    lat = axis_offset / design.lateral_width_m(range_m)
+    ang = incidence / design.angular_width_rad(range_m)
+    power = design.peak_power_dbm(range_m) - 3.0 * (lat * lat + ang * ang)
     power = max(power, NOISE_FLOOR_DBM)
     if behind:
         power = NOISE_FLOOR_DBM

@@ -56,8 +56,8 @@ class TestSearch:
 
     def test_improves_on_seed(self, testbed):
         pose = testbed.home_pose
-        report = Pose.from_transform(
-            testbed.tracker.true_report_transform(pose))
+        t = testbed.tracker.true_report_transform(pose)
+        report = Pose(t.translation, t.rotation)
         seed_cmd = point(testbed.oracle_system(), report)
         testbed.apply_command(seed_cmd)
         seed_power = testbed.channel.received_power_dbm(pose)

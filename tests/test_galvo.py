@@ -229,7 +229,7 @@ class TestGalvoHardware:
         plane = hw.second_mirror_plane()
         beam = hw.output_beam()
         # The output beam originates on the second mirror plane.
-        assert plane.contains(beam.origin, tol=1e-9)
+        assert abs(plane.signed_distance(beam.origin)) <= 1e-9
 
 
 

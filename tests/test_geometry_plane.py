@@ -6,6 +6,12 @@ import pytest
 from repro.geometry import NoIntersectionError, Plane, Ray
 
 
+def project(plane, point):
+    """Foot of the perpendicular from ``point``, via the signed distance."""
+    p = np.asarray(point, dtype=float)
+    return p - plane.signed_distance(p) * plane.normal
+
+
 class TestPlaneBasics:
     def test_normal_normalized(self):
         plane = Plane([0, 0, 0], [0, 0, 4])
@@ -18,17 +24,17 @@ class TestPlaneBasics:
 
     def test_contains(self):
         plane = Plane([1, 1, 1], [1, 0, 0])
-        assert plane.contains([1, 9, -4])
-        assert not plane.contains([1.1, 0, 0])
+        assert plane.signed_distance([1, 9, -4]) == 0.0
+        assert plane.signed_distance([1.1, 0, 0]) == pytest.approx(0.1)
 
     def test_project(self):
         plane = Plane([0, 0, 5], [0, 0, 1])
-        assert np.allclose(plane.project([3, 4, 9]), [3, 4, 5])
+        assert np.allclose(project(plane, [3, 4, 9]), [3, 4, 5])
 
     def test_project_is_idempotent(self):
         plane = Plane([1, 2, 3], [0.3, -0.5, 0.8])
-        p = plane.project([4, -1, 0])
-        assert np.allclose(plane.project(p), p)
+        p = project(plane, [4, -1, 0])
+        assert np.allclose(project(plane, p), p)
 
 
 class TestIntersectRay:

@@ -6,7 +6,6 @@ import pytest
 from repro.geometry import (
     euler_to_matrix,
     is_rotation_matrix,
-    matrix_to_axis_angle,
     matrix_to_euler,
     rotation_angle,
     rotation_between,
@@ -84,26 +83,6 @@ class TestRotationAngle:
         a = rotation_angle(rotation_matrix([1, 0, 0], 0.9))
         b = rotation_angle(rotation_matrix([0.5, 0.5, 0.7], 0.9))
         assert a == pytest.approx(b)
-
-
-class TestAxisAngle:
-    def test_round_trip(self):
-        axis = np.array([0.0, 0.6, 0.8])
-        m = rotation_matrix(axis, 0.77)
-        recovered_axis, angle = matrix_to_axis_angle(m)
-        assert angle == pytest.approx(0.77)
-        assert np.allclose(recovered_axis, axis, atol=1e-9)
-
-    def test_identity_case(self):
-        _, angle = matrix_to_axis_angle(np.eye(3))
-        assert angle == 0.0
-
-    def test_near_pi(self):
-        axis = np.array([1.0, 0.0, 0.0])
-        m = rotation_matrix(axis, np.pi - 1e-8)
-        recovered_axis, angle = matrix_to_axis_angle(m)
-        assert angle == pytest.approx(np.pi, abs=1e-6)
-        assert abs(abs(recovered_axis[0]) - 1.0) < 1e-5
 
 
 class TestRotationBetween:

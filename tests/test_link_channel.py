@@ -11,8 +11,8 @@ from repro.vrh import Pose
 
 def align_perfectly(testbed, pose):
     """Noise-free oracle alignment at a pose."""
-    report = Pose.from_transform(
-        testbed.tracker.true_report_transform(pose))
+    t = testbed.tracker.true_report_transform(pose)
+    report = Pose(t.translation, t.rotation)
     command = point(testbed.oracle_system(), report)
     testbed.apply_command(command)
     return command

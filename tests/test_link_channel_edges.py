@@ -10,8 +10,8 @@ from repro.vrh import Pose
 
 
 def oracle_align(testbed, pose):
-    report = Pose.from_transform(
-        testbed.tracker.true_report_transform(pose))
+    t = testbed.tracker.true_report_transform(pose)
+    report = Pose(t.translation, t.rotation)
     command = point(testbed.oracle_system(), report)
     testbed.apply_command(command)
 

@@ -58,8 +58,9 @@ def poses(bed):
 def commands(bed, poses):
     """The oracle's pointing command for each evaluation pose."""
     system = bed.oracle_system()
-    return [point(system, Pose.from_transform(
-        bed.tracker.true_report_transform(pose))) for pose in poses]
+    reports = (bed.tracker.true_report_transform(pose) for pose in poses)
+    return [point(system, Pose(t.translation, t.rotation))
+            for t in reports]
 
 
 def incidence_tolerance(angle_rad):
@@ -74,11 +75,11 @@ def incidence_tolerance(angle_rad):
 
 def power_tolerance(channel, want, d_incidence):
     """TOL in dBm, plus what the geometry tolerances move the power by."""
-    coupling = channel.design.coupling(want.range_m)
+    design = channel.design
     lateral_slope = (2 * EXCESS_DB_AT_WIDTH * want.axis_offset_m
-                     / coupling.lateral_width_m ** 2)
+                     / design.lateral_width_m(want.range_m) ** 2)
     angular_slope = (2 * EXCESS_DB_AT_WIDTH * want.incidence_angle_rad
-                     / coupling.angular_width_rad ** 2)
+                     / design.angular_width_rad(want.range_m) ** 2)
     return (TOL * (1 + abs(want.received_power_dbm) + lateral_slope)
             + angular_slope * d_incidence)
 

@@ -1,10 +1,17 @@
 """Unit tests for repro.link.design: the calibrated link designs."""
 
-import numpy as np
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro import constants
-from repro.link import link_10g_collimated, link_10g_diverging, link_25g
+from repro.link import (
+    NOISE_FLOOR_DBM,
+    link_10g_collimated,
+    link_10g_diverging,
+    link_25g,
+)
 
 
 class TestDesignConstruction:
@@ -41,9 +48,10 @@ class TestPowerAccounting:
 
     def test_budget_breakdown_sums(self):
         design = link_10g_diverging()
-        budget = design.budget(1.75)
-        assert budget.received_power_dbm == pytest.approx(
-            design.peak_power_dbm(1.75))
+        terms = (design.sfp.tx_power_dbm, design.amplifier.gain_db,
+                 -design.fixed_loss_db, -design.blur_loss_db(1.75),
+                 -design.capture_loss_db(1.75))
+        assert design.peak_power_dbm(1.75) == pytest.approx(sum(terms))
 
     def test_margin_positive_at_design_range(self):
         for design in (link_10g_diverging(), link_10g_collimated(),
@@ -70,12 +78,21 @@ class TestCouplingWidths:
             design.angular_width_rad(2.0))
 
     def test_coupling_model_consistent(self):
+        # Aligned power is the peak; one lateral or angular width
+        # costs 3 dB.
         design = link_10g_diverging()
-        coupling = design.coupling(1.75)
-        assert coupling.peak_power_dbm == pytest.approx(
-            design.peak_power_dbm(1.75))
-        assert coupling.lateral_width_m == pytest.approx(
-            design.lateral_width_m(1.75))
+        peak = design.peak_power_dbm(1.75)
+        assert design.received_power_dbm(1.75, 0.0, 0.0) == peak
+        assert design.received_power_dbm(
+            1.75, design.lateral_width_m(1.75), 0.0) == pytest.approx(
+                peak - 3.0)
+        assert design.received_power_dbm(
+            1.75, 0.0, design.angular_width_rad(1.75)) == pytest.approx(
+                peak - 3.0)
+
+    def test_received_power_floors_at_no_light(self):
+        design = link_10g_diverging()
+        assert design.received_power_dbm(1.75, 1.0, 1.0) == NOISE_FLOOR_DBM
 
 
 class TestRangeDependence:
@@ -88,3 +105,23 @@ class TestRangeDependence:
         assert design.sfp.rx_sensitivity_dbm == pytest.approx(
             constants.SFP_25G_RX_SENSITIVITY_DBM)
         assert design.sfp.optimal_throughput_gbps == pytest.approx(23.5)
+
+
+class TestValidation:
+    """Bad link inputs are rejected at construction."""
+
+    @pytest.mark.parametrize("loss", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_fixed_loss(self, loss):
+        with pytest.raises(ValueError):
+            replace(link_10g_diverging(), fixed_loss_db=loss)
+
+    @pytest.mark.parametrize("range_m", [0.0, -1.75, math.nan, math.inf])
+    def test_rejects_bad_design_range(self, range_m):
+        with pytest.raises(ValueError):
+            replace(link_25g(), design_range_m=range_m)
+
+    @pytest.mark.parametrize("field", ["lateral_width_coeff",
+                                       "angular_width_coeff"])
+    def test_diverging_widths_must_be_positive(self, field):
+        with pytest.raises(ValueError):
+            replace(link_10g_diverging(), **{field: 0.0})

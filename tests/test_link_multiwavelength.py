@@ -14,7 +14,8 @@ from repro.link import (
 class TestLaneGeometry:
     def test_four_cwdm_lanes(self):
         design = link_40g_commodity()
-        assert len(design.lane_reports()) == 4
+        assert design.lane_wavelengths_nm == CWDM4_WAVELENGTHS_NM
+        assert len(design.lane_wavelengths_nm) == 4
 
     def test_band_center_is_design_wavelength(self):
         design = link_40g_commodity()
@@ -22,18 +23,15 @@ class TestLaneGeometry:
         assert design.design_wavelength_nm == pytest.approx(center)
 
     def test_outer_lanes_pay_more(self):
-        reports = link_40g_commodity().lane_reports()
-        inner = [r for r in reports
-                 if r.wavelength_nm in (1291.0, 1311.0)]
-        outer = [r for r in reports
-                 if r.wavelength_nm in (1271.0, 1331.0)]
-        assert min(o.chromatic_loss_db for o in outer) > \
-            max(i.chromatic_loss_db for i in inner)
+        loss = link_40g_commodity().chromatic_loss_db
+        assert min(loss(1271.0), loss(1331.0)) > \
+            max(loss(1291.0), loss(1311.0))
 
     def test_band_is_symmetric(self):
-        reports = link_40g_commodity().lane_reports()
-        assert reports[0].chromatic_loss_db == pytest.approx(
-            reports[-1].chromatic_loss_db)
+        design = link_40g_commodity()
+        lanes = design.lane_wavelengths_nm
+        assert design.chromatic_loss_db(lanes[0]) == pytest.approx(
+            design.chromatic_loss_db(lanes[-1]))
 
 
 class TestFeasibility:
@@ -56,10 +54,16 @@ class TestFeasibility:
         assert link_40g_custom().worst_lane_margin_db() > 0
 
     def test_worst_lane_is_min(self):
-        design = link_40g_commodity()
-        reports = design.lane_reports()
-        assert design.worst_lane_margin_db() == pytest.approx(
-            min(r.margin_db for r in reports))
+        # Subtraction rounds monotonically, so the margin minus the
+        # worst penalty is the smallest lane margin bit for bit.
+        for chroma in (0.0, 0.015, 0.12, 0.3, 1.0):
+            design = MultiWavelengthDesign(name="40G", base=link_25g(),
+                                           chromatic_db_per_nm=chroma)
+            for range_m in (0.5, 1.75, 2.5):
+                base = design.base.margin_db(range_m)
+                assert design.worst_lane_margin_db(range_m) == min(
+                    base - design.chromatic_loss_db(wl)
+                    for wl in design.lane_wavelengths_nm)
 
 
 class TestMovementTolerance:

@@ -1,5 +1,7 @@
 """Unit tests for repro.link.tolerance: Table 1 and Fig. 11 shapes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.link import (
     rx_angular_tolerance_rad,
     tx_angular_tolerance_rad,
 )
+from repro.optics import tolerance
 
 
 class TestTable1:
@@ -89,8 +92,8 @@ class TestLateralTolerance:
         # wavefront, so the lateral tolerance is *below* the naive
         # lateral-only figure.
         design = link_10g_diverging()
-        coupling = design.coupling(1.75)
-        naive = coupling.lateral_tolerance_m(design.sfp.rx_sensitivity_dbm)
+        naive = tolerance(design.lateral_width_m(1.75),
+                          design.margin_db(1.75))
         assert lateral_tolerance_m(design, 1.75) < naive
 
     def test_10g_lateral_near_9mm(self):
@@ -129,3 +132,17 @@ class Test25G:
         report = evaluate(link_25g())
         assert report.range_m == pytest.approx(1.75)
         assert report.beam_diameter_at_rx_m > 0
+
+
+class TestRangeValidation:
+    """A tolerance query needs a finite, positive link range."""
+
+    @pytest.mark.parametrize("range_m", [0.0, math.nan, math.inf])
+    def test_evaluate_rejects_bad_range(self, range_m):
+        with pytest.raises(ValueError):
+            evaluate(link_10g_diverging(), range_m)
+
+    @pytest.mark.parametrize("range_m", [0.0, math.nan, math.inf])
+    def test_diameter_sweep_rejects_bad_range(self, range_m):
+        with pytest.raises(ValueError):
+            diameter_sweep(link_10g_diverging, [16e-3], range_m)

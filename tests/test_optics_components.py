@@ -8,7 +8,6 @@ from repro.optics import (
     C40FC_C,
     Collimator,
     F810FC_1550,
-    LinkBudget,
     SFP28_LR,
     SFP_10G_ZR,
     Sfp,
@@ -70,27 +69,6 @@ class TestSfp:
 
 
 class TestLinkBudget:
-    def test_accumulates(self):
-        budget = LinkBudget(0.0)
-        budget.add("amp", 20.0).add("coupling", -30.0)
-        assert budget.received_power_dbm == pytest.approx(-10.0)
-
-    def test_margin_and_closes(self):
-        budget = LinkBudget(0.0).add("loss", -20.0)
-        assert budget.margin_db(-25.0) == pytest.approx(5.0)
-        assert budget.closes(-25.0)
-        assert not budget.closes(-15.0)
-
-    def test_breakdown_mentions_stages(self):
-        budget = LinkBudget(0.0).add("amplifier", 20.0)
-        text = budget.breakdown()
-        assert "amplifier" in text
-        assert "TX power" in text
-
-    def test_rejects_unnamed_stage(self):
-        with pytest.raises(ValueError):
-            LinkBudget(0.0).add("", -3.0)
-
     def test_constants_coupling_loss_documented(self):
         # The paper's -30 dB diverging coupling loss is recorded.
         assert constants.DIVERGING_COUPLING_LOSS_DB == pytest.approx(30.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import RigidTransform, matrix_to_euler, rotation_matrix
+from repro.geometry import matrix_to_euler, rotation_matrix
 from repro.vrh import Pose, speeds_between
 
 
@@ -24,7 +24,8 @@ class TestConstruction:
 
     def test_transform_round_trip(self):
         pose = Pose.from_euler([0.5, -0.1, 1.2], 0.2, 0.1, -0.4)
-        rebuilt = Pose.from_transform(pose.as_transform())
+        t = pose.as_transform()
+        rebuilt = Pose(t.translation, t.rotation)
         assert pose.almost_equal(rebuilt)
 
 
