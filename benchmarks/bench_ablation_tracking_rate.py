@@ -8,9 +8,9 @@ significantly."  We replay the *same* head motions through the Section
 climb.
 """
 
-from repro.motion import generate_trace, resample_trace
+from repro.motion import generate_batch
 from repro.reporting import TextTable, fmt_float
-from repro.simulate import TimeslotParams, report, simulate_trace
+from repro.simulate import TimeslotParams, report, simulate_batch
 
 BASE_DT_S = 0.002
 RESAMPLE_FACTORS = (10, 5, 2, 1)  # 20, 10, 4, 2 ms report periods
@@ -18,9 +18,8 @@ RESAMPLE_FACTORS = (10, 5, 2, 1)  # 20, 10, 4, 2 ms report periods
 
 def availability_vs_rate():
     """Overall availability of the same traces per report period."""
-    base_traces = [generate_trace(v, vid, dt_s=BASE_DT_S,
-                                  duration_s=30.0)
-                   for v in range(8) for vid in range(4)]
+    base = generate_batch(viewers=8, videos=4, dt_s=BASE_DT_S,
+                          duration_s=30.0, seed=0, columns="steps")
     outcomes = {}
     for factor in RESAMPLE_FACTORS:
         period_s = BASE_DT_S * factor
@@ -28,9 +27,8 @@ def availability_vs_rate():
         params = TimeslotParams(
             slot_s=slot_s,
             tp_latency_slots=max(int(1.5e-3 / slot_s), 1))
-        results = [simulate_trace(resample_trace(t, factor), params)
-                   for t in base_traces]
-        outcomes[period_s * 1e3] = report(results).overall_availability
+        result = simulate_batch(base.resample(factor), params)
+        outcomes[period_s * 1e3] = report(result).overall_availability
     return outcomes
 
 

@@ -8,15 +8,15 @@ NORMAL_USE synthetic traces; the printed series are the CDF curves.
 import numpy as np
 
 from repro import constants
-from repro.motion import NORMAL_USE, cdf, generate_dataset, measure_trace
+from repro.motion import NORMAL_USE, cdf, generate_batch, measure_trace
 from repro.reporting import TextTable, fmt_float
 
 PERCENTILES = (10, 25, 50, 75, 90, 95, 99, 100)
 
 
 def speed_samples():
-    traces = generate_dataset(viewers=15, videos=6, profile=NORMAL_USE)
-    series = [measure_trace(t) for t in traces]
+    batch = generate_batch(viewers=15, videos=6, profile=NORMAL_USE)
+    series = [measure_trace(t) for t in batch.traces()]
     linear = np.concatenate([s.linear_m_s for s in series])
     angular = np.concatenate([s.angular_deg_s for s in series])
     return linear, angular

@@ -7,15 +7,14 @@ varying from 99.98 to 95%", effective bandwidth ~23 Gbps, and most
 """
 
 from repro import constants
-from repro.motion import generate_dataset
+from repro.motion import generate_batch
 from repro.reporting import AsciiPlot, TextTable, fmt_float
-from repro.simulate import analyze, report, simulate_dataset
+from repro.simulate import analyze, report, simulate_batch
 
 
 def full_dataset_run():
-    traces = generate_dataset(viewers=50, videos=10)
-    results = simulate_dataset(traces)
-    return results
+    batch = generate_batch(viewers=50, videos=10, columns="steps")
+    return simulate_batch(batch)
 
 
 def test_fig16_availability(benchmark):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .. import constants
 from ..link import LinkDesign
+from ..link.tolerance import _check_range
 from ..optics import excess_loss_db, tolerance
 
 
@@ -57,6 +58,7 @@ def inputs_for(design: LinkDesign, range_m: float = None,
     """
     if range_m is None:
         range_m = design.design_range_m
+    _check_range(range_m)
     if staleness_s is None:
         staleness_s = default_staleness_s()
     return BudgetInputs(

@@ -68,14 +68,14 @@ def _cmd_calibrate(args):
 
 
 def _cmd_traces(args):
-    from .motion import generate_dataset
-    from .simulate import analyze, report, simulate_dataset
-    traces = generate_dataset(viewers=args.viewers, videos=args.videos,
-                              workers=args.workers)
-    results = simulate_dataset(traces, workers=args.workers)
-    availability = report(results)
-    clustering = analyze(results)
-    print(f"traces: {len(traces)}")
+    from .motion import generate_batch
+    from .simulate import analyze, report, simulate_batch
+    batch = generate_batch(viewers=args.viewers, videos=args.videos,
+                           columns="steps", workers=args.workers)
+    result = simulate_batch(batch, workers=args.workers)
+    availability = report(result)
+    clustering = analyze(result)
+    print(f"traces: {len(result)}")
     print(f"overall availability: "
           f"{availability.overall_availability * 100:.2f} % "
           f"(paper: 98.6)")

@@ -16,6 +16,7 @@ proposed fix (an achromatic custom collimator).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -50,6 +51,22 @@ class MultiWavelengthDesign:
     lane_wavelengths_nm: Tuple[float, ...] = CWDM4_WAVELENGTHS_NM
     design_wavelength_nm: float = 1301.0  # band center
     chromatic_db_per_nm: float = COMMODITY_CHROMATIC_DB_PER_NM
+
+    def __post_init__(self) -> None:
+        if len(self.lane_wavelengths_nm) == 0:
+            raise ValueError("lane_wavelengths_nm must name at least "
+                             "one lane")
+        for wavelength in (*self.lane_wavelengths_nm,
+                           self.design_wavelength_nm):
+            if not (math.isfinite(wavelength) and wavelength > 0):
+                raise ValueError("wavelengths must be finite and "
+                                 f"positive, got {wavelength!r}")
+        if not (math.isfinite(self.chromatic_db_per_nm)
+                and self.chromatic_db_per_nm >= 0):
+            # A negative penalty would hand every lane more margin
+            # than the single-wavelength base design has.
+            raise ValueError("chromatic_db_per_nm must be finite and "
+                             f">= 0, got {self.chromatic_db_per_nm!r}")
 
     def chromatic_loss_db(self, wavelength_nm: float) -> float:
         """Extra coupling loss of a lane at ``wavelength_nm``."""

@@ -38,8 +38,15 @@ class ToleranceReport:
     lateral_tolerance_m: float
 
 
+def _check_range(range_m: float) -> None:
+    if not (math.isfinite(range_m) and range_m > 0):
+        raise ValueError(f"range_m must be finite and positive, "
+                         f"got {range_m!r}")
+
+
 def rx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver rotation keeping the link connected."""
+    _check_range(range_m)
     return tolerance(design.angular_width_rad(range_m),
                      design.margin_db(range_m))
 
@@ -51,6 +58,7 @@ def tx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     off the beam axis; for a diverging beam the wavefront still arrives
     from the (unmoved) apex, so only the lateral term pays.
     """
+    _check_range(range_m)
     lateral = tolerance(design.lateral_width_m(range_m),
                         design.margin_db(range_m))
     return lateral / range_m
@@ -58,6 +66,7 @@ def tx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
 
 def lateral_tolerance_m(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver translation keeping the link connected."""
+    _check_range(range_m)
     margin = design.margin_db(range_m)
     if margin <= 0:
         return 0.0
@@ -72,12 +81,6 @@ def lateral_tolerance_m(design: LinkDesign, range_m: float) -> float:
         angular_term = 0.0
     return math.sqrt(margin / EXCESS_DB_AT_WIDTH
                      / (lateral_term + angular_term))
-
-
-def _check_range(range_m: float) -> None:
-    if not (math.isfinite(range_m) and range_m > 0):
-        raise ValueError(f"range_m must be finite and positive, "
-                         f"got {range_m!r}")
 
 
 def evaluate(design: LinkDesign,

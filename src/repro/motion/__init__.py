@@ -11,8 +11,8 @@ from .rail import LinearRail
 from .rotation_stage import RotationStage
 from .vibration import VibrationOverlay
 from .speeds import SpeedSeries, cdf, measure_profile, measure_trace, percentile
-from .traces import NORMAL_USE, VIDEO_360, HeadTrace, TraceProfile, resample_trace
-from .batch import TraceBatch, generate_batch, generate_dataset, generate_trace
+from .traces import NORMAL_USE, VIDEO_360, HeadTrace, TraceProfile
+from .batch import TraceBatch, generate_batch, generate_trace
 
 __all__ = [
     "AngularStrokeProfile",
@@ -31,9 +31,7 @@ __all__ = [
     "VIDEO_360",
     "cdf",
     "generate_batch",
-    "generate_dataset",
     "generate_trace",
-    "resample_trace",
     "measure_profile",
     "measure_trace",
     "percentile",

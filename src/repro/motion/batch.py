@@ -4,8 +4,8 @@ Every per-trace random stream is drawn from its own ``derive(seed,
 viewer, video)`` generator in a fixed call order, so the corpus is
 byte-identical per seed; the filtering, integration and norm stages
 then run once over ``(traces, 3, samples)`` tensors instead of once
-per trace.  :func:`generate_trace` is the same pass over one trace and
-:func:`generate_dataset` the corpus as per-trace views.
+per trace.  :func:`generate_trace` is the same pass over one trace,
+returned as the :class:`HeadTrace` pose-replay view.
 
 Layout: tensors are *axis-major* — ``(T, 3, n)`` with time contiguous
 — because every heavy stage (the AR(1) scan, ``cumsum``, ``diff``)
@@ -116,41 +116,35 @@ class TraceBatch:
         """Every trace as zero-copy views (same order as generation)."""
         return [self.trace(index) for index in range(len(self))]
 
-    @classmethod
-    def from_traces(cls, traces: Sequence[HeadTrace],
-                    columns: str = "full") -> "TraceBatch":
-        """Stack uniform per-trace objects into one batch (copies).
+    def resample(self, factor: int) -> "TraceBatch":
+        """The same physical motion, reported ``factor`` times less often.
 
-        ``columns="steps"`` stacks only the step-magnitude columns —
-        what the slot pipeline consumes — skipping the (much larger)
-        pose tensors.
+        Groups ``factor`` consecutive samples into one report interval
+        (summing the inter-sample motion), which is how a slower
+        tracker would see the identical head movement; the remainder
+        steps are dropped.  Used by the tracking-frequency ablation.
         """
-        if columns not in ("full", "steps"):
-            raise ValueError("columns must be 'full' or 'steps'")
-        if not traces:
-            raise ValueError("cannot batch an empty trace list")
-        dt_s = traces[0].dt_s
-        samples = traces[0].samples
-        for trace in traces:
-            if trace.dt_s != dt_s or trace.samples != samples:
-                raise ValueError(
-                    "traces are not uniform (dt_s / length); the batch "
-                    "engine needs a rectangular corpus")
-        with_pose = columns == "full"
-        return cls(
-            viewer_ids=np.array([t.viewer for t in traces],
-                                dtype=np.int64),
-            video_ids=np.array([t.video for t in traces],
-                               dtype=np.int64),
-            dt_s=dt_s,
-            step_linear_m=np.stack([t.step_linear_m for t in traces]),
-            step_angular_rad=np.stack(
-                [t.step_angular_rad for t in traces]),
-            positions=np.stack([np.asarray(t.positions).T
-                                for t in traces]) if with_pose else None,
-            eulers=np.stack([np.asarray(t.eulers).T
-                             for t in traces]) if with_pose else None,
-        )
+        if factor < 1:
+            raise ValueError("resample factor must be at least 1")
+        if factor == 1:
+            return self
+        groups = self.steps // factor
+        if groups < 1:
+            raise ValueError("trace too short for this resample factor")
+        used = groups * factor
+        t_count = len(self)
+        indices = np.arange(0, used + 1, factor)
+        return TraceBatch(
+            viewer_ids=self.viewer_ids, video_ids=self.video_ids,
+            dt_s=self.dt_s * factor,
+            step_linear_m=self.step_linear_m[:, :used].reshape(
+                t_count, groups, factor).sum(axis=2),
+            step_angular_rad=self.step_angular_rad[:, :used].reshape(
+                t_count, groups, factor).sum(axis=2),
+            positions=(None if self.positions is None
+                       else self.positions[:, :, indices]),
+            eulers=(None if self.eulers is None
+                    else self.eulers[:, :, indices]))
 
 
 def _draw_streams(ids: Sequence[Tuple[int, int]], profile: TraceProfile,
@@ -324,6 +318,15 @@ def _generate_columns(ids: Sequence[Tuple[int, int]],
     return columns
 
 
+def _check_timing(duration_s: float, dt_s: float) -> None:
+    """Reject a bad report period or duration before any allocation."""
+    if not (math.isfinite(dt_s) and dt_s > 0):
+        raise ValueError(f"dt_s must be finite and positive, got {dt_s!r}")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError("duration_s must be finite and non-negative, "
+                         f"got {duration_s!r}")
+
+
 def generate_trace(viewer: int, video: int,
                    profile: TraceProfile = VIDEO_360,
                    duration_s: float = constants.TRACE_DURATION_S,
@@ -336,6 +339,7 @@ def generate_trace(viewer: int, video: int,
     activity multipliers, giving each viewer a temperament and each
     video a pace.
     """
+    _check_timing(duration_s, dt_s)
     columns = _generate_columns([(viewer, video)], profile, duration_s,
                                 dt_s, seed, with_pose=True)
     return TraceBatch(viewer_ids=np.array([viewer], dtype=np.int64),
@@ -371,6 +375,7 @@ def generate_batch(viewers: int = 50, videos: int = 10,
     """
     if columns not in ("full", "steps"):
         raise ValueError("columns must be 'full' or 'steps'")
+    _check_timing(duration_s, dt_s)
     with_pose = columns == "full"
     ids = [(viewer, video) for viewer in range(viewers)
            for video in range(videos)]
@@ -399,18 +404,3 @@ def generate_batch(viewers: int = 50, videos: int = 10,
         positions=cols.get("positions"),
         eulers=cols.get("eulers"),
     )
-
-
-def generate_dataset(viewers: int = 50, videos: int = 10,
-                     profile: TraceProfile = VIDEO_360,
-                     duration_s: float = constants.TRACE_DURATION_S,
-                     seed: int = 2022,
-                     workers: Optional[int] = 1) -> List[HeadTrace]:
-    """The full 500-trace dataset (viewers x videos), deterministic.
-
-    :func:`generate_batch` as per-trace zero-copy views, in (viewer,
-    video) order, byte-identical for any ``workers`` setting.
-    """
-    return generate_batch(viewers=viewers, videos=videos,
-                          profile=profile, duration_s=duration_s,
-                          seed=seed, workers=workers).traces()

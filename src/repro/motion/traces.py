@@ -109,36 +109,3 @@ class HeadTrace:
                     + frac * self.positions[high])
         euler = (1.0 - frac) * self.eulers[low] + frac * self.eulers[high]
         return Pose(position, euler_to_matrix(*euler))
-
-    def linear_speeds_m_s(self) -> np.ndarray:
-        """Per-step linear speeds."""
-        return self.step_linear_m / self.dt_s
-
-def resample_trace(trace: HeadTrace, factor: int) -> HeadTrace:
-    """The same physical motion, reported ``factor`` times less often.
-
-    Groups ``factor`` consecutive samples into one report interval
-    (summing the inter-sample motion), which is how a slower tracker
-    would see the identical head movement.  Used by the
-    tracking-frequency ablation.
-    """
-    if factor < 1:
-        raise ValueError("resample factor must be at least 1")
-    if factor == 1:
-        return trace
-    steps = len(trace.step_linear_m)
-    groups = steps // factor
-    if groups < 1:
-        raise ValueError("trace too short for this resample factor")
-    used = groups * factor
-    step_linear = trace.step_linear_m[:used].reshape(
-        groups, factor).sum(axis=1)
-    step_angular = trace.step_angular_rad[:used].reshape(
-        groups, factor).sum(axis=1)
-    indices = np.arange(0, used + 1, factor)
-    return HeadTrace(viewer=trace.viewer, video=trace.video,
-                     dt_s=trace.dt_s * factor,
-                     positions=trace.positions[indices],
-                     eulers=trace.eulers[indices],
-                     step_linear_m=step_linear,
-                     step_angular_rad=step_angular)

@@ -1,7 +1,7 @@
 """Evaluation harnesses: the testbed, live sessions, and trace replay."""
 
-from .availability import AvailabilityReport, report, simulate_dataset
-from .batch import BatchTimeslotResult, simulate_batch, simulate_trace
+from .availability import AvailabilityReport, report
+from .batch import BatchTimeslotResult, simulate_batch
 from .clustering import ClusteringReport, analyze
 from .handover import (
     HandoverController,
@@ -13,7 +13,7 @@ from .montecarlo import calibration_quality
 from .rig import CalibrationOutcome, Testbed
 from .scenarios import SCENARIOS, Scenario, get_scenario, list_scenarios
 from .session import PrototypeSession, SessionResult, surviving_speed_threshold
-from .timeslot import TimeslotParams, TimeslotResult
+from .timeslot import TimeslotParams
 
 __all__ = [
     "AvailabilityReport",
@@ -30,14 +30,11 @@ __all__ = [
     "SessionResult",
     "Testbed",
     "TimeslotParams",
-    "TimeslotResult",
     "analyze",
     "calibration_quality",
     "get_scenario",
     "list_scenarios",
     "report",
     "simulate_batch",
-    "simulate_dataset",
-    "simulate_trace",
     "surviving_speed_threshold",
 ]

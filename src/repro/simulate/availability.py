@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..motion import HeadTrace
-from .batch import simulate_batch
-from .timeslot import TimeslotParams, TimeslotResult
+from .batch import BatchTimeslotResult
 
 
 @dataclass(frozen=True)
@@ -40,36 +37,17 @@ class AvailabilityReport:
         return self.overall_availability * optimal_gbps
 
 
-def simulate_dataset(traces: Sequence[HeadTrace],
-                     params: TimeslotParams = TimeslotParams(),
-                     workers: Optional[int] = 1) -> List[TimeslotResult]:
-    """Replay every trace through the Section 5.4 model.
-
-    :func:`repro.simulate.batch.simulate_batch` as per-trace views, in
-    trace order for any ``workers`` setting, so downstream aggregation
-    is deterministic.  The corpus must be rectangular (one ``dt_s``
-    and length, as the generated datasets always are); a ragged one
-    raises ``ValueError``.
-    """
-    return simulate_batch(traces, params=params,
-                          workers=workers).results()
-
-
-def report(results: Sequence[TimeslotResult]) -> AvailabilityReport:
+def report(result: BatchTimeslotResult) -> AvailabilityReport:
     """Aggregate slot connectivity into the Fig. 16 quantities."""
-    if not results:
+    if len(result) == 0:
         raise ValueError("no results to aggregate")
-    per_trace = np.array([r.availability for r in results])
-    # Totals come straight from the connected arrays: one size read and
-    # one popcount per trace, instead of rescanning via the off_slots
-    # property.
-    total_slots = sum(r.connected.size for r in results)
-    total_on = sum(int(np.count_nonzero(r.connected)) for r in results)
-    if total_slots == 0:
+    if result.slots == 0:
         raise ValueError("results contain no slots")
+    per_trace = result.per_trace_availability()
     return AvailabilityReport(
         per_trace_availability=per_trace,
-        overall_availability=total_on / total_slots,
+        overall_availability=(int(np.count_nonzero(result.connected))
+                              / result.connected.size),
         best=float(per_trace.max()),
         worst=float(per_trace.min()),
     )

@@ -4,9 +4,9 @@ The drift/realign/compare arithmetic runs with a leading *trace* axis:
 the short sub-slot dimension (``slots_per_report``, typically 10) is
 walked sequentially, exactly as the slot-by-slot loop walks it, but
 each step is one vector operation across *every report of every
-trace*.  :func:`simulate_trace` is the same pass over one trace and
-:func:`simulate_batch` the corpus, chunked over an optional process
-pool.
+trace*.  :func:`simulate_batch` takes a
+:class:`~repro.motion.TraceBatch` (one trace is a one-row batch) and
+runs it in chunks, over an optional process pool.
 
 Bit-compatibility is a hard contract, not an aspiration: the oracle is
 ``reference_simulate_trace`` in ``tests/oracles.py`` (the slot loop),
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..motion import HeadTrace
 from ..motion.batch import TraceBatch
 from ..parallel import parallel_map_arrays
-from .timeslot import TimeslotParams, TimeslotResult
+from .timeslot import TimeslotParams
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,6 @@ class BatchTimeslotResult:
     @property
     def slots(self) -> int:
         return int(self.connected.shape[1])
-
-    def result(self, index: int) -> TimeslotResult:
-        """One trace's result as a zero-copy view."""
-        return TimeslotResult(connected=self.connected[index],
-                              viewer=int(self.viewer_ids[index]),
-                              video=int(self.video_ids[index]))
-
-    def results(self) -> List[TimeslotResult]:
-        """Per-trace results (views), in corpus order."""
-        return [self.result(index) for index in range(len(self))]
 
     def per_trace_availability(self) -> np.ndarray:
         """Connected fraction per trace (0.0 for empty replays)."""
@@ -189,51 +178,27 @@ def _slots_per_report(dt_s: float, params: TimeslotParams) -> int:
     return slots_per_report
 
 
-def simulate_trace(trace: HeadTrace,
-                   params: TimeslotParams = TimeslotParams()
-                   ) -> TimeslotResult:
-    """Replay one trace through the 1 ms-slot model (a one-row pass).
-
-    Includes the ``tp_latency_slots >= slots_per_report`` regime, where
-    the realignment never lands and the error drifts monotonically for
-    the rest of the trace.
-    """
-    connected = _connected_rows(
-        trace.step_linear_m[None], trace.step_angular_rad[None], params,
-        _slots_per_report(trace.dt_s, params))
-    return TimeslotResult(connected=connected[0], viewer=trace.viewer,
-                          video=trace.video)
-
-
 #: Traces per kernel pass: keeps the accumulator rows cache-resident
 #: and the chunk working set allocator-warm (see motion.batch).  Read
 #: at call time, so tests can shrink it.
 _SIM_CHUNK = 64
 
 
-def simulate_batch(batch: Union[TraceBatch, Sequence[HeadTrace]],
+def simulate_batch(batch: TraceBatch,
                    params: TimeslotParams = TimeslotParams(),
                    workers: Optional[int] = 1
                    ) -> BatchTimeslotResult:
     """Replay a whole corpus through the 1 ms-slot model in one pass.
 
-    Accepts a :class:`~repro.motion.batch.TraceBatch` (preferred; a
-    steps-only batch suffices) or a uniform sequence of
-    :class:`HeadTrace`; a ragged sequence (mixed ``dt_s`` or length)
-    is rejected with ``ValueError``.  Element-wise identical to
-    running :func:`simulate_trace` per trace.
+    A steps-only batch suffices: the kernel reads only the step
+    columns.  The model includes the ``tp_latency_slots >=
+    slots_per_report`` regime, where the realignment never lands and
+    the error drifts monotonically for the rest of the trace.
 
     The trace axis runs in chunks of ``_SIM_CHUNK``; with ``workers >
     1`` the chunks fan over a process pool and each returns its
     ``connected`` rows (see :func:`repro.parallel.parallel_map_arrays`).
     """
-    if not isinstance(batch, TraceBatch):
-        traces = list(batch)
-        if not traces:
-            raise ValueError("no traces to simulate")
-        # Steps-only: the slot kernel never reads the pose tensors, so
-        # skip copying them.
-        batch = TraceBatch.from_traces(traces, columns="steps")
     slots_per_report = _slots_per_report(batch.dt_s, params)
     t_count, n = batch.step_linear_m.shape
 

@@ -9,12 +9,10 @@ in frames (30 contiguous slots) with fewer than 10 off-slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .. import constants
-from .timeslot import TimeslotResult
+from .batch import BatchTimeslotResult
 
 
 @dataclass(frozen=True)
@@ -38,23 +36,20 @@ class ClusteringReport:
         return float(weighted[:threshold].sum() / self.off_slot_total)
 
 
-def analyze(results: Sequence[TimeslotResult],
+def analyze(result: BatchTimeslotResult,
             frame_slots: int = constants.TRACE_FRAME_SLOTS
             ) -> ClusteringReport:
-    """Histogram off-slots by how many share their frame."""
+    """Histogram off-slots by how many share their frame.
+
+    Frames tile each trace from its first slot; a trailing partial
+    frame is not counted.
+    """
     if frame_slots <= 0:
         raise ValueError("frame size must be positive")
-    histogram = np.zeros(frame_slots + 1, dtype=np.int64)
-    total_off = 0
-    for result in results:
-        off = ~result.connected
-        n_frames = off.size // frame_slots
-        if n_frames == 0:
-            continue
-        frames = off[:n_frames * frame_slots].reshape(n_frames, frame_slots)
-        per_frame = frames.sum(axis=1)
-        total_off += int(per_frame.sum())
-        histogram += np.bincount(per_frame, minlength=frame_slots + 1)
+    n_frames = result.slots // frame_slots
+    off = ~result.connected[:, :n_frames * frame_slots]
+    per_frame = off.reshape(len(result), n_frames, frame_slots).sum(axis=2)
+    histogram = np.bincount(per_frame.ravel(), minlength=frame_slots + 1)
     return ClusteringReport(frame_slots=frame_slots,
-                            off_slot_total=total_off,
+                            off_slot_total=int(per_frame.sum()),
                             off_per_frame_histogram=histogram)

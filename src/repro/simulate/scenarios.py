@@ -78,10 +78,11 @@ def _sec52_quick() -> Dict[str, float]:
 
 
 def _fig16_quick() -> Dict[str, float]:
-    from ..motion import generate_dataset
-    from .availability import report, simulate_dataset
-    traces = generate_dataset(viewers=10, videos=5)
-    availability = report(simulate_dataset(traces))
+    from ..motion import generate_batch
+    from .availability import report
+    from .batch import simulate_batch
+    batch = generate_batch(viewers=10, videos=5, columns="steps")
+    availability = report(simulate_batch(batch))
     return {
         "overall_availability": availability.overall_availability,
         "worst_trace": availability.worst,

@@ -9,19 +9,18 @@ drifts at the trace's inter-report rate, and a slot is marked
 disconnected when the accumulated lateral or angular error exceeds the
 25G link's tolerances (6 mm, 8.73 mrad).
 
-This module holds the model's parameters and per-trace result.  The
-slot arithmetic runs in :mod:`repro.simulate.batch` (``simulate_trace``
-is its one-row pass); the equality oracle is
+This module holds the model's parameters.  The slot arithmetic runs
+in :mod:`repro.simulate.batch`, over a whole
+:class:`~repro.motion.TraceBatch` at once; the equality oracle is
 ``reference_simulate_trace`` in ``tests/oracles.py``, the slot-by-slot
 loop, which the property tests compare element for element.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .. import constants
 
@@ -32,13 +31,16 @@ class TimeslotParams:
 
     ``tp_latency_slots`` is the number of slots after a report before
     the realignment lands.  If it reaches or exceeds the report period
-    (``slots_per_report``, i.e. ``trace.dt_s / slot_s``) the
+    (``slots_per_report``, i.e. the corpus ``dt_s / slot_s``) the
     realignment never lands inside any report interval — the next
     report supersedes it first — so the error drifts without bound.
     That is a deliberately modelled "TP too slow" regime, not a
     configuration error, so it is allowed and covered by regression
     tests rather than rejected here.  A latency that is not a whole
     number of slots is rejected: slots are the model's time step.
+    The slot length and tolerances must be finite, and the residuals
+    finite and non-negative; a NaN would compare false everywhere and
+    silently read as 0 % availability.
     """
 
     slot_s: float = constants.TRACE_SLOT_S
@@ -50,8 +52,9 @@ class TimeslotParams:
         constants.LINK_25G_RX_ANGULAR_TOLERANCE_MRAD * 1e-3)
 
     def __post_init__(self):
-        if self.slot_s <= 0:
-            raise ValueError("slot length must be positive")
+        if not (math.isfinite(self.slot_s) and self.slot_s > 0):
+            raise ValueError("slot length must be finite and positive, "
+                             f"got {self.slot_s!r}")
         try:
             latency = operator.index(self.tp_latency_slots)
         except TypeError:
@@ -59,31 +62,17 @@ class TimeslotParams:
                 "TP latency must be a whole number of slots") from None
         if latency < 0:
             raise ValueError("TP latency cannot be negative")
+        for name in ("residual_lateral_m", "residual_angular_rad"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}")
+        for name in ("lateral_tolerance_m", "angular_tolerance_rad"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if (self.lateral_tolerance_m <= self.residual_lateral_m
                 or self.angular_tolerance_rad <= self.residual_angular_rad):
             raise ValueError(
                 "tolerances must exceed the TP residual errors")
 
-
-@dataclass(frozen=True)
-class TimeslotResult:
-    """Slot-level connectivity of one trace replay."""
-
-    connected: np.ndarray  # (n_slots,) bool
-    viewer: int
-    video: int
-
-    @property
-    def slots(self) -> int:
-        return int(self.connected.size)
-
-    @property
-    def off_slots(self) -> int:
-        return int(np.sum(~self.connected))
-
-    @property
-    def availability(self) -> float:
-        """Fraction of slots with the link operational."""
-        if self.connected.size == 0:
-            return 0.0
-        return float(np.mean(self.connected))

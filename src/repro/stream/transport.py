@@ -83,7 +83,8 @@ def stream_over_link(video: VideoFormat, link_up: np.ndarray,
     """Deliver ``video`` over a slotted link-state series.
 
     ``link_up`` is the per-slot boolean connectivity (from
-    ``SessionResult.link_up`` or ``TimeslotResult.connected``);
+    ``SessionResult.link_up`` or a row of
+    ``BatchTimeslotResult.connected``);
     ``capacity_gbps`` the goodput while up.  ``compression_ratio`` and
     ``codec_latency_s`` model a codec (encode + decode) when raw
     streaming does not fit; ``deadline_frames`` is the display budget

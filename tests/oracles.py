@@ -46,8 +46,8 @@
   per-burst saccade generator (the tensor pass in
   :mod:`repro.motion.batch` must agree with it bit for bit);
 * :func:`reference_simulate_trace` -- the Section 5.4 slot-by-slot
-  loop (the slot kernel in :mod:`repro.simulate.batch` must agree with
-  it bit for bit).
+  loop over one trace (each row of the slot kernel in
+  :mod:`repro.simulate.batch` must agree with it bit for bit).
 """
 
 import math
@@ -85,7 +85,7 @@ from repro.geometry import (
 from repro.link.channel import MIN_RANGE_M, AlignmentState
 from repro.link.design import NOISE_FLOOR_DBM
 from repro.motion import VIDEO_360, HeadTrace
-from repro.simulate import TimeslotParams, TimeslotResult
+from repro.simulate import TimeslotParams
 
 
 
@@ -528,7 +528,7 @@ def reference_generate_trace(viewer, video, profile=VIDEO_360,
 
 
 def reference_simulate_trace(trace, params=TimeslotParams()):
-    """The Section 5.4 replay, slot by slot."""
+    """The Section 5.4 replay, slot by slot: the (slots,) bool array."""
     slots_per_report = int(round(trace.dt_s / params.slot_s))
     if slots_per_report < 1:
         raise ValueError("slots must be finer than the report period")
@@ -556,5 +556,4 @@ def reference_simulate_trace(trace, params=TimeslotParams()):
                 lateral_err <= params.lateral_tolerance_m
                 and angular_err <= params.angular_tolerance_rad)
             slot_index += 1
-    return TimeslotResult(connected=connected, viewer=trace.viewer,
-                          video=trace.video)
+    return connected

@@ -27,6 +27,11 @@ class TestDefaults:
         assert inputs.angular_width_rad > 0
         assert math.isfinite(inputs.curvature_radius_m)
 
+    @pytest.mark.parametrize("range_m", [0.0, -1.0, math.nan, math.inf])
+    def test_inputs_for_rejects_bad_range(self, range_m):
+        with pytest.raises(ValueError, match="range_m"):
+            inputs_for(link_10g_diverging(), range_m)
+
 
 class TestAngularLimit:
     def test_10g_limit_near_paper(self):

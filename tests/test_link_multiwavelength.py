@@ -1,5 +1,7 @@
 """Tests for the 40G multi-wavelength designs (Section 6)."""
 
+import math
+
 import pytest
 
 from repro.link import (
@@ -86,3 +88,33 @@ class TestMovementTolerance:
         base = rx_angular_tolerance_rad(link_25g(), 1.75)
         custom = link_40g_custom().worst_lane_angular_tolerance_rad(1.75)
         assert custom == pytest.approx(base, rel=0.06)
+
+
+class TestValidation:
+    """A lane set is checked where it is built, not deep in a query."""
+
+    def test_rejects_no_lanes(self):
+        # Otherwise worst_lane_margin_db fails as max() of nothing.
+        with pytest.raises(ValueError, match="lane"):
+            MultiWavelengthDesign(name="40G", base=link_25g(),
+                                  lane_wavelengths_nm=())
+
+    @pytest.mark.parametrize("lanes", [(1271.0, math.nan), (math.inf,),
+                                       (0.0, 1291.0)])
+    def test_rejects_bad_lane_wavelengths(self, lanes):
+        with pytest.raises(ValueError, match="wavelengths"):
+            MultiWavelengthDesign(name="40G", base=link_25g(),
+                                  lane_wavelengths_nm=lanes)
+
+    def test_rejects_bad_design_wavelength(self):
+        with pytest.raises(ValueError, match="wavelengths"):
+            MultiWavelengthDesign(name="40G", base=link_25g(),
+                                  design_wavelength_nm=math.nan)
+
+    @pytest.mark.parametrize("chroma", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_chromatic_slope(self, chroma):
+        # A negative slope would give every lane more margin than the
+        # single-wavelength base design has.
+        with pytest.raises(ValueError, match="chromatic_db_per_nm"):
+            MultiWavelengthDesign(name="40G", base=link_25g(),
+                                  chromatic_db_per_nm=chroma)

@@ -146,3 +146,13 @@ class TestRangeValidation:
     def test_diameter_sweep_rejects_bad_range(self, range_m):
         with pytest.raises(ValueError):
             diameter_sweep(link_10g_diverging, [16e-3], range_m)
+
+    @pytest.mark.parametrize("range_m", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("metric", [rx_angular_tolerance_rad,
+                                        tx_angular_tolerance_rad,
+                                        lateral_tolerance_m],
+                             ids=lambda metric: metric.__name__)
+    def test_metric_rejects_bad_range(self, metric, range_m):
+        # Range 0 would divide by zero and a NaN would pass through.
+        with pytest.raises(ValueError, match="range_m"):
+            metric(link_10g_diverging(), range_m)

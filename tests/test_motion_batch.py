@@ -10,6 +10,7 @@ worker counts, chunk sizes, durations and report periods.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.motion import (
     VIDEO_360,
     TraceBatch,
     generate_batch,
-    generate_dataset,
     generate_trace,
 )
 from repro.parallel import ParallelFallbackWarning
@@ -192,26 +192,24 @@ class TestRejectsMalformedShapes:
                 positions=None, eulers=None)
 
 
-class TestFromTraces:
-    def test_roundtrip(self):
-        traces = generate_dataset(viewers=2, videos=2, duration_s=DUR)
-        batch = TraceBatch.from_traces(traces)
-        for got, want in zip(batch.traces(), traces):
-            assert np.array_equal(got.positions, want.positions)
-            assert np.array_equal(got.eulers, want.eulers)
-            assert np.array_equal(got.step_linear_m, want.step_linear_m)
+class TestEntryChecks:
+    """Bad timing raises a ValueError that names the argument."""
 
-    def test_steps_mode(self):
-        traces = generate_dataset(viewers=1, videos=2, duration_s=DUR)
-        batch = TraceBatch.from_traces(traces, columns="steps")
-        assert not batch.has_pose
+    @pytest.mark.parametrize("dt_s", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_report_period(self, dt_s):
+        with pytest.raises(ValueError, match="dt_s"):
+            generate_batch(viewers=1, videos=1, duration_s=1.0, dt_s=dt_s)
+        with pytest.raises(ValueError, match="dt_s"):
+            generate_trace(0, 0, duration_s=1.0, dt_s=dt_s)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TraceBatch.from_traces([])
+    @pytest.mark.parametrize("duration_s", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_duration(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            generate_batch(viewers=1, videos=1, duration_s=duration_s)
+        with pytest.raises(ValueError, match="duration_s"):
+            generate_trace(0, 0, duration_s=duration_s)
 
-    def test_rejects_ragged_corpus(self):
-        traces = [generate_trace(0, 0, duration_s=DUR, seed=SEED),
-                  generate_trace(0, 1, duration_s=2 * DUR, seed=SEED)]
-        with pytest.raises(ValueError):
-            TraceBatch.from_traces(traces)
+    def test_zero_duration_is_the_empty_replay(self):
+        assert generate_batch(viewers=1, videos=1, duration_s=0.0,
+                              columns="steps").steps == 0
+        assert generate_trace(0, 0, duration_s=0.0).samples == 1

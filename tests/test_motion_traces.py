@@ -7,10 +7,9 @@ from repro import constants
 from repro.motion import (
     NORMAL_USE,
     VIDEO_360,
-    generate_dataset,
+    generate_batch,
     generate_trace,
     measure_trace,
-    resample_trace,
 )
 from repro.motion.batch import _TAU_S, _ou_scan
 
@@ -57,9 +56,10 @@ class TestDeterminism:
         assert not np.allclose(a.positions, b.positions)
 
     def test_dataset_dimensions(self):
-        dataset = generate_dataset(viewers=3, videos=4, duration_s=5.0)
+        dataset = generate_batch(viewers=3, videos=4, duration_s=5.0)
         assert len(dataset) == 12
-        assert {(t.viewer, t.video) for t in dataset} == {
+        assert set(zip(dataset.viewer_ids.tolist(),
+                       dataset.video_ids.tolist())) == {
             (v, w) for v in range(3) for w in range(4)}
 
 
@@ -131,73 +131,89 @@ class TestPoseAt:
                            video_trace.positions[7])
 
     def test_speeds_helpers(self, video_trace):
-        assert len(video_trace.linear_speeds_m_s()) == \
-            video_trace.samples - 1
+        # One-sample windows give the per-step speeds.
+        speeds = measure_trace(video_trace, window_s=video_trace.dt_s)
+        assert len(speeds.linear_m_s) == video_trace.samples - 1
+        np.testing.assert_array_equal(
+            speeds.linear_m_s,
+            video_trace.step_linear_m / video_trace.dt_s)
 
 
 class TestResample:
+    """``TraceBatch.resample``: the same motion at a slower report rate."""
+
     @pytest.fixture(scope="class")
-    def short_trace(self):
-        return generate_trace(viewer=1, video=2, seed=5, duration_s=2.0)
+    def short_batch(self):
+        return generate_batch(viewers=2, videos=2, seed=5, duration_s=2.0)
 
-    def test_identity_factor(self, short_trace):
-        assert resample_trace(short_trace, 1) is short_trace
+    def test_identity_factor(self, short_batch):
+        assert short_batch.resample(1) is short_batch
 
-    def test_rejects_factor_below_one(self, short_trace):
+    def test_rejects_factor_below_one(self, short_batch):
         with pytest.raises(ValueError):
-            resample_trace(short_trace, 0)
+            short_batch.resample(0)
 
-    def test_rejects_factor_beyond_trace(self, short_trace):
-        steps = len(short_trace.step_linear_m)
+    def test_rejects_factor_beyond_trace(self, short_batch):
         with pytest.raises(ValueError):
-            resample_trace(short_trace, steps + 1)
+            short_batch.resample(short_batch.steps + 1)
 
-    def test_exact_division(self, short_trace):
-        steps = len(short_trace.step_linear_m)  # 200 steps
+    def test_exact_division(self, short_batch):
+        steps = short_batch.steps  # 200 steps
         factor = 4
         assert steps % factor == 0
-        coarse = resample_trace(short_trace, factor)
-        assert len(coarse.step_linear_m) == steps // factor
+        coarse = short_batch.resample(factor)
+        assert coarse.step_linear_m.shape == (4, steps // factor)
         assert coarse.samples == steps // factor + 1
-        assert coarse.dt_s == pytest.approx(short_trace.dt_s * factor)
+        assert coarse.dt_s == pytest.approx(short_batch.dt_s * factor)
+        np.testing.assert_array_equal(coarse.viewer_ids,
+                                      short_batch.viewer_ids)
+        np.testing.assert_array_equal(coarse.video_ids,
+                                      short_batch.video_ids)
 
-    def test_remainder_steps_dropped(self, short_trace):
-        steps = len(short_trace.step_linear_m)  # 200 steps
-        factor = 7                              # 200 = 28*7 + 4
+    def test_remainder_steps_dropped(self, short_batch):
+        steps = short_batch.steps  # 200 steps
+        factor = 7                 # 200 = 28*7 + 4
         groups = steps // factor
-        coarse = resample_trace(short_trace, factor)
-        assert len(coarse.step_linear_m) == groups
+        coarse = short_batch.resample(factor)
+        assert coarse.steps == groups
         assert coarse.samples == groups + 1
         # Only the first groups*factor fine steps contribute; the
-        # 4-step remainder is discarded.
+        # 4-step remainder is discarded.  Each row is summed exactly as
+        # one trace's group sums are.
         used = groups * factor
-        np.testing.assert_allclose(
-            coarse.step_linear_m,
-            short_trace.step_linear_m[:used].reshape(
-                groups, factor).sum(axis=1))
-        np.testing.assert_allclose(
-            coarse.step_angular_rad,
-            short_trace.step_angular_rad[:used].reshape(
-                groups, factor).sum(axis=1))
+        for row in range(len(short_batch)):
+            np.testing.assert_array_equal(
+                coarse.step_linear_m[row],
+                short_batch.step_linear_m[row, :used].reshape(
+                    groups, factor).sum(axis=1))
+            np.testing.assert_array_equal(
+                coarse.step_angular_rad[row],
+                short_batch.step_angular_rad[row, :used].reshape(
+                    groups, factor).sum(axis=1))
 
-    def test_positions_subsampled_at_group_boundaries(self, short_trace):
+    def test_positions_subsampled_at_group_boundaries(self, short_batch):
         factor = 7
-        coarse = resample_trace(short_trace, factor)
-        groups = len(short_trace.step_linear_m) // factor
+        coarse = short_batch.resample(factor)
+        groups = short_batch.steps // factor
         indices = np.arange(0, groups * factor + 1, factor)
-        np.testing.assert_allclose(coarse.positions,
-                                   short_trace.positions[indices])
-        np.testing.assert_allclose(coarse.eulers,
-                                   short_trace.eulers[indices])
+        np.testing.assert_array_equal(coarse.positions,
+                                      short_batch.positions[:, :, indices])
+        np.testing.assert_array_equal(coarse.eulers,
+                                      short_batch.eulers[:, :, indices])
+        # A steps-only batch resamples to a steps-only batch.
+        steps_only = generate_batch(viewers=2, videos=2, seed=5,
+                                    duration_s=2.0, columns="steps")
+        assert not steps_only.resample(factor).has_pose
 
-    def test_motion_is_conserved_per_group(self, short_trace):
+    def test_motion_is_conserved_per_group(self, short_batch):
         # Summed step magnitudes are identical physical motion seen by
         # a slower tracker, so totals over the used region agree.
         factor = 3
-        coarse = resample_trace(short_trace, factor)
-        used = (len(short_trace.step_linear_m) // factor) * factor
-        assert coarse.step_angular_rad.sum() == pytest.approx(
-            short_trace.step_angular_rad[:used].sum())
+        coarse = short_batch.resample(factor)
+        used = (short_batch.steps // factor) * factor
+        np.testing.assert_allclose(
+            coarse.step_angular_rad.sum(axis=1),
+            short_batch.step_angular_rad[:, :used].sum(axis=1))
 
 
 class TestOuVectorization:
@@ -265,12 +281,12 @@ class TestOuVectorization:
 
 class TestDatasetWorkers:
     def test_workers_do_not_change_dataset(self):
-        serial = generate_dataset(viewers=2, videos=2, duration_s=2.0,
-                                  workers=1)
-        fanned = generate_dataset(viewers=2, videos=2, duration_s=2.0,
-                                  workers=2)
+        serial = generate_batch(viewers=2, videos=2, duration_s=2.0,
+                                workers=1)
+        fanned = generate_batch(viewers=2, videos=2, duration_s=2.0,
+                                workers=2)
         assert len(serial) == len(fanned)
-        for a, b in zip(serial, fanned):
+        for a, b in zip(serial.traces(), fanned.traces()):
             assert (a.viewer, a.video) == (b.viewer, b.video)
             np.testing.assert_array_equal(a.positions, b.positions)
             np.testing.assert_array_equal(a.eulers, b.eulers)

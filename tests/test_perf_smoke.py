@@ -28,8 +28,8 @@ from repro.core import (
 )
 from repro.galvo import GalvoHardware
 from repro.geometry import Plane, Ray
-from repro.motion import generate_dataset
-from repro.simulate import simulate_dataset
+from repro.motion import generate_batch
+from repro.simulate import simulate_batch
 
 from . import oracles
 from .oracles import (
@@ -54,12 +54,11 @@ def counter(calls):
 
 class TestVectorizedSmoke:
     def test_vectorized_equals_reference_on_dataset(self):
-        traces = generate_dataset(viewers=2, videos=2, duration_s=3.0)
-        vectorized = simulate_dataset(traces)
-        for trace, fast in zip(traces, vectorized):
+        batch = generate_batch(viewers=2, videos=2, duration_s=3.0)
+        vectorized = simulate_batch(batch)
+        for trace, fast in zip(batch.traces(), vectorized.connected):
             slow = reference_simulate_trace(trace)
-            np.testing.assert_array_equal(fast.connected,
-                                          slow.connected)
+            np.testing.assert_array_equal(fast, slow)
 
 
 class TestMappingFitIsBatched:

@@ -1,12 +1,13 @@
 """The batched slot kernel against the slot-loop oracle.
 
 ``reference_simulate_trace`` (``tests/oracles.py``) is the reference;
-``simulate_batch`` and its one-trace pass ``simulate_trace`` must
-produce the element-for-element identical ``connected`` tensor across
-every TP-latency regime (carry, no-carry, never-realigns), worker
-count and corpus shape.
+every row of ``simulate_batch``'s ``connected`` tensor, over a corpus
+or a one-row batch, must equal it element for element across every
+TP-latency regime (carry, no-carry, never-realigns), worker count and
+corpus shape.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,12 +16,7 @@ import pytest
 import repro.simulate.batch as sim_batch
 from repro.motion import generate_batch
 from repro.parallel import ParallelFallbackWarning
-from repro.simulate import (
-    BatchTimeslotResult,
-    TimeslotParams,
-    simulate_batch,
-    simulate_trace,
-)
+from repro.simulate import BatchTimeslotResult, TimeslotParams, simulate_batch
 
 from .oracles import reference_simulate_trace
 
@@ -39,12 +35,24 @@ def _oracle(batch, params):
             for trace in batch.traces()]
 
 
+def _row(batch, index):
+    """Row ``index`` of ``batch`` as a one-row batch (views)."""
+    rows = slice(index, index + 1)
+    return dataclasses.replace(
+        batch, viewer_ids=batch.viewer_ids[rows],
+        video_ids=batch.video_ids[rows],
+        step_linear_m=batch.step_linear_m[rows],
+        step_angular_rad=batch.step_angular_rad[rows],
+        positions=batch.positions[rows], eulers=batch.eulers[rows])
+
+
 class TestBitIdentity:
     # Latencies straddle every kernel regime: 0 (no carry), 1..9
     # (carry), 10..15 (realignment never lands within the default
     # 10-slot report).
     @pytest.mark.parametrize("latency", range(16))
     def test_matches_simulate_trace(self, corpus, latency):
+        # Every row equals the slot loop, in the corpus and alone.
         params = TimeslotParams(tp_latency_slots=latency)
         got = simulate_batch(corpus, params)
         # array_equal ignores dtype: pin the result dtypes as well.
@@ -52,20 +60,12 @@ class TestBitIdentity:
         assert got.viewer_ids.dtype == np.int64
         assert got.video_ids.dtype == np.int64
         assert got.per_trace_availability().dtype == np.float64
-        for row, trace, want in zip(got.results(), corpus.traces(),
-                                    _oracle(corpus, params)):
-            assert np.array_equal(row.connected, want.connected)
-            assert row.viewer == want.viewer
-            assert row.video == want.video
-            one = simulate_trace(trace, params)
-            assert np.array_equal(one.connected, want.connected)
-            assert one.connected.dtype == np.bool_
-
-    def test_accepts_plain_trace_sequences(self, corpus):
-        got = simulate_batch(corpus.traces())
-        for row, want in zip(got.results(),
-                             _oracle(corpus, TimeslotParams())):
-            assert np.array_equal(row.connected, want.connected)
+        assert np.array_equal(got.viewer_ids, corpus.viewer_ids)
+        assert np.array_equal(got.video_ids, corpus.video_ids)
+        for index, want in enumerate(_oracle(corpus, params)):
+            assert np.array_equal(got.connected[index], want)
+            one = simulate_batch(_row(corpus, index), params)
+            assert np.array_equal(one.connected, want[None])
 
     def test_chunk_size_does_not_change_bytes(self, corpus, monkeypatch):
         whole = simulate_batch(corpus)  # one chunk
@@ -89,19 +89,15 @@ class TestEdgeShapes:
         batch = generate_batch(viewers=0, videos=5, duration_s=DUR)
         result = simulate_batch(batch)
         assert len(result) == 0
-        assert result.results() == []
+        assert result.connected.shape == (0, result.slots)
         assert result.per_trace_availability().shape == (0,)
-
-    def test_empty_trace_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_batch([])
 
     def test_single_trace(self, corpus):
         batch = generate_batch(viewers=1, videos=1, duration_s=DUR,
                                seed=SEED)
         got = simulate_batch(batch)
         want = reference_simulate_trace(batch.trace(0))
-        assert np.array_equal(got.result(0).connected, want.connected)
+        assert np.array_equal(got.connected, want[None])
 
     def test_trace_shorter_than_one_report(self):
         # duration == dt: a single report interval (n == 1), which
@@ -110,9 +106,9 @@ class TestEdgeShapes:
                                dt_s=0.01, seed=SEED)
         assert batch.steps == 1
         got = simulate_batch(batch)
-        for row, want in zip(got.results(),
+        for row, want in zip(got.connected,
                              _oracle(batch, TimeslotParams())):
-            assert np.array_equal(row.connected, want.connected)
+            assert np.array_equal(row, want)
 
     def test_zero_step_trace(self):
         # A duration-0 trace has one sample and zero steps: the replay
@@ -134,6 +130,6 @@ class TestEdgeShapes:
 
     def test_availability_matches_loop(self, corpus):
         got = simulate_batch(corpus).per_trace_availability()
-        want = [r.availability
-                for r in _oracle(corpus, TimeslotParams())]
+        want = [float(np.mean(connected))
+                for connected in _oracle(corpus, TimeslotParams())]
         assert got.tolist() == want

@@ -1,28 +1,41 @@
-"""Unit tests for the Section 5.4 timeslot simulation."""
+"""Unit tests for the Section 5.4 timeslot simulation.
+
+Each case replays one trace as a one-row :class:`TraceBatch` through
+``simulate_batch`` and, where it checks bits, compares the row with
+the slot-loop oracle ``reference_simulate_trace``.
+"""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.motion import HeadTrace, generate_trace
-from repro.simulate import TimeslotParams, simulate_trace
+from repro.motion import TraceBatch, generate_trace
+from repro.simulate import TimeslotParams, analyze, simulate_batch
 
 from .oracles import reference_simulate_trace
 
 
 def synthetic_trace(step_linear_m, step_angular_rad, dt_s=0.010):
-    """A trace with prescribed per-step motion magnitudes."""
+    """A one-row batch with prescribed per-step motion magnitudes."""
     n = len(step_linear_m) + 1
-    positions = np.zeros((n, 3))
-    positions[1:, 0] = np.cumsum(step_linear_m)
-    eulers = np.zeros((n, 3))
-    eulers[1:, 2] = np.cumsum(step_angular_rad)
-    return HeadTrace(viewer=0, video=0, dt_s=dt_s, positions=positions,
-                     eulers=eulers,
-                     step_linear_m=np.asarray(step_linear_m, dtype=float),
-                     step_angular_rad=np.asarray(step_angular_rad,
-                                                 dtype=float))
+    positions = np.zeros((1, 3, n))
+    positions[0, 0, 1:] = np.cumsum(step_linear_m)
+    eulers = np.zeros((1, 3, n))
+    eulers[0, 2, 1:] = np.cumsum(step_angular_rad)
+    return TraceBatch(
+        viewer_ids=np.zeros(1, dtype=np.int64),
+        video_ids=np.zeros(1, dtype=np.int64), dt_s=dt_s,
+        step_linear_m=np.asarray(step_linear_m, dtype=float)[None],
+        step_angular_rad=np.asarray(step_angular_rad, dtype=float)[None],
+        positions=positions, eulers=eulers)
+
+
+def availability(batch, params=TimeslotParams()):
+    """The one trace's connected fraction."""
+    return simulate_batch(batch, params).per_trace_availability()[0]
 
 
 class TestParams:
@@ -42,6 +55,32 @@ class TestParams:
         with pytest.raises(ValueError):
             TimeslotParams(slot_s=0.0)
 
+    @pytest.mark.parametrize("slot_s", [math.nan, math.inf])
+    def test_rejects_non_finite_slot(self, slot_s):
+        with pytest.raises(ValueError, match="slot length"):
+            TimeslotParams(slot_s=slot_s)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("name", ["residual_lateral_m",
+                                      "residual_angular_rad"])
+    def test_rejects_bad_residual(self, name, value):
+        # A NaN residual compares false everywhere (0 % availability);
+        # a negative one silently buys margin.
+        with pytest.raises(ValueError, match=name):
+            TimeslotParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lateral_tolerance_m",
+                                      "angular_tolerance_rad"])
+    def test_rejects_non_finite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TimeslotParams(**{name: value})
+
+    def test_zero_residual_is_legal(self):
+        params = TimeslotParams(residual_lateral_m=0.0,
+                                residual_angular_rad=0.0)
+        assert params.residual_lateral_m == 0.0
+
     def test_rejects_fractional_latency(self):
         # A fractional latency never equals a slot index, so the
         # realignment would silently never land.
@@ -56,72 +95,71 @@ class TestParams:
 class TestSimulateTrace:
     def test_stationary_trace_fully_connected(self):
         trace = synthetic_trace(np.zeros(100), np.zeros(100))
-        result = simulate_trace(trace)
-        assert result.availability == 1.0
+        assert availability(trace) == 1.0
 
     def test_slow_motion_stays_connected(self):
         # 10 deg/s: 1.75 mrad per 10 ms report -- far within budget.
         step_ang = np.full(200, np.radians(10) * 0.01)
-        result = simulate_trace(synthetic_trace(np.zeros(200), step_ang))
-        assert result.availability == 1.0
+        assert availability(synthetic_trace(np.zeros(200), step_ang)) == 1.0
 
     def test_fast_rotation_disconnects(self):
         # 60 deg/s: 10.5 mrad per report >> the 8.73 mrad tolerance.
         step_ang = np.full(200, np.radians(60) * 0.01)
-        result = simulate_trace(synthetic_trace(np.zeros(200), step_ang))
-        assert result.availability < 0.7
+        assert availability(synthetic_trace(np.zeros(200), step_ang)) < 0.7
 
     def test_fast_translation_disconnects(self):
         # 0.5 m/s: 5 mm drift per report + 4.54 mm residual > 6 mm.
         step_lin = np.full(200, 0.5 * 0.01)
-        result = simulate_trace(synthetic_trace(step_lin, np.zeros(200)))
-        assert result.availability < 0.7
+        assert availability(synthetic_trace(step_lin, np.zeros(200))) < 0.7
 
     def test_burst_only_affects_its_slots(self):
         steps = np.zeros(300)
         steps[100:110] = np.radians(80) * 0.01  # a 100 ms saccade
-        result = simulate_trace(synthetic_trace(np.zeros(300), steps))
-        assert 0.9 < result.availability < 1.0
+        result = simulate_batch(synthetic_trace(np.zeros(300), steps))
+        assert 0.9 < result.per_trace_availability()[0] < 1.0
         # Slots outside the burst neighbourhood stay connected.
-        assert result.connected[:990].all()
+        assert result.connected[0, :990].all()
 
     def test_slot_count(self):
         trace = synthetic_trace(np.zeros(50), np.zeros(50))
-        result = simulate_trace(trace)
+        result = simulate_batch(trace)
         assert result.slots == 500
+        assert result.connected.shape == (1, 500)
 
     def test_higher_tolerance_more_availability(self):
         step_ang = np.full(200, np.radians(40) * 0.01)
         trace = synthetic_trace(np.zeros(200), step_ang)
-        tight = simulate_trace(trace, TimeslotParams())
-        loose = simulate_trace(trace, TimeslotParams(
+        tight = availability(trace, TimeslotParams())
+        loose = availability(trace, TimeslotParams(
             angular_tolerance_rad=20e-3))
-        assert loose.availability >= tight.availability
+        assert loose >= tight
 
     def test_latency_slots_delay_realignment(self):
         # With a huge TP latency the realignment never lands inside
         # the interval, so drift accumulates across reports.
         step_ang = np.full(100, np.radians(25) * 0.01)
         trace = synthetic_trace(np.zeros(100), step_ang)
-        normal = simulate_trace(trace, TimeslotParams(tp_latency_slots=2))
-        never = simulate_trace(trace, TimeslotParams(tp_latency_slots=99))
-        assert never.availability < normal.availability
+        normal = availability(trace, TimeslotParams(tp_latency_slots=2))
+        never = availability(trace, TimeslotParams(tp_latency_slots=99))
+        assert never < normal
 
     def test_off_slots_property(self):
-        trace = synthetic_trace(np.zeros(100),
-                                np.full(100, np.radians(60) * 0.01))
-        result = simulate_trace(trace)
-        assert result.off_slots == result.slots - int(
+        # 90 reports of 10 slots tile exactly 30 frames, so the
+        # clustering pass counts every off-slot.
+        trace = synthetic_trace(np.zeros(90),
+                                np.full(90, np.radians(60) * 0.01))
+        result = simulate_batch(trace)
+        assert analyze(result).off_slot_total == result.slots - int(
             result.connected.sum())
 
 
 def _assert_matches_reference(trace, params):
-    vectorized = simulate_trace(trace, params)
-    reference = reference_simulate_trace(trace, params)
-    np.testing.assert_array_equal(vectorized.connected,
-                                  reference.connected)
-    assert vectorized.viewer == reference.viewer
-    assert vectorized.video == reference.video
+    vectorized = simulate_batch(trace, params)
+    reference = reference_simulate_trace(trace.trace(0), params)
+    assert vectorized.connected.dtype == np.bool_
+    np.testing.assert_array_equal(vectorized.connected, reference[None])
+    np.testing.assert_array_equal(vectorized.viewer_ids, trace.viewer_ids)
+    np.testing.assert_array_equal(vectorized.video_ids, trace.video_ids)
 
 
 @st.composite
@@ -173,7 +211,9 @@ class TestVectorizedMatchesReference:
         trace = generate_trace(viewer=2, video=3, seed=11,
                                duration_s=5.0)
         params = TimeslotParams(tp_latency_slots=latency)
-        _assert_matches_reference(trace, params)
+        _assert_matches_reference(
+            synthetic_trace(trace.step_linear_m, trace.step_angular_rad),
+            params)
         # Short prefixes: no report, one (report 0 only), two (the
         # first realignment), and a few.
         for steps in (0, 1, 2, 7, 50):
@@ -184,11 +224,13 @@ class TestVectorizedMatchesReference:
     def test_real_trace_default_params(self):
         trace = generate_trace(viewer=0, video=0, seed=2022,
                                duration_s=10.0)
-        _assert_matches_reference(trace, TimeslotParams())
+        _assert_matches_reference(
+            synthetic_trace(trace.step_linear_m, trace.step_angular_rad),
+            TimeslotParams())
 
     def test_empty_trace(self):
         trace = synthetic_trace(np.zeros(0), np.zeros(0))
-        result = simulate_trace(trace)
+        result = simulate_batch(trace)
         assert result.slots == 0
         _assert_matches_reference(trace, TimeslotParams())
 
@@ -211,22 +253,22 @@ class TestLatencyAtOrBeyondReportPeriod:
         # disconnects permanently once drift is never reset.
         step_ang = np.full(300, np.radians(10) * 0.01)
         trace = synthetic_trace(np.zeros(300), step_ang)
-        aligned = simulate_trace(trace, TimeslotParams(tp_latency_slots=2))
-        drifting = simulate_trace(
-            trace, TimeslotParams(tp_latency_slots=10))
-        assert aligned.availability == 1.0
-        assert drifting.availability < 1.0
+        aligned = availability(trace, TimeslotParams(tp_latency_slots=2))
+        drifting = simulate_batch(
+            trace, TimeslotParams(tp_latency_slots=10)).connected[0]
+        assert aligned == 1.0
+        assert drifting.mean() < 1.0
         # Once disconnected, a monotone drift never reconnects.
-        off = np.flatnonzero(~drifting.connected)
+        off = np.flatnonzero(~drifting)
         assert off.size > 0
-        assert not drifting.connected[off[0]:].any()
+        assert not drifting[off[0]:].any()
 
     def test_latency_equal_and_beyond_period_identical(self):
         step_ang = np.full(120, np.radians(25) * 0.01)
         trace = synthetic_trace(np.zeros(120), step_ang)
-        at_period = simulate_trace(
+        at_period = simulate_batch(
             trace, TimeslotParams(tp_latency_slots=10))
-        beyond = simulate_trace(
+        beyond = simulate_batch(
             trace, TimeslotParams(tp_latency_slots=17))
         np.testing.assert_array_equal(at_period.connected,
                                       beyond.connected)
