@@ -20,8 +20,7 @@ by layer:
 * :mod:`repro.analysis` -- closed-form tolerated-speed budgets;
 * :mod:`repro.reporting` -- text tables and terminal plots.
 
-The static analyzer (:mod:`repro.devtools`) and the CLI
-(:mod:`repro.cli`) sit on top and are not imported here.
+The CLI (:mod:`repro.cli`) sits on top and is not imported here.
 
 Quick start::
 

@@ -10,7 +10,6 @@ can poke the system without writing code::
     python -m repro safety            # eye-safety reports
     python -m repro plan --width 4 --depth 3   # ceiling TX plan
     python -m repro formats           # the VR-format bandwidth ladder
-    python -m repro analyze           # static analysis (layering/RNG/units)
 """
 
 from __future__ import annotations
@@ -136,12 +135,6 @@ def _cmd_formats(args):
     return 0
 
 
-def _cmd_analyze(args):
-    """Run the repro.devtools static analyzer."""
-    from .devtools.cli import run_analyze
-    return run_analyze(args)
-
-
 def _cmd_scenarios(args):
     from .reporting import TextTable
     from .simulate import list_scenarios
@@ -221,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("formats", help="VR format bandwidth ladder"
                    ).set_defaults(func=_cmd_formats)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="static analysis: layering, RNG provenance and units "
-             "(repro.devtools)")
-    from .devtools.cli import add_analyze_arguments
-    add_analyze_arguments(analyze)
-    analyze.set_defaults(func=_cmd_analyze)
 
     sub.add_parser("scenarios", help="list the experiment registry"
                    ).set_defaults(func=_cmd_scenarios)

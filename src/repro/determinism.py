@@ -7,7 +7,7 @@ entropy unless the caller *documents* that choice by passing
 ``deterministic=False`` -- the escape hatch for interactive
 exploration, never for pipelines that produce artifacts.
 
-``python -m repro analyze`` (rule T001) holds the minting half
+``tests/test_contracts.py`` (rule T001) holds the minting half
 statically: generators may be constructed only in this module.  The
 per-seed byte-identity tests hold the rest.  This module is the one
 sanctioned runtime implementation of the contract.

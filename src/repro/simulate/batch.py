@@ -172,9 +172,19 @@ def _connected_chunk(items: Sequence[tuple], params: TimeslotParams,
 
 
 def _slots_per_report(dt_s: float, params: TimeslotParams) -> int:
-    slots_per_report = int(round(dt_s / params.slot_s))
+    """Slots per report interval; the period must hold a whole number.
+
+    A fractional ratio would replay a shorter (or longer) trace than
+    the corpus covers, with every drift rate scaled to match.
+    """
+    ratio = dt_s / params.slot_s
+    slots_per_report = int(round(ratio))
     if slots_per_report < 1:
         raise ValueError("slots must be finer than the report period")
+    if abs(ratio - slots_per_report) > 1e-9 * ratio:
+        raise ValueError(
+            f"report period dt_s={dt_s!r} is not a whole number of "
+            f"slots of slot_s={params.slot_s!r}")
     return slots_per_report
 
 

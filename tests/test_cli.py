@@ -48,10 +48,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    @pytest.mark.parametrize("command", ["sweep", "chaos"])
+    @pytest.mark.parametrize("command", ["sweep", "chaos", "analyze", "lint"])
     def test_sweep_is_an_unknown_command(self, capsys, tmp_path, command):
-        # No checkpointed-sweep or fault-injection subcommand: the
-        # invocation is a usage error and writes nothing.
+        # No checkpointed-sweep, fault-injection or static-analysis
+        # subcommand: the invocation is a usage error and writes
+        # nothing.
         with pytest.raises(SystemExit) as info:
             main([command, "--output", str(tmp_path / "out.json")])
         assert info.value.code == 2
@@ -190,7 +191,6 @@ class TestExitCodeContract:
         ("_cmd_safety", ["safety"]),
         ("_cmd_plan", ["plan"]),
         ("_cmd_formats", ["formats"]),
-        ("_cmd_analyze", ["analyze"]),
         ("_cmd_scenarios", ["scenarios"]),
         ("_cmd_scenario", ["scenario", "s1"]),
     ]

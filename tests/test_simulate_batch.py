@@ -120,6 +120,27 @@ class TestEdgeShapes:
         assert got.slots == 0
         assert got.per_trace_availability().tolist() == [0.0]
 
+    def test_rejects_a_report_period_of_fractional_slots(self):
+        # 12.5 ms is not a whole number of 1 ms slots; rounding it to
+        # 12 would replay 9.6 s of every 10 s, each drift 4 % fast.
+        batch = generate_batch(viewers=1, videos=1, duration_s=1.0,
+                               dt_s=0.0125, seed=SEED)
+        with pytest.raises(ValueError,
+                           match=r"dt_s=0\.0125 .* slot_s=0\.001"):
+            simulate_batch(batch)
+
+    @pytest.mark.parametrize("factor", [1, 2, 5, 10])
+    def test_tracking_rate_ablation_periods_are_whole_slots(self,
+                                                           factor):
+        # The ablation bench's resampled periods and slot lengths.
+        period_s = 0.002 * factor
+        params = TimeslotParams(slot_s=min(1e-3, period_s / 2),
+                                tp_latency_slots=1)
+        batch = generate_batch(viewers=1, videos=1, duration_s=0.2,
+                               dt_s=0.002, seed=SEED).resample(factor)
+        got = simulate_batch(batch, params)
+        assert got.slots == batch.steps * round(period_s / params.slot_s)
+
     def test_rejects_1d_connected(self):
         # A flat connected row used to be accepted and only failed
         # later, as an IndexError from .slots.
