@@ -15,10 +15,17 @@ from repro.baselines import (
     LookupFeasibility,
     run_static,
 )
-from repro.core import GmaModel
+from repro.core import GmaModel, beam_error_m
 from repro.galvo import canonical_gma
+from repro.geometry import normalize
 from repro.motion import LinearRail
 from repro.reporting import TextTable, fmt_float
+
+
+def point_at(beam, distance_m):
+    """The point ``distance_m`` along an ``(origin, direction)`` beam."""
+    origin, direction = beam
+    return np.array(origin) + distance_m * normalize(direction)
 
 
 def direct_inverse_errors():
@@ -27,7 +34,7 @@ def direct_inverse_errors():
     targets, voltages = [], []
     for v1 in np.linspace(-4, 4, 16):
         for v2 in np.linspace(-4, 4, 16):
-            targets.append(model.beam(float(v1), float(v2)).point_at(1.5))
+            targets.append(point_at(model.beam(float(v1), float(v2)), 1.5))
             voltages.append([v1, v2])
     regressor = DirectInverseRegressor(degree=3).fit(
         np.array(targets), np.array(voltages))
@@ -35,10 +42,10 @@ def direct_inverse_errors():
     def miss_at(depth):
         errors = []
         for v1, v2 in [(1.2, -0.6), (-2.3, 1.8), (0.4, 3.1), (3.3, 0.2)]:
-            probe = model.beam(v1, v2).point_at(depth)
-            v = regressor.predict([probe])[0]
-            beam = model.beam(float(v[0]), float(v[1]))
-            errors.append(beam.distance_to_point(probe))
+            truth = model.beam(v1, v2)
+            v = regressor.predict([point_at(truth, depth)])[0]
+            errors.append(beam_error_m(
+                model.beam(float(v[0]), float(v[1])), truth, depth))
         return float(np.mean(errors))
 
     return {depth: miss_at(depth) for depth in (1.5, 1.3, 1.0, 0.7)}

@@ -11,16 +11,17 @@ import numpy as np
 from repro.baselines import ConstantOriginModel
 from repro.core import GmaModel
 from repro.galvo import canonical_gma
-from repro.geometry import Plane
 from repro.reporting import TextTable, fmt_float
 
-BOARD = Plane([0.0, 0.0, 1.5], [0.0, 0.0, 1.0])
+#: The board: the plane z = 1.5 m (a point on it and its unit normal).
+BOARD_POINT = np.array([0.0, 0.0, 1.5])
+BOARD_NORMAL = np.array([0.0, 0.0, 1.0])
 
 
 def distortion_profile():
     model = GmaModel(canonical_gma(np.radians(1.0)))
     ablated = ConstantOriginModel(model)
-    return {v: ablated.board_error_m(v, v, BOARD)
+    return {v: ablated.board_error_m(v, v, BOARD_POINT, BOARD_NORMAL)
             for v in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)}
 
 

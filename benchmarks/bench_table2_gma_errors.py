@@ -48,13 +48,13 @@ def combined_errors(testbed, calibration):
         for v1, v2 in [(-1.5, 0.5), (0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
             testbed.tx_hardware.apply(v1, v2)
             truth = vr.compose(testbed.tx_kspace_to_world).apply_ray(
-                testbed.tx_hardware.output_beam())
+                *testbed.tx_hardware.output_beam())
             errors["tx"].append(beam_error_m(
                 system.tx_model_vr.beam(v1, v2), truth, EVAL_RANGE_M))
             testbed.rx_hardware.apply(v1, v2)
             truth = vr.compose(
                 testbed.rx_assembly.kspace_to_world(pose)).apply_ray(
-                    testbed.rx_hardware.output_beam())
+                    *testbed.rx_hardware.output_beam())
             errors["rx"].append(beam_error_m(
                 rx_model.beam(v1, v2), truth, EVAL_RANGE_M))
     return {name: summarize(f"combined-{name}", errs)

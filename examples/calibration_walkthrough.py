@@ -20,6 +20,7 @@ from repro.core import (
     point,
     solve_inverse,
 )
+from repro.geometry import normalize
 from repro.simulate import Testbed
 from repro.simulate.rig import _perturbed_params
 
@@ -59,7 +60,8 @@ def stage3(testbed, outcome):
     print("\nStage 3 (Section 4.3) -- G' inverse and pointing P")
     system = outcome.system
     tx = system.tx_model_vr
-    target = tx.beam(1.0, -0.5).point_at(1.75)
+    origin, direction = tx.beam(1.0, -0.5)
+    target = np.array(origin) + 1.75 * normalize(direction)
     inverse = solve_inverse(tx, target)
     print(f"  G'(target) converged in {inverse.iterations} iterations "
           f"(paper: 2-4), miss {inverse.miss_distance_m * 1e6:.1f} um")

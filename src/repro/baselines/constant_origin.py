@@ -14,11 +14,28 @@ cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..core.gma import GmaModel
-from ..geometry import Plane, Ray
+from ..geometry import NoIntersectionError, Vec3, as_vec3, normalize
+
+
+def _plane_hit(origin: Vec3, direction: Vec3, point: np.ndarray,
+               normal: np.ndarray) -> np.ndarray:
+    """Where a beam's line crosses the plane through ``point``.
+
+    ``normal`` is the plane's unit normal and ``direction`` is
+    normalized first; hits behind the origin count.
+    """
+    origin = as_vec3(origin)
+    direction = normalize(direction)
+    denom = float(np.dot(direction, normal))
+    if abs(denom) < 1e-12:
+        raise NoIntersectionError("ray is parallel to the plane")
+    t = -float(np.dot(origin - point, normal)) / denom
+    return origin + t * direction
 
 
 @dataclass(frozen=True)
@@ -28,23 +45,23 @@ class ConstantOriginModel:
     full_model: GmaModel
 
     def __post_init__(self):
-        rest = self.full_model.beam(0.0, 0.0)
-        object.__setattr__(self, "_origin", rest.origin)
+        object.__setattr__(self, "_origin", self.full_model.beam(0.0, 0.0)[0])
 
     @property
-    def origin(self) -> np.ndarray:
+    def origin(self) -> Vec3:
         """The frozen originating point."""
         return self._origin
 
-    def beam(self, v1: float, v2: float) -> Ray:
+    def beam(self, v1: float, v2: float) -> Tuple[Vec3, Vec3]:
         """Direction from the full model, origin pinned at rest."""
-        direction = self.full_model.beam(v1, v2).direction
-        return Ray(self._origin, direction)
+        return self._origin, self.full_model.beam(v1, v2)[1]
 
-    def board_error_m(self, v1: float, v2: float, board: Plane) -> float:
-        """Board-hit discrepancy vs the full (distortion-aware) model."""
-        full_hit = board.intersect_ray(self.full_model.beam(v1, v2),
-                                       forward_only=False)
-        const_hit = board.intersect_ray(self.beam(v1, v2),
-                                        forward_only=False)
+    def board_error_m(self, v1: float, v2: float, point: np.ndarray,
+                      normal: np.ndarray) -> float:
+        """Board-hit discrepancy vs the full (distortion-aware) model.
+
+        The board is the plane through ``point`` with unit ``normal``.
+        """
+        full_hit = _plane_hit(*self.full_model.beam(v1, v2), point, normal)
+        const_hit = _plane_hit(*self.beam(v1, v2), point, normal)
         return float(np.linalg.norm(full_hit - const_hit))

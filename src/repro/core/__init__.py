@@ -24,7 +24,6 @@ from .inverse import (
 )
 from .inverse import solve as solve_inverse
 from .kspace import (
-    BOARD_PLANE,
     BoardRig,
     BoardSample,
     evaluate_fit,
@@ -49,7 +48,6 @@ from .system import LearnedSystem
 __all__ = [
     "AlignedSample",
     "AlignmentResult",
-    "BOARD_PLANE",
     "BoardRig",
     "BoardSample",
     "CoverageError",

@@ -13,11 +13,11 @@ the link's movement tolerance (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Ray
+from ..geometry import Vec3, as_vec3, normalize
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,23 @@ class ErrorSummary:
         return self.maximum_m * 1e3
 
 
-def beam_error_m(predicted: Ray, truth: Ray, eval_range_m: float) -> float:
+def beam_error_m(predicted: Tuple[Vec3, Vec3], truth: Tuple[Vec3, Vec3],
+                 eval_range_m: float) -> float:
     """Miss distance of a predicted beam at the far end of the link.
 
     Measures how far the predicted beam line passes from the point the
     *true* beam reaches at ``eval_range_m`` -- i.e. if the pointing
     mechanism trusted the prediction, by how much would it misplace the
-    beam at the other terminal.
+    beam at the other terminal.  Both beams are ``(origin, direction)``
+    pairs; their directions are normalized here.
     """
     if eval_range_m <= 0:
         raise ValueError("evaluation range must be positive")
-    target = truth.point_at(eval_range_m)
-    return predicted.distance_to_point(target)
+    target = as_vec3(truth[0]) + float(eval_range_m) * normalize(truth[1])
+    origin = as_vec3(predicted[0])
+    direction = normalize(predicted[1])
+    along = float(np.dot(target - origin, direction))
+    return float(np.linalg.norm(target - (origin + along * direction)))
 
 
 def summarize(label: str, errors: Sequence[float]) -> ErrorSummary:

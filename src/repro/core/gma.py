@@ -5,7 +5,8 @@ beam's originating point and direction.  The parameterized expression
 itself lives in :func:`repro.galvo.mirror.trace`; this module adds:
 
 * :class:`GmaModel` -- a thin, frame-aware wrapper the pointing
-  algorithms use;
+  algorithms use: :meth:`GmaModel.beam` is ``G`` at the linear angles
+  ``theta1 * v``, a float ``(origin, direction)`` pair;
 * :func:`trace_batch` -- a fully vectorized evaluation of ``G`` over
   many voltage pairs at once, which the least-squares fits call inside
   their residual functions (the scalar path would be ~100x slower);
@@ -26,8 +27,8 @@ from typing import Tuple
 import numpy as np
 import numpy.typing as npt
 
-from ..galvo import GmaParams, second_mirror_plane, trace
-from ..geometry import Plane, Ray, RigidTransform
+from ..galvo import GmaParams, trace
+from ..geometry import RigidTransform, Vec3
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,10 @@ class GmaModel:
 
     params: GmaParams
 
-    def beam(self, v1: float, v2: float) -> Ray:
-        """Evaluate ``G(v1, v2)``: the predicted output beam."""
-        return trace(self.params, v1, v2)
-
-    def second_mirror_plane(self, v1: float, v2: float) -> Plane:
-        """The predicted second-mirror plane at these voltages."""
-        return second_mirror_plane(self.params, self.params.theta1 * v2)
+    def beam(self, v1: float, v2: float) -> Tuple[Vec3, Vec3]:
+        """Evaluate ``G(v1, v2)``: the predicted output beam ``(p, x)``."""
+        theta1 = self.params.theta1
+        return trace(self.params, theta1 * v1, theta1 * v2)
 
     def transformed(self, transform: RigidTransform) -> "GmaModel":
         """The same model expressed in another coordinate frame."""
@@ -148,10 +146,10 @@ def intersect_rows(origins: np.ndarray, directions: np.ndarray,
     ``origins``, ``directions``, ``points`` (one point on each plane)
     and ``normals`` are (..., 3) arrays that broadcast together.
     Returns ``(hits, hit)``: the (..., 3) strike points and a (...)
-    mask with the rules of :meth:`repro.geometry.Plane.intersect_ray`
-    -- a beam parallel to its plane misses, and with ``forward_only``
-    so does a hit behind the beam's origin.  A beam exactly parallel
-    to its plane yields a non-finite strike point.
+    mask of where they exist -- a beam parallel to its plane
+    (``|d . n| < 1e-12``) misses, and with ``forward_only`` so does a
+    hit behind the beam's origin.  A beam exactly parallel to its plane
+    yields a non-finite strike point.
     """
     hits, denom, t = _intersect(_xyz(origins), _xyz(directions),
                                 _xyz(points), _xyz(normals))
@@ -233,16 +231,19 @@ def trace_batch(vector: npt.ArrayLike, v1: npt.ArrayLike,
 
 
 def board_hits(vector: npt.ArrayLike, v1: npt.ArrayLike,
-               v2: npt.ArrayLike, board: Plane) -> np.ndarray:
+               v2: npt.ArrayLike, point: np.ndarray,
+               normal: np.ndarray) -> np.ndarray:
     """Where the modelled beams land on the calibration board.
 
-    ``vector`` is one parameter vector or a (k, 25) stack, as in
-    :func:`trace_batch`.  Returns (n, 3) or (k, n, 3) world points;
-    beams that never reach the board yield non-finite coordinates.
+    The board is the plane through the (3,) ``point`` with the (3,)
+    unit ``normal``.  ``vector`` is one parameter vector or a (k, 25)
+    stack, as in :func:`trace_batch`.  Returns (n, 3) or (k, n, 3)
+    world points; beams that never reach the board yield non-finite
+    coordinates.
     """
     origins, directions = trace_batch(vector, v1, v2)
-    denom = directions @ board.normal
+    denom = directions @ normal
     safe = np.where(np.abs(denom) < 1e-300, np.nan, denom)
-    offsets = board.point - origins
-    t = (offsets @ board.normal) / safe
+    offsets = point - origins
+    t = (offsets @ normal) / safe
     return origins + t[..., None] * directions

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy.typing as npt
 
-from ..galvo.mirror import trace_floats
+from ..galvo.mirror import trace
 from ..geometry import Vec3, as_vec3
 from .gma import GmaModel
 
@@ -44,9 +44,9 @@ def _plane_hit(origin: Vec3, direction: Vec3, point: Vec3,
                normal: Vec3) -> Vec3:
     """Where a beam's line crosses the plane through ``point``.
 
-    Float form of :meth:`repro.geometry.Plane.intersect_ray` with
-    ``forward_only=False`` (backwards geometry is tolerated), for a unit
-    ``normal``; the beam direction is normalized as :class:`Ray` does.
+    Hits behind the beam's origin count (backwards geometry is
+    tolerated); ``normal`` is a unit vector, and the beam direction is
+    normalized first.
     """
     dx, dy, dz = direction
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -65,8 +65,8 @@ def _plane_hit(origin: Vec3, direction: Vec3, point: Vec3,
 def _miss_distance(origin: Vec3, direction: Vec3, point: Vec3) -> float:
     """Distance from ``point`` to a beam's line.
 
-    Float form of :meth:`repro.geometry.Ray.distance_to_point`: the
-    direction is normalized as :class:`Ray` does.
+    The distance to the infinite line, not to the half-line; the
+    direction is normalized first.
     """
     dx, dy, dz = direction
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -99,7 +99,7 @@ def solve(model: GmaModel, target: npt.ArrayLike,
        update falls below the GM's minimum voltage step.
 
     The iteration runs on plain floats
-    (:func:`repro.galvo.mirror.trace_floats`), and so does
+    (:func:`repro.galvo.mirror.trace`), and so does
     ``miss_distance_m``: one more trace at the converged voltages and a
     point-to-line distance.  A non-finite ``target`` or seed voltage
     raises :class:`InverseDivergedError` before the first iteration,
@@ -116,16 +116,16 @@ def solve(model: GmaModel, target: npt.ArrayLike,
     params = model.params
     theta1 = params.theta1
     for iteration in range(1, max_iterations + 1):
-        origin, direction = trace_floats(params, theta1 * v1, theta1 * v2)
+        origin, direction = trace(params, theta1 * v1, theta1 * v2)
         dx, dy, dz = direction
         length = math.sqrt(dx * dx + dy * dy + dz * dz)
         normal = (dx / length, dy / length, dz / length)
         k0x, k0y, k0z = _plane_hit(origin, direction, point, normal)
         k1x, k1y, k1z = _plane_hit(
-            *trace_floats(params, theta1 * (v1 + EPSILON_V), theta1 * v2),
+            *trace(params, theta1 * (v1 + EPSILON_V), theta1 * v2),
             point, normal)
         k2x, k2y, k2z = _plane_hit(
-            *trace_floats(params, theta1 * v1, theta1 * (v2 + EPSILON_V)),
+            *trace(params, theta1 * v1, theta1 * (v2 + EPSILON_V)),
             point, normal)
         u1x = (k1x - k0x) / EPSILON_V
         u1y = (k1y - k0y) / EPSILON_V
@@ -152,7 +152,7 @@ def solve(model: GmaModel, target: npt.ArrayLike,
         v2 += b
         if max(abs(a), abs(b)) < voltage_step_v:
             miss = _miss_distance(
-                *trace_floats(params, theta1 * v1, theta1 * v2), point)
+                *trace(params, theta1 * v1, theta1 * v2), point)
             return InverseResult(v1=v1, v2=v2, iterations=iteration,
                                  miss_distance_m=miss)
     raise InverseDivergedError(

@@ -26,7 +26,7 @@ import numpy.typing as npt
 
 from .. import constants
 from ..galvo import GalvoHardware, GmaParams
-from ..geometry import NoIntersectionError, Plane
+from ..geometry import NoIntersectionError, Vec3
 from .gma import GmaModel, board_hits
 from .lsq import forward_jacobian, levenberg_marquardt
 from .pointing import PointingDivergedError
@@ -40,8 +40,29 @@ EYE_NOISE_M = 0.7e-3
 WARP_BIAS_M = 0.9e-3
 WARP_PERIOD_M = 0.35
 
-#: The board plane in K-space: the x-y plane, normal +z.
-BOARD_PLANE = Plane(point=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]))
+#: The board plane in K-space: the x-y plane (through the origin, unit
+#: normal +z).
+BOARD_POINT = np.zeros(3)
+BOARD_NORMAL = np.array([0.0, 0.0, 1.0])
+
+
+def _board_hit(origin: Vec3, direction: Vec3,
+               length: float) -> Tuple[float, float]:
+    """Where a beam meets the z = 0 board, as ``(x, y)``.
+
+    ``length`` is the norm of ``direction``, which is scaled to unit
+    length first.  A beam parallel to the board, or hitting it behind
+    its origin, raises :class:`NoIntersectionError`.
+    """
+    ox, oy, oz = origin
+    dx, dy, dz = direction
+    dz /= length
+    if abs(dz) < 1e-12:
+        raise NoIntersectionError("ray is parallel to the plane")
+    t = -oz / dz
+    if t < -1e-12:
+        raise NoIntersectionError("intersection is behind the ray origin")
+    return ox + t * (dx / length), oy + t * (dy / length)
 
 
 @dataclass(frozen=True)
@@ -88,54 +109,31 @@ class BoardRig:
         self._warp_phase = tuple(
             self.rng.uniform(0.0, 2.0 * np.pi, size=2).tolist())
 
-    def warp_bias(self, point_xy: npt.ArrayLike) -> np.ndarray:
-        """Systematic apparent-position bias from board non-flatness.
+    def _warp_bias(self, x: float, y: float) -> Tuple[float, float]:
+        """Systematic apparent-position bias at the board point ``(x, y)``.
 
-        Smooth over the board at roughly the panel's warp wavelength;
-        outside the fitted model's expressive class, so it is the
-        component of the paper's 1-2 mm stage-1 error that no amount of
-        samples removes.
+        Board non-flatness, smooth over the board at roughly the
+        panel's warp wavelength; outside the fitted model's expressive
+        class, so it is the component of the paper's 1-2 mm stage-1
+        error that no amount of samples removes.
         """
-        x, y = np.asarray(point_xy, dtype=float).tolist()
-        return np.array(self._warp_floats(x, y))
-
-    def _warp_floats(self, x: float, y: float) -> Tuple[float, float]:
-        """:meth:`warp_bias` of the board point ``(x, y)``, as floats."""
         phase_x, phase_y = self._warp_phase
         return (self.warp_bias_m * math.sin(
                     2.0 * math.pi * x / WARP_PERIOD_M + phase_x),
                 self.warp_bias_m * math.sin(
                     2.0 * math.pi * y / WARP_PERIOD_M + phase_y))
 
-    def beam_board_hit(self) -> np.ndarray:
-        """Where the true beam currently lands on the board (exact)."""
-        beam = self.hardware.output_beam()
-        return BOARD_PLANE.intersect_ray(beam)
+    def _observed_spot(self) -> Tuple[float, float]:
+        """The spot position as *read off the warped grid board*.
 
-    def observed_board_hit(self) -> np.ndarray:
-        """The spot position as *read off the warped grid board*."""
-        hit = self.beam_board_hit()[:2]
-        return hit + self.warp_bias(hit)
-
-    def _observed_floats(self) -> Tuple[float, float]:
-        """:meth:`observed_board_hit` on plain floats.
-
-        The true beam, normalized as :class:`repro.geometry.Ray` does,
-        meets the z = 0 board with :meth:`Plane.intersect_ray`'s rules (a
-        beam parallel to the board, or hitting it behind its origin,
-        raises :class:`NoIntersectionError`), and the warp bias is added.
+        Where the true beam meets the board (:func:`_board_hit`), plus
+        the warp bias.
         """
-        (ox, oy, oz), (dx, dy, dz) = self.hardware.output_beam_floats()
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        dz /= length
-        if abs(dz) < 1e-12:
-            raise NoIntersectionError("ray is parallel to the plane")
-        t = -oz / dz
-        if t < -1e-12:
-            raise NoIntersectionError("intersection is behind the ray origin")
-        x = ox + t * (dx / length)
-        y = oy + t * (dy / length)
-        bias_x, bias_y = self._warp_floats(x, y)
+        origin, direction = self.hardware.output_beam()
+        dx, dy, dz = direction
+        x, y = _board_hit(origin, direction,
+                          math.sqrt(dx * dx + dy * dy + dz * dz))
+        bias_x, bias_y = self._warp_bias(x, y)
         return x + bias_x, y + bias_y
 
     def voltages_hitting(self, target_xy: npt.ArrayLike,
@@ -148,8 +146,8 @@ class BoardRig:
         the voltage knobs until the spot covers the grid point.  The
         default tolerance sits above the GM's own 10 urad jitter floor
         (~15 um on the board) but far below the by-eye reading noise.
-        All readings are the observed spot (:meth:`observed_board_hit`,
-        on floats), so the board's warp bias flows into the samples,
+        All readings are the observed spot (:meth:`_observed_spot`), so
+        the board's warp bias flows into the samples,
         exactly as it would on the real bench.  Each iteration commands
         the hardware three times (base, then one finite-difference step
         per mirror; the last only once) and takes the Newton step from
@@ -169,14 +167,14 @@ class BoardRig:
         epsilon = 5e-3  # volts, for the finite-difference Jacobian
         for _ in range(max_iterations):
             hardware.apply(v1, v2)
-            x, y = self._observed_floats()
+            x, y = self._observed_spot()
             miss_x, miss_y = target_x - x, target_y - y
             if math.hypot(miss_x, miss_y) <= tolerance_m:
                 return v1, v2
             hardware.apply(v1 + epsilon, v2)
-            x1, y1 = self._observed_floats()
+            x1, y1 = self._observed_spot()
             hardware.apply(v1, v2 + epsilon)
-            x2, y2 = self._observed_floats()
+            x2, y2 = self._observed_spot()
             j11, j21 = (x1 - x) / epsilon, (y1 - y) / epsilon
             j12, j22 = (x2 - x) / epsilon, (y2 - y) / epsilon
             det = j11 * j22 - j12 * j21
@@ -240,12 +238,12 @@ def _prior_sigmas(initial: np.ndarray) -> np.ndarray:
     return sigmas
 
 
-def fit_gma(samples: List[BoardSample], initial_guess: GmaParams,
-            board: Plane = BOARD_PLANE) -> GmaModel:
+def fit_gma(samples: List[BoardSample],
+            initial_guess: GmaParams) -> GmaModel:
     """Least-squares fit of the 25 GMA parameters (Section 4.1-B).
 
     Minimizes ``sum d((x, y), f(G(v1, v2)))^2`` over the samples, where
-    ``f`` intersects the modelled beam with the board plane.  The
+    ``f`` intersects the modelled beam with the z = 0 board plane.  The
     initial guess plays the role of the paper's CAD drawing plus manual
     placement measurement, and doubles as a weak prior: board hits
     alone cannot pin down the full 3D beam geometry (any family of
@@ -267,7 +265,8 @@ def fit_gma(samples: List[BoardSample], initial_guess: GmaParams,
 
     def residual_rows(vectors: np.ndarray) -> np.ndarray:
         """Board-hit misses, then the prior, per (25,) row of a stack."""
-        hits = board_hits(vectors, v1, v2, board)[..., :2]
+        hits = board_hits(vectors, v1, v2, BOARD_POINT,
+                          BOARD_NORMAL)[..., :2]
         res = (hits - targets).reshape(len(vectors), -1)
         # Beams that miss the board entirely are maximally wrong.
         res = np.where(np.isfinite(res), res, 1e3)
@@ -286,11 +285,17 @@ def evaluate_fit(model: GmaModel, rig: BoardRig,
 
     For each test target, steer the *real* hardware onto it (fresh
     measurement), then ask the model where those voltages land; the
-    distance between prediction and target is the stage-1 error.
+    distance between prediction and target is the stage-1 error.  The
+    predicted beam's length is taken with ``np.linalg.norm``, not the
+    board loop's ``math.sqrt``: the two differ in the last bit for
+    about one vector in ten, and the Table 2 numbers were recorded
+    with the former.
     """
     errors = []
     for point in np.asarray(test_points, dtype=float):
         v1, v2 = rig.voltages_hitting(point)
-        predicted = BOARD_PLANE.intersect_ray(model.beam(v1, v2))[:2]
-        errors.append(float(np.linalg.norm(predicted - point)))
+        origin, direction = model.beam(v1, v2)
+        predicted = _board_hit(origin, direction,
+                               float(np.linalg.norm(direction)))
+        errors.append(float(np.linalg.norm(np.array(predicted) - point)))
     return np.array(errors)

@@ -67,8 +67,8 @@ def cold_start_seed(system: LearnedSystem, reported_pose: Pose,
     """
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)
-    p_t = tx.beam(0.0, 0.0).origin
-    p_r = rx.beam(0.0, 0.0).origin
+    p_t = tx.beam(0.0, 0.0)[0]
+    p_r = rx.beam(0.0, 0.0)[0]
     try:
         tx_solution = inverse.solve(tx, p_r, 0.0, 0.0,
                                     voltage_step_v=voltage_step_v)
@@ -104,8 +104,8 @@ def point(system: LearnedSystem, reported_pose: Pose,
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)
     for iteration in range(1, max_iterations + 1):
-        p_t = tx.beam(v_tx1, v_tx2).origin
-        p_r = rx.beam(v_rx1, v_rx2).origin
+        p_t = tx.beam(v_tx1, v_tx2)[0]
+        p_r = rx.beam(v_rx1, v_rx2)[0]
         tx_solution = inverse.solve(tx, p_r, v_tx1, v_tx2,
                                     voltage_step_v=voltage_step_v)
         rx_solution = inverse.solve(rx, p_t, v_rx1, v_rx2,

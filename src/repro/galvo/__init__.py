@@ -2,12 +2,7 @@
 
 from .daq import Daq
 from .galvo import CoverageError, GalvoHardware
-from .mirror import (
-    GmaParams,
-    canonical_gma,
-    second_mirror_plane,
-    trace,
-)
+from .mirror import GmaParams, canonical_gma, trace
 from .specs import GVS102, GalvoSpec
 
 __all__ = [
@@ -18,6 +13,5 @@ __all__ = [
     "GalvoSpec",
     "GmaParams",
     "canonical_gma",
-    "second_mirror_plane",
     "trace",
 ]

@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import Plane, Ray, Vec3
+from ..geometry import Vec3
 from .daq import Daq
-from .mirror import GmaParams, second_mirror_plane, trace, trace_floats
+from .mirror import GmaParams, trace
 from .specs import GVS102, GalvoSpec
 
 
@@ -116,20 +116,7 @@ class GalvoHardware:
         self._angle1 = angle1
         self._angle2 = angle2
 
-    def output_beam(self) -> Ray:
-        """The beam currently leaving the GMA (in the params' frame)."""
-        return trace(self.params, self._v1, self._v2,
-                     angle1_rad=self._angle1, angle2_rad=self._angle2)
-
-    def output_beam_floats(self) -> Tuple[Vec3, Vec3]:
-        """:meth:`output_beam` as float ``(origin, direction)`` triples."""
-        return trace_floats(self.params, self._angle1, self._angle2)
-
-    def second_mirror_plane(self) -> Plane:
-        """The second mirror's current plane (in the params' frame).
-
-        The channel needs this to locate where an arriving beam strikes
-        the steering mirror -- the paper's target point ``tau``.
-        """
-        return second_mirror_plane(self.params, self._angle2)
-
+    def output_beam(self) -> Tuple[Vec3, Vec3]:
+        """The beam currently leaving the GMA (in the params' frame),
+        as float ``(origin, direction)`` triples."""
+        return trace(self.params, self._angle1, self._angle2)

@@ -10,17 +10,16 @@ Section 4.1 parameterizes a GM assembly (GMA) by:
   volt), assumed identical for both mirrors.
 
 :func:`trace` is the paper's closed-form expression for
-``G(v1, v2) = (p, x)``: rotate each normal by ``R(r_i, theta1 * v_i)``
-and chain two reflections.  Both the simulated "real" hardware
-(:mod:`repro.galvo.galvo`) and the learned model
-(:mod:`repro.core.gma`) evaluate this same function -- the hardware adds
+``G(v1, v2) = (p, x)``: rotate each normal by ``R(r_i, angle_i)`` and
+chain two reflections.  The learned model (:mod:`repro.core.gma`)
+passes the linear angles ``theta1 * v_i``; the simulated "real"
+hardware (:mod:`repro.galvo.galvo`) passes its true angles, with
 hidden imperfections on top.
 
-The trace runs on plain Python floats: numpy's per-call overhead on
-3-vectors is most of the cost of ``G``, and ``G`` runs inside every
-calibration and pointing loop.  Only the returned :class:`Ray` (and
-:class:`Plane`) are numpy-backed; :func:`trace_floats` hands the float
-beam itself to callers that stay on floats (the channel).
+The trace runs on plain Python floats and returns the beam as a float
+``(origin, direction)`` pair: numpy's per-call overhead on 3-vectors is
+most of the cost of ``G``, and ``G`` runs inside every calibration and
+pointing loop.
 """
 
 from __future__ import annotations
@@ -33,13 +32,17 @@ import numpy as np
 
 from ..geometry import (
     NoIntersectionError,
-    Plane,
-    Ray,
     RigidTransform,
     Vec3,
     as_vec3,
     normalize,
 )
+
+#: The vector fields of :class:`GmaParams`, in ``to_vector`` order.
+_VECTOR_FIELDS = ("p0", "x0", "n1", "q1", "r1", "n2", "q2", "r2")
+
+#: The fields among them that are unit directions.
+_DIRECTION_FIELDS = frozenset(("x0", "n1", "r1", "n2", "r2"))
 
 
 @dataclass(frozen=True)
@@ -61,20 +64,26 @@ class GmaParams:
                                       compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", as_vec3(self.p0))
-        object.__setattr__(self, "x0", normalize(self.x0))
-        object.__setattr__(self, "n1", normalize(self.n1))
-        object.__setattr__(self, "q1", as_vec3(self.q1))
-        object.__setattr__(self, "r1", normalize(self.r1))
-        object.__setattr__(self, "n2", normalize(self.n2))
-        object.__setattr__(self, "q2", as_vec3(self.q2))
-        object.__setattr__(self, "r2", normalize(self.r2))
-        if self.theta1 <= 0:
-            raise ValueError("theta1 must be positive")
-        object.__setattr__(self, "_floats", tuple(
-            tuple(vector.tolist()) for vector in (
-                self.p0, self.x0, self.n1, self.q1, self.r1,
-                self.n2, self.q2, self.r2)))
+        """Validate every field and normalize the directions.
+
+        A non-finite vector entry (checked before that vector is
+        normalized) or a non-finite or non-positive ``theta1`` raises
+        ``ValueError`` naming the field.
+        """
+        floats = []
+        for name in _VECTOR_FIELDS:
+            vector = as_vec3(getattr(self, name))
+            if not all(map(math.isfinite, vector.tolist())):
+                raise ValueError(f"GmaParams.{name} must be finite, "
+                                 f"got {vector}")
+            if name in _DIRECTION_FIELDS:
+                vector = normalize(vector)
+            object.__setattr__(self, name, vector)
+            floats.append(tuple(vector.tolist()))
+        if not (math.isfinite(self.theta1) and self.theta1 > 0):
+            raise ValueError(f"GmaParams.theta1 must be positive and "
+                             f"finite, got {self.theta1}")
+        object.__setattr__(self, "_floats", tuple(floats))
 
     # -- flat encodings for the least-squares fits --------------------------
 
@@ -135,7 +144,7 @@ def _reflect(origin: Vec3, direction: Vec3, pivot: Vec3,
     may legally describe the same output beams with "behind" strike
     points (gauge freedom); only the resulting beam line matters.
     Raises :class:`NoIntersectionError` for a beam parallel to the
-    mirror, like :meth:`repro.geometry.Plane.intersect_ray`.
+    mirror.
     """
     ox, oy, oz = origin
     dx, dy, dz = direction
@@ -150,39 +159,16 @@ def _reflect(origin: Vec3, direction: Vec3, pivot: Vec3,
             (dx - twice * nx, dy - twice * ny, dz - twice * nz))
 
 
-def _plane(point: Vec3, normal: Vec3) -> Plane:
-    return Plane(np.array(point), np.array(normal))
+def trace(params: GmaParams, angle1_rad: float,
+          angle2_rad: float) -> Tuple[Vec3, Vec3]:
+    """``G`` at given mechanical mirror angles: the output beam ``(p, x)``.
 
-
-def second_mirror_plane(params: GmaParams, angle2_rad: float) -> Plane:
-    """The second mirror's plane alone (the Lemma 1 target plane)."""
-    floats = params._floats
-    return _plane(floats[6], _rotate(floats[7], angle2_rad, floats[5]))
-
-
-def trace_floats(params: GmaParams, angle1_rad: float,
-                 angle2_rad: float) -> Tuple[Vec3, Vec3]:
-    """``G`` at given mechanical mirror angles, as float ``(p, x)``."""
+    The direction is unit up to rounding (two reflections of the unit
+    ``x0``); callers that need it exactly unit normalize it.
+    """
     p0, x0, n1, q1, r1, n2, q2, r2 = params._floats
     mid, mid_direction = _reflect(p0, x0, q1, _rotate(r1, angle1_rad, n1))
     return _reflect(mid, mid_direction, q2, _rotate(r2, angle2_rad, n2))
-
-
-def trace(params: GmaParams, v1: float, v2: float,
-          angle1_rad: Optional[float] = None,
-          angle2_rad: Optional[float] = None) -> Ray:
-    """Evaluate ``G(v1, v2) -> (p, x)`` as an output :class:`Ray`.
-
-    By default the mirror angles are the paper's linear model
-    ``theta1 * v``; callers may pass explicit angles (the hardware
-    simulator does, to inject its nonlinearity and jitter).
-    """
-    if angle1_rad is None:
-        angle1_rad = params.theta1 * v1
-    if angle2_rad is None:
-        angle2_rad = params.theta1 * v2
-    out, out_direction = trace_floats(params, angle1_rad, angle2_rad)
-    return Ray(np.array(out), np.array(out_direction))
 
 
 def canonical_gma(theta1: float,

@@ -1,11 +1,11 @@
-"""Geometry substrate: vectors, rotations, rays, planes, SE(3).
+"""Geometry substrate: vectors, rotations, SE(3).
 
 Everything the Cyclops optical model needs is exact 3D geometry; there is
-deliberately no rendering or approximation in this package.
+deliberately no rendering or approximation in this package.  A beam is
+the paper's ``(p, x)`` pair as two float triples (:data:`Vec3`): its
+originating point and its direction.
 """
 
-from .plane import NoIntersectionError, Plane
-from .ray import Ray
 from .rotation import (
     euler_to_matrix,
     is_rotation_matrix,
@@ -14,32 +14,26 @@ from .rotation import (
     rotation_between,
     rotation_matrix,
 )
-from .transform import RigidTransform, apply_ray_floats
+from .transform import RigidTransform
 from .vec import (
     Vec3,
     as_vec3,
-    cross,
-    distance,
-    dot,
-    norm,
     normalize,
 )
 
+
+class NoIntersectionError(ValueError):
+    """Raised when a beam does not hit a plane (parallel or behind)."""
+
+
 __all__ = [
     "NoIntersectionError",
-    "Plane",
-    "Ray",
     "RigidTransform",
     "Vec3",
-    "apply_ray_floats",
     "as_vec3",
-    "cross",
-    "distance",
-    "dot",
     "euler_to_matrix",
     "is_rotation_matrix",
     "matrix_to_euler",
-    "norm",
     "normalize",
     "rotation_angle",
     "rotation_between",

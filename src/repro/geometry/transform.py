@@ -14,7 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .ray import Ray
 from .rotation import euler_to_matrix, is_rotation_matrix, matrix_to_euler
 from .vec import Vec3, as_vec3
 
@@ -64,10 +63,10 @@ class RigidTransform:
         """Transform a direction (rotation only)."""
         return self.rotation @ as_vec3(direction)
 
-    def apply_ray(self, ray: Ray) -> Ray:
-        """Transform a ray: move its origin, rotate its direction."""
-        return Ray(self.apply_point(ray.origin),
-                   self.apply_direction(ray.direction))
+    def apply_ray(self, origin: Vec3,
+                  direction: Vec3) -> Tuple[Vec3, Vec3]:
+        """Transform a beam: move its origin, rotate its direction."""
+        return _move_ray(self.rotation, self.translation, origin, direction)
 
     # -- algebra -----------------------------------------------------------
 
@@ -91,13 +90,15 @@ class RigidTransform:
                                 atol=tol))
 
 
-def apply_ray_floats(rotation: np.ndarray, translation: np.ndarray,
-                     origin: Vec3, direction: Vec3) -> Tuple[Vec3, Vec3]:
-    """``x -> R x + t`` on a float ray: move the origin, rotate the direction.
+def _move_ray(rotation: np.ndarray, translation: np.ndarray, origin: Vec3,
+              direction: Vec3) -> Tuple[Vec3, Vec3]:
+    """``x -> R x + t`` on a float beam: move the origin, rotate the
+    direction.
 
-    :meth:`RigidTransform.apply_ray` on plain float triples, with no
-    :class:`Ray` built.  ``rotation`` and ``translation`` are taken as
-    already validated: pass a :class:`RigidTransform`'s or a pose's.
+    The body of :meth:`RigidTransform.apply_ray` and
+    :meth:`repro.vrh.Pose.apply_ray`.  ``rotation`` and ``translation``
+    are taken as already validated, so a pose's placement needs no
+    :class:`RigidTransform` built (and checked) per beam.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
     tx, ty, tz = translation.tolist()

@@ -1,8 +1,9 @@
-"""Small 3-vector helpers used throughout the geometry substrate.
+"""3-vector types and the two helpers the geometry substrate shares.
 
-All geometry code represents points and directions as ``numpy`` arrays of
-shape ``(3,)`` with ``float64`` dtype.  These helpers centralize the
-validation and the handful of operations numpy does not spell nicely.
+Parameters and poses hold points and directions as ``numpy`` arrays of
+shape ``(3,)`` with ``float64`` dtype; beams are plain float triples
+(:data:`Vec3`).  :func:`as_vec3` validates the arrays and
+:func:`normalize` makes unit directions of them.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from typing import Tuple
 
 import numpy as np
 
-#: A point or direction as a plain float triple, for the hot paths
-#: (``G``, the channel) that skip numpy's per-call overhead.
+#: A point or direction as a plain float triple.  A beam is a pair of
+#: them, ``(origin, direction)``: the hot paths (``G``, ``G'``, the
+#: channel) skip numpy's per-call overhead on 3-vectors.
 Vec3 = Tuple[float, float, float]
 
 #: Tolerance under which a vector is considered degenerate (zero length).
@@ -30,11 +32,6 @@ def as_vec3(value) -> np.ndarray:
     return arr
 
 
-def norm(v) -> float:
-    """Euclidean length of a 3-vector."""
-    return float(np.linalg.norm(as_vec3(v)))
-
-
 def normalize(v) -> np.ndarray:
     """Return ``v`` scaled to unit length.
 
@@ -46,19 +43,3 @@ def normalize(v) -> np.ndarray:
     if length < DEGENERATE_NORM:
         raise ValueError("cannot normalize a zero-length vector")
     return arr / length
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    return float(np.linalg.norm(as_vec3(a) - as_vec3(b)))
-
-
-def dot(a, b) -> float:
-    """Dot product as a plain float."""
-    return float(np.dot(as_vec3(a), as_vec3(b)))
-
-
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors."""
-    return np.cross(as_vec3(a), as_vec3(b))
-

@@ -1,6 +1,6 @@
 """End-to-end FSO link: designs, channel physics, link-layer state."""
 
-from .channel import AlignmentState, FsoChannel, LemmaPoints
+from .channel import AlignmentState, FsoChannel
 from .design import (
     NOISE_FLOOR_DBM,
     LinkDesign,
@@ -27,7 +27,6 @@ from .tolerance import (
 __all__ = [
     "AlignmentState",
     "FsoChannel",
-    "LemmaPoints",
     "LinkDesign",
     "LinkStateMachine",
     "MultiWavelengthDesign",

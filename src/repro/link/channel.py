@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..vrh import Pose, RxAssembly, TxAssembly
 from .design import NOISE_FLOOR_DBM, LinkDesign
 
@@ -41,22 +39,6 @@ class AlignmentState:
     connected: bool
 
 
-@dataclass(frozen=True)
-class LemmaPoints:
-    """The four Lemma 1 points: originating and target, both ends."""
-
-    p_t: np.ndarray
-    tau_t: np.ndarray
-    p_r: np.ndarray
-    tau_r: np.ndarray
-
-    @property
-    def error(self) -> float:
-        """``d(p_t, tau_r) + d(p_r, tau_t)`` -- the Section 4.2 error."""
-        return (float(np.linalg.norm(self.p_t - self.tau_r))
-                + float(np.linalg.norm(self.p_r - self.tau_t)))
-
-
 @dataclass
 class FsoChannel:
     """Physics of one TX-to-RX FSO link."""
@@ -72,8 +54,8 @@ class FsoChannel:
         power probe and the session's per-slot channel, where numpy's
         per-call overhead on 3-vectors would dominate.
         """
-        (ox, oy, oz), (dx, dy, dz) = self.tx.world_beam_floats()
-        (px, py, pz), (ux, uy, uz) = self.rx.world_beam_floats(body_pose)
+        (ox, oy, oz), (dx, dy, dz) = self.tx.world_beam()
+        (px, py, pz), (ux, uy, uz) = self.rx.world_beam(body_pose)
 
         # Where along the TX beam the receiver sits, and how far off axis
         # (the TX direction is a unit vector, so ``along`` is metric).
@@ -112,21 +94,3 @@ class FsoChannel:
     def received_power_dbm(self, body_pose: Pose) -> float:
         """Shortcut for power-only queries (the alignment search)."""
         return self.evaluate(body_pose).received_power_dbm
-
-    def lemma_points(self, body_pose: Pose) -> LemmaPoints:
-        """Lemma 1's two originating/target point pairs (world frame).
-
-        ``tau_t`` is where the TX beam strikes the RX GM's second-mirror
-        plane; ``tau_r`` is where the imaginary RX beam strikes the TX
-        GM's second-mirror plane.  Raises
-        :class:`repro.geometry.NoIntersectionError` when either beam
-        misses the other terminal's mirror plane entirely.
-        """
-        tx_beam = self.tx.world_beam()
-        rx_beam = self.rx.world_beam(body_pose)
-        rx_mirror = self.rx.world_second_mirror_plane(body_pose)
-        tx_mirror = self.tx.world_second_mirror_plane()
-        tau_t = rx_mirror.intersect_ray(tx_beam)
-        tau_r = tx_mirror.intersect_ray(rx_beam, forward_only=False)
-        return LemmaPoints(p_t=tx_beam.origin, tau_t=tau_t,
-                           p_r=rx_beam.origin, tau_r=tau_r)

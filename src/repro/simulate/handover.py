@@ -39,8 +39,8 @@ from .rig import (
     Testbed,
     _perturbed_params,
     _placement_to,
+    _rest_direction,
 )
-from ..galvo.mirror import trace as trace_gma
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class MultiTxRig:
             params = _perturbed_params(
                 self.testbed.tx_hardware.params, rng, 1e-3,
                 np.radians(0.5), 0.01)
-            rest_dir = trace_gma(params, 0.0, 0.0).direction
+            rest_dir = _rest_direction(params)
             aim = rotation_between(rest_dir, rx_mirror_home - position)
             placement = _placement_to(aim, params.q2, position)
             hardware = GalvoHardware(

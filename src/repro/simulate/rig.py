@@ -38,14 +38,13 @@ from ..core import (
     point,
 )
 from ..determinism import resolve_rng, spawn
-from ..galvo import GVS102, GalvoHardware, GmaParams, canonical_gma
+from ..galvo import GVS102, GalvoHardware, GmaParams, canonical_gma, trace
 from ..geometry import (
     RigidTransform,
     euler_to_matrix,
     normalize,
     rotation_between,
 )
-from ..galvo.mirror import trace as trace_gma
 from ..link import FsoChannel, LinkDesign, link_10g_diverging
 from ..vrh import Pose, RxAssembly, TxAssembly, VrhTracker
 
@@ -90,6 +89,11 @@ def _perturbed_params(params: GmaParams, rng: np.random.Generator,
         r2=wiggle_direction(params.r2),
         theta1=params.theta1 * float(1.0 + rng.normal(0.0, theta_rel_sigma)),
     )
+
+
+def _rest_direction(params: GmaParams) -> np.ndarray:
+    """The unit direction of a GMA's rest (zero-volt) beam."""
+    return normalize(trace(params, 0.0, 0.0)[1])
 
 
 def _placement_to(rotation: np.ndarray, kspace_mirror: np.ndarray,
@@ -154,13 +158,13 @@ class Testbed:
         # keeps the working voltages comfortably inside the +/-10 V
         # coverage cone.  A small mounting-tilt error is added on top.
         rx_mirror_home = HOME_POSITION + RX_MIRROR_BODY
-        tx_rest_dir = trace_gma(tx_truth, 0.0, 0.0).direction
+        tx_rest_dir = _rest_direction(tx_truth)
         tx_aim = rotation_between(tx_rest_dir,
                                   rx_mirror_home - tx_mirror_world)
         tx_tilt = euler_to_matrix(*rng.normal(0.0, np.radians(1.0), size=3))
         self.tx_kspace_to_world = _placement_to(
             tx_tilt @ tx_aim, tx_truth.q2, tx_mirror_world)
-        rx_rest_dir = trace_gma(rx_truth, 0.0, 0.0).direction
+        rx_rest_dir = _rest_direction(rx_truth)
         rx_aim = rotation_between(rx_rest_dir,
                                   tx_mirror_world - rx_mirror_home)
         rx_tilt = euler_to_matrix(*rng.normal(0.0, np.radians(1.0), size=3))

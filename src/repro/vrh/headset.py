@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..galvo import GalvoHardware
-from ..geometry import Plane, Ray, RigidTransform, Vec3, apply_ray_floats
+from ..geometry import RigidTransform, Vec3
 from .pose import Pose
 
 
@@ -38,34 +38,17 @@ class RxAssembly:
         """Transform from the GMA's K-space into the world."""
         return self.body_to_world(body_pose).compose(self.kspace_to_body)
 
-    def world_beam(self, body_pose: Pose) -> Ray:
+    def world_beam(self, body_pose: Pose) -> Tuple[Vec3, Vec3]:
         """The imaginary beam emanating from RX, in world coordinates.
 
         This is Lemma 1's "optical path of an imaginary beam emanating
         from RX": the collimator's outgoing path through the RX GM for
-        the currently applied voltages.
+        the currently applied voltages, as float ``(origin, direction)``
+        triples.  Applies ``kspace_to_body`` and then the pose -- the
+        map :meth:`kspace_to_world` composes -- one after the other.
         """
-        return self.kspace_to_world(body_pose).apply_ray(
-            self.hardware.output_beam())
-
-    def world_beam_floats(self, body_pose: Pose) -> Tuple[Vec3, Vec3]:
-        """:meth:`world_beam` as float ``(origin, direction)`` triples.
-
-        Applies ``kspace_to_body`` and then the pose -- the map
-        :meth:`kspace_to_world` composes -- one after the other.
-        """
-        in_body = apply_ray_floats(
-            self.kspace_to_body.rotation, self.kspace_to_body.translation,
-            *self.hardware.output_beam_floats())
-        return apply_ray_floats(body_pose.orientation, body_pose.position,
-                                *in_body)
-
-    def world_second_mirror_plane(self, body_pose: Pose) -> Plane:
-        """The RX GM's second-mirror plane, in world coordinates."""
-        plane = self.hardware.second_mirror_plane()
-        transform = self.kspace_to_world(body_pose)
-        return Plane(transform.apply_point(plane.point),
-                     transform.apply_direction(plane.normal))
+        in_body = self.kspace_to_body.apply_ray(*self.hardware.output_beam())
+        return body_pose.apply_ray(*in_body)
 
 
 @dataclass
@@ -75,18 +58,7 @@ class TxAssembly:
     hardware: GalvoHardware
     kspace_to_world: RigidTransform
 
-    def world_beam(self) -> Ray:
-        """The beam currently launched by TX, in world coordinates."""
-        return self.kspace_to_world.apply_ray(self.hardware.output_beam())
-
-    def world_beam_floats(self) -> Tuple[Vec3, Vec3]:
-        """:meth:`world_beam` as float ``(origin, direction)`` triples."""
-        return apply_ray_floats(
-            self.kspace_to_world.rotation, self.kspace_to_world.translation,
-            *self.hardware.output_beam_floats())
-
-    def world_second_mirror_plane(self) -> Plane:
-        """The TX GM's second-mirror plane, in world coordinates."""
-        plane = self.hardware.second_mirror_plane()
-        return Plane(self.kspace_to_world.apply_point(plane.point),
-                     self.kspace_to_world.apply_direction(plane.normal))
+    def world_beam(self) -> Tuple[Vec3, Vec3]:
+        """The beam currently launched by TX, in world coordinates, as
+        float ``(origin, direction)`` triples."""
+        return self.kspace_to_world.apply_ray(*self.hardware.output_beam())

@@ -11,16 +11,19 @@ and speeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..geometry import (
     RigidTransform,
+    Vec3,
     as_vec3,
     euler_to_matrix,
     is_rotation_matrix,
     rotation_angle,
 )
+from ..geometry.transform import _move_ray
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,12 @@ class Pose:
     def as_transform(self) -> RigidTransform:
         """The body-to-reference rigid transform."""
         return RigidTransform(self.orientation, self.position)
+
+    def apply_ray(self, origin: Vec3,
+                  direction: Vec3) -> Tuple[Vec3, Vec3]:
+        """A body-frame beam in the reference frame: the same map as
+        ``as_transform().apply_ray``, with no transform built."""
+        return _move_ray(self.orientation, self.position, origin, direction)
 
     # -- motion arithmetic ---------------------------------------------------
 

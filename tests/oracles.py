@@ -1,5 +1,19 @@
 """Reference implementations the fast paths are checked against.
 
+* :class:`Ray` / :class:`Plane` and the numpy 3-vector helpers
+  (:func:`norm`, :func:`distance`, :func:`dot`, :func:`cross`) -- the
+  object form of a beam and a plane.  ``repro`` itself carries a beam
+  as a float ``(origin, direction)`` pair; ``Ray(*beam)`` lifts one
+  into this form;
+* :func:`second_mirror_plane`, :func:`world_second_mirror_plane`,
+  :func:`apply_ray`, :func:`world_beam`, :func:`lemma_points` -- the
+  Lemma 1 target planes, the world-frame beams through
+  ``RigidTransform.apply_point``/``apply_direction``, and the four
+  Lemma 1 points built from them;
+* :data:`BOARD_PLANE`, :func:`beam_board_hit`, :func:`warp_bias`,
+  :func:`observed_board_hit` -- the Section 4.1-B board reading on
+  :class:`Ray`/:class:`Plane` (the float reading in
+  :mod:`repro.core.kspace` must agree with it);
 * :func:`reflect_direction` / :func:`reflect_ray` /
   :func:`angle_between` -- the paper's reflection operator ``R``
   (Section 4.1) and the angle between two directions on numpy
@@ -47,10 +61,13 @@
   :mod:`repro.motion.batch` must agree with it bit for bit);
 * :func:`reference_simulate_trace` -- the Section 5.4 slot-by-slot
   loop over one trace (each row of the slot kernel in
-  :mod:`repro.simulate.batch` must agree with it bit for bit).
+  :mod:`repro.simulate.batch` must agree with it bit for bit); like
+  the kernel, it rejects a report period that is not a whole number
+  of slots.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -68,16 +85,20 @@ from repro.core.inverse import (
     InverseResult,
 )
 from repro.core.gma import _DIRECTION_ROWS, board_hits, layout, placed
-from repro.core.kspace import BOARD_PLANE, PRIOR_WEIGHT_M, _prior_sigmas
+from repro.core.kspace import (
+    BOARD_NORMAL,
+    BOARD_POINT,
+    PRIOR_WEIGHT_M,
+    _prior_sigmas,
+)
 from repro.core.lsq import forward_jacobian
 from repro.core.mapping import MISS_PENALTY_M, _residual_rows, _stack
 from repro.determinism import derive
 from repro.galvo import CoverageError, GmaParams
+from repro.galvo.mirror import _rotate
 from repro.geometry import (
     NoIntersectionError,
-    Plane,
-    Ray,
-    dot,
+    as_vec3,
     euler_to_matrix,
     normalize,
     rotation_matrix,
@@ -87,6 +108,190 @@ from repro.link.design import NOISE_FLOOR_DBM
 from repro.motion import VIDEO_360, HeadTrace
 from repro.simulate import TimeslotParams
 
+
+def norm(v):
+    """Euclidean length of a 3-vector."""
+    return float(np.linalg.norm(as_vec3(v)))
+
+
+def distance(a, b):
+    """Euclidean distance between two points."""
+    return float(np.linalg.norm(as_vec3(a) - as_vec3(b)))
+
+
+def dot(a, b):
+    """Dot product as a plain float."""
+    return float(np.dot(as_vec3(a), as_vec3(b)))
+
+
+def cross(a, b):
+    """Cross product of two 3-vectors."""
+    return np.cross(as_vec3(a), as_vec3(b))
+
+
+@dataclass(frozen=True)
+class Ray:
+    """A half-infinite line: ``origin + t * direction`` for ``t >= 0``.
+
+    ``direction`` is normalized on construction, so ``t`` is metric
+    distance along the beam.
+    """
+
+    origin: np.ndarray
+    direction: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin", as_vec3(self.origin))
+        object.__setattr__(self, "direction", normalize(self.direction))
+
+    def point_at(self, t):
+        """Point a distance ``t`` along the ray from its origin."""
+        return self.origin + float(t) * self.direction
+
+    def distance_to_point(self, point):
+        """Perpendicular distance from ``point`` to the ray's line."""
+        p = as_vec3(point)
+        offset = p - self.origin
+        along = dot(offset, self.direction)
+        closest = self.origin + along * self.direction
+        return distance(p, closest)
+
+    def closest_point_to(self, point):
+        """Point on the ray's line closest to ``point``."""
+        p = as_vec3(point)
+        along = dot(p - self.origin, self.direction)
+        return self.point_at(along)
+
+
+@dataclass(frozen=True)
+class Plane:
+    """A plane through ``point`` with unit ``normal``."""
+
+    point: np.ndarray
+    normal: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "point", as_vec3(self.point))
+        object.__setattr__(self, "normal", normalize(self.normal))
+
+    def signed_distance(self, point):
+        """Signed distance of ``point`` from the plane (+ on normal side)."""
+        return dot(as_vec3(point) - self.point, self.normal)
+
+    def intersect_ray(self, ray, forward_only=True):
+        """Intersection point of ``ray`` with the plane.
+
+        Raises :class:`NoIntersectionError` when the ray is parallel to
+        the plane, or (with ``forward_only``) when the intersection lies
+        behind the ray's origin -- a beam cannot hit a mirror backwards.
+        """
+        denom = dot(ray.direction, self.normal)
+        if abs(denom) < 1e-12:
+            raise NoIntersectionError("ray is parallel to the plane")
+        t = -self.signed_distance(ray.origin) / denom
+        if forward_only and t < -1e-12:
+            raise NoIntersectionError("intersection is behind the ray origin")
+        return ray.point_at(t)
+
+    def intersection_distance(self, ray):
+        """Distance along ``ray`` to its intersection with the plane."""
+        denom = dot(ray.direction, self.normal)
+        if abs(denom) < 1e-12:
+            raise NoIntersectionError("ray is parallel to the plane")
+        return -self.signed_distance(ray.origin) / denom
+
+
+def second_mirror_plane(params, angle2_rad):
+    """The second mirror's plane alone (the Lemma 1 target plane), with
+    the float Rodrigues rotation ``G`` itself uses."""
+    floats = params._floats
+    return Plane(np.array(floats[6]),
+                 np.array(_rotate(floats[7], angle2_rad, floats[5])))
+
+
+def apply_ray(transform, ray):
+    """A :class:`Ray` moved by a ``RigidTransform``: the origin through
+    ``apply_point``, the direction through ``apply_direction``."""
+    return Ray(transform.apply_point(ray.origin),
+               transform.apply_direction(ray.direction))
+
+
+def _kspace_to_world(assembly, body_pose):
+    """A TX assembly's fixed placement, or an RX one's at ``body_pose``."""
+    if body_pose is None:
+        return assembly.kspace_to_world
+    return assembly.kspace_to_world(body_pose)
+
+
+def world_beam(assembly, body_pose=None):
+    """An assembly's current beam in the world, as a :class:`Ray`
+    (``body_pose`` for an RX assembly, none for a TX one)."""
+    return apply_ray(_kspace_to_world(assembly, body_pose),
+                     Ray(*assembly.hardware.output_beam()))
+
+
+def world_second_mirror_plane(assembly, body_pose=None):
+    """An assembly's current second-mirror plane, in the world."""
+    hardware = assembly.hardware
+    plane = second_mirror_plane(hardware.params, hardware._angle2)
+    transform = _kspace_to_world(assembly, body_pose)
+    return Plane(transform.apply_point(plane.point),
+                 transform.apply_direction(plane.normal))
+
+
+@dataclass(frozen=True)
+class LemmaPoints:
+    """The four Lemma 1 points: originating and target, both ends."""
+
+    p_t: np.ndarray
+    tau_t: np.ndarray
+    p_r: np.ndarray
+    tau_r: np.ndarray
+
+    @property
+    def error(self):
+        """``d(p_t, tau_r) + d(p_r, tau_t)`` -- the Section 4.2 error."""
+        return (float(np.linalg.norm(self.p_t - self.tau_r))
+                + float(np.linalg.norm(self.p_r - self.tau_t)))
+
+
+def lemma_points(channel, body_pose):
+    """Lemma 1's two originating/target point pairs (world frame).
+
+    ``tau_t`` is where the TX beam strikes the RX GM's second-mirror
+    plane; ``tau_r`` is where the imaginary RX beam strikes the TX
+    GM's second-mirror plane.  Raises :class:`NoIntersectionError` when
+    either beam misses the other terminal's mirror plane entirely.
+    """
+    tx_beam = world_beam(channel.tx)
+    rx_beam = world_beam(channel.rx, body_pose)
+    tau_t = world_second_mirror_plane(channel.rx, body_pose).intersect_ray(
+        tx_beam)
+    tau_r = world_second_mirror_plane(channel.tx).intersect_ray(
+        rx_beam, forward_only=False)
+    return LemmaPoints(p_t=tx_beam.origin, tau_t=tau_t,
+                       p_r=rx_beam.origin, tau_r=tau_r)
+
+
+#: The K-space calibration board: the x-y plane, normal +z.
+BOARD_PLANE = Plane(BOARD_POINT, BOARD_NORMAL)
+
+
+def beam_board_hit(rig):
+    """Where the rig's true beam currently lands on the board (exact)."""
+    return BOARD_PLANE.intersect_ray(Ray(*rig.hardware.output_beam()))
+
+
+def warp_bias(rig, point_xy):
+    """The rig's apparent-position bias at a board point, as an array."""
+    x, y = np.asarray(point_xy, dtype=float).tolist()
+    return np.array(rig._warp_bias(x, y))
+
+
+def observed_board_hit(rig):
+    """The spot position as *read off the rig's warped grid board*."""
+    hit = beam_board_hit(rig)[:2]
+    return hit + warp_bias(rig, hit)
 
 
 def reflect_direction(direction, normal):
@@ -318,7 +523,7 @@ def gma_fit_residuals(samples, initial_guess, board=BOARD_PLANE):
     sigmas = _prior_sigmas(initial)
 
     def residuals(vector):
-        hits = board_hits(vector, v1, v2, board)[:, :2]
+        hits = board_hits(vector, v1, v2, board.point, board.normal)[:, :2]
         res = (hits - targets).ravel()
         res = np.where(np.isfinite(res), res, 1e3)
         prior = (vector - initial) / sigmas * PRIOR_WEIGHT_M
@@ -370,14 +575,14 @@ def reference_voltages_hitting(rig, target_xy, tolerance_m=60e-6,
     epsilon = 5e-3
     for _ in range(max_iterations):
         rig.hardware.apply(v1, v2)
-        hit = rig.observed_board_hit()
+        hit = observed_board_hit(rig)
         miss = target - hit
         if float(np.linalg.norm(miss)) <= tolerance_m:
             return v1, v2
         rig.hardware.apply(v1 + epsilon, v2)
-        hit1 = rig.observed_board_hit()
+        hit1 = observed_board_hit(rig)
         rig.hardware.apply(v1, v2 + epsilon)
-        hit2 = rig.observed_board_hit()
+        hit2 = observed_board_hit(rig)
         jacobian = np.column_stack([(hit1 - hit) / epsilon,
                                     (hit2 - hit) / epsilon])
         step, *_ = np.linalg.lstsq(jacobian, miss, rcond=None)
@@ -397,13 +602,13 @@ def reference_solve(model, target, v1=0.0, v2=0.0,
     and an ``np.linalg.lstsq`` solve of the 3x2 system."""
     tau = np.asarray(target, dtype=float)
     for iteration in range(1, max_iterations + 1):
-        beam0 = model.beam(v1, v2)
+        beam0 = Ray(*model.beam(v1, v2))
         plane = Plane(tau, beam0.direction)
         try:
             k0 = plane.intersect_ray(beam0, forward_only=False)
-            k1 = plane.intersect_ray(model.beam(v1 + EPSILON_V, v2),
+            k1 = plane.intersect_ray(Ray(*model.beam(v1 + EPSILON_V, v2)),
                                      forward_only=False)
-            k2 = plane.intersect_ray(model.beam(v1, v2 + EPSILON_V),
+            k2 = plane.intersect_ray(Ray(*model.beam(v1, v2 + EPSILON_V)),
                                      forward_only=False)
         except NoIntersectionError as exc:
             raise InverseDivergedError(
@@ -416,7 +621,7 @@ def reference_solve(model, target, v1=0.0, v2=0.0,
         v1 += a
         v2 += b
         if max(abs(a), abs(b)) < voltage_step_v:
-            miss = model.beam(v1, v2).distance_to_point(tau)
+            miss = Ray(*model.beam(v1, v2)).distance_to_point(tau)
             return InverseResult(v1=v1, v2=v2, iterations=iteration,
                                  miss_distance_m=miss)
     raise InverseDivergedError(
@@ -425,8 +630,8 @@ def reference_solve(model, target, v1=0.0, v2=0.0,
 
 def reference_evaluate(channel, body_pose):
     """``FsoChannel.evaluate`` through world-frame :class:`Ray` objects."""
-    tx_beam = channel.tx.world_beam()
-    rx_beam = channel.rx.world_beam(body_pose)
+    tx_beam = world_beam(channel.tx)
+    rx_beam = world_beam(channel.rx, body_pose)
     p_r = rx_beam.origin
 
     # Where along the TX beam the receiver sits, and how far off axis.
@@ -529,9 +734,14 @@ def reference_generate_trace(viewer, video, profile=VIDEO_360,
 
 def reference_simulate_trace(trace, params=TimeslotParams()):
     """The Section 5.4 replay, slot by slot: the (slots,) bool array."""
-    slots_per_report = int(round(trace.dt_s / params.slot_s))
+    ratio = trace.dt_s / params.slot_s
+    slots_per_report = int(round(ratio))
     if slots_per_report < 1:
         raise ValueError("slots must be finer than the report period")
+    if abs(ratio - slots_per_report) > 1e-9 * ratio:
+        raise ValueError(
+            f"report period dt_s={trace.dt_s!r} is not a whole number of "
+            f"slots of slot_s={params.slot_s!r}")
     n_steps = len(trace.step_linear_m)
     connected = np.empty(n_steps * slots_per_report, dtype=bool)
 

@@ -10,9 +10,14 @@ from repro.baselines import (
     run_static,
 )
 from repro.core import GmaModel
-from repro.core.kspace import BOARD_PLANE
+from repro.core.kspace import BOARD_NORMAL, BOARD_POINT
 from repro.galvo import canonical_gma
 from repro.motion import LinearRail, StaticProfile
+
+from .oracles import Ray
+
+#: The plane z = 1.5 m, 1.5 m in front of the canonical GMA.
+FAR_POINT = np.array([0.0, 0.0, 1.5])
 
 
 @pytest.fixture()
@@ -25,7 +30,7 @@ def board_training_data(model, n_per_axis=15):
     targets, voltages = [], []
     for v1 in np.linspace(-4, 4, n_per_axis):
         for v2 in np.linspace(-4, 4, n_per_axis):
-            beam = model.beam(float(v1), float(v2))
+            beam = Ray(*model.beam(float(v1), float(v2)))
             targets.append(beam.point_at(1.5))
             voltages.append([v1, v2])
     return np.array(targets), np.array(voltages)
@@ -36,10 +41,10 @@ class TestDirectInverse:
         targets, voltages = board_training_data(model)
         reg = DirectInverseRegressor(degree=3).fit(targets, voltages)
         # A held-out point on the same surface: interpolation is fine.
-        beam = model.beam(1.23, -0.47)
+        beam = Ray(*model.beam(1.23, -0.47))
         probe = beam.point_at(1.5)
         v = reg.predict([probe])[0]
-        predicted_beam = model.beam(float(v[0]), float(v[1]))
+        predicted_beam = Ray(*model.beam(float(v[0]), float(v[1])))
         assert predicted_beam.distance_to_point(probe) < 2e-3
 
     def test_fails_off_the_training_surface(self, model):
@@ -47,10 +52,10 @@ class TestDirectInverse:
         # errs by centimeters away from where samples could be taken.
         targets, voltages = board_training_data(model)
         reg = DirectInverseRegressor(degree=3).fit(targets, voltages)
-        beam = model.beam(1.23, -0.47)
+        beam = Ray(*model.beam(1.23, -0.47))
         probe = beam.point_at(1.0)  # 0.5 m off the training surface
         v = reg.predict([probe])[0]
-        predicted_beam = model.beam(float(v[0]), float(v[1]))
+        predicted_beam = Ray(*model.beam(float(v[0]), float(v[1])))
         # Either grossly wrong voltages or a centimeter-scale miss.
         assert predicted_beam.distance_to_point(probe) > 5e-3
 
@@ -93,30 +98,27 @@ class TestConstantOrigin:
     def test_origin_is_rest_origin(self, model):
         ablated = ConstantOriginModel(model)
         rest = model.beam(0.0, 0.0)
-        assert np.allclose(ablated.origin, rest.origin)
+        assert np.allclose(ablated.origin, rest[0])
 
     def test_matches_full_model_at_rest(self, model):
         ablated = ConstantOriginModel(model)
         flip = canonical_gma(np.radians(1.0))
-        board = BOARD_PLANE
         # At rest the two models agree exactly.
-        assert ablated.board_error_m(0.0, 0.0, board) < 1e-12
+        assert ablated.board_error_m(0.0, 0.0, BOARD_POINT,
+                                     BOARD_NORMAL) < 1e-12
 
     def test_distortion_error_grows_with_steering(self, model):
-        from repro.geometry import Plane
         ablated = ConstantOriginModel(model)
-        board = Plane([0.0, 0.0, 1.5], [0.0, 0.0, 1.0])
-        small = ablated.board_error_m(0.5, 0.5, board)
-        large = ablated.board_error_m(4.0, 4.0, board)
+        small = ablated.board_error_m(0.5, 0.5, FAR_POINT, BOARD_NORMAL)
+        large = ablated.board_error_m(4.0, 4.0, FAR_POINT, BOARD_NORMAL)
         assert large > small
 
     def test_distortion_is_millimetric_at_cone_edge(self, model):
         # Footnote 6: ignoring the moving origin costs real accuracy
         # relative to the paper's few-mm tolerance budget.
-        from repro.geometry import Plane
         ablated = ConstantOriginModel(model)
-        board = Plane([0.0, 0.0, 1.5], [0.0, 0.0, 1.0])
-        assert ablated.board_error_m(5.0, 5.0, board) > 0.5e-3
+        assert ablated.board_error_m(5.0, 5.0, FAR_POINT,
+                                     BOARD_NORMAL) > 0.5e-3
 
 
 class TestStaticBaseline:

@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 
 from repro.core import GmaModel, board_hits, trace_batch
 from repro.core.gma import _DIRECTION_ROWS, layout, trace_rows
-from repro.core.kspace import BOARD_PLANE
-from repro.galvo import canonical_gma, trace
+from repro.core.kspace import BOARD_NORMAL, BOARD_POINT
+from repro.galvo import canonical_gma
 from repro.geometry import RigidTransform, rotation_matrix
 
 from .oracles import (
+    BOARD_PLANE,
+    Ray,
     reference_board_hits,
+    reference_trace,
     reference_trace_batch,
     reference_trace_rows,
+    second_mirror_plane,
 )
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -32,24 +36,25 @@ def model():
 
 class TestGmaModel:
     def test_beam_matches_scalar_trace(self, model):
-        beam = model.beam(0.7, -0.4)
-        reference = trace(model.params, 0.7, -0.4)
-        assert np.allclose(beam.origin, reference.origin)
-        assert np.allclose(beam.direction, reference.direction)
+        origin, direction = model.beam(0.7, -0.4)
+        reference = reference_trace(model.params, 0.7, -0.4)
+        assert np.allclose(origin, reference.origin)
+        assert np.allclose(direction, reference.direction)
 
     def test_second_mirror_plane_holds_origin(self, model):
-        plane = model.second_mirror_plane(1.1, 0.6)
-        beam = model.beam(1.1, 0.6)
-        assert abs(plane.signed_distance(beam.origin)) <= 1e-9
+        plane = second_mirror_plane(model.params, model.params.theta1 * 0.6)
+        origin, _ = model.beam(1.1, 0.6)
+        assert abs(plane.signed_distance(origin)) <= 1e-9
 
     def test_transformed_model(self, model):
         t = RigidTransform(rotation_matrix([0, 0, 1], 0.3),
                            np.array([1.0, 0.0, 0.0]))
         moved = model.transformed(t)
-        expected = t.apply_ray(model.beam(0.5, 0.5))
-        beam = moved.beam(0.5, 0.5)
-        assert np.allclose(beam.origin, expected.origin, atol=1e-12)
-        assert np.allclose(beam.direction, expected.direction, atol=1e-12)
+        expected_origin, expected_direction = t.apply_ray(
+            *model.beam(0.5, 0.5))
+        origin, direction = moved.beam(0.5, 0.5)
+        assert np.allclose(origin, expected_origin, atol=1e-12)
+        assert np.allclose(direction, expected_direction, atol=1e-12)
 
 
 class TestTraceBatch:
@@ -58,9 +63,9 @@ class TestTraceBatch:
         v2 = np.array([1.0, 0.0, -0.5, 2.2])
         origins, directions = trace_batch(model.params.to_vector(), v1, v2)
         for i in range(len(v1)):
-            ref = trace(model.params, float(v1[i]), float(v2[i]))
-            assert np.allclose(origins[i], ref.origin, atol=1e-12)
-            assert np.allclose(directions[i], ref.direction, atol=1e-12)
+            origin, direction = model.beam(float(v1[i]), float(v2[i]))
+            assert np.allclose(origins[i], origin, atol=1e-12)
+            assert np.allclose(directions[i], direction, atol=1e-12)
 
     def test_handles_single_sample(self, model):
         origins, directions = trace_batch(
@@ -84,19 +89,20 @@ class TestBoardHits:
         placed = model.transformed(flip)
         v1 = np.array([0.3, -1.2])
         v2 = np.array([-0.8, 0.9])
-        hits = board_hits(placed.params.to_vector(), v1, v2, BOARD_PLANE)
+        hits = board_hits(placed.params.to_vector(), v1, v2, BOARD_POINT,
+                          BOARD_NORMAL)
         for i in range(2):
-            beam = placed.beam(float(v1[i]), float(v2[i]))
+            beam = Ray(*placed.beam(float(v1[i]), float(v2[i])))
             expected = BOARD_PLANE.intersect_ray(beam)
             assert np.allclose(hits[i], expected, atol=1e-10)
 
     def test_parallel_beam_yields_nonfinite(self, model):
         # The canonical rest beam travels +z; a plane with normal +y is
         # parallel to it and can never be hit.
-        from repro.geometry import Plane
-        sideways = Plane([10.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         hits = board_hits(model.params.to_vector(),
-                          np.array([0.0]), np.array([0.0]), sideways)
+                          np.array([0.0]), np.array([0.0]),
+                          np.array([10.0, 0.0, 0.0]),
+                          np.array([0.0, 1.0, 0.0]))
         assert not np.all(np.isfinite(hits))
 
 
@@ -167,7 +173,8 @@ class TestTraceRowsMatchesOracle:
                        reference_trace_batch(stack, v1, v2))
         assert_bitwise(trace_batch(stack[0], v1, v2),
                        reference_trace_batch(stack[0], v1, v2))
-        assert_bitwise([board_hits(stack, v1, v2, BOARD_PLANE)],
+        assert_bitwise([board_hits(stack, v1, v2, BOARD_POINT,
+                                   BOARD_NORMAL)],
                        [reference_board_hits(stack, v1, v2, BOARD_PLANE)])
 
     def test_stacked_model_with_a_parallel_beam(self):

@@ -8,7 +8,7 @@ from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
 from repro.simulate import Testbed
 
-from .oracles import reference_solve
+from .oracles import Ray, reference_solve
 
 
 @pytest.fixture()
@@ -19,12 +19,12 @@ def model():
 class TestSolve:
     def test_beam_passes_through_target(self, model):
         # Pick a target the real beam can reach, then recover voltages.
-        target = model.beam(1.3, -0.8).point_at(1.5)
+        target = Ray(*model.beam(1.3, -0.8)).point_at(1.5)
         result = solve_inverse(model, target)
         assert result.miss_distance_m < 1e-6
 
     def test_recovers_generating_voltages(self, model):
-        target = model.beam(2.0, 1.0).point_at(1.2)
+        target = Ray(*model.beam(2.0, 1.0)).point_at(1.2)
         result = solve_inverse(model, target)
         assert result.v1 == pytest.approx(2.0, abs=2e-3)
         assert result.v2 == pytest.approx(1.0, abs=2e-3)
@@ -33,13 +33,13 @@ class TestSolve:
         # "In our evaluations, the above converged in 2-4 iterations."
         counts = []
         for v1, v2 in [(0.5, 0.5), (-2.0, 1.5), (3.0, -3.0), (1.0, 4.0)]:
-            target = model.beam(v1, v2).point_at(1.75)
+            target = Ray(*model.beam(v1, v2)).point_at(1.75)
             counts.append(solve_inverse(model, target).iterations)
         assert max(counts) <= 6
         assert min(counts) >= 1
 
     def test_warm_start_converges_faster_or_equal(self, model):
-        target = model.beam(1.5, -1.5).point_at(1.75)
+        target = Ray(*model.beam(1.5, -1.5)).point_at(1.75)
         cold = solve_inverse(model, target)
         warm = solve_inverse(model, target, v1=1.49, v2=-1.49)
         assert warm.iterations <= cold.iterations
@@ -48,11 +48,11 @@ class TestSolve:
         # A target not generated from the model: any point in the cone.
         target = np.array([0.2, 0.3, 1.5])
         result = solve_inverse(model, target)
-        beam = model.beam(result.v1, result.v2)
+        beam = Ray(*model.beam(result.v1, result.v2))
         assert beam.distance_to_point(target) < 1e-6
 
     def test_respects_voltage_step_threshold(self, model):
-        target = model.beam(0.5, 0.5).point_at(1.0)
+        target = Ray(*model.beam(0.5, 0.5)).point_at(1.0)
         coarse = solve_inverse(model, target, voltage_step_v=0.01)
         fine = solve_inverse(model, target, voltage_step_v=1e-6)
         assert fine.miss_distance_m <= coarse.miss_distance_m + 1e-9

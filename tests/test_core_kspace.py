@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants
 from repro.core import (
@@ -12,12 +14,18 @@ from repro.core import (
     fit_gma,
     interior_grid_points,
 )
-from repro.core.kspace import BOARD_PLANE, BoardSample, _prior_sigmas
+from repro.core.kspace import BoardSample, _board_hit, _prior_sigmas
 from repro.galvo import GalvoHardware, canonical_gma
-from repro.geometry import euler_to_matrix, RigidTransform
+from repro.geometry import NoIntersectionError, euler_to_matrix, RigidTransform
 from repro.simulate import Testbed
 
-from .oracles import reference_voltages_hitting
+from .oracles import (
+    BOARD_PLANE,
+    Ray,
+    beam_board_hit,
+    reference_voltages_hitting,
+    warp_bias,
+)
 
 
 def board_hardware(seed=0, nonlinearity=0.0):
@@ -62,20 +70,20 @@ class TestBoardRig:
     def test_beam_hits_board(self):
         rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
         rig.hardware.apply(0.0, 0.0)
-        hit = rig.beam_board_hit()
+        hit = beam_board_hit(rig)
         assert abs(hit[2]) < 1e-9  # on the z=0 plane
         assert np.linalg.norm(hit[:2]) < 0.1  # near board center
 
     def test_warp_bias_is_systematic(self):
         rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
-        a = rig.warp_bias([0.1, 0.05])
-        b = rig.warp_bias([0.1, 0.05])
+        a = warp_bias(rig, [0.1, 0.05])
+        b = warp_bias(rig, [0.1, 0.05])
         assert np.allclose(a, b)  # same point, same bias
 
     def test_warp_bias_bounded(self):
         rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
         for point in interior_grid_points()[:30]:
-            assert np.linalg.norm(rig.warp_bias(point)) <= \
+            assert np.linalg.norm(warp_bias(rig, point)) <= \
                 np.sqrt(2) * rig.warp_bias_m + 1e-12
 
     def test_voltages_hitting_converges(self):
@@ -83,7 +91,7 @@ class TestBoardRig:
                        warp_bias_m=0.0)
         v1, v2 = rig.voltages_hitting([0.1, -0.05])
         rig.hardware.apply(v1, v2)
-        hit = rig.beam_board_hit()[:2]
+        hit = beam_board_hit(rig)[:2]
         assert np.linalg.norm(hit - [0.1, -0.05]) < 1e-4
 
     def test_collect_samples_count_and_targets(self):
@@ -101,6 +109,29 @@ class TestBoardRig:
             rig.voltages_hitting([5.0, 5.0])  # far outside the cone
 
 
+class TestBoardHit:
+    """``evaluate_fit``'s board hit against :class:`Plane.intersect_ray`,
+    bit for bit when the direction's length is ``np.linalg.norm``'s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(origin=st.tuples(*[st.floats(-0.2, 0.2)] * 2
+                            + [st.floats(1.0, 2.0)]),
+           direction=st.tuples(*[st.floats(-0.3, 0.3)] * 2
+                               + [st.floats(-1.2, -0.8)]))
+    def test_matches_the_plane_oracle_bitwise(self, origin, direction):
+        x, y = _board_hit(origin, direction,
+                          float(np.linalg.norm(direction)))
+        want = BOARD_PLANE.intersect_ray(Ray(origin, direction))
+        assert (x, y) == tuple(want[:2].tolist())
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0),
+                                           (0.0, 0.0, 1.0)])
+    def test_parallel_or_behind_misses(self, direction):
+        # Parallel to the board, or pointing away from it.
+        with pytest.raises(NoIntersectionError):
+            _board_hit((0.0, 0.0, 1.5), direction, 1.0)
+
+
 class TestBoardLoopInputs:
     """Bad inputs and degenerate readings are typed errors."""
 
@@ -115,7 +146,7 @@ class TestBoardLoopInputs:
     def test_frozen_beam_is_a_singular_jacobian(self, monkeypatch):
         # The spot does not move with the voltages: determinant 0.
         rig = BoardRig(board_hardware(), rng=np.random.default_rng(1))
-        monkeypatch.setattr(rig.hardware, "output_beam_floats",
+        monkeypatch.setattr(rig.hardware, "output_beam",
                             lambda: ((0.0, 0.0, 1.5), (0.0, 0.0, -1.0)))
         with pytest.raises(PointingDivergedError, match="singular"):
             rig.voltages_hitting([0.1, -0.05])
@@ -130,7 +161,7 @@ class TestBoardLoopInputs:
             v1, v2 = rig.hardware.voltages
             return (1e-310 * v1, v2, 1.5), (0.0, 0.0, -1.0)
 
-        monkeypatch.setattr(rig.hardware, "output_beam_floats", beam)
+        monkeypatch.setattr(rig.hardware, "output_beam", beam)
         with pytest.raises(PointingDivergedError, match="non-finite"):
             rig.voltages_hitting([0.1, 0.0])
 
@@ -190,7 +221,7 @@ class TestFitGma:
         for target in holdout:
             v1, v2 = rig.voltages_hitting(target)
             predicted = BOARD_PLANE.intersect_ray(
-                model.beam(v1, v2))[:2]
+                Ray(*model.beam(v1, v2)))[:2]
             assert np.linalg.norm(predicted - target) < 0.4e-3
 
     def test_prior_sigmas_structure(self):

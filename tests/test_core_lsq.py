@@ -19,7 +19,7 @@ import pytest
 import repro.simulate.rig as rig
 from repro.core import BoardSample, fit_gma, fit_mapping, lsq, point, remap
 from repro.core.gma import board_hits
-from repro.core.kspace import BOARD_PLANE
+from repro.core.kspace import BOARD_NORMAL, BOARD_POINT
 from repro.core.lsq import (
     forward_jacobian,
     forward_steps,
@@ -115,9 +115,10 @@ class TestCalibrationMatchesReference:
             assert len(samples) == 266
             v1, v2 = sample_voltages(samples)
             np.testing.assert_allclose(
-                board_hits(model.params.to_vector(), v1, v2, BOARD_PLANE),
+                board_hits(model.params.to_vector(), v1, v2, BOARD_POINT,
+                           BOARD_NORMAL),
                 board_hits(reference.params.to_vector(), v1, v2,
-                           BOARD_PLANE),
+                           BOARD_POINT, BOARD_NORMAL),
                 rtol=0, atol=BOARD_HIT_TOL_M)
 
     def test_mapping_fit_reaches_the_reference_cost(self, recorded):

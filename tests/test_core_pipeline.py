@@ -93,14 +93,14 @@ class TestCombinedErrors:
             for v1, v2 in [(-1.0, 0.5), (0.8, -0.3), (2.0, 1.0)]:
                 testbed.tx_hardware.apply(v1, v2)
                 truth = vr.compose(testbed.tx_kspace_to_world).apply_ray(
-                    testbed.tx_hardware.output_beam())
+                    *testbed.tx_hardware.output_beam())
                 predicted = system.tx_model_vr.beam(v1, v2)
                 tx_errors.append(beam_error_m(predicted, truth, 1.75))
 
                 testbed.rx_hardware.apply(v1, v2)
                 rx_truth = vr.compose(
                     testbed.rx_assembly.kspace_to_world(pose)).apply_ray(
-                        testbed.rx_hardware.output_beam())
+                        *testbed.rx_hardware.output_beam())
                 rx_pred = rx_model.beam(v1, v2)
                 rx_errors.append(beam_error_m(rx_pred, rx_truth, 1.75))
         return (summarize("tx", tx_errors), summarize("rx", rx_errors))

@@ -15,6 +15,11 @@ from repro.geometry import RigidTransform, euler_to_matrix
 from repro.vrh import Pose
 
 
+def rest_origin(model):
+    """The originating point of a model's rest (zero-volt) beam."""
+    return np.array(model.beam(0.0, 0.0)[0])
+
+
 @pytest.fixture()
 def kspace_models():
     tx = GmaModel(canonical_gma(np.radians(1.0)))
@@ -33,16 +38,15 @@ class TestLearnedSystem:
         params = np.zeros(12)
         params[0] = 1.0  # shift TX by +x
         system = LearnedSystem.from_mapping_params(tx, rx, params)
-        moved = system.tx_model_vr.beam(0.0, 0.0).origin
-        original = tx.beam(0.0, 0.0).origin
+        moved = rest_origin(system.tx_model_vr)
+        original = rest_origin(tx)
         assert np.allclose(moved - original, [1.0, 0.0, 0.0])
 
     def test_rx_model_follows_reported_pose(self, kspace_models):
         tx, rx = kspace_models
         system = LearnedSystem.from_mapping_params(tx, rx, np.zeros(12))
-        a = system.rx_model_vr(Pose.identity()).beam(0.0, 0.0).origin
-        b = system.rx_model_vr(
-            Pose([0.5, 0.0, 0.0], np.eye(3))).beam(0.0, 0.0).origin
+        a = rest_origin(system.rx_model_vr(Pose.identity()))
+        b = rest_origin(system.rx_model_vr(Pose([0.5, 0.0, 0.0], np.eye(3))))
         assert np.allclose(b - a, [0.5, 0.0, 0.0])
 
     def test_rx_mapping_composes_before_pose(self, kspace_models):
@@ -52,10 +56,9 @@ class TestLearnedSystem:
         system = LearnedSystem.from_mapping_params(tx, rx, params)
         turned = Pose([0, 0, 0],
                       euler_to_matrix(0.0, 0.0, np.pi / 2))
-        origin = system.rx_model_vr(turned).beam(0.0, 0.0).origin
-        base = LearnedSystem.from_mapping_params(
-            tx, rx, np.zeros(12)).rx_model_vr(turned).beam(
-                0.0, 0.0).origin
+        origin = rest_origin(system.rx_model_vr(turned))
+        base = rest_origin(LearnedSystem.from_mapping_params(
+            tx, rx, np.zeros(12)).rx_model_vr(turned))
         # The +x body offset appears rotated into +y by the pose.
         assert np.allclose(origin - base, [0.0, 0.1, 0.0], atol=1e-12)
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,18 @@ from repro.galvo import (
     GalvoSpec,
     GmaParams,
     canonical_gma,
-    second_mirror_plane,
     trace,
 )
 from repro.geometry import RigidTransform, rotation_matrix
 
-from .oracles import angle_between, reference_apply
+from .oracles import Ray, angle_between, reference_apply, second_mirror_plane
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def linear_beam(params, v1, v2):
+    """``G(v1, v2)`` at the linear angles ``theta1 * v``, as a Ray."""
+    return Ray(*trace(params, params.theta1 * v1, params.theta1 * v2))
 
 
 def quiet_hardware(**kwargs):
@@ -114,6 +119,26 @@ class TestGmaParams:
         with pytest.raises(ValueError):
             GmaParams.from_vector(vector)
 
+    @pytest.mark.parametrize("theta1", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta1):
+        vector = canonical_gma(np.radians(1.0)).to_vector()
+        vector[24] = theta1
+        with pytest.raises(ValueError, match="theta1"):
+            GmaParams.from_vector(vector)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("index, name", [
+        (0, "p0"), (4, "x0"), (8, "n1"), (9, "q1"), (13, "r1"),
+        (17, "n2"), (20, "q2"), (21, "r2")])
+    def test_rejects_non_finite_vector_entry(self, index, name, bad):
+        vector = canonical_gma(np.radians(1.0)).to_vector()
+        vector[index] = bad
+        # Rejected before normalizing: no 0/0 RuntimeWarning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"GmaParams.{name} "):
+                GmaParams.from_vector(vector)
+
     def test_transformed_moves_points_and_rotates_directions(self):
         params = canonical_gma(np.radians(1.0))
         shift = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -126,8 +151,9 @@ class TestGmaParams:
         params = canonical_gma(np.radians(1.0))
         t = RigidTransform(rotation_matrix([0, 1, 0], 0.4),
                            np.array([0.3, -0.2, 1.0]))
-        beam_then = t.apply_ray(trace(params, 1.2, -0.7))
-        then_beam = trace(params.transformed(t), 1.2, -0.7)
+        beam_then = Ray(*t.apply_ray(
+            *trace(params, params.theta1 * 1.2, params.theta1 * -0.7)))
+        then_beam = linear_beam(params.transformed(t), 1.2, -0.7)
         assert np.allclose(beam_then.origin, then_beam.origin, atol=1e-12)
         assert np.allclose(beam_then.direction, then_beam.direction,
                            atol=1e-12)
@@ -135,27 +161,27 @@ class TestGmaParams:
 
 class TestTrace:
     def test_rest_beam_exits_up(self):
-        beam = trace(canonical_gma(np.radians(1.0)), 0.0, 0.0)
+        beam = linear_beam(canonical_gma(np.radians(1.0)), 0.0, 0.0)
         assert np.allclose(beam.direction, [0, 0, 1], atol=1e-9)
 
     def test_one_volt_deflects_two_optical_degrees(self):
         params = canonical_gma(np.radians(1.0))
-        rest = trace(params, 0.0, 0.0)
-        steered = trace(params, 0.0, 1.0)
+        rest = linear_beam(params, 0.0, 0.0)
+        steered = linear_beam(params, 0.0, 1.0)
         deflection = angle_between(rest.direction, steered.direction)
         assert deflection == pytest.approx(np.radians(2.0), rel=1e-3)
 
     def test_first_mirror_voltage_also_steers(self):
         params = canonical_gma(np.radians(1.0))
-        rest = trace(params, 0.0, 0.0)
-        steered = trace(params, 1.0, 0.0)
+        rest = linear_beam(params, 0.0, 0.0)
+        steered = linear_beam(params, 1.0, 0.0)
         assert angle_between(rest.direction, steered.direction) > 1e-3
 
     def test_origin_moves_with_voltage(self):
         # The distortion effect (footnote 6): p depends on voltages.
         params = canonical_gma(np.radians(1.0))
-        rest = trace(params, 0.0, 0.0)
-        steered = trace(params, 4.0, 0.0)
+        rest = linear_beam(params, 0.0, 0.0)
+        steered = linear_beam(params, 4.0, 0.0)
         assert np.linalg.norm(steered.origin - rest.origin) > 1e-4
 
     def test_mirror_planes_pivot_fixed(self):
@@ -202,8 +228,8 @@ class TestGalvoHardware:
     def test_quiet_hardware_matches_model(self):
         hw = quiet_hardware()
         hw.apply(1.5, -0.5)
-        model_beam = trace(hw.params, *hw.voltages)
-        hw_beam = hw.output_beam()
+        model_beam = linear_beam(hw.params, *hw.voltages)
+        hw_beam = Ray(*hw.output_beam())
         assert np.allclose(hw_beam.origin, model_beam.origin, atol=1e-12)
         assert np.allclose(hw_beam.direction, model_beam.direction,
                            atol=1e-12)
@@ -211,23 +237,23 @@ class TestGalvoHardware:
     def test_nonlinearity_bends_response(self):
         hw = quiet_hardware(nonlinearity=1e-3)
         hw.apply(5.0, 0.0)
-        bent = hw.output_beam()
-        linear = trace(hw.params, 5.0, 0.0)
+        bent = Ray(*hw.output_beam())
+        linear = linear_beam(hw.params, 5.0, 0.0)
         assert angle_between(bent.direction, linear.direction) > 1e-4
 
     def test_jitter_draws_once_per_apply(self):
         params = canonical_gma(np.radians(1.0))
         hw = GalvoHardware(params, rng=np.random.default_rng(7))
         hw.apply(1.0, 1.0)
-        a = hw.output_beam()
-        b = hw.output_beam()
+        a = Ray(*hw.output_beam())
+        b = Ray(*hw.output_beam())
         assert np.allclose(a.direction, b.direction)
 
     def test_second_mirror_plane_consistent_with_beam(self):
         hw = quiet_hardware()
         hw.apply(0.8, -1.3)
-        plane = hw.second_mirror_plane()
-        beam = hw.output_beam()
+        plane = second_mirror_plane(hw.params, hw._angle2)
+        beam = Ray(*hw.output_beam())
         # The output beam originates on the second mirror plane.
         assert abs(plane.signed_distance(beam.origin)) <= 1e-9
 

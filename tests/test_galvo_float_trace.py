@@ -1,10 +1,12 @@
 """The float ``G`` against the matrix-Rodrigues reference and the batch.
 
-:func:`repro.galvo.trace` and :func:`repro.galvo.second_mirror_plane`
-run on plain Python floats; they must agree with the numpy reference
-in ``tests/oracles.py`` and with :func:`repro.core.trace_batch` to
-1e-12, on the linear ``theta1 * v`` path and on the explicit-angle path
-the hardware simulator uses.
+:func:`repro.galvo.trace` runs on plain Python floats and returns the
+beam as an ``(origin, direction)`` pair; it must agree with the numpy
+reference in ``tests/oracles.py`` and with
+:func:`repro.core.trace_batch` to 1e-12, on the linear ``theta1 * v``
+angles :meth:`repro.core.GmaModel.beam` passes and on the true angles
+the hardware simulator passes.  So must the oracles' float
+``second_mirror_plane``, which shares ``G``'s Rodrigues rotation.
 """
 
 import math
@@ -20,12 +22,16 @@ from repro.galvo import (
     GalvoSpec,
     GmaParams,
     canonical_gma,
-    second_mirror_plane,
     trace,
 )
 from repro.geometry import NoIntersectionError, normalize
 
-from .oracles import reference_mirror_planes, reference_trace
+from .oracles import (
+    Ray,
+    reference_mirror_planes,
+    reference_trace,
+    second_mirror_plane,
+)
 
 TOL = 1e-12
 
@@ -54,7 +60,9 @@ def random_params(seed):
                      theta1=base.theta1 * float(rng.uniform(0.9, 1.1)))
 
 
-def assert_same_ray(ray, want):
+def assert_same_ray(beam, want):
+    """A float ``(origin, direction)`` beam against an oracle Ray."""
+    ray = Ray(*beam)
     np.testing.assert_allclose(ray.origin, want.origin, rtol=0, atol=TOL)
     np.testing.assert_allclose(ray.direction, want.direction, rtol=0,
                                atol=TOL)
@@ -70,8 +78,6 @@ class TestAgainstMatrixReference:
     @given(seed=seeds, v1=volts, v2=volts)
     def test_linear_path(self, seed, v1, v2):
         params = random_params(seed)
-        assert_same_ray(trace(params, v1, v2),
-                        reference_trace(params, v1, v2))
         assert_same_ray(GmaModel(params).beam(v1, v2),
                         reference_trace(params, v1, v2))
 
@@ -79,7 +85,7 @@ class TestAgainstMatrixReference:
     @given(seed=seeds, a1=angles, a2=angles)
     def test_explicit_angle_path(self, seed, a1, a2):
         params = random_params(seed)
-        got = trace(params, 0.0, 0.0, angle1_rad=a1, angle2_rad=a2)
+        got = trace(params, a1, a2)
         assert_same_ray(got, reference_trace(params, 0.0, 0.0,
                                              angle1_rad=a1, angle2_rad=a2))
 
@@ -93,11 +99,12 @@ class TestAgainstMatrixReference:
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, v1=volts, v2=volts)
     def test_model_second_mirror_plane(self, seed, v1, v2):
+        # The model's beam originates on its second mirror (Lemma 1).
         params = random_params(seed)
-        want = reference_mirror_planes(params, params.theta1 * v1,
-                                       params.theta1 * v2)[1]
-        assert_same_plane(GmaModel(params).second_mirror_plane(v1, v2),
-                          want)
+        plane = reference_mirror_planes(params, params.theta1 * v1,
+                                        params.theta1 * v2)[1]
+        origin, _ = GmaModel(params).beam(v1, v2)
+        assert abs(plane.signed_distance(origin)) <= TOL
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, v1=volts, v2=volts)
@@ -118,7 +125,7 @@ class TestAgainstMatrixReference:
         assert_same_ray(hardware.output_beam(),
                         reference_trace(params, q1, q2, angle1_rad=a1,
                                         angle2_rad=a2))
-        assert_same_plane(hardware.second_mirror_plane(),
+        assert_same_plane(second_mirror_plane(params, hardware._angle2),
                           reference_mirror_planes(params, a1, a2)[1])
 
 
@@ -129,11 +136,12 @@ class TestAgainstBatch:
         params = random_params(seed)
         v1, v2 = np.random.default_rng(seed).uniform(-10, 10, (2, 16))
         origins, directions = trace_batch(params.to_vector(), v1, v2)
+        model = GmaModel(params)
         for i in range(len(v1)):
-            ray = trace(params, float(v1[i]), float(v2[i]))
-            np.testing.assert_allclose(ray.origin, origins[i], rtol=0,
+            origin, direction = model.beam(float(v1[i]), float(v2[i]))
+            np.testing.assert_allclose(origin, origins[i], rtol=0,
                                        atol=TOL)
-            np.testing.assert_allclose(ray.direction, directions[i],
+            np.testing.assert_allclose(direction, directions[i],
                                        rtol=0, atol=TOL)
 
 

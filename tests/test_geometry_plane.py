@@ -1,9 +1,11 @@
-"""Unit tests for repro.geometry.plane."""
+"""Unit tests for the :class:`Plane` oracle in ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import NoIntersectionError, Plane, Ray
+from repro.geometry import NoIntersectionError
+
+from .oracles import Plane, Ray
 
 
 def project(plane, point):

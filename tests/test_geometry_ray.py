@@ -1,9 +1,9 @@
-"""Unit tests for repro.geometry.ray."""
+"""Unit tests for the :class:`Ray` oracle in ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import Ray
+from .oracles import Ray
 
 
 class TestRay:

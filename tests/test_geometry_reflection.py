@@ -8,9 +8,9 @@ the object-path reference it is checked against.
 import numpy as np
 import pytest
 
-from repro.geometry import NoIntersectionError, Plane, Ray
+from repro.geometry import NoIntersectionError
 
-from .oracles import angle_between, reflect_direction, reflect_ray
+from .oracles import Plane, Ray, angle_between, reflect_direction, reflect_ray
 
 
 class TestReflectDirection:

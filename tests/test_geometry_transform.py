@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Ray, RigidTransform, rotation_matrix
+from repro.geometry import RigidTransform, rotation_matrix
+
+from .oracles import Ray, apply_ray
 
 
 def sample_transform():
@@ -46,11 +48,20 @@ class TestApplication:
     def test_ray_transforms_consistently(self):
         t = sample_transform()
         ray = Ray([0.2, 0.3, 0.4], [0, 1, 0])
-        out = t.apply_ray(ray)
+        out = Ray(*t.apply_ray((0.2, 0.3, 0.4), (0.0, 1.0, 0.0)))
         # The image of a point on the ray lies on the transformed ray.
         image = t.apply_point(ray.point_at(2.0))
         assert out.distance_to_point(image) == pytest.approx(0.0,
                                                              abs=1e-12)
+
+    def test_ray_agrees_with_point_and_direction(self):
+        t = sample_transform()
+        origin, direction = t.apply_ray((0.2, 0.3, 0.4), (0.6, 0.0, 0.8))
+        want = apply_ray(t, Ray([0.2, 0.3, 0.4], [0.6, 0.0, 0.8]))
+        np.testing.assert_allclose(origin, want.origin, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(direction, want.direction, rtol=0,
+                                   atol=1e-15)
 
 
 class TestAlgebra:

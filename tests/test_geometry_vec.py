@@ -1,18 +1,11 @@
-"""Unit tests for repro.geometry.vec."""
+"""Unit tests for repro.geometry.vec and the oracles' vector helpers."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    as_vec3,
-    cross,
-    distance,
-    dot,
-    norm,
-    normalize,
-)
+from repro.geometry import as_vec3, normalize
 
-from .oracles import angle_between
+from .oracles import angle_between, cross, distance, dot, norm
 
 
 class TestAsVec3:

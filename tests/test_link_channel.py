@@ -8,6 +8,8 @@ from repro.geometry import rotation_matrix
 from repro.link import NOISE_FLOOR_DBM
 from repro.vrh import Pose
 
+from .oracles import lemma_points
+
 
 def align_perfectly(testbed, pose):
     """Noise-free oracle alignment at a pose."""
@@ -90,7 +92,7 @@ class TestLemmaPoints:
     def test_aligned_points_coincide(self, testbed):
         pose = testbed.home_pose
         align_perfectly(testbed, pose)
-        points = testbed.channel.lemma_points(pose)
+        points = lemma_points(testbed.channel, pose)
         # Oracle alignment through imperfect hardware: coincidence to
         # within a few millimeters.
         assert points.error < 8e-3
@@ -98,7 +100,7 @@ class TestLemmaPoints:
     def test_misalignment_grows_error(self, testbed):
         pose = testbed.home_pose
         align_perfectly(testbed, pose)
-        base = testbed.channel.lemma_points(pose).error
+        base = lemma_points(testbed.channel, pose).error
         turned = Pose(pose.position,
                       rotation_matrix([1, 0, 0], 0.01) @ pose.orientation)
-        assert testbed.channel.lemma_points(turned).error > base
+        assert lemma_points(testbed.channel, turned).error > base

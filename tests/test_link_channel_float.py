@@ -2,7 +2,7 @@
 
 :meth:`repro.link.FsoChannel.evaluate` runs on plain float triples; it
 must agree with :func:`tests.oracles.reference_evaluate` (world-frame
-:class:`repro.geometry.Ray` objects and numpy 3-vectors) to 1e-12 on
+oracle :class:`tests.oracles.Ray` objects and numpy 3-vectors) to 1e-12 on
 every :class:`repro.link.AlignmentState` field, ``connected`` included.
 
 The one widening is ``acos``'s conditioning.  Near perfect alignment
@@ -29,7 +29,7 @@ from repro.optics import GaussianBeam
 from repro.optics.coupling import EXCESS_DB_AT_WIDTH
 from repro.vrh import Pose
 
-from .oracles import reference_evaluate
+from .oracles import reference_evaluate, world_beam
 
 TOL = 1e-12
 #: A few ulp of a unit cosine.
@@ -138,8 +138,8 @@ class TestBranches:
         channel = FsoChannel(link_10g_collimated(), bed.channel.tx,
                              bed.channel.rx)
         bed.apply_command(commands[0])
-        tx_beam = channel.tx.world_beam()
-        p_r = channel.rx.world_beam(poses[0]).origin
+        tx_beam = world_beam(channel.tx)
+        p_r = world_beam(channel.rx, poses[0]).origin
         along = float(np.dot(p_r - tx_beam.origin, tx_beam.direction))
 
         def slid_to(along_m):
@@ -167,11 +167,11 @@ class TestBranches:
         # Place the headset so the RX beam origin sits a fraction of
         # MIN_RANGE_M from the TX origin, along the TX beam.
         bed.apply_command(commands[0])
-        tx_beam = bed.channel.tx.world_beam()
+        tx_beam = world_beam(bed.channel.tx)
         target = tx_beam.point_at(along_m) + np.array([2e-4, 0.0, 0.0])
         orientation = bed.home_pose.orientation
         in_body = bed.channel.rx.kspace_to_body.apply_point(
-            bed.rx_hardware.output_beam().origin)
+            bed.rx_hardware.output_beam()[0])
         pose = Pose(target - orientation @ in_body, orientation)
         state = assert_same_state(bed.channel, pose)
         assert state.range_m == MIN_RANGE_M

@@ -27,12 +27,13 @@ from repro.core import (
     mapping,
 )
 from repro.galvo import GalvoHardware
-from repro.geometry import Plane, Ray
 from repro.motion import generate_batch
 from repro.simulate import simulate_batch
 
 from . import oracles
 from .oracles import (
+    Plane,
+    Ray,
     reference_evaluate,
     reference_simulate_trace,
     reference_solve,
@@ -163,9 +164,9 @@ class TestNewtonSolversStayOnFloats:
     def targets(self, learned_system, testbed):
         tx = learned_system.tx_model_vr
         rx = learned_system.rx_model_vr(testbed.home_pose)
-        return [(tx, rx.beam(0.0, 0.0).origin),
-                (rx, tx.beam(0.0, 0.0).origin),
-                (tx, rx.beam(1.0, -2.0).origin)]
+        return [(tx, rx.beam(0.0, 0.0)[0]),
+                (rx, tx.beam(0.0, 0.0)[0]),
+                (tx, rx.beam(1.0, -2.0)[0])]
 
     @pytest.fixture()
     def rig(self, testbed):

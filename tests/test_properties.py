@@ -28,8 +28,6 @@ from repro.core import (
 from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
 from repro.geometry import (
-    Plane,
-    Ray,
     RigidTransform,
     euler_to_matrix,
     normalize,
@@ -40,7 +38,7 @@ from repro.link import link_10g_diverging
 from repro.optics import GaussianBeam, excess_loss_db, tolerance
 from repro.vrh import Pose
 
-from .oracles import reflect_direction
+from .oracles import Plane, Ray, reflect_direction
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
@@ -160,9 +158,9 @@ class TestInverseProperty:
     def test_g_prime_inverts_g(self, v1, v2, reach):
         """For any reachable target, G'(point on G(v)) recovers v."""
         model = GmaModel(canonical_gma(np.radians(1.0)))
-        target = model.beam(v1, v2).point_at(reach)
+        target = Ray(*model.beam(v1, v2)).point_at(reach)
         result = solve_inverse(model, target)
-        beam = model.beam(result.v1, result.v2)
+        beam = Ray(*model.beam(result.v1, result.v2))
         assert beam.distance_to_point(target) < 1e-5
 
     @settings(max_examples=60, deadline=None)
@@ -175,7 +173,7 @@ class TestInverseProperty:
         recovers the generating voltages within one DAQ step or raises
         its typed error: never a NaN, never a silent miss."""
         model = GmaModel(canonical_gma(np.radians(1.0)))
-        target = model.beam(v1, v2).point_at(reach)
+        target = Ray(*model.beam(v1, v2)).point_at(reach)
         try:
             result = solve_inverse(model, target)
         except InverseDivergedError:

@@ -120,14 +120,21 @@ class TestEdgeShapes:
         assert got.slots == 0
         assert got.per_trace_availability().tolist() == [0.0]
 
-    def test_rejects_a_report_period_of_fractional_slots(self):
+    @pytest.mark.parametrize("dt_s", [0.0125, 0.0135])
+    @pytest.mark.parametrize("replay", [
+        simulate_batch,
+        lambda batch: _oracle(batch, TimeslotParams())],
+        ids=["engine", "oracle"])
+    def test_rejects_a_report_period_of_fractional_slots(self, replay,
+                                                         dt_s):
         # 12.5 ms is not a whole number of 1 ms slots; rounding it to
         # 12 would replay 9.6 s of every 10 s, each drift 4 % fast.
+        # The engine and the slot-loop oracle share the rule.
         batch = generate_batch(viewers=1, videos=1, duration_s=1.0,
-                               dt_s=0.0125, seed=SEED)
+                               dt_s=dt_s, seed=SEED)
         with pytest.raises(ValueError,
-                           match=r"dt_s=0\.0125 .* slot_s=0\.001"):
-            simulate_batch(batch)
+                           match=rf"dt_s={dt_s} .* slot_s=0\.001"):
+            replay(batch)
 
     @pytest.mark.parametrize("factor", [1, 2, 5, 10])
     def test_tracking_rate_ablation_periods_are_whole_slots(self,

@@ -54,9 +54,9 @@ class TestMultiTxRig:
             rig.testbed.design.sfp.rx_sensitivity_dbm
 
     def test_txs_are_physically_separate(self, rig):
-        a = rig.tx_assemblies[0].world_beam().origin
-        b = rig.tx_assemblies[1].world_beam().origin
-        assert np.linalg.norm(a - b) > 0.2
+        a, _ = rig.tx_assemblies[0].world_beam()
+        b, _ = rig.tx_assemblies[1].world_beam()
+        assert np.linalg.norm(np.subtract(a, b)) > 0.2
 
 
 class TestHandoverController:
