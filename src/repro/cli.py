@@ -52,16 +52,9 @@ def _cmd_fig11(args):
 
 
 def _cmd_calibrate(args):
-    from .core import point
-    from .simulate import Testbed
-    testbed = Testbed(seed=args.seed)
+    from .simulate import realign_trials
     print(f"calibrating (seed {args.seed})...")
-    outcome = testbed.calibrate()
-    connected = 0
-    for pose in testbed.evaluation_poses(args.trials):
-        command = point(outcome.system, testbed.tracker.report(pose))
-        testbed.apply_command(command)
-        connected += testbed.channel.evaluate(pose).connected
+    connected, _ = realign_trials(args.seed, args.trials)
     print(f"realign trials at optimal: {connected}/{args.trials}")
     return 0 if connected == args.trials else 1
 

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..galvo import GmaParams, trace
-from ..geometry import RigidTransform, Vec3
+from ..geometry import Pose, Vec3
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class GmaModel:
         theta1 = self.params.theta1
         return trace(self.params, theta1 * v1, theta1 * v2)
 
-    def transformed(self, transform: RigidTransform) -> "GmaModel":
+    def transformed(self, transform: Pose) -> "GmaModel":
         """The same model expressed in another coordinate frame."""
         return GmaModel(self.params.transformed(transform))
 

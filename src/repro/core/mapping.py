@@ -27,8 +27,7 @@ from typing import List
 import numpy as np
 import numpy.typing as npt
 
-from ..geometry import NoIntersectionError, euler_to_matrix
-from ..vrh import Pose
+from ..geometry import NoIntersectionError, Pose, euler_to_matrix
 from .gma import (
     GmaModel,
     _dot,
@@ -123,8 +122,8 @@ def _system_rows(system: LearnedSystem,
     rx = system.rx_model_kspace.params
     return _residual_rows(layout(tx.to_vector())[:, None], tx.theta1,
                           layout(rx.to_vector()), rx.theta1,
-                          system.rx_mapping.rotation[None],
-                          system.rx_mapping.translation[None],
+                          system.rx_mapping.orientation[None],
+                          system.rx_mapping.position[None],
                           _stack(samples))[0]
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from ..vrh import Pose
+from ..geometry import Pose
 from . import inverse
 from .system import LearnedSystem
 
@@ -90,16 +90,14 @@ def point(system: LearnedSystem, reported_pose: Pose,
     previous command is the natural (and fastest) seed, exactly as the
     prototype operates between consecutive VRH-T reports.
 
-    A non-finite reported position or ``initial`` raises
-    :class:`PointingDivergedError` before the first iteration (a
-    :class:`Pose` already rejects a non-rotation orientation).
+    A non-finite ``initial`` raises :class:`PointingDivergedError`
+    before the first iteration (a :class:`Pose` already rejects a
+    non-finite position and a non-rotation orientation).
     """
     v_tx1, v_tx2, v_rx1, v_rx2 = (float(v) for v in initial)
-    if not all(map(math.isfinite, (*reported_pose.position.tolist(),
-                                   v_tx1, v_tx2, v_rx1, v_rx2))):
+    if not all(map(math.isfinite, (v_tx1, v_tx2, v_rx1, v_rx2))):
         raise PointingDivergedError(
-            f"P needs a finite report and seed, got position "
-            f"{reported_pose.position} from voltages "
+            f"P needs a finite seed, got voltages "
             f"({v_tx1}, {v_tx2}, {v_rx1}, {v_rx2})")
     tx = system.tx_model_vr
     rx = system.rx_model_vr(reported_pose)

@@ -23,6 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..geometry import Pose
 from .mapping import AlignedSample, fit_mapping
 from .system import LearnedSystem
 
@@ -86,9 +87,8 @@ def remap(system: LearnedSystem,
     # fits a correction starting from identity; the RX side seeds from
     # its current mapping.  A small drift therefore converges in a few
     # optimizer steps.
-    from ..geometry import RigidTransform
     seed = np.concatenate([
-        RigidTransform.identity().to_params(),
+        Pose.identity().to_params(),
         system.rx_mapping.to_params(),
     ])
     return fit_mapping(system.tx_model_vr, system.rx_model_kspace,

@@ -19,8 +19,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..galvo import GmaParams
-from ..geometry import RigidTransform
-from ..vrh import Pose
+from ..geometry import Pose
 from .gma import GmaModel
 
 
@@ -30,7 +29,7 @@ class LearnedSystem:
 
     tx_model_vr: GmaModel
     rx_model_kspace: GmaModel
-    rx_mapping: RigidTransform
+    rx_mapping: Pose
 
     @classmethod
     def from_mapping_params(cls, tx_kspace: GmaModel, rx_kspace: GmaModel,
@@ -45,16 +44,15 @@ class LearnedSystem:
         if params.shape != (12,):
             raise ValueError(f"expected 12 mapping parameters, "
                              f"got shape {params.shape}")
-        tx_transform = RigidTransform.from_params(params[:6])
-        rx_transform = RigidTransform.from_params(params[6:])
-        return cls(tx_model_vr=tx_kspace.transformed(tx_transform),
+        return cls(tx_model_vr=tx_kspace.transformed(
+                       Pose.from_params(params[:6])),
                    rx_model_kspace=rx_kspace,
-                   rx_mapping=rx_transform)
+                   rx_mapping=Pose.from_params(params[6:]))
 
     def rx_model_vr(self, reported_pose: Pose) -> GmaModel:
         """The RX GMA model in VR-space for one tracking report."""
-        placement = reported_pose.as_transform().compose(self.rx_mapping)
-        return self.rx_model_kspace.transformed(placement)
+        return self.rx_model_kspace.transformed(
+            reported_pose.compose(self.rx_mapping))
 
     def tx_params(self) -> GmaParams:
         """Convenience accessor for the TX parameters in VR-space."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..geometry import (
     NoIntersectionError,
-    RigidTransform,
+    Pose,
     Vec3,
     as_vec3,
     normalize,
@@ -104,7 +104,7 @@ class GmaParams:
                    n2=v[15:18], q2=v[18:21], r2=v[21:24],
                    theta1=float(v[24]))
 
-    def transformed(self, transform: RigidTransform) -> "GmaParams":
+    def transformed(self, transform: Pose) -> "GmaParams":
         """Express the same physical GMA in another coordinate frame.
 
         Points transform fully; directions/normals/axes rotate only.
@@ -172,7 +172,7 @@ def trace(params: GmaParams, angle1_rad: float,
 
 
 def canonical_gma(theta1: float,
-                  placement: Optional[RigidTransform] = None
+                  placement: Optional[Pose] = None
                  ) -> GmaParams:
     """A physically sensible GVS102-like layout, optionally re-placed.
 

@@ -3,7 +3,9 @@
 Everything the Cyclops optical model needs is exact 3D geometry; there is
 deliberately no rendering or approximation in this package.  A beam is
 the paper's ``(p, x)`` pair as two float triples (:data:`Vec3`): its
-originating point and its direction.
+originating point and its direction.  Every rigid placement -- a
+headset pose, a tracking report, a GMA mount, a Section 4.2 mapping --
+is one :class:`Pose`.
 """
 
 from .rotation import (
@@ -14,7 +16,7 @@ from .rotation import (
     rotation_between,
     rotation_matrix,
 )
-from .transform import RigidTransform
+from .transform import Pose, speeds_between
 from .vec import (
     Vec3,
     as_vec3,
@@ -28,7 +30,7 @@ class NoIntersectionError(ValueError):
 
 __all__ = [
     "NoIntersectionError",
-    "RigidTransform",
+    "Pose",
     "Vec3",
     "as_vec3",
     "euler_to_matrix",
@@ -38,4 +40,5 @@ __all__ = [
     "rotation_angle",
     "rotation_between",
     "rotation_matrix",
+    "speeds_between",
 ]

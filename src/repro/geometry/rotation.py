@@ -3,7 +3,8 @@
 The GMA model (Section 4.1) rotates mirror normals about fixed rotation
 axes by voltage-proportional angles; ``rotation_matrix`` implements the
 ``R(r, theta)`` operator the paper uses.  Euler angles (roll/pitch/yaw,
-intrinsic XYZ) represent headset orientation in ``repro.vrh.pose``.
+intrinsic XYZ) are the angular half of a :class:`~repro.geometry.Pose`'s
+six-parameter encoding.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def is_rotation_matrix(matrix: np.ndarray, tol: float = 1e-8) -> bool:
 
     Every entry of ``M @ M.T - I`` and ``det(M) - 1`` must lie within
     ``tol`` (absolute, no relative slack on the diagonal).  Runs on
-    plain floats: every :class:`RigidTransform` and ``Pose`` checks its
-    rotation on construction.
+    plain floats: every :class:`~repro.geometry.Pose` checks its
+    orientation on construction.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):

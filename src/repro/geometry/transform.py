@@ -1,112 +1,134 @@
-"""Rigid transforms (SE(3)) with a 6-parameter encoding.
+"""Rigid placements (SE(3)): one :class:`Pose` for every rigid frame.
 
-Section 4.2 learns the K-space -> VR-space mapping for each GMA as six
-parameters (a rigid transform per Corke's robotics text).  We encode a
-transform as ``(tx, ty, tz, roll, pitch, yaw)`` so the 12 mapping
-parameters of the joint fit are simply the concatenation of two of these
-vectors, which a least-squares solver optimizes directly.
+The paper's "position" of the headset means both location (x, y, z)
+and orientation (three angles); Section 4.2 learns the K-space ->
+VR-space mapping for each GMA as a rigid transform of six parameters
+(per Corke's robotics text, which calls it a *pose*).  Both are the
+same object here.  A pose encodes as ``(tx, ty, tz, roll, pitch, yaw)``
+so the 12 mapping parameters of the joint fit are simply the
+concatenation of two of these vectors, which a least-squares solver
+optimizes directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .rotation import euler_to_matrix, is_rotation_matrix, matrix_to_euler
+from .rotation import (
+    euler_to_matrix,
+    is_rotation_matrix,
+    matrix_to_euler,
+    rotation_angle,
+)
 from .vec import Vec3, as_vec3
 
 
 @dataclass(frozen=True)
-class RigidTransform:
-    """A rotation followed by a translation: ``x -> R x + t``."""
+class Pose:
+    """Placement of a body frame: ``reference_point = R body_point + t``
+    with ``R = orientation`` and ``t = position``."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    position: np.ndarray
+    orientation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        if not is_rotation_matrix(r, tol=1e-6):
-            raise ValueError("rotation must be a proper rotation matrix")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", as_vec3(self.translation))
+        # Private read-only copies: a pose checked here stays as checked,
+        # whatever later happens to the caller's arrays.
+        position = as_vec3(self.position).copy()
+        if not all(map(math.isfinite, position.tolist())):
+            raise ValueError(f"position must be finite, got {position}")
+        m = np.array(self.orientation, dtype=float)
+        if not is_rotation_matrix(m, tol=1e-6):
+            raise ValueError("orientation must be a rotation matrix")
+        position.setflags(write=False)
+        m.setflags(write=False)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "orientation", m)
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors --------------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "RigidTransform":
-        """The do-nothing transform."""
-        return cls(np.eye(3), np.zeros(3))
+    def identity(cls) -> "Pose":
+        """Body frame coincides with the reference frame."""
+        return cls(np.zeros(3), np.eye(3))
 
     @classmethod
-    def from_params(cls, params) -> "RigidTransform":
+    def from_params(cls, params) -> "Pose":
         """Build from the 6-vector ``(tx, ty, tz, roll, pitch, yaw)``."""
         arr = np.asarray(params, dtype=float)
         if arr.shape != (6,):
             raise ValueError(f"expected 6 parameters, got shape {arr.shape}")
-        rotation = euler_to_matrix(arr[3], arr[4], arr[5])
-        return cls(rotation, arr[:3])
+        return cls(arr[:3], euler_to_matrix(arr[3], arr[4], arr[5]))
 
     def to_params(self) -> np.ndarray:
         """Inverse of :meth:`from_params`."""
-        roll, pitch, yaw = matrix_to_euler(self.rotation)
-        return np.concatenate([self.translation, [roll, pitch, yaw]])
+        roll, pitch, yaw = matrix_to_euler(self.orientation)
+        return np.concatenate([self.position, [roll, pitch, yaw]])
 
-    # -- application -------------------------------------------------------
+    # -- application ---------------------------------------------------------
 
     def apply_point(self, point) -> np.ndarray:
-        """Transform a point (rotation and translation)."""
-        return self.rotation @ as_vec3(point) + self.translation
+        """A body-frame point in the reference frame."""
+        return self.orientation @ as_vec3(point) + self.position
 
     def apply_direction(self, direction) -> np.ndarray:
-        """Transform a direction (rotation only)."""
-        return self.rotation @ as_vec3(direction)
+        """A body-frame direction in the reference frame (rotation only)."""
+        return self.orientation @ as_vec3(direction)
 
     def apply_ray(self, origin: Vec3,
                   direction: Vec3) -> Tuple[Vec3, Vec3]:
-        """Transform a beam: move its origin, rotate its direction."""
-        return _move_ray(self.rotation, self.translation, origin, direction)
+        """A body-frame float beam in the reference frame: move its
+        origin, rotate its direction."""
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+            self.orientation.tolist()
+        tx, ty, tz = self.position.tolist()
+        ox, oy, oz = origin
+        dx, dy, dz = direction
+        return ((r00 * ox + r01 * oy + r02 * oz + tx,
+                 r10 * ox + r11 * oy + r12 * oz + ty,
+                 r20 * ox + r21 * oy + r22 * oz + tz),
+                (r00 * dx + r01 * dy + r02 * dz,
+                 r10 * dx + r11 * dy + r12 * dz,
+                 r20 * dx + r21 * dy + r22 * dz))
 
-    # -- algebra -----------------------------------------------------------
+    # -- algebra -------------------------------------------------------------
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
+    def compose(self, other: "Pose") -> "Pose":
         """``self after other``: apply ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
+        return Pose(self.orientation @ other.position + self.position,
+                    self.orientation @ other.orientation)
 
-    def inverse(self) -> "RigidTransform":
-        """The transform undoing this one."""
-        r_inv = self.rotation.T
-        return RigidTransform(r_inv, -(r_inv @ self.translation))
+    def inverse(self) -> "Pose":
+        """The pose undoing this one."""
+        r_inv = self.orientation.T
+        return Pose(-(r_inv @ self.position), r_inv)
 
-    def almost_equal(self, other: "RigidTransform",
-                     tol: float = 1e-9) -> bool:
-        """True when both transforms agree within ``tol``."""
-        return (np.allclose(self.rotation, other.rotation, atol=tol)
-                and np.allclose(self.translation, other.translation,
+    def almost_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
+        """True when both poses agree within ``tol``."""
+        return (np.allclose(self.position, other.position, atol=tol)
+                and np.allclose(self.orientation, other.orientation,
                                 atol=tol))
 
+    # -- motion arithmetic ---------------------------------------------------
 
-def _move_ray(rotation: np.ndarray, translation: np.ndarray, origin: Vec3,
-              direction: Vec3) -> Tuple[Vec3, Vec3]:
-    """``x -> R x + t`` on a float beam: move the origin, rotate the
-    direction.
+    def linear_distance_to(self, other: "Pose") -> float:
+        """Meters of translation between two poses."""
+        return float(np.linalg.norm(self.position - other.position))
 
-    The body of :meth:`RigidTransform.apply_ray` and
-    :meth:`repro.vrh.Pose.apply_ray`.  ``rotation`` and ``translation``
-    are taken as already validated, so a pose's placement needs no
-    :class:`RigidTransform` built (and checked) per beam.
-    """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
-    tx, ty, tz = translation.tolist()
-    ox, oy, oz = origin
-    dx, dy, dz = direction
-    return ((r00 * ox + r01 * oy + r02 * oz + tx,
-             r10 * ox + r11 * oy + r12 * oz + ty,
-             r20 * ox + r21 * oy + r22 * oz + tz),
-            (r00 * dx + r01 * dy + r02 * dz,
-             r10 * dx + r11 * dy + r12 * dz,
-             r20 * dx + r21 * dy + r22 * dz))
+    def angular_distance_to(self, other: "Pose") -> float:
+        """Radians of rotation between two poses (geodesic)."""
+        relative = other.orientation @ self.orientation.T
+        return rotation_angle(relative)
+
+
+def speeds_between(earlier: Pose, later: Pose, dt_s: float) -> tuple:
+    """(linear m/s, angular rad/s) speeds implied by two timed poses."""
+    if not (math.isfinite(dt_s) and dt_s > 0):
+        raise ValueError(f"time delta must be positive and finite, "
+                         f"got {dt_s}")
+    return (earlier.linear_distance_to(later) / dt_s,
+            earlier.angular_distance_to(later) / dt_s)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..vrh import Pose, RxAssembly, TxAssembly
+from ..geometry import Pose
+from ..vrh import RxAssembly, TxAssembly
 from .design import NOISE_FLOOR_DBM, LinkDesign
 
 #: Minimum believable propagation distance; guards degenerate geometry.

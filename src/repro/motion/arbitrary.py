@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import rotation_matrix
-from ..vrh import Pose
+from ..geometry import Pose, rotation_matrix
 
 #: Hand-motion band: component frequencies drawn from this range (Hz).
 FREQUENCY_BAND_HZ = (0.25, 1.8)

@@ -13,8 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..geometry import normalize, rotation_matrix
-from ..vrh import Pose
+from ..geometry import Pose, normalize, rotation_matrix
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry import normalize
-from ..vrh import Pose
+from ..geometry import Pose, normalize
 from .profiles import LinearStrokeProfile, StrokeSchedule
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..vrh import speeds_between
+from ..geometry import speeds_between
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import euler_to_matrix
-from ..vrh import Pose
+from ..geometry import Pose, euler_to_matrix
 
 
 @dataclass(frozen=True)

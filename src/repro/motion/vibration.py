@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..determinism import resolve_rng
-from ..geometry import rotation_matrix
-from ..vrh import Pose
+from ..geometry import Pose, rotation_matrix
 
 
 @dataclass

@@ -9,7 +9,7 @@ from .handover import (
     MultiTxRig,
     OcclusionEvent,
 )
-from .montecarlo import calibration_quality
+from .montecarlo import calibration_quality, realign_trials
 from .rig import CalibrationOutcome, Testbed
 from .scenarios import SCENARIOS, Scenario, get_scenario, list_scenarios
 from .session import PrototypeSession, SessionResult, surviving_speed_threshold
@@ -34,6 +34,7 @@ __all__ = [
     "calibration_quality",
     "get_scenario",
     "list_scenarios",
+    "realign_trials",
     "report",
     "simulate_batch",
     "surviving_speed_threshold",

@@ -30,9 +30,9 @@ from ..core.inverse import InverseDivergedError
 from ..core.pointing import PointingDivergedError
 from ..determinism import resolve_rng, spawn
 from ..galvo import GalvoHardware
-from ..geometry import rotation_between
+from ..geometry import Pose, rotation_between
 from ..link import NOISE_FLOOR_DBM, FsoChannel
-from ..vrh import Pose, TxAssembly
+from ..vrh import TxAssembly
 from .rig import (
     HOME_POSITION,
     RX_MIRROR_BODY,

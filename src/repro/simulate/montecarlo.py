@@ -8,7 +8,7 @@ stable across worlds (is 10/10 realignment a fluke of seed 3?).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -16,12 +16,10 @@ from ..core import point
 from .rig import Testbed
 
 
-def calibration_quality(seed: int, trials: int = 10) -> Dict[str, float]:
-    """One world's headline TP quality numbers (Section 5.2's test).
-
-    Returns the fraction of realignment trials that kept the link
-    connected, and the mean power excess below the aligned peak.
-    """
+def realign_trials(seed: int, trials: int) -> Tuple[int, List[float]]:
+    """Calibrate world ``seed``, then point on ``trials`` evaluation
+    poses: how many realignments kept the link connected, and each
+    one's power excess (dB) below the aligned peak."""
     testbed = Testbed(seed=seed)
     outcome = testbed.calibrate()
     connected = 0
@@ -33,6 +31,16 @@ def calibration_quality(seed: int, trials: int = 10) -> Dict[str, float]:
         connected += state.connected
         excesses.append(testbed.design.peak_power_dbm(state.range_m)
                         - state.received_power_dbm)
+    return connected, excesses
+
+
+def calibration_quality(seed: int, trials: int = 10) -> Dict[str, float]:
+    """One world's headline TP quality numbers (Section 5.2's test).
+
+    Returns the fraction of realignment trials that kept the link
+    connected, and the mean power excess below the aligned peak.
+    """
+    connected, excesses = realign_trials(seed, trials)
     return {
         "connected_fraction": connected / trials,
         "excess_db_mean": float(np.mean(excesses)),

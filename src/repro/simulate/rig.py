@@ -40,13 +40,13 @@ from ..core import (
 from ..determinism import resolve_rng, spawn
 from ..galvo import GVS102, GalvoHardware, GmaParams, canonical_gma, trace
 from ..geometry import (
-    RigidTransform,
+    Pose,
     euler_to_matrix,
     normalize,
     rotation_between,
 )
 from ..link import FsoChannel, LinkDesign, link_10g_diverging
-from ..vrh import Pose, RxAssembly, TxAssembly, VrhTracker
+from ..vrh import RxAssembly, TxAssembly, VrhTracker
 
 #: True voltage-to-angle quadratic term (rad / V^2): the hidden
 #: hardware imperfection that gives the learned linear model its
@@ -97,12 +97,11 @@ def _rest_direction(params: GmaParams) -> np.ndarray:
 
 
 def _placement_to(rotation: np.ndarray, kspace_mirror: np.ndarray,
-                  target_mirror: np.ndarray) -> RigidTransform:
-    """The transform rotating by ``rotation`` and landing the GMA's
+                  target_mirror: np.ndarray) -> Pose:
+    """The placement rotating by ``rotation`` and landing the GMA's
     second mirror (K-space position ``kspace_mirror``) on
     ``target_mirror``."""
-    translation = target_mirror - rotation @ kspace_mirror
-    return RigidTransform(rotation, translation)
+    return Pose(target_mirror - rotation @ kspace_mirror, rotation)
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,13 @@ class Testbed:
 
         # Hidden VRH-T frames: VR-space is gravity-aligned but has an
         # arbitrary origin and yaw; the reference point X sits somewhere
-        # inside the headset.
-        self.vr_from_world = RigidTransform(
-            euler_to_matrix(0.0, 0.0, float(rng.uniform(-np.pi, np.pi))),
-            rng.uniform(-1.5, 1.5, size=3))
-        self.x_offset = RigidTransform(
-            euler_to_matrix(*rng.normal(0.0, 0.08, size=3)),
-            rng.normal(0.0, 0.04, size=3))
+        # inside the headset.  Each frame draws its angles before its
+        # offset.
+        vr_yaw = euler_to_matrix(0.0, 0.0,
+                                 float(rng.uniform(-np.pi, np.pi)))
+        self.vr_from_world = Pose(rng.uniform(-1.5, 1.5, size=3), vr_yaw)
+        x_tilt = euler_to_matrix(*rng.normal(0.0, 0.08, size=3))
+        self.x_offset = Pose(rng.normal(0.0, 0.04, size=3), x_tilt)
         self.tracker = VrhTracker(
             self.vr_from_world, self.x_offset, rng=spawn(rng))
 
@@ -231,8 +230,8 @@ class Testbed:
             rx_mapping=rx_mapping,
         )
 
-    def world_to_vr(self) -> RigidTransform:
-        """The hidden world-to-VR-space transform (tests only)."""
+    def world_to_vr(self) -> Pose:
+        """The hidden world-to-VR-space placement (tests only)."""
         return self.vr_from_world
 
     # -- deployment-time procedures ------------------------------------------
@@ -331,17 +330,16 @@ class Testbed:
         only re-training needed is the Section 4.2 mapping step
         (see :mod:`repro.core.retraining`).
         """
-        drift = RigidTransform(
-            euler_to_matrix(0.0, 0.0, float(yaw_rad)),
-            np.asarray(translation_m, dtype=float))
+        drift = Pose(np.asarray(translation_m, dtype=float),
+                     euler_to_matrix(0.0, 0.0, float(yaw_rad)))
         self.vr_from_world = drift.compose(self.vr_from_world)
         self.tracker.vr_from_world = self.vr_from_world
 
-    def _perturbed_transform(self, transform: RigidTransform,
+    def _perturbed_transform(self, transform: Pose,
                              translation_sigma_m: float,
-                             angle_sigma_rad: float) -> RigidTransform:
-        """A rigid transform wiggled by deployment-measurement error."""
+                             angle_sigma_rad: float) -> Pose:
+        """A rigid placement wiggled by deployment-measurement error."""
         params = transform.to_params()
         params[:3] += self.rng.normal(0.0, translation_sigma_m, size=3)
         params[3:] += self.rng.normal(0.0, angle_sigma_rad, size=3)
-        return RigidTransform.from_params(params)
+        return Pose.from_params(params)

@@ -5,7 +5,7 @@ Oculus Rift S are bolted to one breadboard (Fig. 12), so the GMA rides
 rigidly with the headset body frame.  :class:`RxAssembly` captures that
 rigid attachment: it owns the ground-truth RX galvo hardware (whose
 parameters live in the GMA's own K-space) and the fixed K-space-to-body
-transform, and answers world-frame geometry queries for any body pose.
+placement, and answers world-frame geometry queries for any body pose.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..galvo import GalvoHardware
-from ..geometry import RigidTransform, Vec3
-from .pose import Pose
+from ..geometry import Pose, Vec3
 
 
 @dataclass
@@ -28,15 +27,11 @@ class RxAssembly:
     """
 
     hardware: GalvoHardware
-    kspace_to_body: RigidTransform
+    kspace_to_body: Pose
 
-    def body_to_world(self, body_pose: Pose) -> RigidTransform:
-        """Transform from the headset body frame into the world."""
-        return body_pose.as_transform()
-
-    def kspace_to_world(self, body_pose: Pose) -> RigidTransform:
-        """Transform from the GMA's K-space into the world."""
-        return self.body_to_world(body_pose).compose(self.kspace_to_body)
+    def kspace_to_world(self, body_pose: Pose) -> Pose:
+        """Placement of the GMA's K-space in the world."""
+        return body_pose.compose(self.kspace_to_body)
 
     def world_beam(self, body_pose: Pose) -> Tuple[Vec3, Vec3]:
         """The imaginary beam emanating from RX, in world coordinates.
@@ -56,7 +51,7 @@ class TxAssembly:
     """Transmit terminal, statically mounted (e.g. on the ceiling)."""
 
     hardware: GalvoHardware
-    kspace_to_world: RigidTransform
+    kspace_to_world: Pose
 
     def world_beam(self) -> Tuple[Vec3, Vec3]:
         """The beam currently launched by TX, in world coordinates, as

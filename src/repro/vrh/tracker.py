@@ -23,8 +23,7 @@ import numpy as np
 
 from .. import constants
 from ..determinism import resolve_rng
-from ..geometry import RigidTransform, rotation_matrix
-from .pose import Pose
+from ..geometry import Pose, rotation_matrix
 
 
 @dataclass
@@ -35,8 +34,8 @@ class VrhTracker:
     unknowns; tests may read them, the TP pipeline must not.
     """
 
-    vr_from_world: RigidTransform
-    x_offset: RigidTransform
+    vr_from_world: Pose
+    x_offset: Pose
     location_noise_m: float = constants.TRACKER_LOCATION_NOISE_MAX_M / 3.0
     orientation_noise_rad: float = (
         constants.TRACKER_ORIENTATION_NOISE_MAX_RAD / 3.0)
@@ -55,15 +54,14 @@ class VrhTracker:
 
     # -- report content ------------------------------------------------------
 
-    def true_report_transform(self, body_pose: Pose) -> RigidTransform:
-        """Noise-free reported transform: ``V o W o X``."""
-        return self.vr_from_world.compose(
-            body_pose.as_transform()).compose(self.x_offset)
+    def true_report_transform(self, body_pose: Pose) -> Pose:
+        """Noise-free reported pose: ``V o W o X``."""
+        return self.vr_from_world.compose(body_pose).compose(self.x_offset)
 
     def report(self, body_pose: Pose) -> Pose:
         """One VRH-T position report for the current true body pose."""
         clean = self.true_report_transform(body_pose)
-        position = clean.translation + self.rng.normal(
+        position = clean.position + self.rng.normal(
             0.0, self.location_noise_m, size=3)
         if self.orientation_noise_rad > 0:
             axis = self.rng.normal(size=3)
@@ -72,7 +70,7 @@ class VrhTracker:
                 axis, self.rng.normal(0.0, self.orientation_noise_rad))
         else:
             wobble = np.eye(3)
-        return Pose(position, wobble @ clean.rotation)
+        return Pose(position, wobble @ clean.orientation)
 
     # -- report timing -------------------------------------------------------
 

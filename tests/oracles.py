@@ -8,7 +8,7 @@
 * :func:`second_mirror_plane`, :func:`world_second_mirror_plane`,
   :func:`apply_ray`, :func:`world_beam`, :func:`lemma_points` -- the
   Lemma 1 target planes, the world-frame beams through
-  ``RigidTransform.apply_point``/``apply_direction``, and the four
+  ``Pose.apply_point``/``apply_direction``, and the four
   Lemma 1 points built from them;
 * :data:`BOARD_PLANE`, :func:`beam_board_hit`, :func:`warp_bias`,
   :func:`observed_board_hit` -- the Section 4.1-B board reading on
@@ -210,7 +210,7 @@ def second_mirror_plane(params, angle2_rad):
 
 
 def apply_ray(transform, ray):
-    """A :class:`Ray` moved by a ``RigidTransform``: the origin through
+    """A :class:`Ray` moved by a ``Pose``: the origin through
     ``apply_point``, the direction through ``apply_direction``."""
     return Ray(transform.apply_point(ray.origin),
                transform.apply_direction(ray.direction))

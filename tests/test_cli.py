@@ -224,14 +224,14 @@ class TestExitCodeContract:
 
     def test_diverged_pointing_in_calibrate_exits_one(self, monkeypatch,
                                                       capsys):
-        # The handler's own import of ``point`` can raise
+        # The realignment trials' ``point`` can raise
         # PointingDivergedError after calibration succeeded.
-        import repro.core
+        import repro.simulate.montecarlo as montecarlo
         from repro.core import PointingDivergedError
 
         def diverge(system, report, *args, **kwargs):
             raise PointingDivergedError("P did not settle")
 
-        monkeypatch.setattr(repro.core, "point", diverge)
+        monkeypatch.setattr(montecarlo, "point", diverge)
         assert main(["calibrate", "--trials", "1"]) == 1
         assert "P did not settle" in capsys.readouterr().out

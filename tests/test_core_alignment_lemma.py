@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import point, search
-from repro.vrh import Pose
 
 from .oracles import lemma_points
 
@@ -58,8 +57,7 @@ class TestSearch:
 
     def test_improves_on_seed(self, testbed):
         pose = testbed.home_pose
-        t = testbed.tracker.true_report_transform(pose)
-        report = Pose(t.translation, t.rotation)
+        report = testbed.tracker.true_report_transform(pose)
         seed_cmd = point(testbed.oracle_system(), report)
         testbed.apply_command(seed_cmd)
         seed_power = testbed.channel.received_power_dbm(pose)

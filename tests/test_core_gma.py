@@ -14,7 +14,7 @@ from repro.core import GmaModel, board_hits, trace_batch
 from repro.core.gma import _DIRECTION_ROWS, layout, trace_rows
 from repro.core.kspace import BOARD_NORMAL, BOARD_POINT
 from repro.galvo import canonical_gma
-from repro.geometry import RigidTransform, rotation_matrix
+from repro.geometry import Pose, rotation_matrix
 
 from .oracles import (
     BOARD_PLANE,
@@ -47,8 +47,8 @@ class TestGmaModel:
         assert abs(plane.signed_distance(origin)) <= 1e-9
 
     def test_transformed_model(self, model):
-        t = RigidTransform(rotation_matrix([0, 0, 1], 0.3),
-                           np.array([1.0, 0.0, 0.0]))
+        t = Pose(np.array([1.0, 0.0, 0.0]),
+                 rotation_matrix([0, 0, 1], 0.3))
         moved = model.transformed(t)
         expected_origin, expected_direction = t.apply_ray(
             *model.beam(0.5, 0.5))
@@ -84,8 +84,8 @@ class TestTraceBatch:
 class TestBoardHits:
     def test_matches_plane_intersection(self, model):
         # Hardware placed facing a board (like the K-space rig).
-        flip = RigidTransform(rotation_matrix([1, 0, 0], np.pi),
-                              np.array([0.0, 0.0, 1.5]))
+        flip = Pose(np.array([0.0, 0.0, 1.5]),
+                    rotation_matrix([1, 0, 0], np.pi))
         placed = model.transformed(flip)
         v1 = np.array([0.3, -1.2])
         v2 = np.array([-0.8, 0.9])

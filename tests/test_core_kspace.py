@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.kspace import BoardSample, _board_hit, _prior_sigmas
 from repro.galvo import GalvoHardware, canonical_gma
-from repro.geometry import NoIntersectionError, euler_to_matrix, RigidTransform
+from repro.geometry import NoIntersectionError, Pose, euler_to_matrix
 from repro.simulate import Testbed
 
 from .oracles import (
@@ -31,17 +31,12 @@ from .oracles import (
 def board_hardware(seed=0, nonlinearity=0.0):
     """Hardware placed facing the board, K-space style."""
     params = canonical_gma(np.radians(1.0))
-    flip = RigidTransform(euler_to_matrix(np.pi, 0.0, 0.0),
-                          np.zeros(3))
+    flip = Pose(np.zeros(3), euler_to_matrix(np.pi, 0.0, 0.0))
     placed = params.transformed(flip)
-    shift = RigidTransform(
-        np.eye(3),
-        np.array([0.0, 0.0, constants.KSPACE_BOARD_DISTANCE_M])
-        - placed.q2 * 0 + np.array([0, 0, 0]))
     # Land the second mirror at z = 1.5 m.
     target = np.array([0.0, 0.0, constants.KSPACE_BOARD_DISTANCE_M])
     translation = target - placed.q2
-    placed = placed.transformed(RigidTransform(np.eye(3), translation))
+    placed = placed.transformed(Pose(translation, np.eye(3)))
     return GalvoHardware(placed, nonlinearity=nonlinearity,
                          rng=np.random.default_rng(seed))
 

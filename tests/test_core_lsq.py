@@ -12,6 +12,7 @@ Bad inputs are rejected where they enter the fits.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ from repro.core.lsq import (
     forward_steps,
     levenberg_marquardt,
 )
-from repro.geometry import RigidTransform
+from repro.geometry import Pose
 from repro.simulate import Testbed
-from repro.vrh import Pose
 
 from .oracles import (
     gma_fit_residuals,
@@ -143,7 +143,7 @@ class TestRemapMatchesReference:
         testbed.apply_tracker_drift(translation_m=(0.04, -0.02, 0.01),
                                     yaw_rad=np.radians(3.0))
         fresh = testbed.collect_mapping_samples(10)
-        seed = np.concatenate([RigidTransform.identity().to_params(),
+        seed = np.concatenate([Pose.identity().to_params(),
                                system.rx_mapping.to_params()])
         reference = reference_fit_mapping(
             system.tx_model_vr, system.rx_model_kspace, fresh, seed)
@@ -284,10 +284,13 @@ class TestFitInputsAreRejected:
 
     def test_fit_mapping_rejects_non_finite_poses(self, calibration,
                                                   aligned):
+        # A Pose refuses a non-finite position, so hand in a stand-in
+        # with the same fields: fit_mapping checks what it stacks.
         bad = list(aligned)
         pose = bad[3].reported_pose
-        bad[3] = replace(bad[3], reported_pose=Pose(
-            [np.nan, 0.0, 0.0], pose.orientation))
+        bad[3] = replace(bad[3], reported_pose=SimpleNamespace(
+            position=np.array([np.nan, 0.0, 0.0]),
+            orientation=pose.orientation))
         with pytest.raises(ValueError, match="finite"):
             fit_mapping(*self.mapping_args(calibration, bad))
 

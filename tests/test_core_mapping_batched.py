@@ -30,7 +30,7 @@ from repro.core.mapping import (
 from repro.galvo import GmaParams, canonical_gma
 from repro.geometry import (
     NoIntersectionError,
-    RigidTransform,
+    Pose,
     euler_to_matrix,
     normalize,
     rotation_between,
@@ -49,10 +49,10 @@ TOL = 1e-12
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 #: TX 1.8 m away along +z, flipped to face the RX; RX slightly tilted.
-TX_MAP = RigidTransform(euler_to_matrix(math.pi, 0.0, 0.0),
-                        np.array([0.0, 0.05, 1.8]))
-RX_MAP = RigidTransform(euler_to_matrix(0.05, -0.03, 0.1),
-                        np.array([0.02, 0.01, 0.05]))
+TX_MAP = Pose(np.array([0.0, 0.05, 1.8]),
+              euler_to_matrix(math.pi, 0.0, 0.0))
+RX_MAP = Pose(np.array([0.02, 0.01, 0.05]),
+              euler_to_matrix(0.05, -0.03, 0.1))
 KSPACE = GmaModel(canonical_gma(math.radians(1.0)))
 
 
@@ -83,7 +83,7 @@ def parallel_sample(rng, params):
     tx_dir = reference_trace(system.tx_params(), sample.v_tx1,
                              sample.v_tx2).direction
     rx = KSPACE.params
-    normal = system.rx_mapping.rotation @ reference_mirror_planes(
+    normal = system.rx_mapping.orientation @ reference_mirror_planes(
         rx, rx.theta1 * sample.v_rx1, rx.theta1 * sample.v_rx2)[1].normal
     in_plane = normalize(np.cross(tx_dir, [0.3, 0.5, 0.8]))
     pose = Pose(np.zeros(3), rotation_between(normal, in_plane))

@@ -159,13 +159,14 @@ class TestPointing:
         assert warm.iterations <= cold.iterations
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_position_raises(self, testbed, learned_system,
-                                        bad, capfd):
+    def test_non_finite_position_raises(self, testbed, bad, capfd):
+        # A non-finite report never reaches ``point``: the Pose that
+        # would carry it refuses to be built.
         report = testbed.tracker.report(testbed.evaluation_poses(1)[0])
         position = report.position.copy()
         position[1] = bad
-        with pytest.raises(PointingDivergedError, match="finite"):
-            point(learned_system, Pose(position, report.orientation))
+        with pytest.raises(ValueError, match="position"):
+            Pose(position, report.orientation)
         assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

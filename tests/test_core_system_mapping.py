@@ -11,8 +11,7 @@ from repro.core.mapping import (
     mean_coincidence_error_m,
 )
 from repro.galvo import canonical_gma
-from repro.geometry import RigidTransform, euler_to_matrix
-from repro.vrh import Pose
+from repro.geometry import Pose, euler_to_matrix
 
 
 def rest_origin(model):
@@ -91,10 +90,10 @@ class TestCoincidence:
         tx = GmaModel(canonical_gma(np.radians(1.0)))
         rx = GmaModel(canonical_gma(np.radians(1.0)))
         # TX 1.8 m away along +z, flipped to face the RX.
-        tx_map = RigidTransform(euler_to_matrix(np.pi, 0.0, 0.0),
-                                np.array([0.0, 0.05, 1.8]))
-        rx_map = RigidTransform(euler_to_matrix(0.05, -0.03, 0.1),
-                                np.array([0.02, 0.01, 0.05]))
+        tx_map = Pose(np.array([0.0, 0.05, 1.8]),
+                      euler_to_matrix(np.pi, 0.0, 0.0))
+        rx_map = Pose(np.array([0.02, 0.01, 0.05]),
+                      euler_to_matrix(0.05, -0.03, 0.1))
         return tx, rx, tx_map, rx_map
 
     def test_aligned_sample_has_tiny_residual(self):

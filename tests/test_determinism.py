@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from repro.galvo import GalvoHardware, canonical_gma
-from repro.geometry import RigidTransform
+from repro.geometry import Pose
 from repro.vrh import VrhTracker
 
-IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
+IDENTITY = Pose(np.zeros(3), np.eye(3))
 
 COMPONENTS = {
     "VrhTracker": lambda **kw: VrhTracker(IDENTITY, IDENTITY, **kw),

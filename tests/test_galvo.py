@@ -19,7 +19,7 @@ from repro.galvo import (
     canonical_gma,
     trace,
 )
-from repro.geometry import RigidTransform, rotation_matrix
+from repro.geometry import Pose, rotation_matrix
 
 from .oracles import Ray, angle_between, reference_apply, second_mirror_plane
 
@@ -141,7 +141,7 @@ class TestGmaParams:
 
     def test_transformed_moves_points_and_rotates_directions(self):
         params = canonical_gma(np.radians(1.0))
-        shift = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        shift = Pose(np.array([1.0, 2.0, 3.0]), np.eye(3))
         moved = params.transformed(shift)
         assert np.allclose(moved.q2, params.q2 + [1, 2, 3])
         assert np.allclose(moved.x0, params.x0)  # translation only
@@ -149,8 +149,8 @@ class TestGmaParams:
     def test_transform_commutes_with_trace(self):
         # Tracing then transforming == transforming then tracing.
         params = canonical_gma(np.radians(1.0))
-        t = RigidTransform(rotation_matrix([0, 1, 0], 0.4),
-                           np.array([0.3, -0.2, 1.0]))
+        t = Pose(np.array([0.3, -0.2, 1.0]),
+                 rotation_matrix([0, 1, 0], 0.4))
         beam_then = Ray(*t.apply_ray(
             *trace(params, params.theta1 * 1.2, params.theta1 * -0.7)))
         then_beam = linear_beam(params.transformed(t), 1.2, -0.7)

@@ -13,8 +13,7 @@ from .oracles import lemma_points
 
 def align_perfectly(testbed, pose):
     """Noise-free oracle alignment at a pose."""
-    t = testbed.tracker.true_report_transform(pose)
-    report = Pose(t.translation, t.rotation)
+    report = testbed.tracker.true_report_transform(pose)
     command = point(testbed.oracle_system(), report)
     testbed.apply_command(command)
     return command

@@ -12,8 +12,7 @@ from .oracles import lemma_points
 
 
 def oracle_align(testbed, pose):
-    t = testbed.tracker.true_report_transform(pose)
-    report = Pose(t.translation, t.rotation)
+    report = testbed.tracker.true_report_transform(pose)
     command = point(testbed.oracle_system(), report)
     testbed.apply_command(command)
 

@@ -58,9 +58,8 @@ def poses(bed):
 def commands(bed, poses):
     """The oracle's pointing command for each evaluation pose."""
     system = bed.oracle_system()
-    reports = (bed.tracker.true_report_transform(pose) for pose in poses)
-    return [point(system, Pose(t.translation, t.rotation))
-            for t in reports]
+    return [point(system, bed.tracker.true_report_transform(pose))
+            for pose in poses]
 
 
 def incidence_tolerance(angle_rad):

@@ -4,14 +4,16 @@ Small enough to ride in tier-1: they assert the vectorized slot model
 agrees with the slot-loop oracle on a real (tiny) dataset, that the
 Section 4.2 mapping fit makes one batched residual call per residual
 and per Jacobian, that a Section 4.1-B
-finite-difference Jacobian is one batched trace, and that the channel,
-``G'`` and the K-space board loop stay on floats (counted calls, not
-timed ones).  Speed is measured by the
+finite-difference Jacobian is one batched trace, that the channel,
+``G'`` and the K-space board loop stay on floats, and that a tracking
+report and its RX placement check each rotation once (counted calls,
+not timed ones).  Speed is measured by the
 repository benchmark (``bench/run.py``), not here, so CI timing noise
 cannot break the suite.
 """
 
 import copy
+import sys
 from collections import Counter
 
 import numpy as np
@@ -27,8 +29,10 @@ from repro.core import (
     mapping,
 )
 from repro.galvo import GalvoHardware
+from repro.geometry import rotation
 from repro.motion import generate_batch
 from repro.simulate import simulate_batch
+from repro.vrh import VrhTracker
 
 from . import oracles
 from .oracles import (
@@ -197,3 +201,33 @@ class TestNewtonSolversStayOnFloats:
         assert calls["lstsq"] > 0
         assert calls["Plane"] > 0
         assert calls["Ray"] > 1
+
+
+class TestOneRotationCheckPerPlacement:
+    """Each per-report path builds every placement once as a ``Pose``:
+    no conversion between placement types re-checks a rotation."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+        check = rotation.is_rotation_matrix
+        counted = counter(calls)("rotation", check)
+        # Every repro module that bound the check, wherever it is used.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "is_rotation_matrix", None)
+                    is check):
+                monkeypatch.setattr(module, "is_rotation_matrix", counted)
+        return calls
+
+    def test_tracker_report(self, testbed, calls):
+        tracker = VrhTracker(testbed.vr_from_world, testbed.x_offset,
+                             seed=0)
+        tracker.report(testbed.home_pose)
+        # V after W, then X, then the noisy report itself.
+        assert calls["rotation"] == 3
+
+    def test_rx_model_vr(self, learned_system, testbed, calls):
+        learned_system.rx_model_vr(testbed.home_pose)
+        # The report after the RX mapping; the placed model is floats.
+        assert calls["rotation"] == 1

@@ -28,7 +28,7 @@ from repro.core import (
 from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V, InverseDivergedError
 from repro.galvo import canonical_gma
 from repro.geometry import (
-    RigidTransform,
+    Pose,
     euler_to_matrix,
     normalize,
     rotation_matrix,
@@ -36,7 +36,6 @@ from repro.geometry import (
 from repro.motion import StrokeSchedule
 from repro.link import link_10g_diverging
 from repro.optics import GaussianBeam, excess_loss_db, tolerance
-from repro.vrh import Pose
 
 from .oracles import Plane, Ray, reflect_direction
 
@@ -90,7 +89,7 @@ class TestGeometryProperties:
     @given(t=vec3(unit_component), axis=nonzero_vec3(), theta=angle,
            p=vec3(unit_component))
     def test_rigid_transform_preserves_distances(self, t, axis, theta, p):
-        transform = RigidTransform(rotation_matrix(axis, theta), t)
+        transform = Pose(t, rotation_matrix(axis, theta))
         q = p + np.array([0.1, -0.2, 0.3])
         d_before = np.linalg.norm(p - q)
         d_after = np.linalg.norm(transform.apply_point(p)
@@ -204,8 +203,7 @@ class TestPointingProperty:
         home = testbed.home_pose
         body = Pose(home.position + np.array(offset),
                     home.orientation @ euler_to_matrix(*angles))
-        t = testbed.tracker.true_report_transform(body)
-        pose = Pose(t.translation, t.rotation)
+        pose = testbed.tracker.true_report_transform(body)
         initial = cold_start_seed(learned_system, pose) if cold_seed \
             else (0.0, 0.0, 0.0, 0.0)
         try:

@@ -85,7 +85,7 @@ class TestHiddenFrames:
         assert np.allclose(z, [0, 0, 1], atol=1e-9)
 
     def test_x_offset_is_small(self, testbed):
-        assert np.linalg.norm(testbed.x_offset.translation) < 0.2
+        assert np.linalg.norm(testbed.x_offset.position) < 0.2
 
     def test_oracle_round_trip(self, testbed):
         # The oracle's TX model in VR space, pulled back to world,

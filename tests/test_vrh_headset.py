@@ -1,7 +1,7 @@
 """Unit tests for the TX/RX assemblies (rigid optics mounting).
 
 World beams are float ``(origin, direction)`` pairs; the object path
-they must match (``RigidTransform.apply_point``/``apply_direction`` on
+they must match (``Pose.apply_point``/``apply_direction`` on
 an oracle :class:`Ray`) and the second-mirror planes live in
 ``tests/oracles.py``.
 """
@@ -9,7 +9,7 @@ an oracle :class:`Ray`) and the second-mirror planes live in
 import numpy as np
 
 from repro.galvo import GalvoHardware, GalvoSpec, canonical_gma
-from repro.geometry import RigidTransform, rotation_matrix
+from repro.geometry import euler_to_matrix, rotation_matrix
 from repro.vrh import Pose, RxAssembly, TxAssembly
 
 from .oracles import world_beam, world_second_mirror_plane
@@ -35,15 +35,15 @@ def assert_same_beam(beam, ray):
 class TestTxAssembly:
     def test_world_beam_is_transformed_kspace_beam(self):
         hw = quiet_hardware()
-        placement = RigidTransform(rotation_matrix([1, 0, 0], 0.3),
-                                   np.array([0.0, 0.0, 2.5]))
+        placement = Pose(np.array([0.0, 0.0, 2.5]),
+                         rotation_matrix([1, 0, 0], 0.3))
         tx = TxAssembly(hw, placement)
         hw.apply(0.5, -0.5)
         assert_same_beam(tx.world_beam(), world_beam(tx))
 
     def test_mirror_plane_contains_beam_origin(self):
         hw = quiet_hardware()
-        tx = TxAssembly(hw, RigidTransform.identity())
+        tx = TxAssembly(hw, Pose.identity())
         hw.apply(1.0, 1.0)
         plane = world_second_mirror_plane(tx)
         origin, _ = tx.world_beam()
@@ -53,16 +53,16 @@ class TestTxAssembly:
 class TestRxAssembly:
     def test_world_beam_is_mounted_then_posed(self):
         hw = quiet_hardware()
-        mount = RigidTransform(rotation_matrix([0, 1, 0], 0.5),
-                               np.array([0.05, 0.03, 0.10]))
+        mount = Pose(np.array([0.05, 0.03, 0.10]),
+                     rotation_matrix([0, 1, 0], 0.5))
         rx = RxAssembly(hw, mount)
         hw.apply(-1.2, 0.7)
-        pose = Pose.from_euler([1, 2, 3], 0.1, 0.2, 0.3)
+        pose = Pose([1, 2, 3], euler_to_matrix(0.1, 0.2, 0.3))
         assert_same_beam(rx.world_beam(pose), world_beam(rx, pose))
 
     def test_beam_rides_with_headset(self):
         hw = quiet_hardware()
-        rx = RxAssembly(hw, RigidTransform.identity())
+        rx = RxAssembly(hw, Pose.identity())
         hw.apply(0.0, 0.0)
         home = Pose.identity()
         moved = Pose([0.1, 0.2, 0.3], np.eye(3))
@@ -74,7 +74,7 @@ class TestRxAssembly:
 
     def test_beam_rotates_with_headset(self):
         hw = quiet_hardware()
-        rx = RxAssembly(hw, RigidTransform.identity())
+        rx = RxAssembly(hw, Pose.identity())
         hw.apply(0.0, 0.0)
         turned = Pose([0, 0, 0], rotation_matrix([1, 0, 0], 0.2))
         _, direction = rx.world_beam(turned)
@@ -84,17 +84,17 @@ class TestRxAssembly:
 
     def test_kspace_to_world_composition(self):
         hw = quiet_hardware()
-        mount = RigidTransform(rotation_matrix([0, 1, 0], 0.5),
-                               np.array([0.05, 0.03, 0.10]))
+        mount = Pose(np.array([0.05, 0.03, 0.10]),
+                     rotation_matrix([0, 1, 0], 0.5))
         rx = RxAssembly(hw, mount)
-        pose = Pose.from_euler([1, 2, 3], 0.1, 0.2, 0.3)
+        pose = Pose([1, 2, 3], euler_to_matrix(0.1, 0.2, 0.3))
         combined = rx.kspace_to_world(pose)
-        expected = pose.as_transform().compose(mount)
+        expected = pose.compose(mount)
         assert combined.almost_equal(expected, tol=1e-12)
 
     def test_mirror_plane_moves_with_pose(self):
         hw = quiet_hardware()
-        rx = RxAssembly(hw, RigidTransform.identity())
+        rx = RxAssembly(hw, Pose.identity())
         hw.apply(0.3, 0.3)
         a = world_second_mirror_plane(rx, Pose.identity())
         b = world_second_mirror_plane(rx, Pose([1, 0, 0], np.eye(3)))

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.geometry import RigidTransform, rotation_matrix
+from repro.geometry import euler_to_matrix, rotation_matrix
 from repro.vrh import Pose, VrhTracker
 
 
 def make_tracker(rng, location_noise=None, orientation_noise=None):
-    vr = RigidTransform(rotation_matrix([0, 0, 1], 0.4),
-                        np.array([1.0, -0.5, 0.2]))
-    x = RigidTransform(rotation_matrix([1, 0, 0], 0.1),
-                       np.array([0.02, -0.03, 0.05]))
+    vr = Pose(np.array([1.0, -0.5, 0.2]), rotation_matrix([0, 0, 1], 0.4))
+    x = Pose(np.array([0.02, -0.03, 0.05]), rotation_matrix([1, 0, 0], 0.1))
     kwargs = {}
     if location_noise is not None:
         kwargs["location_noise_m"] = location_noise
@@ -25,12 +23,12 @@ class TestReportContent:
     def test_noise_free_report_is_v_w_x(self, rng):
         tracker = make_tracker(rng, location_noise=0.0,
                                orientation_noise=0.0)
-        pose = Pose.from_euler([0.3, 0.2, 1.1], 0.05, -0.1, 0.2)
+        pose = Pose([0.3, 0.2, 1.1], euler_to_matrix(0.05, -0.1, 0.2))
         report = tracker.report(pose)
-        expected = tracker.vr_from_world.compose(
-            pose.as_transform()).compose(tracker.x_offset)
-        assert np.allclose(report.position, expected.translation)
-        assert np.allclose(report.orientation, expected.rotation)
+        expected = tracker.vr_from_world.compose(pose).compose(
+            tracker.x_offset)
+        assert np.allclose(report.position, expected.position)
+        assert np.allclose(report.orientation, expected.orientation)
 
     def test_report_is_not_world_pose(self, rng):
         # The whole point: the reported frame is unknown/different.
