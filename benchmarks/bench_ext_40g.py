@@ -9,9 +9,11 @@ collimators costs a CWDM4 40G link, and at what chromatic coefficient
 the outer lanes stop closing at all.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.analysis import BudgetInputs, angular_speed_limit_rad_s
+from repro.analysis import angular_speed_limit_rad_s, inputs_for
 from repro.link import (
     MultiWavelengthDesign,
     link_25g,
@@ -25,19 +27,8 @@ CHROMA_DB_PER_NM = (0.015, 0.06, 0.12, 0.20, 0.30)
 
 def tolerated_speed_deg_s(design: MultiWavelengthDesign) -> float:
     """Closed-form tolerated rotation speed for the worst lane."""
-    base = design.base
-    margin = design.worst_lane_margin_db()
-    if margin <= 0:
-        return 0.0
-    inputs = BudgetInputs(
-        margin_db=margin,
-        lateral_width_m=base.lateral_width_m(base.design_range_m),
-        angular_width_rad=base.angular_width_rad(base.design_range_m),
-        curvature_radius_m=base.beam.curvature_radius_m(
-            base.design_range_m),
-        staleness_s=0.0145,
-        residual_lateral_m=1.5e-3,
-        residual_angular_rad=1.5e-3)
+    inputs = replace(inputs_for(design.base),
+                     margin_db=design.worst_lane_margin_db())
     return float(np.degrees(angular_speed_limit_rad_s(inputs)))
 
 

@@ -10,10 +10,10 @@ channel physics, SFP link state, and iperf-style measurement -- for a
 
 import numpy as np
 
+from repro.geometry import Pose
 from repro.motion import generate_trace
 from repro.reporting import TextTable, fmt_float, sparkline
 from repro.simulate import PrototypeSession, Testbed
-from repro.vrh import Pose
 
 
 class TraceAroundHome:

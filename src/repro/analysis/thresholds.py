@@ -4,11 +4,12 @@ The paper's speed thresholds arise from one mechanism: between two
 VRH-T reports the beam is stale for up to (tracking period + pointing
 latency), so motion at speed ``v`` accumulates misalignment
 ``v * staleness`` on top of the TP residual, and the link drops when
-the total excess loss eats the power margin.  This module solves that
-budget in closed form; the companion bench compares the predictions to
-the full closed-loop simulation (they should agree to tens of
-percent, which is exactly how well the paper's own Table 1/Table 3
-numbers cross-check).
+the total excess loss eats the power margin.  Each limit is one
+:func:`repro.optics.tolerance` call: a straight misalignment path that
+starts at the TP residual and grows ``staleness`` per unit of speed.
+The companion bench compares the predictions to the full closed-loop
+simulation (they should agree to tens of percent, which is exactly how
+well the paper's own Table 1/Table 3 numbers cross-check).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 from .. import constants
 from ..link import LinkDesign
 from ..link.tolerance import _check_range
-from ..optics import excess_loss_db, tolerance
+from ..optics import tolerance
 
 
 @dataclass(frozen=True)
 class BudgetInputs:
-    """Everything the closed-form threshold needs."""
+    """Everything the closed-form threshold needs; a bad value is
+    rejected by field name.  ``curvature_radius_m`` may be ``inf``."""
 
     margin_db: float
     lateral_width_m: float
@@ -33,6 +35,27 @@ class BudgetInputs:
     staleness_s: float
     residual_lateral_m: float
     residual_angular_rad: float
+
+    def __post_init__(self) -> None:
+        _require(self, "margin_db", math.isfinite(self.margin_db), "finite")
+        _require(self, "curvature_radius_m", self.curvature_radius_m > 0,
+                 "positive")
+        _require(self, "lateral_width_m",
+                 0 < self.lateral_width_m < math.inf, "finite and > 0")
+        _require(self, "angular_width_rad",
+                 0 < self.angular_width_rad < math.inf, "finite and > 0")
+        _require(self, "staleness_s",
+                 0 < self.staleness_s < math.inf, "finite and > 0")
+        _require(self, "residual_lateral_m",
+                 0 <= self.residual_lateral_m < math.inf, "finite and >= 0")
+        _require(self, "residual_angular_rad",
+                 0 <= self.residual_angular_rad < math.inf, "finite and >= 0")
+
+
+def _require(inputs: BudgetInputs, name: str, ok: bool, want: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {want}, "
+                         f"got {getattr(inputs, name)!r}")
 
 
 def default_staleness_s() -> float:
@@ -72,54 +95,30 @@ def inputs_for(design: LinkDesign, range_m: float = None,
     )
 
 
-def _excess_db(inputs: BudgetInputs, lateral_m: float,
-               angular_rad: float) -> float:
-    return excess_loss_db(lateral_m, inputs.lateral_width_m,
-                          angular_rad, inputs.angular_width_rad)
+def _speed_limit(inputs: BudgetInputs, lateral_rate: float,
+                 angular_rate: float) -> float:
+    return tolerance(inputs.margin_db, inputs.lateral_width_m,
+                     inputs.angular_width_rad, lateral_rate, angular_rate,
+                     inputs.residual_lateral_m, inputs.residual_angular_rad)
 
 
 def angular_speed_limit_rad_s(inputs: BudgetInputs) -> float:
     """Max pure rotation rate keeping the link connected.
 
-    Rotation consumes the angular budget directly:
-    ``residual + omega * staleness`` must stay within the angular
-    tolerance implied by the margin (after the lateral residual has
-    taken its share).
+    A stale rotation at ``omega`` adds ``omega * staleness`` to the
+    angular residual; the lateral residual keeps its share of the
+    margin.
     """
-    lateral_cost = _excess_db(inputs, inputs.residual_lateral_m, 0.0)
-    remaining = inputs.margin_db - lateral_cost
-    budget = (tolerance(inputs.angular_width_rad, remaining)
-              - inputs.residual_angular_rad)
-    if budget <= 0:
-        return 0.0
-    return budget / inputs.staleness_s
+    return _speed_limit(inputs, 0.0, inputs.staleness_s)
 
 
 def linear_speed_limit_m_s(inputs: BudgetInputs) -> float:
     """Max pure translation rate keeping the link connected.
 
     A stale translation ``d = v * staleness`` costs on both axes: it
-    slides the receiver across the beam profile (lateral term) and,
-    for a diverging beam, rotates the arriving wavefront by
-    ``d / R`` (angular term).  Solved by bisection on the total
-    excess-loss budget.
+    slides the receiver across the beam profile (lateral term) and
+    rotates the arriving wavefront by ``d / R`` (angular term; zero
+    only for ``R = inf``).
     """
-    def total_excess(v):
-        drift = v * inputs.staleness_s
-        lateral = inputs.residual_lateral_m + drift
-        angular = inputs.residual_angular_rad
-        if math.isfinite(inputs.curvature_radius_m):
-            angular = angular + drift / inputs.curvature_radius_m
-        return _excess_db(inputs, lateral, angular)
-
-    if total_excess(0.0) >= inputs.margin_db:
-        return 0.0
-    lo, hi = 0.0, 10.0
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if total_excess(mid) < inputs.margin_db:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
+    drift = inputs.staleness_s
+    return _speed_limit(inputs, drift, drift / inputs.curvature_radius_m)

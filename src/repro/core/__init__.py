@@ -13,7 +13,6 @@ Sub-modules map one-to-one onto Section 4 of the paper:
 * :mod:`system` -- the assembled learned system ``P`` consumes.
 """
 
-from ..galvo import CoverageError
 from .alignment import AlignmentResult, search
 from .errors import ErrorSummary, beam_error_m, summarize
 from .gma import GmaModel, board_hits, trace_batch
@@ -50,7 +49,6 @@ __all__ = [
     "AlignmentResult",
     "BoardRig",
     "BoardSample",
-    "CoverageError",
     "DriftMonitor",
     "DEFAULT_VOLTAGE_STEP_V",
     "ErrorSummary",

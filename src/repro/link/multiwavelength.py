@@ -91,8 +91,9 @@ class MultiWavelengthDesign:
         """
         if range_m is None:
             range_m = self.base.design_range_m
-        return tolerance(self.base.angular_width_rad(range_m),
-                         self.worst_lane_margin_db(range_m))
+        return tolerance(self.worst_lane_margin_db(range_m),
+                         self.base.lateral_width_m(range_m),
+                         self.base.angular_width_rad(range_m), 0.0, 1.0)
 
 
 def link_40g_commodity(base: Optional[LinkDesign] = None) -> MultiWavelengthDesign:

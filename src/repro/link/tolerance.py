@@ -7,10 +7,10 @@ Computes, for any :class:`repro.link.LinkDesign`:
 * **TX angular tolerance** -- how far the launched beam can be
   mis-steered (equivalently, how far the receiver can sit off the beam
   axis, divided by range);
-* **lateral tolerance** -- how far the receiver can translate.  For a
-  diverging beam a translation both slides the receiver across the
-  profile *and* rotates the arriving wavefront, so both coupling terms
-  spend the margin simultaneously.
+* **lateral tolerance** -- how far the receiver can translate.  A
+  translation ``d`` both slides the receiver across the profile *and*
+  rotates the arriving wavefront by ``d / R`` (R ~ range for our
+  diverging beams), so both coupling terms spend the margin at once.
 
 These are the quantities of Table 1 and the Fig. 11 sweep.
 """
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from ..optics import EXCESS_DB_AT_WIDTH, tolerance
+from ..optics import tolerance
 from .design import LinkDesign
 
 
@@ -44,43 +44,36 @@ def _check_range(range_m: float) -> None:
                          f"got {range_m!r}")
 
 
+def _tolerance(design: LinkDesign, range_m: float, lateral_rate: float,
+               angular_rate: float) -> float:
+    return tolerance(design.margin_db(range_m),
+                     design.lateral_width_m(range_m),
+                     design.angular_width_rad(range_m),
+                     lateral_rate, angular_rate)
+
+
 def rx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver rotation keeping the link connected."""
     _check_range(range_m)
-    return tolerance(design.angular_width_rad(range_m),
-                     design.margin_db(range_m))
+    return _tolerance(design, range_m, 0.0, 1.0)
 
 
 def tx_angular_tolerance_rad(design: LinkDesign, range_m: float) -> float:
     """Max pure beam-steering error at TX keeping the link connected.
 
     A steering error of ``theta`` parks the receiver ``range * theta``
-    off the beam axis; for a diverging beam the wavefront still arrives
-    from the (unmoved) apex, so only the lateral term pays.
+    off the beam axis; the wavefront still arrives from the (unmoved)
+    apex, so only the lateral term pays.
     """
     _check_range(range_m)
-    lateral = tolerance(design.lateral_width_m(range_m),
-                        design.margin_db(range_m))
-    return lateral / range_m
+    return _tolerance(design, range_m, range_m, 0.0)
 
 
 def lateral_tolerance_m(design: LinkDesign, range_m: float) -> float:
     """Max pure receiver translation keeping the link connected."""
     _check_range(range_m)
-    margin = design.margin_db(range_m)
-    if margin <= 0:
-        return 0.0
-    lateral_term = 1.0 / design.lateral_width_m(range_m) ** 2
-    if design.diverging:
-        # Translation delta also rotates the arrival direction by
-        # delta / R(range); for our strongly diverging beams R ~ range.
-        curvature = design.beam.curvature_radius_m(range_m)
-        angular_term = 1.0 / (curvature
-                              * design.angular_width_rad(range_m)) ** 2
-    else:
-        angular_term = 0.0
-    return math.sqrt(margin / EXCESS_DB_AT_WIDTH
-                     / (lateral_term + angular_term))
+    curvature = design.beam.curvature_radius_m(range_m)
+    return _tolerance(design, range_m, 1.0, 1.0 / curvature)
 
 
 def evaluate(design: LinkDesign,

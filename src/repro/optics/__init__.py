@@ -2,7 +2,7 @@
 
 from .amplifier import Amplifier
 from .collimator import C40FC_C, Collimator, F810FC_1550
-from .coupling import EXCESS_DB_AT_WIDTH, excess_loss_db, tolerance
+from .coupling import excess_loss_db, tolerance
 from .gaussian import GaussianBeam, divergence_for_diameter
 from .safety import (
     PUPIL_DIAMETER_M,
@@ -20,7 +20,6 @@ __all__ = [
     "Amplifier",
     "C40FC_C",
     "Collimator",
-    "EXCESS_DB_AT_WIDTH",
     "F810FC_1550",
     "GaussianBeam",
     "PUPIL_DIAMETER_M",

@@ -25,7 +25,6 @@ import numpy as np
 
 from .. import constants
 from ..core import (
-    CoverageError,
     InverseDivergedError,
     LearnedSystem,
     PointingCommand,
@@ -33,6 +32,7 @@ from ..core import (
     cold_start_seed,
     point,
 )
+from ..galvo import CoverageError
 from ..link import LinkStateMachine
 from ..net import ThroughputMeter, ThroughputWindow
 from .rig import Testbed

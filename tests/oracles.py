@@ -63,7 +63,10 @@
   loop over one trace (each row of the slot kernel in
   :mod:`repro.simulate.batch` must agree with it bit for bit); like
   the kernel, it rejects a report period that is not a whole number
-  of slots.
+  of slots;
+* :func:`reference_tolerance` -- the roll-off inverse by bisection on
+  ``excess_loss_db`` with a bracket doubled until it holds the root
+  (the closed form :func:`repro.optics.tolerance` must agree with it).
 """
 
 import math
@@ -106,6 +109,7 @@ from repro.geometry import (
 from repro.link.channel import MIN_RANGE_M, AlignmentState
 from repro.link.design import NOISE_FLOOR_DBM
 from repro.motion import VIDEO_360, HeadTrace
+from repro.optics import excess_loss_db
 from repro.simulate import TimeslotParams
 
 
@@ -767,3 +771,28 @@ def reference_simulate_trace(trace, params=TimeslotParams()):
                 and angular_err <= params.angular_tolerance_rad)
             slot_index += 1
     return connected
+
+
+def reference_tolerance(margin_db, lateral_width_m, angular_width_rad,
+                        lateral_rate, angular_rate, lateral_start_m=0.0,
+                        angular_start_rad=0.0):
+    """Largest motion along the path whose excess loss fits the margin."""
+    def excess(s):
+        return excess_loss_db(lateral_start_m + lateral_rate * s,
+                              lateral_width_m,
+                              angular_start_rad + angular_rate * s,
+                              angular_width_rad)
+
+    if margin_db <= 0 or excess(0.0) >= margin_db:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while excess(hi) < margin_db:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if excess(mid) < margin_db:
+            lo = mid
+        else:
+            hi = mid

@@ -1,6 +1,7 @@
 """Tests for the closed-form tolerated-speed model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from repro.analysis import (
     inputs_for,
     linear_speed_limit_m_s,
 )
-from repro.link import link_10g_diverging, link_25g
+from repro.link import link_10g_collimated, link_10g_diverging, link_25g
+
+from .oracles import reference_tolerance
 
 
 class TestDefaults:
@@ -100,3 +103,59 @@ class TestLinearLimit:
         inputs = inputs_for(link_10g_diverging(),
                             residual_lateral_m=0.1)
         assert linear_speed_limit_m_s(inputs) == 0.0
+
+
+BAD_INPUTS = [
+    ("margin_db", math.nan), ("margin_db", math.inf),
+    ("margin_db", -math.inf),
+    ("lateral_width_m", math.nan), ("lateral_width_m", 0.0),
+    ("lateral_width_m", -1e-3), ("lateral_width_m", math.inf),
+    ("angular_width_rad", math.nan), ("angular_width_rad", 0.0),
+    ("angular_width_rad", -1e-3), ("angular_width_rad", math.inf),
+    ("curvature_radius_m", math.nan), ("curvature_radius_m", 0.0),
+    ("curvature_radius_m", -1.0),
+    ("staleness_s", math.nan), ("staleness_s", 0.0),
+    ("staleness_s", -0.01), ("staleness_s", math.inf),
+    ("residual_lateral_m", math.nan), ("residual_lateral_m", -1e-3),
+    ("residual_lateral_m", math.inf),
+    ("residual_angular_rad", math.nan), ("residual_angular_rad", -1e-3),
+    ("residual_angular_rad", math.inf),
+]
+
+
+class TestBudgetInputs:
+    @pytest.mark.parametrize("field,value", BAD_INPUTS)
+    def test_rejects_bad_value_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(inputs_for(link_10g_diverging()), **{field: value})
+
+    def test_accepts_a_waist_and_an_overdrawn_margin(self):
+        inputs = replace(inputs_for(link_10g_diverging()),
+                         curvature_radius_m=math.inf, margin_db=-3.0)
+        assert linear_speed_limit_m_s(inputs) == 0.0
+        assert angular_speed_limit_rad_s(inputs) == 0.0
+
+
+class TestClosedForm:
+    def test_short_staleness_is_not_capped(self):
+        # Above 10 m/s: the limit needs no upper bracket.
+        inputs = inputs_for(link_10g_diverging(), staleness_s=0.0005)
+        assert linear_speed_limit_m_s(inputs) == pytest.approx(13.85,
+                                                               rel=1e-3)
+
+    @pytest.mark.parametrize("design", [link_10g_diverging(), link_25g(),
+                                        link_10g_collimated()])
+    @pytest.mark.parametrize("staleness_s", [0.0005, 0.0145, 0.1])
+    def test_limits_match_bisection(self, design, staleness_s):
+        inputs = inputs_for(design, staleness_s=staleness_s)
+        common = (inputs.margin_db, inputs.lateral_width_m,
+                  inputs.angular_width_rad)
+        start = (inputs.residual_lateral_m, inputs.residual_angular_rad)
+        angular = reference_tolerance(*common, 0.0, staleness_s, *start)
+        linear = reference_tolerance(
+            *common, staleness_s, staleness_s / inputs.curvature_radius_m,
+            *start)
+        assert angular_speed_limit_rad_s(inputs) == pytest.approx(
+            angular, rel=1e-12)
+        assert linear_speed_limit_m_s(inputs) == pytest.approx(
+            linear, rel=1e-12)

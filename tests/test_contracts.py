@@ -22,6 +22,10 @@ returns a sorted ``(rule, path, line)`` list:
 * U002 -- no bare ``float(<array parameter>)`` in ``repro/optics`` and
   ``repro/link``; the parameters of every enclosing function count.
 
+One more contract needs the imported packages, not their source: no
+object is listed in two packages' ``__all__``, so each public name
+has one import path.
+
 Module names root at the last ``repro`` directory below each given
 path, so the fixture trees under ``tests/fixtures/program`` (each
 embeds a ``repro/`` tree) scope exactly like ``src/repro``.  A file
@@ -31,13 +35,17 @@ that does not parse fails the test.  DESIGN.md §9 gives the rationale.
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
+
+import repro
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures" / "program"
@@ -354,6 +362,21 @@ def test_unparsable_file_fails(tmp_path):
 @pytest.mark.parametrize("tree", ["src/repro", "benchmarks", "examples"])
 def test_repository_holds_the_contracts(tree):
     assert check([ROOT / tree]) == []
+
+
+def test_each_public_object_has_one_package():
+    packages = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__) if info.ispkg]
+    homes: Dict[int, List[str]] = {}
+    for package in packages:
+        for name in package.__all__:
+            obj = getattr(package, name)
+            # A number's or a string's identity is an interpreter detail.
+            if not isinstance(obj, (int, float, str)):
+                homes.setdefault(id(obj), []).append(
+                    f"{package.__name__}.{name}")
+    assert [names for names in homes.values() if len(names) > 1] == []
 
 
 @pytest.mark.skipif(importlib.util.find_spec("mypy") is None,

@@ -29,13 +29,13 @@ from repro.core.mapping import (
 )
 from repro.galvo import GmaParams, canonical_gma
 from repro.geometry import (
+    Pose,
     NoIntersectionError,
     Pose,
     euler_to_matrix,
     normalize,
     rotation_between,
 )
-from repro.vrh import Pose
 
 from .oracles import (
     reference_mapping_jacobian,

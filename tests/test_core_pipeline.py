@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.errors import beam_error_m, summarize
 from repro.core.pointing import PointingDivergedError
-from repro.vrh import Pose
+from repro.geometry import Pose
 
 
 class TestKspaceCalibration:

@@ -216,11 +216,6 @@ class TestGalvoHardware:
         from repro.galvo import CoverageError
         assert issubclass(CoverageError, ValueError)
 
-    def test_coverage_error_importable_from_core(self):
-        from repro.core import CoverageError as FromCore
-        from repro.galvo import CoverageError as FromGalvo
-        assert FromCore is FromGalvo
-
     def test_settle_time_positive_on_move(self):
         hw = quiet_hardware()
         assert hw.apply(2.0, 0.0) > 0.0

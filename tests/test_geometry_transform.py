@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import geometry, vrh
 from repro.geometry import (
     Pose,
     euler_to_matrix,
@@ -63,10 +62,6 @@ class TestConstruction:
         orientation[0, 0] = -1.0
         assert np.array_equal(pose.position, np.zeros(3))
         assert np.array_equal(pose.orientation, np.eye(3))
-
-    def test_headset_package_reexports_the_same_class(self):
-        assert vrh.Pose is geometry.Pose
-        assert vrh.speeds_between is geometry.speeds_between
 
 
 class TestApplication:

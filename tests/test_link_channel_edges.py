@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import point
-from repro.geometry import rotation_matrix
+from repro.geometry import Pose, rotation_matrix
 from repro.link import NOISE_FLOOR_DBM
-from repro.vrh import Pose
 
 from .oracles import lemma_points
 

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from repro import simulate
 from repro.core import point
+from repro.geometry import Pose
 from repro.link import NOISE_FLOOR_DBM, FsoChannel
 from repro.link.channel import MIN_RANGE_M
 from repro.link.design import link_10g_collimated
 from repro.optics import GaussianBeam
 from repro.optics.coupling import EXCESS_DB_AT_WIDTH
-from repro.vrh import Pose
 
 from .oracles import reference_evaluate, world_beam
 

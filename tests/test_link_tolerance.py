@@ -92,8 +92,18 @@ class TestLateralTolerance:
         # wavefront, so the lateral tolerance is *below* the naive
         # lateral-only figure.
         design = link_10g_diverging()
-        naive = tolerance(design.lateral_width_m(1.75),
-                          design.margin_db(1.75))
+        naive = tolerance(design.margin_db(1.75),
+                          design.lateral_width_m(1.75),
+                          design.angular_width_rad(1.75), 1.0, 0.0)
+        assert lateral_tolerance_m(design, 1.75) < naive
+
+    def test_collimated_lateral_counts_finite_curvature(self):
+        # The collimated beam's wavefront radius is finite (~23 km at
+        # 1.75 m), and the channel tilts incidence by d / R for it too.
+        design = link_10g_collimated()
+        naive = tolerance(design.margin_db(1.75),
+                          design.lateral_width_m(1.75),
+                          design.angular_width_rad(1.75), 1.0, 0.0)
         assert lateral_tolerance_m(design, 1.75) < naive
 
     def test_10g_lateral_near_9mm(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.geometry import Pose
 from repro.motion import HandheldProfile, measure_profile
-from repro.vrh import Pose
 
 
 def profile(**kwargs):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import Pose
 from repro.motion import (
     AngularStrokeProfile,
     LinearRail,
@@ -11,7 +12,6 @@ from repro.motion import (
     StaticProfile,
     StrokeSchedule,
 )
-from repro.vrh import Pose
 
 
 def speed_at(schedule, t_s, h=1e-6):

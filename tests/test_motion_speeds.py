@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import Pose
 from repro.motion import (
     LinearRail,
     cdf,
@@ -11,7 +12,6 @@ from repro.motion import (
     measure_trace,
     percentile,
 )
-from repro.vrh import Pose
 
 
 class TestMeasureProfile:

@@ -126,7 +126,7 @@ class TestCouplingProperties:
     @given(margin=st.floats(min_value=0.1, max_value=40.0))
     def test_power_at_tolerance_is_sensitivity(self, margin):
         # At the tolerance the excess loss spends exactly the margin.
-        tol = tolerance(2.5e-3, margin)
+        tol = tolerance(margin, 10e-3, 2.5e-3, 0.0, 1.0)
         assert excess_loss_db(0.0, 10e-3, tol, 2.5e-3) == pytest.approx(
             margin, abs=1e-9)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import Pose
 from repro.motion import StaticProfile, VibrationOverlay
 from repro.plan import CoverageConstraints, CoveragePlan, Room
 from repro.reporting import sparkline
 from repro.stream import VideoFormat, stream_over_link
-from repro.vrh import Pose
 
 
 class TestStreamProperties:

@@ -14,8 +14,7 @@ from repro.simulate.rig import (
     _placement_to,
 )
 from repro.galvo import canonical_gma
-from repro.geometry import rotation_matrix
-from repro.vrh import Pose
+from repro.geometry import Pose, rotation_matrix
 
 from .oracles import Ray
 

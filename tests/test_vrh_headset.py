@@ -9,8 +9,8 @@ an oracle :class:`Ray`) and the second-mirror planes live in
 import numpy as np
 
 from repro.galvo import GalvoHardware, GalvoSpec, canonical_gma
-from repro.geometry import euler_to_matrix, rotation_matrix
-from repro.vrh import Pose, RxAssembly, TxAssembly
+from repro.geometry import Pose, euler_to_matrix, rotation_matrix
+from repro.vrh import RxAssembly, TxAssembly
 
 from .oracles import world_beam, world_second_mirror_plane
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.geometry import euler_to_matrix, rotation_matrix
-from repro.vrh import Pose, VrhTracker
+from repro.geometry import Pose, euler_to_matrix, rotation_matrix
+from repro.vrh import VrhTracker
 
 
 def make_tracker(rng, location_noise=None, orientation_noise=None):
