@@ -86,7 +86,7 @@ def test_frame_impact_of_off_slots(benchmark):
     # 23.9 Gbps slightly exceeds even the paper's own 23.5 Gbps).
     report = benchmark.pedantic(
         stream_over_link, args=(UHD_8K_30_YUV420, connected,
-                                constants.TRACE_SLOT_S, 23.5),
+                                constants.SLOT_S, 23.5),
         kwargs={"deadline_frames": 2.0}, rounds=1, iterations=1)
 
     table = TextTable(["metric", "value"])

@@ -63,9 +63,7 @@ def test_sec52_tp_accuracy(benchmark, rig_10g):
     table.add_row("pointing compute (ms)", fmt_float(compute_s * 1e3, 2),
                   "<< 1 (usec-scale on native code)")
     table.add_row("actuation latency (ms)",
-                  fmt_float((constants.DAQ_LATENCY_S
-                             + constants.CONTROL_CHANNEL_LATENCY_S) * 1e3,
-                            1),
+                  fmt_float(constants.TP_LATENCY_S * 1e3, 1),
                   "1-2")
     table.add_row("realign trials at optimal", f"{connected}/10", "10/10")
     table.add_row("power below peak (dB)",

@@ -40,7 +40,7 @@ def stage1_errors(testbed, calibration):
 def combined_errors(testbed, calibration):
     """Learned VR-space beam predictions vs physical truth."""
     system = calibration.system
-    vr = testbed.world_to_vr()
+    vr = testbed.vr_from_world
     errors = {"tx": [], "rx": []}
     for pose in testbed.evaluation_poses(12):
         report = testbed.tracker.report(pose)

@@ -26,7 +26,7 @@ def main():
         paper = PAPER_HEADLINES.get(scenario.scenario_id)
         if paper:
             print(f"  paper: {paper}")
-        metrics = scenario.run_quick()
+        metrics = scenario.quick()
         table = TextTable(["metric", "value"])
         for name, value in metrics.items():
             table.add_row(name, f"{value:.4g}")

@@ -3,10 +3,11 @@
 A full-system reproduction in simulation.  The public API is organized
 by layer:
 
-* :mod:`repro.geometry` -- exact 3D geometry (rays, planes, SE(3));
+* :mod:`repro.geometry` -- vectors, rotations, rigid poses (SE(3));
 * :mod:`repro.optics` -- beams, coupling, transceivers, link budgets;
 * :mod:`repro.galvo` -- galvo-mirror hardware (the simulated truth);
-* :mod:`repro.vrh` -- headset poses, the built-in tracker, assemblies;
+* :mod:`repro.vrh` -- the headset's built-in tracker and the TX/RX
+  assemblies;
 * :mod:`repro.core` -- the paper's contribution: the learned
   tracking-and-pointing pipeline (Sections 4.1-4.3);
 * :mod:`repro.link` -- link designs, the FSO channel, link state;

@@ -64,9 +64,7 @@ def default_staleness_s() -> float:
     One full tracking period (the report can be that old just before
     the next one lands) plus the control + actuation latency.
     """
-    return (constants.TRACKER_PERIOD_MAX_S
-            + constants.CONTROL_CHANNEL_LATENCY_S
-            + constants.DAQ_LATENCY_S)
+    return constants.TRACKER_PERIOD_MAX_S + constants.TP_LATENCY_S
 
 
 def inputs_for(design: LinkDesign, range_m: float = None,

@@ -60,19 +60,16 @@ class ProbeTracker:
     """
 
     testbed: Testbed
-    dither_step_v: float = DITHER_STEP_V
-    probe_latency_s: float = PROBE_LATENCY_S
 
-    def run(self, profile, duration_s: float = None,
-            start_aligned: bool = True) -> ProbeRunResult:
-        """Track a motion profile using only power feedback."""
+    def run(self, profile, duration_s: float = None) -> ProbeRunResult:
+        """Track a motion profile using only power feedback, starting
+        from an exhaustive alignment at the first pose."""
         if duration_s is None:
             duration_s = profile.duration_s
         testbed = self.testbed
         sfp = testbed.design.sfp
-        state = LinkStateMachine(sfp, initially_up=start_aligned)
-        if start_aligned:
-            testbed.align_exhaustively(profile.pose_at(0.0))
+        state = LinkStateMachine(sfp, initially_up=True)
+        testbed.align_exhaustively(profile.pose_at(0.0))
         voltages = list(testbed.tx_hardware.voltages
                         + testbed.rx_hardware.voltages)
 
@@ -98,8 +95,8 @@ class ProbeTracker:
             # gradient spends link quality, which is the crux of the
             # paper's argument against feedback-based TP.
             candidate = list(voltages)
-            candidate[axis] += directions[axis] * self.dither_step_v
-            t += self.probe_latency_s
+            candidate[axis] += directions[axis] * DITHER_STEP_V
+            t += PROBE_LATENCY_S
             probes += 1
             pose = profile.pose_at(t)
             probed = self._measure(candidate, pose)
@@ -111,7 +108,7 @@ class ProbeTracker:
                 # Flip this axis's direction and restore the setting
                 # (another mirror move the link must live through).
                 directions[axis] *= -1.0
-                t += self.probe_latency_s
+                t += PROBE_LATENCY_S
                 probes += 1
                 pose = profile.pose_at(t)
                 current_power = self._measure(voltages, pose)

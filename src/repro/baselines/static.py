@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import constants
 from ..simulate.rig import Testbed
 
 
@@ -28,18 +29,20 @@ class StaticRunResult:
         return float(np.mean(self.connected))
 
 
-def run_static(testbed: Testbed, profile, duration_s: float = None,
-               dt_s: float = 1e-3) -> StaticRunResult:
+def run_static(testbed: Testbed, profile,
+               duration_s: float = None) -> StaticRunResult:
     """Replay a motion profile with the GMs frozen at the start pose.
 
     The link is exhaustively aligned for the profile's initial pose,
     then the mirrors never move again.  No SFP re-lock modelling is
     needed: we report raw signal-present connectivity, the most
-    charitable possible reading for this baseline.
+    charitable possible reading for this baseline.  The channel is
+    sampled every 1 ms slot.
     """
     if duration_s is None:
         duration_s = profile.duration_s
     testbed.align_exhaustively(profile.pose_at(0.0))
+    dt_s = constants.SLOT_S
     steps = int(round(duration_s / dt_s))
     times = np.arange(1, steps + 1) * dt_s
     connected = np.empty(steps, dtype=bool)

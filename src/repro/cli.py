@@ -149,7 +149,7 @@ def _cmd_scenario(args):
     print(f"{scenario.paper_ref}: {scenario.description}")
     print(f"full regeneration: pytest {scenario.bench} "
           f"--benchmark-only -s")
-    for name, value in scenario.run_quick().items():
+    for name, value in scenario.quick().items():
         print(f"  {name} = {value:.4g}")
     return 0
 

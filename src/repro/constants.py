@@ -44,18 +44,21 @@ POINTING_LATENCY_MAX_S = 2e-3
 # --------------------------------------------------------------------------
 # Galvo mirror (ThorLabs GVS102, Section 5.1): angular accuracy 10 urad,
 # small-angle step latency 300 us.  The GVS-series scale factor is
-# 0.5 V per degree of optical deflection with a +/-10 V input range.
+# 0.5 V per degree of optical deflection; its +/-10 V input range is the
+# DAQ's output range below.
 # --------------------------------------------------------------------------
 GM_ANGULAR_ACCURACY_RAD = 10e-6
 GM_SMALL_ANGLE_LATENCY_S = 300e-6
 GM_VOLTS_PER_OPTICAL_DEGREE = 0.5
-GM_VOLTAGE_RANGE_V = 10.0
-GM_MAX_BEAM_DIAMETER_M = 10e-3  # "Our GMs allow 10mm beams"
 
 # DAQ (MCC USB-1608G): 16-bit DAC over +/-10 V.
 DAQ_BITS = 16
 DAQ_VOLTAGE_RANGE_V = 10.0
 DAQ_LATENCY_S = 1.0e-3  # dominant part of the 1-2 ms pointing latency
+
+# A report's command reaches the mirrors after the RF control channel
+# and the DAC conversion: the live loop's TP latency.
+TP_LATENCY_S = CONTROL_CHANNEL_LATENCY_S + DAQ_LATENCY_S
 
 # --------------------------------------------------------------------------
 # SFP transceivers.
@@ -124,8 +127,11 @@ TABLE2_COMBINED_TX_AVG_MM = 2.18
 TABLE2_COMBINED_RX_AVG_MM = 4.54
 TABLE2_COMBINED_RX_MAX_MM = 6.50
 
+# Section 5.4: "time is divided into 1 ms slots".  The live session,
+# handover and static loops step the channel on the same slot.
+SLOT_S = 1e-3
+
 # Section 5.4 simulation parameters.
-TRACE_SLOT_S = 1e-3
 TRACE_REPORT_PERIOD_S = 10e-3
 TRACE_TP_LATERAL_ERROR_M = 4.54e-3
 TRACE_TP_ANGULAR_ERROR_RAD = 4.54e-3 / 1.75  # ~2.59 mrad at 1.75 m

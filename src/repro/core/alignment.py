@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 #: Coarse-to-fine step schedule, in volts (final steps near DAQ LSB).
-DEFAULT_STEP_SCHEDULE_V = (0.2, 0.05, 0.012, 0.003, 0.0008, 0.0003)
+STEP_SCHEDULE_V = (0.2, 0.05, 0.012, 0.003, 0.0008, 0.0003)
+
+#: Coordinate sweeps per step size; a sweep that improves nothing ends
+#: the step early.
+SWEEPS_PER_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,7 @@ class AlignmentResult:
 
 
 def search(power_fn: Callable[[float, float, float, float], float],
-           seed: Sequence[float],
-           step_schedule_v: Sequence[float] = DEFAULT_STEP_SCHEDULE_V,
-           sweeps_per_step: int = 4) -> AlignmentResult:
+           seed: Sequence[float]) -> AlignmentResult:
     """Maximize received power over the four GM voltages.
 
     ``power_fn(v_tx1, v_tx2, v_rx1, v_rx2)`` must return received power
@@ -53,8 +55,8 @@ def search(power_fn: Callable[[float, float, float, float], float],
         return power_fn(*vs)
 
     best_power = measure(voltages)
-    for step in step_schedule_v:
-        for _ in range(sweeps_per_step):
+    for step in STEP_SCHEDULE_V:
+        for _ in range(SWEEPS_PER_STEP):
             improved = False
             for axis in range(4):
                 for direction in (+1.0, -1.0):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from ..galvo import GmaParams
 from ..geometry import Pose
 from .gma import GmaModel
 
@@ -53,7 +52,3 @@ class LearnedSystem:
         """The RX GMA model in VR-space for one tracking report."""
         return self.rx_model_kspace.transformed(
             reported_pose.compose(self.rx_mapping))
-
-    def tx_params(self) -> GmaParams:
-        """Convenience accessor for the TX parameters in VR-space."""
-        return self.tx_model_vr.params

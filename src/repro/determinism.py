@@ -2,10 +2,9 @@
 
 Every stochastic component takes its randomness from an explicit
 ``numpy.random.Generator`` (or an explicit integer seed) threaded in by
-its caller.  Nothing in ``src/repro`` may mint a generator from OS
-entropy unless the caller *documents* that choice by passing
-``deterministic=False`` -- the escape hatch for interactive
-exploration, never for pipelines that produce artifacts.
+its caller.  Nothing in ``src/repro`` mints a generator from OS
+entropy: a component built without its generator or seed refuses to
+construct.
 
 ``tests/test_contracts.py`` (rule T001) holds the minting half
 statically: generators may be constructed only in this module.  The
@@ -20,29 +19,17 @@ from typing import Optional
 import numpy as np
 
 
-def resolve_rng(rng: Optional[np.random.Generator] = None,
-                seed: Optional[int] = None,
-                deterministic: bool = True,
+def resolve_rng(seed: Optional[int],
                 owner: str = "component") -> np.random.Generator:
-    """Resolve the (rng, seed, deterministic) triple to a Generator.
+    """The generator for an integer ``seed``.
 
-    Precedence: an explicit ``rng`` wins; else ``seed`` builds one;
-    else ``deterministic=False`` opts into OS entropy.  With neither an
-    rng, a seed, nor the opt-in, raises ``ValueError`` -- silently
+    ``seed=None`` raises ``ValueError`` naming ``owner``: silently
     nondeterministic components are how byte-identical-per-seed
     pipelines rot.
     """
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return np.random.default_rng(seed)
-    if deterministic:
-        raise ValueError(
-            f"{owner} needs an explicit rng=np.random.Generator or "
-            f"seed=int; pass deterministic=False to opt into an "
-            f"OS-entropy generator (irreproducible runs)")
-    # The documented opt-in: the caller asked for fresh entropy.
-    return np.random.default_rng()
+    if seed is None:
+        raise ValueError(f"{owner} needs an explicit seed=int")
+    return np.random.default_rng(seed)
 
 
 def spawn(rng: np.random.Generator) -> np.random.Generator:

@@ -1,9 +1,9 @@
 """Data-acquisition (DAQ) device model.
 
 GM voltages are produced by an MCC USB-1608G-class DAQ: a 16-bit DAC
-over +/-10 V.  Its two observable effects are voltage quantization and
-the digital-to-analog conversion latency that dominates the 1-2 ms
-pointing latency (Section 5.2).
+over +/-10 V.  Its observable effect here is voltage quantization; its
+conversion latency, the bulk of the 1-2 ms pointing latency (Section
+5.2), is part of ``constants.TP_LATENCY_S``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from .. import constants
 
 @dataclass(frozen=True)
 class Daq:
-    """A bipolar DAC: quantizes commanded voltages, adds latency."""
+    """A bipolar DAC: quantizes commanded voltages."""
 
     bits: int = constants.DAQ_BITS
     voltage_range_v: float = constants.DAQ_VOLTAGE_RANGE_V
-    conversion_latency_s: float = constants.DAQ_LATENCY_S
     #: One LSB, worked out once: every hardware command quantizes twice.
     _step_v: float = field(init=False, repr=False, compare=False)
 

@@ -15,12 +15,11 @@ directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from ..determinism import resolve_rng
 from ..geometry import Vec3
 from .daq import Daq
 from .mirror import GmaParams, trace
@@ -46,20 +45,20 @@ class GalvoHardware:
     ``angle = theta1 * v + kappa * v**2`` (radians per volt squared).
     """
 
+    #: The one DAC every GMA is driven through (16 bits over +/-10 V).
+    daq: ClassVar[Daq] = Daq()
+
     params: GmaParams
     spec: GalvoSpec = GVS102
-    daq: Daq = field(default_factory=Daq)
     nonlinearity: float = 0.0
-    #: Jitter source.  Pass ``rng`` or ``seed``; constructing without
-    #: either raises unless ``deterministic=False`` documents the
-    #: OS-entropy opt-in (see :mod:`repro.determinism`).
+    #: Jitter source, required: constructing without one raises (see
+    #: :mod:`repro.determinism`).
     rng: Optional[np.random.Generator] = None
-    seed: Optional[int] = None
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
-        self.rng = resolve_rng(self.rng, self.seed, self.deterministic,
-                               owner="GalvoHardware")
+        if self.rng is None:
+            raise ValueError("GalvoHardware needs an explicit "
+                             "rng=np.random.Generator")
         self._v1 = 0.0
         self._v2 = 0.0
         self._settle(0.0, 0.0)

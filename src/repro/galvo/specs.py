@@ -2,7 +2,8 @@
 
 The prototype uses the ThorLabs GVS102 two-axis scanning galvo system:
 10 urad angular accuracy, 300 us small-angle step latency, 0.5 V per
-degree of optical deflection, +/-10 V input range, 10 mm max beam.
+degree of optical deflection.  Its +/-10 V input range is the DAQ's
+(:class:`repro.galvo.Daq`).
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ class GalvoSpec:
 
     name: str
     volts_per_optical_degree: float
-    voltage_range_v: float
     angular_accuracy_rad: float
     small_angle_latency_s: float
-    max_beam_diameter_m: float
 
     def __post_init__(self):
         if self.volts_per_optical_degree <= 0:
             raise ValueError("voltage scale must be positive")
-        if self.voltage_range_v <= 0:
-            raise ValueError("voltage range must be positive")
 
     @property
     def mech_rad_per_volt(self) -> float:
@@ -58,8 +55,6 @@ class GalvoSpec:
 GVS102 = GalvoSpec(
     name="GVS102",
     volts_per_optical_degree=constants.GM_VOLTS_PER_OPTICAL_DEGREE,
-    voltage_range_v=constants.GM_VOLTAGE_RANGE_V,
     angular_accuracy_rad=constants.GM_ANGULAR_ACCURACY_RAD,
     small_angle_latency_s=constants.GM_SMALL_ANGLE_LATENCY_S,
-    max_beam_diameter_m=constants.GM_MAX_BEAM_DIAMETER_M,
 )

@@ -9,7 +9,7 @@ hand-held arbitrary motion; all are built on the primitives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,23 +47,31 @@ class StrokeSchedule:
             raise ValueError("stroke extent must be positive")
         if not self.speeds or any(s <= 0 for s in self.speeds):
             raise ValueError("stroke speeds must be positive")
-        # Precompute segment boundaries: (start, duration, origin-side,
-        # speed); each listed speed gets one out-stroke and one back.
-        self._segments: List[tuple] = []
+        # The timetable: each listed speed gets one out-stroke (even
+        # index, away from the travel start) and one back-stroke.
+        strokes: List[Tuple[float, float, float]] = []
         t = 0.0
-        side = 0.0  # current end: 0 = start of travel, 1 = far end
         for speed in self.speeds:
             for _ in range(2):
                 duration = self.extent / speed
-                self._segments.append((t, duration, side, speed))
+                strokes.append((t, t + duration, speed))
                 t += duration + self.rest_s
-                side = 1.0 - side
+        self._strokes = tuple(strokes)
         self._duration = t
 
     @property
     def duration_s(self) -> float:
         """Total schedule duration including rests."""
         return self._duration
+
+    @property
+    def strokes(self) -> Tuple[Tuple[float, float, float], ...]:
+        """``(start_s, end_s, speed)`` of every stroke, in order.
+
+        Even strokes travel out from the start, odd ones back; a rest
+        of ``rest_s`` follows each.
+        """
+        return self._strokes
 
     def offset_at(self, t_s: float) -> float:
         """Displacement from the travel start at time ``t_s``.
@@ -73,16 +81,18 @@ class StrokeSchedule:
         if t_s <= 0:
             return 0.0
         last_end = 0.0
-        for start, duration, side, speed in self._segments:
+        for index, (start, end, speed) in enumerate(self._strokes):
             if t_s < start:
                 return last_end
-            if t_s <= start + duration:
+            outward = index % 2 == 0
+            if t_s <= end:
                 travelled = speed * (t_s - start)
-                if side == 0.0:
+                if outward:
                     return min(travelled, self.extent)
                 return max(self.extent - travelled, 0.0)
-            last_end = self.extent if side == 0.0 else 0.0
+            last_end = self.extent if outward else 0.0
         return last_end
+
 
 @dataclass
 class LinearStrokeProfile:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ThroughputWindow:
@@ -76,7 +74,3 @@ class ThroughputMeter:
         if self._total_time > 0:
             self._flush()
         return list(self._windows)
-
-    def throughputs(self) -> np.ndarray:
-        """Per-window goodput of all *closed* windows."""
-        return np.array([w.throughput_gbps for w in self._windows])

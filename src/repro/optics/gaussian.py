@@ -12,6 +12,12 @@ import math
 from dataclasses import dataclass
 
 
+def _check_positive_range(range_m: float) -> None:
+    if not 0 < range_m < math.inf:
+        raise ValueError(
+            f"range must be finite and positive, got {range_m!r}")
+
+
 @dataclass(frozen=True)
 class GaussianBeam:
     """A Gaussian beam leaving the transmitter collimator.
@@ -45,10 +51,12 @@ class GaussianBeam:
 
         Uses the hyperbolic Gaussian profile
         ``d(z) = sqrt(d0^2 + (2 theta z)^2)`` which is exact in the
-        far field and a safe upper bound near the waist.
+        far field and a safe upper bound near the waist.  A range
+        outside ``[0, inf)`` (NaN included) raises ``ValueError``.
         """
-        if range_m < 0:
-            raise ValueError("range must be non-negative")
+        if not 0 <= range_m < math.inf:
+            raise ValueError(
+                f"range must be finite and non-negative, got {range_m!r}")
         spread = 2.0 * self.divergence_rad * range_m
         return math.hypot(self.waist_diameter_m, spread)
 
@@ -73,9 +81,9 @@ class GaussianBeam:
         rotate -- the effect that couples linear VRH motion into the
         link's *angular* tolerance budget (Section 5.1).  A collimated
         beam has ``R -> inf``: translation leaves incidence unchanged.
+        A range outside ``(0, inf)`` (NaN included) raises ``ValueError``.
         """
-        if range_m <= 0:
-            raise ValueError("range must be positive")
+        _check_positive_range(range_m)
         zr = self.effective_rayleigh_range_m
         if math.isinf(zr):
             return math.inf
@@ -102,10 +110,10 @@ def divergence_for_diameter(target_diameter_m: float, range_m: float,
     This is how the adjustable aspheric collimator is "focused" in the
     prototype: pick the beam diameter at RX, derive the divergence.
     Raises ``ValueError`` when the target is narrower than the waist
-    (a passive collimator cannot shrink the far-field beam below it).
+    (a passive collimator cannot shrink the far-field beam below it),
+    and when ``range_m`` is outside ``(0, inf)``.
     """
-    if range_m <= 0:
-        raise ValueError("range must be positive")
+    _check_positive_range(range_m)
     if target_diameter_m < waist_diameter_m:
         raise ValueError(
             "target diameter at RX cannot be below the launch waist")

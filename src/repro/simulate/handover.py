@@ -19,17 +19,18 @@ frames it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import constants
 from ..core import LearnedSystem, point
 from ..core.gma import GmaModel
 from ..core.inverse import InverseDivergedError
 from ..core.pointing import PointingDivergedError
 from ..determinism import resolve_rng, spawn
-from ..galvo import GalvoHardware
+from ..galvo import CoverageError, GalvoHardware
 from ..geometry import Pose, rotation_between
 from ..link import NOISE_FLOOR_DBM, FsoChannel
 from ..vrh import TxAssembly
@@ -41,6 +42,13 @@ from .rig import (
     _placement_to,
     _rest_direction,
 )
+
+#: Hand over when the active link's power falls this close to the SFP
+#: sensitivity.
+SWITCH_MARGIN_DB = 3.0
+
+#: The link counts as down for this long after each handover.
+HANDOVER_LATENCY_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -124,15 +132,10 @@ class MultiTxRig:
         bounds how far apart the ceiling TXs may sit (Section 3).
         """
         try:
-            command = point(self.oracles[tx_index], report)
-        except (PointingDivergedError, InverseDivergedError):
+            return point(self.oracles[tx_index], report).voltages
+        except (CoverageError, PointingDivergedError,
+                InverseDivergedError):
             return None
-        voltages = (command.v_tx1, command.v_tx2,
-                    command.v_rx1, command.v_rx2)
-        limit = self.testbed.rx_hardware.daq.voltage_range_v
-        if any(abs(v) > limit for v in voltages):
-            return None
-        return voltages
 
     def apply(self, tx_index: int, voltages: tuple) -> None:
         self.tx_assemblies[tx_index].hardware.apply(*voltages[:2])
@@ -147,16 +150,13 @@ class MultiTxRig:
 
 @dataclass
 class HandoverController:
-    """Power-triggered TX selection."""
+    """Power-triggered TX selection, stepped on the 1 ms slot."""
 
     rig: MultiTxRig
-    switch_margin_db: float = 3.0
-    handover_latency_s: float = 0.05
     use_handover: bool = True
 
     def run(self, profile, occlusions: Sequence[OcclusionEvent],
-            duration_s: float = None, dt_s: float = 1e-3
-            ) -> HandoverResult:
+            duration_s: float = None) -> HandoverResult:
         """Replay a motion with occlusions, switching TXs as needed.
 
         Pointing updates occur at the tracker rate; every update also
@@ -174,6 +174,7 @@ class HandoverController:
         blocked_until = -1.0
         next_report = 0.0
         commands = [None] * rig.tx_count
+        dt_s = constants.SLOT_S
         steps = int(round(duration_s / dt_s))
         times = np.arange(1, steps + 1) * dt_s
         connected = np.zeros(steps, dtype=bool)
@@ -197,7 +198,7 @@ class HandoverController:
             power = rig.power_dbm(active, pose, occluded(active))
 
             if (self.use_handover and rig.tx_count > 1
-                    and power < sensitivity + self.switch_margin_db
+                    and power < sensitivity + SWITCH_MARGIN_DB
                     and t >= blocked_until):
                 best, best_power = active, power
                 for k in range(rig.tx_count):
@@ -210,7 +211,7 @@ class HandoverController:
                 if best != active:
                     active = best
                     handovers += 1
-                    blocked_until = t + self.handover_latency_s
+                    blocked_until = t + HANDOVER_LATENCY_S
                 # Restore the (possibly unchanged) active steering.
                 if commands[active] is not None:
                     rig.apply(active, commands[active])

@@ -199,10 +199,6 @@ class Testbed:
         rx_settle = self.rx_hardware.apply(*command.rx_voltages)
         return max(tx_settle, rx_settle)
 
-    def received_power_dbm(self, body_pose: Pose) -> float:
-        """Measure received power at the current voltages."""
-        return self.channel.received_power_dbm(body_pose)
-
     def power_function(self, body_pose: Pose):
         """4-voltage power probe for the exhaustive alignment search."""
 
@@ -230,20 +226,14 @@ class Testbed:
             rx_mapping=rx_mapping,
         )
 
-    def world_to_vr(self) -> Pose:
-        """The hidden world-to-VR-space placement (tests only)."""
-        return self.vr_from_world
-
     # -- deployment-time procedures ------------------------------------------
 
     def align_exhaustively(self, body_pose: Pose) -> alignment.AlignmentResult:
         """Run the exhaustive power search at one (locked) pose."""
         seed_command = point(self.oracle_system(),
                              self.tracker.report(body_pose))
-        return alignment.search(
-            self.power_function(body_pose),
-            seed=(seed_command.v_tx1, seed_command.v_tx2,
-                  seed_command.v_rx1, seed_command.v_rx2))
+        return alignment.search(self.power_function(body_pose),
+                                seed=seed_command.voltages)
 
     def training_poses(self, count: int) -> List[Pose]:
         """Random headset poses for mapping training (around home)."""

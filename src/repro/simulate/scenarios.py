@@ -23,11 +23,8 @@ class Scenario:
     paper_ref: str
     description: str
     bench: str
+    #: Headline metrics, computed in seconds not minutes.
     quick: Callable[[], Dict[str, float]]
-
-    def run_quick(self) -> Dict[str, float]:
-        """Headline metrics, computed in seconds not minutes."""
-        return self.quick()
 
 
 def _table1_quick() -> Dict[str, float]:

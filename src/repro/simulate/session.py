@@ -7,8 +7,9 @@
 * VRH-T reports arrive every 12-13 ms (with its noise and its unknown
   frame);
 * each report triggers the pointing function ``P``; the resulting
-  voltages reach the mirrors after the control + DAC + settle latency;
-* the channel is sampled every millisecond, driving the SFP link state
+  voltages reach the mirrors after the TP latency (RF control channel
+  plus DAC conversion);
+* the channel is sampled every 1 ms slot, driving the SFP link state
   machine (including the seconds-long re-lock after a loss) and the
   iperf-style windowed throughput meter.
 
@@ -18,6 +19,7 @@ these runs -- nothing in the loop knows about them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -49,7 +51,8 @@ class SessionResult:
     pointing_calls: int
     pointing_failures: int
     #: Commands rejected for leaving the GM coverage cone -- counted
-    #: separately from solve divergences since the cure differs.
+    #: separately from solve divergences (``pointing_failures``) since
+    #: the cure differs.
     coverage_failures: int = 0
 
     @property
@@ -64,41 +67,44 @@ class SessionResult:
 
 @dataclass
 class PrototypeSession:
-    """One testbed + one learned system, ready to run motions."""
+    """One testbed + one learned system, ready to run motions.
+
+    The timings are the prototype's: the run starts aligned, the
+    channel is sampled every ``constants.SLOT_S`` (1 ms), and a
+    report's command reaches the mirrors ``constants.TP_LATENCY_S``
+    later (RF control channel plus DAC conversion).
+    """
 
     testbed: Testbed
     system: LearnedSystem
-    pointing_latency_s: float = constants.DAQ_LATENCY_S
-    control_latency_s: float = constants.CONTROL_CHANNEL_LATENCY_S
 
-    def run(self, profile, duration_s: Optional[float] = None,
-            dt_s: float = 1e-3, window_s: float = 0.05,
-            start_aligned: bool = True) -> SessionResult:
+    def run(self, profile,
+            duration_s: Optional[float] = None) -> SessionResult:
         """Run the closed loop over a motion profile.
 
         Each report is solved once, seeded with the last applied
         command (or :func:`~repro.core.cold_start_seed` before the
-        first one); a diverged solve leaves the mirrors where they are
-        until the next report.
+        first one); a diverged solve, or a command outside the GM
+        coverage cone, leaves the mirrors where they are until the
+        next report.
         """
         if duration_s is None:
             duration_s = profile.duration_s
+        dt_s = constants.SLOT_S
         testbed = self.testbed
         tracker = testbed.tracker
         sfp = testbed.design.sfp
-        meter = ThroughputMeter(sfp.optimal_throughput_gbps,
-                                window_s=window_s)
-        state = LinkStateMachine(sfp, initially_up=start_aligned)
+        meter = ThroughputMeter(sfp.optimal_throughput_gbps)
+        state = LinkStateMachine(sfp, initially_up=True)
 
         system = self.system
+        failures: Counter = Counter()
         first_report = tracker.report(profile.pose_at(0.0))
         last_command = self._point(system, first_report,
-                                   seed=cold_start_seed(system,
-                                                        first_report))
+                                   cold_start_seed(system, first_report),
+                                   failures)
         pointing_calls = 1
-        pointing_failures = 0
-        coverage_failures = 0
-        if start_aligned and last_command is not None:
+        if last_command is not None:
             testbed.apply_command(last_command)
 
         next_report_s = tracker.next_period_s()
@@ -110,28 +116,20 @@ class PrototypeSession:
             pose = profile.pose_at(t)
 
             if pending is not None and t >= pending[0]:
-                try:
-                    testbed.apply_command(pending[1])
-                    last_command = pending[1]
-                except CoverageError:
-                    # Out of the GM coverage cone: mirrors hold still.
-                    coverage_failures += 1
+                testbed.apply_command(pending[1])
+                last_command = pending[1]
                 pending = None
 
             if t >= next_report_s and pending is None:
                 report = tracker.report(pose)
                 pointing_calls += 1
                 if last_command is not None:
-                    seed = self._command_tuple(last_command)
+                    seed = last_command.voltages
                 else:
                     seed = cold_start_seed(system, report)
-                command = self._point(system, report, seed=seed)
-                if command is None:
-                    pointing_failures += 1
-                else:
-                    apply_at = (t + self.control_latency_s
-                                + self.pointing_latency_s)
-                    pending = (apply_at, command)
+                command = self._point(system, report, seed, failures)
+                if command is not None:
+                    pending = (t + constants.TP_LATENCY_S, command)
                 next_report_s = t + tracker.next_period_s()
 
             power = testbed.channel.evaluate(pose).received_power_dbm
@@ -147,23 +145,25 @@ class PrototypeSession:
             power_dbm=np.array(powers),
             link_up=np.array(ups, dtype=bool),
             pointing_calls=pointing_calls,
-            pointing_failures=pointing_failures,
-            coverage_failures=coverage_failures,
+            pointing_failures=failures["diverged"],
+            coverage_failures=failures["coverage"],
         )
 
     @staticmethod
-    def _command_tuple(command: PointingCommand) -> tuple:
-        return (command.v_tx1, command.v_tx2,
-                command.v_rx1, command.v_rx2)
+    def _point(system: LearnedSystem, report, seed,
+               failures: Counter) -> Optional[PointingCommand]:
+        """Run ``P``; a failed solve means "no update this report".
 
-    @staticmethod
-    def _point(system: LearnedSystem, report,
-               seed) -> Optional[PointingCommand]:
-        """Run ``P``; a diverged solve means "no update this report"."""
+        Counts a diverged solve under ``"diverged"`` and a command
+        outside the GM coverage cone under ``"coverage"``.
+        """
         try:
             return point(system, report, initial=seed)
+        except CoverageError:
+            failures["coverage"] += 1
         except (PointingDivergedError, InverseDivergedError):
-            return None
+            failures["diverged"] += 1
+        return None
 
 
 def surviving_speed_threshold(schedule, windows: List[ThroughputWindow],
@@ -179,17 +179,11 @@ def surviving_speed_threshold(schedule, windows: List[ThroughputWindow],
     if not windows:
         raise ValueError("no throughput windows to analyze")
     threshold = 0.0
-    t = 0.0
-    for speed in schedule.speeds:
-        for _ in range(2):  # out and back strokes at this speed
-            start = t
-            end = t + schedule.extent / speed
-            overlapping = [w for w in windows
-                           if start <= w.center_s <= end]
-            survived = all(w.throughput_gbps >= fraction * optimal_gbps
-                           for w in overlapping)
-            if not survived:
-                return threshold
-            t = end + schedule.rest_s
-        threshold = speed
+    for index, (start, end, speed) in enumerate(schedule.strokes):
+        survived = all(w.throughput_gbps >= fraction * optimal_gbps
+                       for w in windows if start <= w.center_s <= end)
+        if not survived:
+            return threshold
+        if index % 2 == 1:  # both strokes at this speed survived
+            threshold = speed
     return threshold

@@ -43,7 +43,7 @@ class TimeslotParams:
     silently read as 0 % availability.
     """
 
-    slot_s: float = constants.TRACE_SLOT_S
+    slot_s: float = constants.SLOT_S
     tp_latency_slots: int = 2
     residual_lateral_m: float = constants.TRACE_TP_LATERAL_ERROR_M
     residual_angular_rad: float = constants.TRACE_TP_ANGULAR_ERROR_RAD

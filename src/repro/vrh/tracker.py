@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .. import constants
-from ..determinism import resolve_rng
 from ..geometry import Pose, rotation_matrix
 
 
@@ -39,16 +38,14 @@ class VrhTracker:
     location_noise_m: float = constants.TRACKER_LOCATION_NOISE_MAX_M / 3.0
     orientation_noise_rad: float = (
         constants.TRACKER_ORIENTATION_NOISE_MAX_RAD / 3.0)
-    #: Measurement-noise source.  Pass ``rng`` or ``seed``; omitting
-    #: both raises unless ``deterministic=False`` documents the
-    #: OS-entropy opt-in (see :mod:`repro.determinism`).
+    #: Measurement-noise source, required: constructing without one
+    #: raises (see :mod:`repro.determinism`).
     rng: Optional[np.random.Generator] = None
-    seed: Optional[int] = None
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
-        self.rng = resolve_rng(self.rng, self.seed, self.deterministic,
-                               owner="VrhTracker")
+        if self.rng is None:
+            raise ValueError("VrhTracker needs an explicit "
+                             "rng=np.random.Generator")
         if self.location_noise_m < 0 or self.orientation_noise_rad < 0:
             raise ValueError("noise magnitudes cannot be negative")
 

@@ -3,15 +3,10 @@
 import numpy as np
 
 
-def resolve_rng(rng=None, seed=None, deterministic=True,
-                owner="component"):
-    if rng is not None:
-        return rng
-    if seed is not None:
-        return np.random.default_rng(seed)
-    if deterministic:
+def resolve_rng(seed, owner="component"):
+    if seed is None:
         raise ValueError(owner)
-    return np.random.default_rng()
+    return np.random.default_rng(seed)
 
 
 def spawn(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ProbeTracker
+from repro.baselines.probe_tp import PROBE_LATENCY_S
 from repro.motion import RotationStage, StaticProfile
 from repro.simulate import Testbed
 
@@ -62,4 +63,4 @@ class TestProbeTracker:
         result = tracker.run(profile)
         deltas = np.diff(result.sample_times_s)
         assert np.all(deltas > 0)
-        assert deltas.min() == pytest.approx(tracker.probe_latency_s)
+        assert deltas.min() == pytest.approx(PROBE_LATENCY_S)

@@ -20,6 +20,7 @@ import pytest
 import repro.simulate.rig as rig
 from repro.core import BoardSample, fit_gma, fit_mapping, lsq, point, remap
 from repro.core.gma import board_hits
+from repro.core.inverse import DEFAULT_VOLTAGE_STEP_V
 from repro.core.kspace import BOARD_NORMAL, BOARD_POINT
 from repro.core.lsq import (
     forward_jacobian,
@@ -36,8 +37,6 @@ from .oracles import (
     scalar_coincidence_residuals,
 )
 
-#: One step of the 16-bit DAQ over its +/-10 V range.
-DAQ_STEP_V = 20.0 / 2 ** 16
 COST_RTOL = 1e-9
 BOARD_HIT_TOL_M = 1e-8
 
@@ -93,9 +92,8 @@ def assert_same_commands(testbed, system, reference, count=20):
     for pose in testbed.evaluation_poses(count):
         report = testbed.tracker.report(pose)
         got, want = point(system, report), point(reference, report)
-        np.testing.assert_allclose(
-            got.tx_voltages + got.rx_voltages,
-            want.tx_voltages + want.rx_voltages, rtol=0, atol=DAQ_STEP_V)
+        np.testing.assert_allclose(got.voltages, want.voltages, rtol=0,
+                                   atol=DEFAULT_VOLTAGE_STEP_V)
         assert got.iterations == want.iterations
 
 

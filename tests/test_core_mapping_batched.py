@@ -80,7 +80,7 @@ def parallel_sample(rng, params):
     """A pose turning the RX second mirror parallel to the TX beam."""
     sample = random_sample(rng)
     system = LearnedSystem.from_mapping_params(KSPACE, KSPACE, params)
-    tx_dir = reference_trace(system.tx_params(), sample.v_tx1,
+    tx_dir = reference_trace(system.tx_model_vr.params, sample.v_tx1,
                              sample.v_tx2).direction
     rx = KSPACE.params
     normal = system.rx_mapping.orientation @ reference_mirror_planes(
@@ -199,7 +199,7 @@ class TestMissRows:
         sample = random_sample(rng, Pose.identity())
         rx_beam = reference_trace(system.rx_model_vr(Pose.identity()).params,
                                   sample.v_rx1, sample.v_rx2)
-        tx = system.tx_params()
+        tx = system.tx_model_vr.params
         tx_mirror = reference_mirror_planes(tx, tx.theta1 * sample.v_tx1,
                                             tx.theta1 * sample.v_tx2)[1]
         assert tx_mirror.intersection_distance(rx_beam) < 0

@@ -6,6 +6,8 @@ Table 2 regime, pointing convergence in 2-5 iterations, and TP accuracy
 good enough to keep the link at optimal power (Section 5.2).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from repro.core import (
     point,
 )
 from repro.core.errors import beam_error_m, summarize
-from repro.core.pointing import PointingDivergedError
+from repro.core.pointing import PointingCommand, PointingDivergedError
+from repro.galvo import CoverageError
 from repro.geometry import Pose
 
 
@@ -85,7 +88,7 @@ class TestCombinedErrors:
     @pytest.fixture(scope="class")
     def combined(self, testbed, calibration):
         system = calibration.system
-        vr = testbed.world_to_vr()
+        vr = testbed.vr_from_world
         tx_errors, rx_errors = [], []
         for pose in testbed.evaluation_poses(12):
             report = testbed.tracker.report(pose)
@@ -178,6 +181,26 @@ class TestPointing:
     def test_command_voltages_in_range(self, testbed, learned_system):
         for pose in testbed.evaluation_poses(5):
             command = point(learned_system, testbed.tracker.report(pose))
-            for v in (command.v_tx1, command.v_tx2,
-                      command.v_rx1, command.v_rx2):
-                assert abs(v) <= constants.GM_VOLTAGE_RANGE_V
+            for v in command.voltages:
+                assert abs(v) <= constants.DAQ_VOLTAGE_RANGE_V
+
+    def test_out_of_cone_command_raises_coverage_error(self, testbed,
+                                                       learned_system):
+        # The world-frame home pose read as a VR-space report settles
+        # beyond the DAQ's range (v_rx1 near -28.6 V, v_rx2 near
+        # +15.5 V): P must refuse it, naming the voltage.
+        with pytest.raises(CoverageError, match="outside the") as raised:
+            point(learned_system, testbed.home_pose)
+        named = re.search(r"on ([-+][0-9.]+) V", str(raised.value))
+        assert abs(float(named.group(1))) > constants.DAQ_VOLTAGE_RANGE_V
+
+    @pytest.mark.parametrize("bad", [10.0001, -10.5, np.nan, np.inf])
+    @pytest.mark.parametrize("axis", range(4))
+    def test_command_rejects_voltage_the_daq_cannot_output(self, bad,
+                                                           axis):
+        voltages = [0.0, 0.0, 0.0, 0.0]
+        voltages[axis] = bad
+        with pytest.raises(CoverageError, match="range"):
+            PointingCommand(*voltages, iterations=1)
+        edge = [constants.DAQ_VOLTAGE_RANGE_V] * 4
+        assert PointingCommand(*edge, iterations=1).voltages == tuple(edge)

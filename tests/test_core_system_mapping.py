@@ -61,12 +61,6 @@ class TestLearnedSystem:
         # The +x body offset appears rotated into +y by the pose.
         assert np.allclose(origin - base, [0.0, 0.1, 0.0], atol=1e-12)
 
-    def test_tx_params_accessor(self, kspace_models):
-        tx, rx = kspace_models
-        system = LearnedSystem.from_mapping_params(tx, rx, np.zeros(12))
-        assert np.allclose(system.tx_params().to_vector(),
-                           tx.params.to_vector())
-
 
 def synthetic_aligned_sample(tx, rx, tx_map, rx_map, pose):
     """An exactly aligned 5-tuple built from known geometry.

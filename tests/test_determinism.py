@@ -1,14 +1,15 @@
 """The determinism contract at its runtime entry points.
 
-A stochastic component built with no ``rng=``, no ``seed=`` and the
-default ``deterministic=True`` must refuse to construct: that is how
-``repro.determinism.resolve_rng`` keeps every run reproducible from its
-seed.  ``deterministic=False`` is the documented opt-in to OS entropy.
+A stochastic component built with no ``rng=`` (or ``rng=None``) must
+refuse to construct, naming itself, and ``repro.determinism.resolve_rng``
+refuses ``seed=None``: that is how every run stays reproducible from
+its seed.  There is no OS-entropy opt-in.
 """
 
 import numpy as np
 import pytest
 
+from repro.determinism import resolve_rng
 from repro.galvo import GalvoHardware, canonical_gma
 from repro.geometry import Pose
 from repro.vrh import VrhTracker
@@ -26,9 +27,11 @@ COMPONENTS = {
 def test_unseeded_component_refuses_to_construct(name):
     with pytest.raises(ValueError, match=name):
         COMPONENTS[name]()
+    with pytest.raises(ValueError, match=name):
+        COMPONENTS[name](rng=None)
 
 
-@pytest.mark.parametrize("name", sorted(COMPONENTS))
-def test_entropy_opt_in_constructs(name):
-    component = COMPONENTS[name](deterministic=False)
-    assert isinstance(component.rng, np.random.Generator)
+def test_resolve_rng_refuses_a_missing_seed():
+    with pytest.raises(ValueError, match="Owner"):
+        resolve_rng(None, owner="Owner")
+    assert resolve_rng(5).random() == np.random.default_rng(5).random()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import constants
 from repro.galvo import (
     CoverageError,
     Daq,
@@ -34,9 +35,8 @@ def linear_beam(params, v1, v2):
 def quiet_hardware(**kwargs):
     """Hardware with jitter disabled for exact-geometry tests."""
     spec = GalvoSpec(name="quiet", volts_per_optical_degree=0.5,
-                     voltage_range_v=10.0, angular_accuracy_rad=0.0,
-                     small_angle_latency_s=300e-6,
-                     max_beam_diameter_m=10e-3)
+                     angular_accuracy_rad=0.0,
+                     small_angle_latency_s=300e-6)
     params = kwargs.pop("params", canonical_gma(np.radians(1.0)))
     return GalvoHardware(params, spec=spec,
                          rng=np.random.default_rng(0), **kwargs)
@@ -49,7 +49,7 @@ class TestSpecs:
 
     def test_max_mech_angle(self):
         # The +/-10 V range reaches +/-10 mechanical degrees.
-        assert (GVS102.mech_rad_per_volt * GVS102.voltage_range_v
+        assert (GVS102.mech_rad_per_volt * constants.DAQ_VOLTAGE_RANGE_V
                 == pytest.approx(np.radians(10.0)))
 
     def test_settle_time_small_step(self):
@@ -63,7 +63,7 @@ class TestSpecs:
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            GalvoSpec("bad", 0.0, 10.0, 1e-5, 3e-4, 1e-2)
+            GalvoSpec("bad", 0.0, 1e-5, 3e-4)
 
 
 class TestDaq:

@@ -112,9 +112,8 @@ class TestAgainstMatrixReference:
         # Jitter off so the true angles are computable from outside:
         # theta1 * v + kappa * v**2 on the quantized voltages.
         spec = GalvoSpec(name="quiet", volts_per_optical_degree=0.5,
-                         voltage_range_v=10.0, angular_accuracy_rad=0.0,
-                         small_angle_latency_s=300e-6,
-                         max_beam_diameter_m=10e-3)
+                         angular_accuracy_rad=0.0,
+                         small_angle_latency_s=300e-6)
         params = random_params(seed)
         hardware = GalvoHardware(params, spec=spec, nonlinearity=1e-3,
                                  rng=np.random.default_rng(seed))

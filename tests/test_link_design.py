@@ -14,6 +14,27 @@ from repro.link import (
 )
 
 
+#: Every range-taking query of a design, called at one range.
+RANGE_QUERIES = {
+    "margin_db": lambda d, r: d.margin_db(r),
+    "beam_diameter_at": lambda d, r: d.beam_diameter_at(r),
+    "beam.curvature_radius_m": lambda d, r: d.beam.curvature_radius_m(r),
+    "lateral_width_m": lambda d, r: d.lateral_width_m(r),
+    "peak_power_dbm": lambda d, r: d.peak_power_dbm(r),
+    "received_power_dbm": lambda d, r: d.received_power_dbm(r, 0.0, 0.0),
+    "angular_width_rad": lambda d, r: d.angular_width_rad(r),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("query", sorted(RANGE_QUERIES))
+def test_range_queries_reject_a_bad_range_by_value(query, bad):
+    # A NaN or infinite range must not come back as a NaN or infinite
+    # power, width or curvature.
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        RANGE_QUERIES[query](link_10g_diverging(), bad)
+
+
 class TestDesignConstruction:
     def test_10g_diverging_beam_diameter(self):
         design = link_10g_diverging(16e-3)

@@ -92,9 +92,10 @@ class TestDivergenceForDiameter:
         with pytest.raises(ValueError):
             divergence_for_diameter(1e-3, 1.75, 2e-3)
 
-    def test_rejects_nonpositive_range(self):
-        with pytest.raises(ValueError):
-            divergence_for_diameter(16e-3, 0.0, 2e-3)
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_non_finite_range(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            divergence_for_diameter(16e-3, bad, 2e-3)
 
     def test_wider_target_needs_more_divergence(self):
         d1 = divergence_for_diameter(10e-3, 1.75, 2e-3)

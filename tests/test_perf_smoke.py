@@ -222,7 +222,7 @@ class TestOneRotationCheckPerPlacement:
 
     def test_tracker_report(self, testbed, calls):
         tracker = VrhTracker(testbed.vr_from_world, testbed.x_offset,
-                             seed=0)
+                             rng=np.random.default_rng(0))
         tracker.report(testbed.home_pose)
         # V after W, then X, then the noisy report itself.
         assert calls["rotation"] == 3

@@ -39,17 +39,17 @@ class TestScenarioRegistry:
 
     def test_cheap_scenarios_run(self):
         for scenario_id in ("table1", "fig11", "thresholds"):
-            metrics = get_scenario(scenario_id).run_quick()
+            metrics = get_scenario(scenario_id).quick()
             assert metrics
             assert all(np.isfinite(v) for v in metrics.values())
 
     def test_fig11_quick_matches_bench_headline(self):
-        metrics = get_scenario("fig11").run_quick()
+        metrics = get_scenario("fig11").quick()
         assert metrics["peak_diameter_mm"] == pytest.approx(16.0,
                                                             abs=2.1)
         assert metrics["peak_rx_tol_mrad"] == pytest.approx(5.77,
                                                             rel=0.05)
 
     def test_fig16_quick_in_band(self):
-        metrics = get_scenario("fig16").run_quick()
+        metrics = get_scenario("fig16").quick()
         assert 0.96 <= metrics["overall_availability"] <= 1.0

@@ -93,7 +93,7 @@ class TestHiddenFrames:
         testbed.tx_hardware.apply(0.7, -0.4)
         truth_origin, _ = testbed.tx_assembly.world_beam()
         predicted_vr = oracle.tx_model_vr.beam(0.7, -0.4)
-        predicted_origin, _ = testbed.world_to_vr().inverse().apply_ray(
+        predicted_origin, _ = testbed.vr_from_world.inverse().apply_ray(
             *predicted_vr)
         # Linear model vs jittery/nonlinear hardware: sub-mm at origin.
         assert np.linalg.norm(np.subtract(predicted_origin,

@@ -9,9 +9,11 @@ from repro.motion import (
     StaticProfile,
     StrokeSchedule,
 )
+from repro.core import point
 from repro.galvo import CoverageError
 from repro.net import ThroughputWindow
 from repro.simulate import PrototypeSession, Testbed, surviving_speed_threshold
+from repro.simulate import session as session_module
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +93,17 @@ class TestCoverageFailureAccounting:
         testbed = Testbed(seed=3)
         session = PrototypeSession(testbed, testbed.oracle_system())
         profile = StaticProfile(testbed.home_pose, duration_s=0.5)
-        apply_command = testbed.apply_command
         calls = []
 
-        def tripwire(command):
-            # Call 1 is the start-aligned steer before the loop; the
-            # loop's first command (call 2) leaves the coverage cone.
-            calls.append(command)
+        def tripwire(system, report, initial):
+            # Call 1 solves the first report before the loop; the
+            # loop's first report (call 2) settles outside the cone.
+            calls.append(report)
             if len(calls) == 2:
                 raise CoverageError("out-of-cone command")
-            return apply_command(command)
+            return point(system, report, initial=initial)
 
-        monkeypatch.setattr(testbed, "apply_command", tripwire)
+        monkeypatch.setattr(session_module, "point", tripwire)
         result = session.run(profile)
         assert len(calls) > 2
         assert result.coverage_failures == 1

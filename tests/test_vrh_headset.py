@@ -17,9 +17,8 @@ from .oracles import world_beam, world_second_mirror_plane
 
 def quiet_hardware():
     spec = GalvoSpec(name="quiet", volts_per_optical_degree=0.5,
-                     voltage_range_v=10.0, angular_accuracy_rad=0.0,
-                     small_angle_latency_s=300e-6,
-                     max_beam_diameter_m=10e-3)
+                     angular_accuracy_rad=0.0,
+                     small_angle_latency_s=300e-6)
     return GalvoHardware(canonical_gma(np.radians(1.0)), spec=spec,
                          rng=np.random.default_rng(0))
 
